@@ -1,0 +1,89 @@
+"""Golden digests: the CLI pipeline's artifacts are pinned byte for byte.
+
+Each case runs train -> eval through lgcf.cli.main on one small synthetic
+graph and compares the sha256 of checkpoint.json, report.json and
+history.jsonl (with the timing field wall_ms dropped) against recorded
+values.  A change that alters a random stream or an order of floating-point
+operations on purpose updates the digests here and says why in CHANGES.md;
+any other digest change is a behaviour change.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lgcf.cli import main
+
+TRAIN_ARGS = ("--epochs", "2", "--batch-size", "16", "--seed", "3",
+              "--restart-prob", "0.2", "--walk-len", "8", "--max-nodes", "10",
+              "--gcn-layers", "2", "--hidden-dim", "4", "--label-cap", "8",
+              "--embed-dim", "4", "--lightgcn-layers", "2", "--lr", "0.01")
+CACHED = ("--negatives", "2", "--cache-subgraphs", "true", "--batch-size", "7")
+LEARNABLE = ("--lambda-mode", "learnable")
+
+# case id -> (kind, extra train flags, sha256 prefixes of checkpoint.json,
+# report.json and history.jsonl without wall_ms)
+GOLDEN = {
+    "lgcf": ("lgcf", (),
+        ("21516985b4827b94", "ffc1d17c24c0afa7", "b541c301bdf46cbe")),
+    "mf": ("mf", (),
+        ("3d24a333a1bbbd6e", "132fd0953a7311ef", "6f3c345a14465312")),
+    "lightgcn": ("lightgcn", (),
+        ("f9ee51f4cf1f1eee", "2da32dac65786408", "b825801be9952876")),
+    "lgcf-emb": ("lgcf-emb", (),
+        ("17fd9f7e43d0b2a4", "f8fefa64f42b1aff", "b6218bfa7ae50b4f")),
+    "lgcf-ens": ("lgcf-ens", (),
+        ("bc7b9c7862cb63c6", "954b3bbc6b70414c", "4e90b7eb6b3fe75a")),
+    "lgcf-cached": ("lgcf", CACHED,
+        ("c747fa943ca7c3d3", "d9db0bbc1959cfc1", "cb7028da0bd6d39a")),
+    "mf-cached": ("mf", CACHED,
+        ("3f49c00a2906fcd4", "8b610570bd59d7dd", "e08cc6a57ea2e064")),
+    "lightgcn-cached": ("lightgcn", CACHED,
+        ("f2f8a86733337274", "9492614541efc9b3", "b41d37032ca881a4")),
+    "lgcf-emb-cached": ("lgcf-emb", CACHED,
+        ("ae0ea9962616cc02", "b80d7e0f6869a944", "36907a658cafa87c")),
+    "lgcf-ens-cached": ("lgcf-ens", CACHED,
+        ("9d71195d6bce0432", "d5210aff9ab4f0d7", "c1516d7f2d4c70fa")),
+    "lgcf-ens-learnable": ("lgcf-ens", LEARNABLE,
+        ("a7d9df6a4238441d", "4d8e76fd3082b3b6", "4e90b7eb6b3fe75a")),
+}
+
+
+def run(*argv) -> None:
+    assert main([str(a) for a in argv]) == 0
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    run("synth", "--out", root / "graph", "--users", 20, "--items", 20,
+        "--p-in", 0.5, "--p-out", 0.05, "--seed", 1)
+    run("split", "--out", root / "split", "--graph", root / "graph",
+        "--train-frac", 0.75, "--seed", 2)
+    return root
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_artifact_digests(data, tmp_path, case):
+    kind, extra, want = GOLDEN[case]
+    run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+    run("train", "--out", run_dir, "--graph", data / "graph",
+        "--split", data / "split", "--model", kind, *TRAIN_ARGS, *extra)
+    run("eval", "--out", eval_dir, "--graph", data / "graph",
+        "--split", data / "split", "--checkpoint", run_dir / "checkpoint.json",
+        "--k-values", "5,10")
+    history = []
+    for line in (run_dir / "history.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        del rec["wall_ms"]
+        history.append(json.dumps(rec, sort_keys=True))
+    got = (sha((run_dir / "checkpoint.json").read_bytes()),
+           sha((eval_dir / "report.json").read_bytes()),
+           sha("\n".join(history).encode("utf-8")))
+    print(f"golden {case}: {got}")
+    assert got == want
