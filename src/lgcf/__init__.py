@@ -13,12 +13,11 @@ from .graph import (BipartiteGraph, IngestResult, SplitSpec, build_graph,
 from .labeling import (UNREACHABLE, LabelEncoding, drnl_label, label_graph,
                        min_distances, one_hot_features)
 from .models import (MODEL_KINDS, EmbeddingTable, EpochRecord, Propagation,
-                     TrainConfig, TrainedModel, TrainResult,
-                     emb_joint_loss_and_grads, init_embeddings, lgcf_emb_score,
-                     lgcf_ens_score, lgcf_inputs, lgcf_score,
+                     TrainConfig, TrainedModel, TrainResult, init_embeddings,
+                     lgcf_emb_score, lgcf_ens_score, lgcf_inputs, lgcf_score,
                      lightgcn_propagate, load_model, mf_score, param_count,
                      run_gradcheck, sample_negative, save_model, train)
-from .nn import (AdamState, GnnGradients, GnnParameters, GradCheckReport,
+from .nn import (AdamState, GnnParameters, GradCheckReport,
                  adam_step, bpr_loss, bpr_pair_grads, forward_instance,
                  gcn_backward, gcn_forward, grad_check, init_adam,
                  init_gnn_params, normalize_adjacency, score, sigmoid,

@@ -11,7 +11,6 @@ than --config resolve against --out.  Exit codes: 0 success, 1 failure,
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,8 +83,6 @@ def _common(with_out: bool = True) -> list[Opt]:
         opts.append(Opt("out", "path", None, "output directory", required=True))
         opts.append(Opt("force", "bool", False, "overwrite a non-empty --out"))
     opts.append(Opt("config", "path", None, "flat key=value config file"))
-    opts.append(Opt("threads", "opt_int", None,
-                    "worker cap (default: LGCF_THREADS or 1)"))
     return opts
 
 
@@ -230,22 +227,17 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     for name, opt in opts.items():
         if opt.required and values[name] is None:
             raise DomainError(f"missing required option --{name}")
-    if "threads" in values and values["threads"] is None:
-        env = os.environ.get("LGCF_THREADS")
-        values["threads"] = int(env) if env else 1
-    if values.get("threads") is not None and values["threads"] < 1:
-        raise DomainError("threads must be >= 1")
     return values
 
 
 def _config_hash(command: str, values: dict, opts: dict[str, Opt]) -> str:
-    # Path-valued options and execution knobs stay out of the hash so a rerun
-    # in a different directory reports the same configuration identity.
+    # Path-valued options and --force stay out of the hash so a rerun in a
+    # different directory reports the same configuration identity.
     skip_types = ("path",)
     payload = [command]
     for name in sorted(values):
         opt = opts[name]
-        if opt.type in skip_types or name in ("force", "threads"):
+        if opt.type in skip_types or name == "force":
             continue
         payload.append(f"{name}={_canonical(values[name])}")
     return hashlib.sha256("\n".join(payload).encode("utf-8")).hexdigest()[:16]

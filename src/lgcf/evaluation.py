@@ -111,15 +111,16 @@ def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
         for u, i in edge_set:
             interacted.setdefault(u, set()).add(i)
     n = graph.num_users
+    items = np.arange(n, graph.num_nodes, dtype=np.int64)
     pool_cache: dict[int, np.ndarray] = {}
     results = []
     empty = np.zeros(0, dtype=np.int64)
     for u, i in pairs:
         pool = pool_cache.get(u)
         if pool is None:
-            banned = interacted.get(u, set())
-            pool = np.array([j for j in range(n, graph.num_nodes) if j not in banned],
-                            dtype=np.int64)
+            keep = np.ones(items.size, dtype=bool)
+            keep[[j - n for j in interacted.get(u, ())]] = False
+            pool = items[keep]
             pool_cache[u] = pool
         if pool.size == 0:
             results.append(_PairResult(u, i, None, empty, empty, empty))

@@ -50,9 +50,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.user_matrix.shape[1]
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.user_matrix.copy(), self.item_matrix.copy())
-
 
 def init_embeddings(num_users: int, num_items: int, dim: int,
                     rng: np.random.Generator, scale: float = 0.1) -> EmbeddingTable:
@@ -259,21 +256,46 @@ class TrainedModel:
     w_joint: np.ndarray | None = None
     lam: float | None = None
 
+    @property
+    def propagation_layers(self) -> int:
+        """Propagation depth applied to the tables (mf is the zero-layer case)."""
+        return 0 if self.kind in ("lgcf", "mf") else self.lightgcn_layers
+
+    def trainable(self) -> list[np.ndarray]:
+        """Live arrays that BPR training updates, in optimizer-state order.
+
+        lgcf-emb scores through w_joint, so its GCN scoring vector is not
+        trained.
+        """
+        arrays = []
+        if self.gnn is not None:
+            arrays += self.gnn.weights if self.w_joint is not None else self.gnn.arrays()
+        if self.w_joint is not None:
+            arrays.append(self.w_joint)
+        if self.tables is not None:
+            arrays += [self.tables.user_matrix, self.tables.item_matrix]
+        return arrays
+
     def make_scorer(self, train_graph: BipartiteGraph):
         """Scorer bound to the training graph; refined tables are precomputed."""
+        refined = None
+        if self.tables is not None:
+            rows = (self.tables.user_matrix.shape[0], self.tables.item_matrix.shape[0])
+            if rows != (train_graph.num_users, train_graph.num_items):
+                raise DomainError(
+                    f"model tables have {rows[0]} user and {rows[1]} item rows, but "
+                    f"the graph has {train_graph.num_users} users and "
+                    f"{train_graph.num_items} items")
+            refined = lightgcn_propagate(train_graph, self.tables,
+                                         self.propagation_layers)
         if self.kind == "lgcf":
             return LgcfScorer(train_graph, self.gnn, self.walk, self.master_seed)
-        if self.kind == "mf":
-            return DotScorer(self.tables, "mf", self.master_seed)
-        if self.kind == "lightgcn":
-            refined = lightgcn_propagate(train_graph, self.tables, self.lightgcn_layers)
-            return DotScorer(refined, "lightgcn", self.master_seed)
+        if self.kind in ("mf", "lightgcn"):
+            return DotScorer(refined, self.kind, self.master_seed)
         if self.kind == "lgcf-emb":
-            refined = lightgcn_propagate(train_graph, self.tables, self.lightgcn_layers)
             return EmbJointScorer(train_graph, self.gnn, refined, self.w_joint,
                                   self.walk, self.master_seed)
         if self.kind == "lgcf-ens":
-            refined = lightgcn_propagate(train_graph, self.tables, self.lightgcn_layers)
             inner = LgcfScorer(train_graph, self.gnn, self.walk, self.master_seed)
             return EnsembleScorer(inner, refined, self.lam)
         raise DomainError(f"unknown model kind {self.kind!r}")
@@ -311,13 +333,18 @@ class TrainedModel:
             tables = EmbeddingTable(
                 np.asarray(payload["tables"]["user"], dtype=np.float64),
                 np.asarray(payload["tables"]["item"], dtype=np.float64))
+        label_cap = int(payload["label_cap"])
+        gnn = None if payload["gnn"] is None else params_from_dict(payload["gnn"])
+        if gnn is not None and gnn.feature_dim != label_cap:
+            raise DomainError(f"label_cap {label_cap} does not match the "
+                              f"{gnn.feature_dim} rows of the first GCN weight")
         return TrainedModel(
             kind=str(payload["kind"]),
             walk=walk,
-            label_cap=int(payload["label_cap"]),
+            label_cap=label_cap,
             lightgcn_layers=int(payload["lightgcn_layers"]),
             master_seed=int(payload["master_seed"]),
-            gnn=None if payload["gnn"] is None else params_from_dict(payload["gnn"]),
+            gnn=gnn,
             tables=tables,
             w_joint=None if payload["w_joint"] is None
             else np.asarray(payload["w_joint"], dtype=np.float64),
@@ -404,302 +431,116 @@ class EnsembleScorer:
                               self.refined.item_matrix[i - n], self.lam)
 
 
-def _joint_triplet(gnn: GnnParameters, w_joint: np.ndarray, refined: np.ndarray,
-                   u: int, i_pos: int, i_neg: int, pos_inputs, neg_inputs,
-                   d_weights, d_w_joint, d_refined) -> float:
-    """Accumulate joint-model gradients for one BPR triplet; returns the loss.
+def _lgcf_batch(model: TrainedModel, prop: Propagation, batch):
+    """Per-triplet BPR losses and batch-mean gradients of the lgcf network."""
+    grads = [np.zeros_like(a) for a in model.trainable()]
+    losses = []
+    for _, _, _, pos_inputs, neg_inputs in batch:
+        loss, pair_grads = bpr_pair_grads(model.gnn, pos_inputs, neg_inputs)
+        losses.append(loss)
+        for acc, g in zip(grads, pair_grads.arrays()):
+            acc += g
+    return losses, [g / len(losses) for g in grads]
+
+
+def _embedding_batch(model: TrainedModel, prop: Propagation, batch):
+    """BPR over propagated dot products; gradients pulled back to the tables."""
+    n = model.tables.user_matrix.shape[0]
+    refined = prop.apply(np.vstack([model.tables.user_matrix, model.tables.item_matrix]))
+    d_refined = np.zeros_like(refined)
+    losses = []
+    for u, i, j, _, _ in batch:
+        r_u, r_i, r_j = refined[u], refined[i], refined[j]
+        z = float(r_u @ r_i - r_u @ r_j)
+        losses.append(softplus(-z))
+        g = float(sigmoid(z)) - 1.0
+        d_refined[u] += g * (r_i - r_j)
+        d_refined[i] += g * r_u
+        d_refined[j] -= g * r_u
+    d_e0 = prop.apply(d_refined) / len(losses)
+    return losses, [d_e0[:n], d_e0[n:]]
+
+
+def _joint_batch(model: TrainedModel, prop: Propagation, batch):
+    """BPR over the joint score (refined embedding product || pooled subgraph).
 
     refined is the propagated (num_nodes, dim) matrix indexed by global id;
     d_refined collects gradients in that same space for one propagation-back
     per batch.
     """
-    dim = refined.shape[1]
-    r_u = refined[u]
-    branches = []
-    for (x0, a_norm), item in ((pos_inputs, i_pos), (neg_inputs, i_neg)):
-        x_last, cache = gcn_forward(x0, a_norm, gnn)
-        pooled = sum_pool(x_last)
-        feat = np.concatenate([r_u * refined[item], pooled])
-        s = float(sigmoid(float(feat @ w_joint)))
-        branches.append((cache, feat, s, item))
-    z = branches[0][2] - branches[1][2]
-    loss = softplus(-z)
-    g = float(sigmoid(z)) - 1.0
-    for sign, (cache, feat, s, item) in zip((g, -g), branches):
-        d_logit = sign * s * (1.0 - s)
-        d_w_joint += d_logit * feat
-        d_feat = d_logit * w_joint
-        d_emb = d_feat[:dim]
-        d_pooled = d_feat[dim:]
-        k = cache.xs[0].shape[0]
-        d_out = np.broadcast_to(d_pooled, (k, d_pooled.size))
-        for acc, grad in zip(d_weights, gcn_backward(cache, gnn, d_out)):
-            acc += grad
-        d_refined[u] += d_emb * refined[item]
-        d_refined[item] += d_emb * r_u
-    return loss
-
-
-def emb_joint_loss_and_grads(gnn: GnnParameters, w_joint: np.ndarray,
-                             tables: EmbeddingTable, prop: Propagation,
-                             u: int, i_pos: int, i_neg: int,
-                             pos_inputs, neg_inputs) -> tuple[float, dict]:
-    """Loss and full analytic gradients for one joint triplet.
-
-    Includes the propagation pullback into the base tables; gradients come
-    back as {"weights": [...], "w_joint": ..., "user": ..., "item": ...}.
-    """
-    n = tables.user_matrix.shape[0]
+    gnn, w_joint, tables = model.gnn, model.w_joint, model.tables
+    n, dim = tables.user_matrix.shape
     refined = prop.apply(np.vstack([tables.user_matrix, tables.item_matrix]))
     d_weights = [np.zeros_like(w) for w in gnn.weights]
     d_w_joint = np.zeros_like(w_joint)
     d_refined = np.zeros_like(refined)
-    loss = _joint_triplet(gnn, w_joint, refined, u, i_pos, i_neg,
-                          pos_inputs, neg_inputs, d_weights, d_w_joint, d_refined)
+    losses = []
+    for u, i_pos, i_neg, pos_inputs, neg_inputs in batch:
+        r_u = refined[u]
+        branches = []
+        for (x0, a_norm), item in ((pos_inputs, i_pos), (neg_inputs, i_neg)):
+            x_last, cache = gcn_forward(x0, a_norm, gnn)
+            feat = np.concatenate([r_u * refined[item], sum_pool(x_last)])
+            s = float(sigmoid(float(feat @ w_joint)))
+            branches.append((cache, feat, s, item))
+        z = branches[0][2] - branches[1][2]
+        losses.append(softplus(-z))
+        g = float(sigmoid(z)) - 1.0
+        for sign, (cache, feat, s, item) in zip((g, -g), branches):
+            d_logit = sign * s * (1.0 - s)
+            d_w_joint += d_logit * feat
+            d_feat = d_logit * w_joint
+            d_emb = d_feat[:dim]
+            d_pooled = d_feat[dim:]
+            k = cache.xs[0].shape[0]
+            d_out = np.broadcast_to(d_pooled, (k, d_pooled.size))
+            for acc, grad in zip(d_weights, gcn_backward(cache, gnn, d_out)):
+                acc += grad
+            d_refined[u] += d_emb * refined[item]
+            d_refined[item] += d_emb * r_u
+    count = len(losses)
     d_e0 = prop.apply(d_refined)
-    return loss, {"weights": d_weights, "w_joint": d_w_joint,
-                  "user": d_e0[:n], "item": d_e0[n:]}
+    return losses, [*(w / count for w in d_weights), d_w_joint / count,
+                    d_e0[:n] / count, d_e0[n:] / count]
 
 
-class _LgcfTrainer:
-    def __init__(self, train_graph: BipartiteGraph, train_edges, tc: TrainConfig):
-        self.graph = train_graph
-        self.edges = [tuple(e) for e in train_edges]
-        self.tc = tc
-        self.enc = LabelEncoding(tc.label_cap)
-        rng = seed_stream(tc.master_seed, PARAM_INIT)
-        self.params = init_gnn_params(tc.label_cap, tc.hidden_dim, tc.gcn_layers,
-                                      rng, tc.activation)
-        self.adam = init_adam(self.params.arrays(), lr=tc.lr, beta1=tc.beta1,
-                              beta2=tc.beta2, eps=tc.eps)
-        self.cache: dict | None = {} if tc.cache_subgraphs else None
-
-    def _inputs(self, u: int, i: int, epoch: int):
-        if self.cache is not None:
-            hit = self.cache.get((u, i))
-            if hit is not None:
-                return hit
-            epoch = 0  # cached pairs always use their first-epoch walk
-        rng = walk_stream(self.tc.master_seed, u, i, epoch)
-        pair = lgcf_inputs(self.graph, u, i, self.tc.walk, rng, self.enc)
-        if self.cache is not None:
-            self.cache[(u, i)] = pair
-        return pair
-
-    def run_epoch(self, epoch: int) -> float:
-        tc = self.tc
-        order = seed_stream(tc.master_seed, EPOCH_SHUFFLE, epoch).permutation(len(self.edges))
-        neg_rng = seed_stream(tc.master_seed, TRAIN_NEGATIVE, epoch)
-        arrays = self.params.arrays()
-        batch = [np.zeros_like(a) for a in arrays]
-        pending = 0
-        losses = []
-        for idx in order:
-            u, i = self.edges[idx]
-            for _ in range(tc.negatives_per_positive):
-                j = sample_negative(self.graph, u, neg_rng)
-                loss, grads = bpr_pair_grads(self.params, self._inputs(u, i, epoch),
-                                             self._inputs(u, j, epoch))
-                losses.append(loss)
-                for acc, g in zip(batch, grads.arrays()):
-                    acc += g
-                pending += 1
-                if pending == tc.batch_size:
-                    self._step(batch, pending)
-                    pending = 0
-        if pending:
-            self._step(batch, pending)
-        return float(np.mean(losses))
-
-    def _step(self, batch, count: int):
-        adam_step(self.params.arrays(), [b / count for b in batch], self.adam)
-        for b in batch:
-            b[:] = 0.0
-
-    def scorer(self):
-        return LgcfScorer(self.graph, self.params, self.tc.walk, self.tc.master_seed)
-
-    def snapshot(self):
-        return self.params.copy()
-
-    def restore(self, snap):
-        for dst, src in zip(self.params.arrays(), snap.arrays()):
-            dst[:] = src
-
-    def finish(self) -> TrainedModel:
-        tc = self.tc
-        return TrainedModel("lgcf", tc.walk, tc.label_cap, tc.lightgcn_layers,
-                            tc.master_seed, gnn=self.params)
-
-    def adam_states(self):
-        return {"main": self.adam}
+# Per trained kind: (model, propagation, batch) -> (per-triplet losses,
+# batch-mean gradients of model.trainable()).  A batch is an iterable of
+# (u, i_pos, i_neg, pos_inputs, neg_inputs), iterated once, so training can
+# build each triplet's subgraph inputs only when it is reached; the inputs
+# are None for kinds without a GCN.
+_BATCH_GRADS = {"lgcf": _lgcf_batch, "mf": _embedding_batch,
+                "lightgcn": _embedding_batch, "lgcf-emb": _joint_batch}
 
 
-class _EmbeddingTrainer:
-    def __init__(self, train_graph: BipartiteGraph, train_edges, tc: TrainConfig,
-                 kind: str):
-        self.graph = train_graph
-        self.edges = [tuple(e) for e in train_edges]
-        self.tc = tc
-        self.kind = kind
-        self.layers = 0 if kind == "mf" else tc.lightgcn_layers
-        self.prop = Propagation(train_graph, self.layers)
-        rng = seed_stream(tc.master_seed, PARAM_INIT)
-        self.tables = init_embeddings(train_graph.num_users, train_graph.num_items,
-                                      tc.embed_dim, rng)
-        self.adam = init_adam([self.tables.user_matrix, self.tables.item_matrix],
-                              lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
-
-    def run_epoch(self, epoch: int) -> float:
-        tc = self.tc
-        order = seed_stream(tc.master_seed, EPOCH_SHUFFLE, epoch).permutation(len(self.edges))
-        neg_rng = seed_stream(tc.master_seed, TRAIN_NEGATIVE, epoch)
-        losses = []
-        triplets = []
-        for idx in order:
-            u, i = self.edges[idx]
-            for _ in range(tc.negatives_per_positive):
-                triplets.append((u, i, sample_negative(self.graph, u, neg_rng)))
-                if len(triplets) == tc.batch_size:
-                    self._flush(triplets, losses)
-                    triplets = []
-        if triplets:
-            self._flush(triplets, losses)
-        return float(np.mean(losses))
-
-    def _flush(self, triplets, losses):
-        n = self.graph.num_users
-        refined = self.prop.apply(
-            np.vstack([self.tables.user_matrix, self.tables.item_matrix]))
-        d_refined = np.zeros_like(refined)
-        for u, i, j in triplets:
-            r_u, r_i, r_j = refined[u], refined[i], refined[j]
-            z = float(r_u @ r_i - r_u @ r_j)
-            losses.append(softplus(-z))
-            g = float(sigmoid(z)) - 1.0
-            d_refined[u] += g * (r_i - r_j)
-            d_refined[i] += g * r_u
-            d_refined[j] -= g * r_u
-        d_e0 = self.prop.apply(d_refined) / len(triplets)
-        adam_step([self.tables.user_matrix, self.tables.item_matrix],
-                  [d_e0[:n], d_e0[n:]], self.adam)
-
-    def scorer(self):
-        if self.layers:
-            refined = lightgcn_propagate(self.graph, self.tables, self.layers)
-        else:
-            refined = self.tables
-        return DotScorer(refined, self.kind, self.tc.master_seed)
-
-    def snapshot(self):
-        return self.tables.copy()
-
-    def restore(self, snap):
-        self.tables.user_matrix[:] = snap.user_matrix
-        self.tables.item_matrix[:] = snap.item_matrix
-
-    def finish(self) -> TrainedModel:
-        tc = self.tc
-        return TrainedModel(self.kind, tc.walk, tc.label_cap, tc.lightgcn_layers,
-                            tc.master_seed, tables=self.tables)
-
-    def adam_states(self):
-        return {"main": self.adam}
+def _init_model(kind: str, graph: BipartiteGraph, tc: TrainConfig) -> TrainedModel:
+    rng = seed_stream(tc.master_seed, PARAM_INIT)
+    gnn = tables = w_joint = None
+    if kind in ("lgcf", "lgcf-emb"):
+        gnn = init_gnn_params(tc.label_cap, tc.hidden_dim, tc.gcn_layers, rng,
+                              tc.activation)
+    if kind != "lgcf":
+        tables = init_embeddings(graph.num_users, graph.num_items, tc.embed_dim, rng)
+    if kind == "lgcf-emb":
+        w_joint = glorot_uniform(rng, tc.embed_dim + tc.hidden_dim, 1).ravel()
+    return TrainedModel(kind, tc.walk, tc.label_cap, tc.lightgcn_layers,
+                        tc.master_seed, gnn=gnn, tables=tables, w_joint=w_joint)
 
 
-class _JointTrainer:
-    def __init__(self, train_graph: BipartiteGraph, train_edges, tc: TrainConfig):
-        self.graph = train_graph
-        self.edges = [tuple(e) for e in train_edges]
-        self.tc = tc
-        self.enc = LabelEncoding(tc.label_cap)
-        rng = seed_stream(tc.master_seed, PARAM_INIT)
-        self.gnn = init_gnn_params(tc.label_cap, tc.hidden_dim, tc.gcn_layers,
-                                   rng, tc.activation)
-        self.tables = init_embeddings(train_graph.num_users, train_graph.num_items,
-                                      tc.embed_dim, rng)
-        self.w_joint = glorot_uniform(rng, tc.embed_dim + tc.hidden_dim, 1).ravel()
-        self.prop = Propagation(train_graph, tc.lightgcn_layers)
-        self.adam = init_adam(self._arrays(), lr=tc.lr, beta1=tc.beta1,
-                              beta2=tc.beta2, eps=tc.eps)
-        self.cache: dict | None = {} if tc.cache_subgraphs else None
-
-    def _arrays(self):
-        return [*self.gnn.weights, self.w_joint,
-                self.tables.user_matrix, self.tables.item_matrix]
-
-    def _inputs(self, u: int, i: int, epoch: int):
-        if self.cache is not None:
-            hit = self.cache.get((u, i))
-            if hit is not None:
-                return hit
-            epoch = 0
-        rng = walk_stream(self.tc.master_seed, u, i, epoch)
-        pair = lgcf_inputs(self.graph, u, i, self.tc.walk, rng, self.enc)
-        if self.cache is not None:
-            self.cache[(u, i)] = pair
-        return pair
-
-    def run_epoch(self, epoch: int) -> float:
-        tc = self.tc
-        order = seed_stream(tc.master_seed, EPOCH_SHUFFLE, epoch).permutation(len(self.edges))
-        neg_rng = seed_stream(tc.master_seed, TRAIN_NEGATIVE, epoch)
-        losses = []
-        batch = []
-        for idx in order:
-            u, i = self.edges[idx]
-            for _ in range(tc.negatives_per_positive):
-                j = sample_negative(self.graph, u, neg_rng)
-                batch.append((u, i, j, self._inputs(u, i, epoch),
-                              self._inputs(u, j, epoch)))
-                if len(batch) == tc.batch_size:
-                    self._flush(batch, losses)
-                    batch = []
-        if batch:
-            self._flush(batch, losses)
-        return float(np.mean(losses))
-
-    def _flush(self, batch, losses):
-        n = self.graph.num_users
-        refined = self.prop.apply(
-            np.vstack([self.tables.user_matrix, self.tables.item_matrix]))
-        d_weights = [np.zeros_like(w) for w in self.gnn.weights]
-        d_w_joint = np.zeros_like(self.w_joint)
-        d_refined = np.zeros_like(refined)
-        for u, i, j, pos_inputs, neg_inputs in batch:
-            losses.append(_joint_triplet(self.gnn, self.w_joint, refined, u, i, j,
-                                         pos_inputs, neg_inputs,
-                                         d_weights, d_w_joint, d_refined))
-        count = len(batch)
-        d_e0 = self.prop.apply(d_refined)
-        grads = [*(w / count for w in d_weights), d_w_joint / count,
-                 d_e0[:n] / count, d_e0[n:] / count]
-        adam_step(self._arrays(), grads, self.adam)
-
-    def scorer(self):
-        refined = lightgcn_propagate(self.graph, self.tables, self.tc.lightgcn_layers)
-        return EmbJointScorer(self.graph, self.gnn, refined, self.w_joint,
-                              self.tc.walk, self.tc.master_seed)
-
-    def snapshot(self):
-        return (self.gnn.copy(), self.tables.copy(), self.w_joint.copy())
-
-    def restore(self, snap):
-        gnn, tables, w_joint = snap
-        for dst, src in zip(self.gnn.weights, gnn.weights):
-            dst[:] = src
-        self.tables.user_matrix[:] = tables.user_matrix
-        self.tables.item_matrix[:] = tables.item_matrix
-        self.w_joint[:] = w_joint
-
-    def finish(self) -> TrainedModel:
-        tc = self.tc
-        return TrainedModel("lgcf-emb", tc.walk, tc.label_cap, tc.lightgcn_layers,
-                            tc.master_seed, gnn=self.gnn, tables=self.tables,
-                            w_joint=self.w_joint)
-
-    def adam_states(self):
-        return {"main": self.adam}
+def _triplet_batches(graph: BipartiteGraph, edges, tc: TrainConfig, epoch: int):
+    """One epoch of shuffled (u, i_pos, i_neg) triplets in mini-batches."""
+    order = seed_stream(tc.master_seed, EPOCH_SHUFFLE, epoch).permutation(len(edges))
+    neg_rng = seed_stream(tc.master_seed, TRAIN_NEGATIVE, epoch)
+    batch = []
+    for idx in order:
+        u, i = edges[idx]
+        for _ in range(tc.negatives_per_positive):
+            batch.append((u, i, sample_negative(graph, u, neg_rng)))
+            if len(batch) == tc.batch_size:
+                yield batch
+                batch = []
+    if batch:
+        yield batch
 
 
 @dataclass
@@ -707,41 +548,7 @@ class TrainResult:
     model: TrainedModel
     history: list[EpochRecord]
     best_epoch: int | None
-    adam: dict[str, AdamState] | None
-
-
-def _run_epochs(trainer, split: SplitSpec, tc: TrainConfig):
-    history: list[EpochRecord] = []
-    best_metric = -np.inf
-    best_snap = None
-    best_epoch = None
-    stale = 0
-    val_protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
-                                seed=tc.master_seed)
-    for epoch in range(1, tc.epochs + 1):
-        t0 = time.perf_counter()
-        loss = trainer.run_epoch(epoch)
-        val_hr = val_ndcg = None
-        if split.val_edges and epoch % tc.eval_every == 0:
-            report = evaluate(trainer.scorer(), trainer.graph, split,
-                              val_protocol, subset="val")
-            val_hr = report.metrics[10].hr_mean
-            val_ndcg = report.metrics[10].ndcg_mean
-            if val_hr > best_metric:
-                best_metric = val_hr
-                best_snap = trainer.snapshot()
-                best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        history.append(EpochRecord(epoch, loss, val_hr, val_ndcg, wall_ms))
-        if (split.val_edges and tc.early_stop_patience > 0
-                and stale >= tc.early_stop_patience):
-            break
-    if best_snap is not None:
-        trainer.restore(best_snap)
-    return history, best_epoch
+    adam: dict[str, AdamState]
 
 
 def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
@@ -763,14 +570,67 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     if kind == "lgcf-ens":
         return _train_ensemble(graph, split, tc)
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    if kind == "lgcf":
-        trainer = _LgcfTrainer(train_graph, split.train_edges, tc)
-    elif kind in ("mf", "lightgcn"):
-        trainer = _EmbeddingTrainer(train_graph, split.train_edges, tc, kind)
-    else:
-        trainer = _JointTrainer(train_graph, split.train_edges, tc)
-    history, best_epoch = _run_epochs(trainer, split, tc)
-    return TrainResult(trainer.finish(), history, best_epoch, trainer.adam_states())
+    edges = [tuple(e) for e in split.train_edges]
+    model = _init_model(kind, train_graph, tc)
+    arrays = model.trainable()
+    adam = init_adam(arrays, lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
+    prop = Propagation(train_graph, model.propagation_layers)
+    batch_grads = _BATCH_GRADS[kind]
+    enc = LabelEncoding(tc.label_cap)
+    cache: dict | None = {} if tc.cache_subgraphs else None
+
+    def inputs(u: int, i: int, epoch: int):
+        if model.gnn is None:
+            return None
+        if cache is not None:
+            if (u, i) in cache:
+                return cache[(u, i)]
+            epoch = 0  # cached pairs always use their first-epoch walk
+        pair = lgcf_inputs(train_graph, u, i, tc.walk,
+                           walk_stream(tc.master_seed, u, i, epoch), enc)
+        if cache is not None:
+            cache[(u, i)] = pair
+        return pair
+
+    history: list[EpochRecord] = []
+    best_metric = -np.inf
+    best_snap = None
+    best_epoch = None
+    stale = 0
+    val_protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
+                                seed=tc.master_seed)
+    for epoch in range(1, tc.epochs + 1):
+        t0 = time.perf_counter()
+        losses = []
+        for triplets in _triplet_batches(train_graph, edges, tc, epoch):
+            batch = ((u, i, j, inputs(u, i, epoch), inputs(u, j, epoch))
+                     for u, i, j in triplets)
+            batch_losses, grads = batch_grads(model, prop, batch)
+            losses += batch_losses
+            adam_step(arrays, grads, adam)
+        val_hr = val_ndcg = None
+        if split.val_edges and epoch % tc.eval_every == 0:
+            report = evaluate(model.make_scorer(train_graph), train_graph, split,
+                              val_protocol, subset="val")
+            val_hr = report.metrics[10].hr_mean
+            val_ndcg = report.metrics[10].ndcg_mean
+            if val_hr > best_metric:
+                best_metric = val_hr
+                best_snap = [a.copy() for a in arrays]
+                best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        history.append(EpochRecord(epoch, float(np.mean(losses)), val_hr, val_ndcg,
+                                   wall_ms))
+        if (split.val_edges and tc.early_stop_patience > 0
+                and stale >= tc.early_stop_patience):
+            break
+    if best_snap is not None:
+        for dst, src in zip(arrays, best_snap):
+            dst[:] = src
+    return TrainResult(model, history, best_epoch, {"main": adam})
 
 
 def _fit_lambda(lgcf_scorer: LgcfScorer, refined: EmbeddingTable,
@@ -804,10 +664,8 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     res_lgcf = train("lgcf", graph, split, replace(tc, master_seed=int(seeds[0])))
     res_emb = train("lightgcn", graph, split, replace(tc, master_seed=int(seeds[1])))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    lgcf_scorer = LgcfScorer(train_graph, res_lgcf.model.gnn, tc.walk,
-                             res_lgcf.model.master_seed)
-    refined = lightgcn_propagate(train_graph, res_emb.model.tables,
-                                 tc.lightgcn_layers)
+    lgcf_scorer = res_lgcf.model.make_scorer(train_graph)
+    refined = res_emb.model.make_scorer(train_graph).tables
     lam = tc.lambda_ens
     if tc.lambda_mode == "grid" and split.val_edges:
         protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
@@ -828,11 +686,8 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     offset = len(res_lgcf.history)
     history = res_lgcf.history + [replace(r, epoch=r.epoch + offset)
                                   for r in res_emb.history]
-    adam = {}
-    for name, res in (("lgcf", res_lgcf), ("lightgcn", res_emb)):
-        if res.adam:
-            adam[name] = res.adam["main"]
-    return TrainResult(model, history, res_lgcf.best_epoch, adam or None)
+    adam = {"lgcf": res_lgcf.adam["main"], "lightgcn": res_emb.adam["main"]}
+    return TrainResult(model, history, res_lgcf.best_epoch, adam)
 
 
 def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
@@ -840,8 +695,9 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
     """Finite-difference verification on freshly sampled random instances.
 
     Builds small random bipartite graphs, extracts real localized graphs for
-    random triplets, and checks every parameter coordinate of the chosen
-    objective; reports the worst relative error over all instances.
+    random triplets, and checks every trainable coordinate of the batch
+    gradients that training steps with, on one-triplet batches; reports the
+    worst relative error over all instances.
     """
     if kind not in ("lgcf", "lgcf-emb"):
         raise DomainError(f"gradcheck supports lgcf and lgcf-emb, got {kind!r}")
@@ -849,6 +705,7 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
     n = m = 6
     cfg = WalkConfig(restart_prob=0.2, walk_len=12, max_nodes=12)
     enc = LabelEncoding(16)
+    batch_grads = _BATCH_GRADS[kind]
     worst = 0.0
     checked = 0
     for _ in range(instances):
@@ -860,31 +717,17 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
         u = int(rng.integers(n))
         i_pos = n + int(rng.integers(m))
         i_neg = n + int(rng.integers(m))
-        pos_inputs = lgcf_inputs(graph, u, i_pos, cfg, rng, enc)
-        neg_inputs = lgcf_inputs(graph, u, i_neg, cfg, rng, enc)
-        gnn = init_gnn_params(enc.label_cap, 8, 3, rng)
-        if kind == "lgcf":
-            arrays = gnn.arrays()
-            _, grads = bpr_pair_grads(gnn, pos_inputs, neg_inputs)
-            analytic = grads.arrays()
-
-            def loss_fn():
-                return bpr_pair_grads(gnn, pos_inputs, neg_inputs)[0]
-        else:
-            tables = init_embeddings(n, m, 4, rng)
-            w_joint = glorot_uniform(rng, 4 + 8, 1).ravel()
-            prop = Propagation(graph, 2)
-            arrays = [*gnn.weights, w_joint,
-                      tables.user_matrix, tables.item_matrix]
-            _, g = emb_joint_loss_and_grads(gnn, w_joint, tables, prop,
-                                            u, i_pos, i_neg, pos_inputs, neg_inputs)
-            analytic = [*g["weights"], g["w_joint"], g["user"], g["item"]]
-
-            def loss_fn():
-                return emb_joint_loss_and_grads(gnn, w_joint, tables, prop, u,
-                                                i_pos, i_neg, pos_inputs,
-                                                neg_inputs)[0]
-        report = grad_check(loss_fn, arrays, analytic, step=step,
+        batch = [(u, i_pos, i_neg, lgcf_inputs(graph, u, i_pos, cfg, rng, enc),
+                  lgcf_inputs(graph, u, i_neg, cfg, rng, enc))]
+        model = TrainedModel(kind, cfg, enc.label_cap, 2, seed,
+                             gnn=init_gnn_params(enc.label_cap, 8, 3, rng))
+        if kind == "lgcf-emb":
+            model.tables = init_embeddings(n, m, 4, rng)
+            model.w_joint = glorot_uniform(rng, 4 + 8, 1).ravel()
+        prop = Propagation(graph, model.propagation_layers)
+        _, analytic = batch_grads(model, prop, batch)
+        report = grad_check(lambda: batch_grads(model, prop, batch)[0][0],
+                            model.trainable(), analytic, step=step,
                             tolerance=tolerance)
         worst = max(worst, report.max_rel_err)
         checked += report.num_checked

@@ -74,10 +74,6 @@ class GnnParameters:
         """Live views of all trainable arrays, layer weights then scoring."""
         return [*self.weights, self.scoring]
 
-    def copy(self) -> "GnnParameters":
-        return GnnParameters([w.copy() for w in self.weights],
-                             self.scoring.copy(), self.activation)
-
 
 @dataclass
 class GnnGradients:

@@ -107,6 +107,16 @@ class TestReturnCodes:
                    "--items", 4) == 1
         capsys.readouterr()
 
+    def test_checkpoint_must_fit_graph(self, pipeline, tmp_path, capsys):
+        graph, split = tmp_path / "graph", tmp_path / "split"
+        assert run("synth", "--out", graph, "--users", 30, "--items", 30,
+                   "--p-in", 0.5, "--p-out", 0.05, "--seed", 1) == 0
+        assert run("split", "--out", split, "--graph", graph, "--seed", 2) == 0
+        assert run("eval", "--out", tmp_path / "eval", "--graph", graph,
+                   "--split", split,
+                   "--checkpoint", pipeline / "run" / "checkpoint.json") == 1
+        assert "rows" in capsys.readouterr().err
+
     def test_missing_graph_dir(self, tmp_path, capsys):
         assert run("split", "--out", tmp_path / "s",
                    "--graph", tmp_path / "nope") == 1
@@ -145,17 +155,6 @@ class TestConfigResolution:
         assert run("split", "--out", out, "--force", "true",
                    "--graph", "g") == 0
         assert (out / "meta.json").exists()
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LGCF_THREADS", "4")
-        out = tmp_path / "g"
-        assert run("synth", "--out", out, "--users", 4, "--items", 4) == 0
-        assert self.read_resolved(out)["threads"] == "4"
-
-    def test_threads_validated(self, tmp_path, capsys):
-        assert run("synth", "--out", tmp_path / "g", "--users", 4,
-                   "--items", 4, "--threads", 0) == 1
-        assert "threads" in capsys.readouterr().err
 
 
 class TestConfigHash:

@@ -372,6 +372,19 @@ class TestCheckpoints:
         with pytest.raises(DomainError):
             TrainedModel.from_dict(payload)
 
+    def test_tables_must_fit_graph(self):
+        g, split = star_split()
+        model = train("mf", g, split, tiny_tc(epochs=1)).model
+        with pytest.raises(DomainError, match="rows"):
+            model.make_scorer(build_graph([(0, 5)], 5, 7))
+
+    def test_label_cap_must_match_first_weight(self):
+        g, split = star_split()
+        payload = train("lgcf", g, split, tiny_tc(epochs=1)).model.to_dict()
+        payload["label_cap"] = 64
+        with pytest.raises(DomainError, match="label_cap"):
+            TrainedModel.from_dict(payload)
+
     def test_scorer_kinds(self):
         g, split = star_split()
         for kind in MODEL_KINDS:
