@@ -2,9 +2,9 @@
 
 Five kinds share one training entry point: "lgcf" scores localized graphs
 with the hand-written GCN, "mf" and "lightgcn" are embedding baselines (mf is
-the zero-layer special case of the propagation), "lgcf-emb" scores the
-concatenation of the elementwise embedding product and the pooled subgraph
-representation through a joint vector, and "lgcf-ens" sums a trained lgcf
+the zero-layer special case of the propagation), "lgcf-emb" is lgcf with the
+refined embedding product r_u * r_i placed in front of the pooled subgraph
+representation and a joint head vector, and "lgcf-ens" sums a trained lgcf
 score and a scaled embedding dot product.
 """
 
@@ -20,11 +20,11 @@ from .errors import DomainError
 from .evaluation import EvalProtocol, evaluate
 from .graph import BipartiteGraph, SplitSpec, build_graph
 from .labeling import LabelEncoding, label_graph, one_hot_features
-from .nn import (AdamState, GnnParameters, GradCheckReport, adam_from_dict,
-                 adam_step, adam_to_dict, bpr_pair_grads, forward_instance,
-                 gcn_backward, gcn_forward, glorot_uniform, grad_check,
-                 init_adam, init_gnn_params, normalize_adjacency,
-                 params_from_dict, params_to_dict, sigmoid, softplus, sum_pool)
+from .nn import (NO_PREFIX, AdamState, GnnParameters, GradCheckReport,
+                 adam_from_dict, adam_step, adam_to_dict, bpr_pair_grads,
+                 forward_instance, glorot_uniform, grad_check, init_adam,
+                 init_gnn_params, normalize_adjacency, params_from_dict,
+                 params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
                   TRAIN_NEGATIVE, seed_stream, walk_stream)
 from .subgraph import WalkConfig, extract
@@ -118,32 +118,9 @@ def lgcf_inputs(graph: BipartiteGraph, u: int, i: int, cfg: WalkConfig,
     return one_hot_features(lg.labels, enc), normalize_adjacency(lg.adjacency)
 
 
-def lgcf_score(graph: BipartiteGraph, u: int, i: int, params: GnnParameters,
-               cfg: WalkConfig, rng: np.random.Generator) -> float:
-    """Extract, label, encode, and score one localized graph."""
-    x0, a_norm = lgcf_inputs(graph, u, i, cfg, rng, LabelEncoding(params.feature_dim))
-    return forward_instance(x0, a_norm, params).score_value
-
-
-def lgcf_emb_score(graph: BipartiteGraph, u: int, i: int, gnn: GnnParameters,
-                   tables: EmbeddingTable, w_joint: np.ndarray, cfg: WalkConfig,
-                   rng: np.random.Generator) -> float:
-    """Joint score over (refined embedding product || pooled subgraph rep)."""
-    if w_joint.size != tables.dim + gnn.hidden_dim:
-        raise DomainError("w_joint length must be embed_dim + hidden_dim")
-    x0, a_norm = lgcf_inputs(graph, u, i, cfg, rng, LabelEncoding(gnn.feature_dim))
-    x_last, _ = gcn_forward(x0, a_norm, gnn)
-    pooled = sum_pool(x_last)
-    n = tables.user_matrix.shape[0]
-    emb = tables.user_matrix[u] * tables.item_matrix[i - n]
-    feat = np.concatenate([emb, pooled])
-    return float(sigmoid(float(feat @ w_joint)))
-
-
-def lgcf_ens_score(s_lgcf: float, h_u: np.ndarray, h_i: np.ndarray,
-                   lam: float) -> float:
-    """Late fusion: lgcf score plus lam times the embedding dot product."""
-    return float(s_lgcf + lam * float(h_u @ h_i))
+def _prefix(refined: np.ndarray | None, u: int, i: int) -> np.ndarray:
+    """The GCN prefix of the pair: r_u * r_i over refined rows, or empty."""
+    return NO_PREFIX if refined is None else refined[u] * refined[i]
 
 
 def sample_negative(graph: BipartiteGraph, u: int,
@@ -289,15 +266,16 @@ class TrainedModel:
             refined = lightgcn_propagate(train_graph, self.tables,
                                          self.propagation_layers)
         if self.kind == "lgcf":
-            return LgcfScorer(train_graph, self.gnn, self.walk, self.master_seed)
+            return LgcfScorer(train_graph, self)
         if self.kind in ("mf", "lightgcn"):
             return DotScorer(refined, self.kind, self.master_seed)
         if self.kind == "lgcf-emb":
-            return EmbJointScorer(train_graph, self.gnn, refined, self.w_joint,
-                                  self.walk, self.master_seed)
+            return LgcfScorer(train_graph, self, np.vstack([refined.user_matrix,
+                                                            refined.item_matrix]))
         if self.kind == "lgcf-ens":
-            inner = LgcfScorer(train_graph, self.gnn, self.walk, self.master_seed)
-            return EnsembleScorer(inner, refined, self.lam)
+            return EnsembleScorer(LgcfScorer(train_graph, self),
+                                  DotScorer(refined, "lightgcn", self.master_seed),
+                                  self.lam)
         raise DomainError(f"unknown model kind {self.kind!r}")
 
     def to_dict(self) -> dict:
@@ -338,6 +316,12 @@ class TrainedModel:
         if gnn is not None and gnn.feature_dim != label_cap:
             raise DomainError(f"label_cap {label_cap} does not match the "
                               f"{gnn.feature_dim} rows of the first GCN weight")
+        w_joint = None
+        if payload["w_joint"] is not None:
+            w_joint = np.asarray(payload["w_joint"], dtype=np.float64)
+            if (gnn is None or tables is None
+                    or w_joint.shape != (tables.dim + gnn.hidden_dim,)):
+                raise DomainError("w_joint length must be embed_dim + hidden_dim")
         return TrainedModel(
             kind=str(payload["kind"]),
             walk=walk,
@@ -346,8 +330,7 @@ class TrainedModel:
             master_seed=int(payload["master_seed"]),
             gnn=gnn,
             tables=tables,
-            w_joint=None if payload["w_joint"] is None
-            else np.asarray(payload["w_joint"], dtype=np.float64),
+            w_joint=w_joint,
             lam=None if payload["lambda"] is None else float(payload["lambda"]),
         )
 
@@ -373,18 +356,30 @@ def load_adam_states(path) -> dict[str, AdamState] | None:
 
 
 class LgcfScorer:
-    kind = "lgcf"
+    """sigmoid(head . [prefix || sum_pool(GCN(G_ui))]) on each pair's subgraph.
 
-    def __init__(self, graph: BipartiteGraph, params: GnnParameters,
-                 walk: WalkConfig, seed: int):
+    G_ui is extracted with the walk stream (seed, EVAL_WALK, u, i).  For lgcf
+    the prefix is empty and the head is gnn.scoring; for lgcf-emb, refined
+    holds the propagated embedding rows by global id, the prefix is
+    r_u * r_i and the head is w_joint.
+    """
+
+    def __init__(self, graph: BipartiteGraph, model: "TrainedModel",
+                 refined: np.ndarray | None = None):
         self.graph = graph
-        self.params = params
-        self.walk = walk
-        self.seed = int(seed)
+        self.kind = model.kind
+        self.params = model.gnn
+        self.head = model.w_joint
+        self.refined = refined
+        self.walk = model.walk
+        self.seed = int(model.master_seed)
+        self.enc = LabelEncoding(model.gnn.feature_dim)
 
     def score(self, u: int, i: int) -> float:
         rng = seed_stream(self.seed, EVAL_WALK, u, i)
-        return lgcf_score(self.graph, u, i, self.params, self.walk, rng)
+        x0, a_norm = lgcf_inputs(self.graph, u, i, self.walk, rng, self.enc)
+        return forward_instance(x0, a_norm, self.params, self.head,
+                                _prefix(self.refined, u, i)).score_value
 
 
 class DotScorer:
@@ -397,50 +392,55 @@ class DotScorer:
         return mf_score(self.tables, u, i)
 
 
-class EmbJointScorer:
-    kind = "lgcf-emb"
-
-    def __init__(self, graph: BipartiteGraph, gnn: GnnParameters,
-                 refined: EmbeddingTable, w_joint: np.ndarray,
-                 walk: WalkConfig, seed: int):
-        self.graph = graph
-        self.gnn = gnn
-        self.refined = refined
-        self.w_joint = w_joint
-        self.walk = walk
-        self.seed = int(seed)
-
-    def score(self, u: int, i: int) -> float:
-        rng = seed_stream(self.seed, EVAL_WALK, u, i)
-        return lgcf_emb_score(self.graph, u, i, self.gnn, self.refined,
-                              self.w_joint, self.walk, rng)
-
-
 class EnsembleScorer:
+    """Late fusion: the lgcf score plus lam times the embedding dot product."""
+
     kind = "lgcf-ens"
 
-    def __init__(self, lgcf_scorer: LgcfScorer, refined: EmbeddingTable, lam: float):
-        self.lgcf = lgcf_scorer
-        self.refined = refined
+    def __init__(self, lgcf: LgcfScorer, dot: DotScorer, lam: float):
+        self.lgcf = lgcf
+        self.dot = dot
         self.lam = float(lam)
-        self.seed = lgcf_scorer.seed
+        self.seed = lgcf.seed
 
     def score(self, u: int, i: int) -> float:
-        n = self.refined.user_matrix.shape[0]
-        return lgcf_ens_score(self.lgcf.score(u, i), self.refined.user_matrix[u],
-                              self.refined.item_matrix[i - n], self.lam)
+        return self.lgcf.score(u, i) + self.lam * self.dot.score(u, i)
 
 
-def _lgcf_batch(model: TrainedModel, prop: Propagation, batch):
-    """Per-triplet BPR losses and batch-mean gradients of the lgcf network."""
-    grads = [np.zeros_like(a) for a in model.trainable()]
+def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
+    """BPR over sigmoid(head . [prefix || sum_pool(GCN)]) for lgcf and lgcf-emb.
+
+    lgcf has no tables, an empty prefix and head gnn.scoring.  lgcf-emb
+    prefixes r_u * r_i over the propagated rows and scores through w_joint;
+    its prefix gradients collect in d_refined, indexed by global id, for one
+    propagation back per batch.
+    """
+    gnn, tables = model.gnn, model.tables
+    head = gnn.scoring if model.w_joint is None else model.w_joint
+    refined = d_refined = None
+    if tables is not None:
+        refined = prop.apply(np.vstack([tables.user_matrix, tables.item_matrix]))
+        d_refined = np.zeros_like(refined)
+    grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
     losses = []
-    for _, _, _, pos_inputs, neg_inputs in batch:
-        loss, pair_grads = bpr_pair_grads(model.gnn, pos_inputs, neg_inputs)
+    for u, i_pos, i_neg, pos_inputs, neg_inputs in batch:
+        loss, pair = bpr_pair_grads(gnn, pos_inputs, neg_inputs, head,
+                                    (_prefix(refined, u, i_pos),
+                                     _prefix(refined, u, i_neg)))
         losses.append(loss)
-        for acc, g in zip(grads, pair_grads.arrays()):
+        for acc, g in zip(grads, pair.arrays()):
             acc += g
-    return losses, [g / len(losses) for g in grads]
+        if refined is not None:
+            for item, d_prefix in zip((i_pos, i_neg), pair.prefixes):
+                d_refined[u] += d_prefix * refined[item]
+                d_refined[item] += d_prefix * refined[u]
+    count = len(losses)
+    grads = [g / count for g in grads]
+    if refined is not None:
+        n = tables.user_matrix.shape[0]
+        d_e0 = prop.apply(d_refined)
+        grads += [d_e0[:n] / count, d_e0[n:] / count]
+    return losses, grads
 
 
 def _embedding_batch(model: TrainedModel, prop: Propagation, batch):
@@ -461,56 +461,13 @@ def _embedding_batch(model: TrainedModel, prop: Propagation, batch):
     return losses, [d_e0[:n], d_e0[n:]]
 
 
-def _joint_batch(model: TrainedModel, prop: Propagation, batch):
-    """BPR over the joint score (refined embedding product || pooled subgraph).
-
-    refined is the propagated (num_nodes, dim) matrix indexed by global id;
-    d_refined collects gradients in that same space for one propagation-back
-    per batch.
-    """
-    gnn, w_joint, tables = model.gnn, model.w_joint, model.tables
-    n, dim = tables.user_matrix.shape
-    refined = prop.apply(np.vstack([tables.user_matrix, tables.item_matrix]))
-    d_weights = [np.zeros_like(w) for w in gnn.weights]
-    d_w_joint = np.zeros_like(w_joint)
-    d_refined = np.zeros_like(refined)
-    losses = []
-    for u, i_pos, i_neg, pos_inputs, neg_inputs in batch:
-        r_u = refined[u]
-        branches = []
-        for (x0, a_norm), item in ((pos_inputs, i_pos), (neg_inputs, i_neg)):
-            x_last, cache = gcn_forward(x0, a_norm, gnn)
-            feat = np.concatenate([r_u * refined[item], sum_pool(x_last)])
-            s = float(sigmoid(float(feat @ w_joint)))
-            branches.append((cache, feat, s, item))
-        z = branches[0][2] - branches[1][2]
-        losses.append(softplus(-z))
-        g = float(sigmoid(z)) - 1.0
-        for sign, (cache, feat, s, item) in zip((g, -g), branches):
-            d_logit = sign * s * (1.0 - s)
-            d_w_joint += d_logit * feat
-            d_feat = d_logit * w_joint
-            d_emb = d_feat[:dim]
-            d_pooled = d_feat[dim:]
-            k = cache.xs[0].shape[0]
-            d_out = np.broadcast_to(d_pooled, (k, d_pooled.size))
-            for acc, grad in zip(d_weights, gcn_backward(cache, gnn, d_out)):
-                acc += grad
-            d_refined[u] += d_emb * refined[item]
-            d_refined[item] += d_emb * r_u
-    count = len(losses)
-    d_e0 = prop.apply(d_refined)
-    return losses, [*(w / count for w in d_weights), d_w_joint / count,
-                    d_e0[:n] / count, d_e0[n:] / count]
-
-
 # Per trained kind: (model, propagation, batch) -> (per-triplet losses,
 # batch-mean gradients of model.trainable()).  A batch is an iterable of
 # (u, i_pos, i_neg, pos_inputs, neg_inputs), iterated once, so training can
 # build each triplet's subgraph inputs only when it is reached; the inputs
 # are None for kinds without a GCN.
-_BATCH_GRADS = {"lgcf": _lgcf_batch, "mf": _embedding_batch,
-                "lightgcn": _embedding_batch, "lgcf-emb": _joint_batch}
+_BATCH_GRADS = {"lgcf": _gcn_batch, "mf": _embedding_batch,
+                "lightgcn": _embedding_batch, "lgcf-emb": _gcn_batch}
 
 
 def _init_model(kind: str, graph: BipartiteGraph, tc: TrainConfig) -> TrainedModel:
@@ -633,8 +590,8 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     return TrainResult(model, history, best_epoch, {"main": adam})
 
 
-def _fit_lambda(lgcf_scorer: LgcfScorer, refined: EmbeddingTable,
-                train_graph: BipartiteGraph, split: SplitSpec, seed: int) -> float:
+def _fit_lambda(lgcf: LgcfScorer, dot: DotScorer, train_graph: BipartiteGraph,
+                split: SplitSpec, seed: int) -> float:
     """One-dimensional BPR fit of the fusion weight on validation triplets.
 
     The lgcf and embedding score differences are fixed, so the objective is
@@ -643,14 +600,12 @@ def _fit_lambda(lgcf_scorer: LgcfScorer, refined: EmbeddingTable,
     from scipy.optimize import minimize_scalar
 
     rng = seed_stream(seed, TRAIN_NEGATIVE)
-    n = refined.user_matrix.shape[0]
     s_diffs = []
     dot_diffs = []
     for u, i in split.val_edges:
         j = sample_negative(train_graph, u, rng)
-        s_diffs.append(lgcf_scorer.score(u, i) - lgcf_scorer.score(u, j))
-        dot_diffs.append(float(refined.user_matrix[u] @ refined.item_matrix[i - n])
-                         - float(refined.user_matrix[u] @ refined.item_matrix[j - n]))
+        s_diffs.append(lgcf.score(u, i) - lgcf.score(u, j))
+        dot_diffs.append(dot.score(u, i) - dot.score(u, j))
 
     def objective(lam: float) -> float:
         return sum(softplus(-(ds + lam * dd)) for ds, dd in zip(s_diffs, dot_diffs))
@@ -664,22 +619,22 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     res_lgcf = train("lgcf", graph, split, replace(tc, master_seed=int(seeds[0])))
     res_emb = train("lightgcn", graph, split, replace(tc, master_seed=int(seeds[1])))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    lgcf_scorer = res_lgcf.model.make_scorer(train_graph)
-    refined = res_emb.model.make_scorer(train_graph).tables
+    lgcf = res_lgcf.model.make_scorer(train_graph)
+    dot = res_emb.model.make_scorer(train_graph)
     lam = tc.lambda_ens
     if tc.lambda_mode == "grid" and split.val_edges:
         protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
                                 seed=int(seeds[2]))
         best = None
         for cand in tc.lambda_grid:
-            scorer = EnsembleScorer(lgcf_scorer, refined, float(cand))
+            scorer = EnsembleScorer(lgcf, dot, float(cand))
             report = evaluate(scorer, train_graph, split, protocol, subset="val")
             key = report.metrics[10].hr_mean
             if best is None or key > best[0]:
                 best = (key, float(cand))
         lam = best[1]
     elif tc.lambda_mode == "learnable" and split.val_edges:
-        lam = _fit_lambda(lgcf_scorer, refined, train_graph, split, int(seeds[2]))
+        lam = _fit_lambda(lgcf, dot, train_graph, split, int(seeds[2]))
     model = TrainedModel("lgcf-ens", tc.walk, tc.label_cap, tc.lightgcn_layers,
                          tc.master_seed, gnn=res_lgcf.model.gnn,
                          tables=res_emb.model.tables, lam=float(lam))

@@ -3,8 +3,9 @@
 Localized graphs are small (tens of nodes), so everything here is plain
 float64 numpy with hand-written analytic gradients.  Layer l computes
 Z_l = A_norm X_l W_l; hidden layers apply the activation, the final layer is
-linear.  The pooled sum of final node representations is scored through a
-sigmoid dot product.
+linear.  The pooled sum of final node representations, optionally preceded
+by a per-pair prefix vector, is scored through a sigmoid dot product with a
+head vector (the parameters' own scoring vector unless another is given).
 """
 
 import math
@@ -77,8 +78,14 @@ class GnnParameters:
 
 @dataclass
 class GnnGradients:
+    """Layer-weight and head gradients, plus one prefix gradient per branch.
+
+    scoring holds the gradient of whichever head scored the instances.
+    """
+
     weights: list[np.ndarray]
     scoring: np.ndarray
+    prefixes: tuple[np.ndarray, ...] = ()
 
     def arrays(self) -> list[np.ndarray]:
         return [*self.weights, self.scoring]
@@ -196,49 +203,71 @@ def bpr_loss(s_pos: float, s_neg: float) -> float:
     return softplus(-(s_pos - s_neg))
 
 
+NO_PREFIX = np.zeros(0)
+
+
 @dataclass
 class InstanceCache:
     """Forward state of one scored localized graph."""
 
     gcn: GcnCache
-    pooled: np.ndarray
+    features: np.ndarray  # prefix || sum-pooled final node reps
     logit: float
     score_value: float
 
 
-def forward_instance(x0: np.ndarray, a_norm: np.ndarray,
-                     params: GnnParameters) -> InstanceCache:
+def forward_instance(x0: np.ndarray, a_norm: np.ndarray, params: GnnParameters,
+                     head: np.ndarray | None = None,
+                     prefix: np.ndarray = NO_PREFIX) -> InstanceCache:
+    """sigmoid(head . [prefix || sum_pool(GCN(x0, a_norm))]).
+
+    head defaults to params.scoring and must be as long as the prefix plus
+    the hidden width.
+    """
     x_last, cache = gcn_forward(x0, a_norm, params)
-    pooled = sum_pool(x_last)
-    logit = float(pooled @ params.scoring)
-    return InstanceCache(cache, pooled, logit, float(sigmoid(logit)))
+    features = np.concatenate([prefix, sum_pool(x_last)])
+    logit = float(features @ (params.scoring if head is None else head))
+    return InstanceCache(cache, features, logit, float(sigmoid(logit)))
 
 
-def backward_instance(inst: InstanceCache, params: GnnParameters,
-                      d_score: float) -> GnnGradients:
-    """Gradients of d_score * score(instance) for all parameters."""
+def backward_instance(inst: InstanceCache, params: GnnParameters, d_score: float,
+                      head: np.ndarray | None = None) -> GnnGradients:
+    """Gradients of d_score * score(instance) for the layers, head and prefix.
+
+    This is the one backward pass through the pooled head; head must be the
+    one forward_instance scored with.
+    """
     s = inst.score_value
     d_logit = d_score * s * (1.0 - s)
-    d_scoring = d_logit * inst.pooled
-    d_pooled = d_logit * params.scoring
+    d_features = d_logit * (params.scoring if head is None else head)
+    split = d_features.size - params.hidden_dim
+    d_pooled = d_features[split:]
     # Sum pooling broadcasts the pooled gradient to every node row.
     k = inst.gcn.xs[0].shape[0]
     d_out = np.broadcast_to(d_pooled, (k, d_pooled.size))
-    return GnnGradients(gcn_backward(inst.gcn, params, d_out), d_scoring)
+    return GnnGradients(gcn_backward(inst.gcn, params, d_out),
+                        d_logit * inst.features, (d_features[:split],))
 
 
 def bpr_pair_grads(params: GnnParameters, pos: tuple[np.ndarray, np.ndarray],
-                   neg: tuple[np.ndarray, np.ndarray]) -> tuple[float, GnnGradients]:
-    """Loss and analytic gradients for one (positive, negative) instance pair."""
-    cp = forward_instance(pos[0], pos[1], params)
-    cn = forward_instance(neg[0], neg[1], params)
+                   neg: tuple[np.ndarray, np.ndarray], head: np.ndarray | None = None,
+                   prefixes: tuple[np.ndarray, np.ndarray] = (NO_PREFIX, NO_PREFIX),
+                   ) -> tuple[float, GnnGradients]:
+    """Loss and analytic gradients for one (positive, negative) instance pair.
+
+    Layer and head gradients are summed over both branches; prefixes holds
+    the positive branch's prefix gradient, then the negative's.
+    """
+    cp = forward_instance(pos[0], pos[1], params, head, prefixes[0])
+    cn = forward_instance(neg[0], neg[1], params, head, prefixes[1])
     z = cp.score_value - cn.score_value
     loss = softplus(-z)
     d_z = float(sigmoid(z)) - 1.0
-    gp = backward_instance(cp, params, d_z)
-    gn = backward_instance(cn, params, -d_z)
+    gp = backward_instance(cp, params, d_z, head)
+    gn = backward_instance(cn, params, -d_z, head)
     weights = [a + b for a, b in zip(gp.weights, gn.weights)]
-    return loss, GnnGradients(weights, gp.scoring + gn.scoring)
+    return loss, GnnGradients(weights, gp.scoring + gn.scoring,
+                              gp.prefixes + gn.prefixes)
 
 
 @dataclass

@@ -32,7 +32,7 @@ GOLDEN = {
     "lightgcn": ("lightgcn", (),
         ("f9ee51f4cf1f1eee", "2da32dac65786408", "b825801be9952876")),
     "lgcf-emb": ("lgcf-emb", (),
-        ("17fd9f7e43d0b2a4", "f8fefa64f42b1aff", "b6218bfa7ae50b4f")),
+        ("b41ff6270ec37e64", "f8fefa64f42b1aff", "3870c54e6460896f")),
     "lgcf-ens": ("lgcf-ens", (),
         ("bc7b9c7862cb63c6", "954b3bbc6b70414c", "4e90b7eb6b3fe75a")),
     "lgcf-cached": ("lgcf", CACHED,
@@ -42,7 +42,7 @@ GOLDEN = {
     "lightgcn-cached": ("lightgcn", CACHED,
         ("f2f8a86733337274", "9492614541efc9b3", "b41d37032ca881a4")),
     "lgcf-emb-cached": ("lgcf-emb", CACHED,
-        ("ae0ea9962616cc02", "b80d7e0f6869a944", "36907a658cafa87c")),
+        ("c00fafa28136765d", "b80d7e0f6869a944", "36907a658cafa87c")),
     "lgcf-ens-cached": ("lgcf-ens", CACHED,
         ("9d71195d6bce0432", "d5210aff9ab4f0d7", "c1516d7f2d4c70fa")),
     "lgcf-ens-learnable": ("lgcf-ens", LEARNABLE,

@@ -10,11 +10,11 @@ import pytest
 from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
                   TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
                   forward_instance, init_embeddings, label_graph,
-                  lgcf_ens_score, lightgcn_propagate, load_model, mf_score,
+                  lightgcn_propagate, load_model, mf_score,
                   normalize_adjacency, one_hot_features, param_count,
                   run_gradcheck, sample_negative, save_model, seed_stream,
                   train)
-from lgcf.models import (MODEL_KINDS, LgcfScorer, Propagation,
+from lgcf.models import (MODEL_KINDS, DotScorer, EnsembleScorer, Propagation,
                          load_adam_states)
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
@@ -147,8 +147,15 @@ class TestScores:
         assert mf_score(tables, 0, 1) == 1.0
 
     def test_ens_score_late_fusion(self):
-        got = lgcf_ens_score(0.3, np.array([1.0, 2.0]), np.array([3.0, -1.0]), 2.0)
-        assert got == pytest.approx(2.3, abs=1e-15)
+        class FixedScorer:
+            seed = 0
+
+            def score(self, u, i):
+                return 0.3
+
+        tables = EmbeddingTable(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
+        ens = EnsembleScorer(FixedScorer(), DotScorer(tables, "lightgcn"), 2.0)
+        assert ens.score(0, 1) == pytest.approx(2.3, abs=1e-15)
 
 
 class TestSampleNegative:
@@ -383,6 +390,14 @@ class TestCheckpoints:
         payload = train("lgcf", g, split, tiny_tc(epochs=1)).model.to_dict()
         payload["label_cap"] = 64
         with pytest.raises(DomainError, match="label_cap"):
+            TrainedModel.from_dict(payload)
+
+    def test_w_joint_must_fit_tables_and_gnn(self):
+        g, split = star_split()
+        payload = train("lgcf-emb", g, split, tiny_tc(epochs=1)).model.to_dict()
+        TrainedModel.from_dict(payload)
+        payload["w_joint"] = payload["w_joint"][:-1]
+        with pytest.raises(DomainError, match="w_joint"):
             TrainedModel.from_dict(payload)
 
     def test_scorer_kinds(self):

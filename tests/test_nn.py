@@ -200,23 +200,38 @@ class TestBackward:
         assert grads.weights[0][0, 0] == pytest.approx(want_dW0, rel=1e-12)
 
     def test_matches_central_differences(self):
+        """Trials 0-4 score through params.scoring with no prefix; trial 5
+        scores [prefix || pooled] through a separate head and also checks
+        the head and both prefixes."""
         rng = np.random.default_rng(48)
-        for trial in range(5):
+        for trial in range(6):
             act = "relu" if trial % 2 else "tanh"
             x_pos, a_pos, params = random_instance(rng, activation=act)
             x_neg, a_neg, _ = random_instance(
                 rng, feat=params.feature_dim, hidden=params.hidden_dim,
                 layers=params.num_layers, activation=act)
-            _, grads = bpr_pair_grads(params, (x_pos, a_pos), (x_neg, a_neg))
+            if trial < 5:
+                _, grads = bpr_pair_grads(params, (x_pos, a_pos), (x_neg, a_neg))
+                pos_extra = neg_extra = {}
+                arrays = params.arrays()
+                analytic = [*grads.weights, grads.scoring]
+            else:
+                head = glorot_uniform(rng, 3 + params.hidden_dim, 1).ravel()
+                prefixes = (rng.normal(size=3), rng.normal(size=3))
+                _, grads = bpr_pair_grads(params, (x_pos, a_pos), (x_neg, a_neg),
+                                          head, prefixes)
+                pos_extra = {"head": head, "prefix": prefixes[0]}
+                neg_extra = {"head": head, "prefix": prefixes[1]}
+                arrays = [*params.weights, head, *prefixes]
+                analytic = [*grads.weights, grads.scoring, *grads.prefixes]
 
             def loss_fn():
-                pos = forward_instance(x_pos, a_pos, params).score_value
-                neg = forward_instance(x_neg, a_neg, params).score_value
+                pos = forward_instance(x_pos, a_pos, params, **pos_extra).score_value
+                neg = forward_instance(x_neg, a_neg, params, **neg_extra).score_value
                 return bpr_loss(pos, neg)
 
-            report = grad_check(loss_fn, params.arrays(),
-                                [*grads.weights, grads.scoring])
-            assert report.passed, report.worst
+            report = grad_check(loss_fn, arrays, analytic)
+            assert report.passed, (trial, report.worst)
 
 
 class TestAdam:
