@@ -619,25 +619,26 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     res_lgcf = train("lgcf", graph, split, replace(tc, master_seed=int(seeds[0])))
     res_emb = train("lightgcn", graph, split, replace(tc, master_seed=int(seeds[1])))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    lgcf = res_lgcf.model.make_scorer(train_graph)
-    dot = res_emb.model.make_scorer(train_graph)
-    lam = tc.lambda_ens
+    model = TrainedModel("lgcf-ens", tc.walk, tc.label_cap, tc.lightgcn_layers,
+                         tc.master_seed, gnn=res_lgcf.model.gnn,
+                         tables=res_emb.model.tables, lam=float(tc.lambda_ens))
+    # lambda is chosen with the parts of the scorer the saved model uses, so
+    # it is tuned on the subgraph samples it is later applied to.
+    saved = model.make_scorer(train_graph)
     if tc.lambda_mode == "grid" and split.val_edges:
         protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
                                 seed=int(seeds[2]))
         best = None
         for cand in tc.lambda_grid:
-            scorer = EnsembleScorer(lgcf, dot, float(cand))
+            scorer = EnsembleScorer(saved.lgcf, saved.dot, float(cand))
             report = evaluate(scorer, train_graph, split, protocol, subset="val")
             key = report.metrics[10].hr_mean
             if best is None or key > best[0]:
                 best = (key, float(cand))
-        lam = best[1]
+        model.lam = best[1]
     elif tc.lambda_mode == "learnable" and split.val_edges:
-        lam = _fit_lambda(lgcf, dot, train_graph, split, int(seeds[2]))
-    model = TrainedModel("lgcf-ens", tc.walk, tc.label_cap, tc.lightgcn_layers,
-                         tc.master_seed, gnn=res_lgcf.model.gnn,
-                         tables=res_emb.model.tables, lam=float(lam))
+        model.lam = _fit_lambda(saved.lgcf, saved.dot, train_graph, split,
+                                int(seeds[2]))
     offset = len(res_lgcf.history)
     history = res_lgcf.history + [replace(r, epoch=r.epoch + offset)
                                   for r in res_emb.history]

@@ -44,9 +44,9 @@ GOLDEN = {
     "lgcf-emb-cached": ("lgcf-emb", CACHED,
         ("c00fafa28136765d", "b80d7e0f6869a944", "36907a658cafa87c")),
     "lgcf-ens-cached": ("lgcf-ens", CACHED,
-        ("9d71195d6bce0432", "d5210aff9ab4f0d7", "c1516d7f2d4c70fa")),
+        ("375caeb999261332", "fac597d134ad1036", "c1516d7f2d4c70fa")),
     "lgcf-ens-learnable": ("lgcf-ens", LEARNABLE,
-        ("a7d9df6a4238441d", "4d8e76fd3082b3b6", "4e90b7eb6b3fe75a")),
+        ("7faa688c2cb9d8ca", "7bd696ce15e2703c", "4e90b7eb6b3fe75a")),
 }
 
 

@@ -15,7 +15,8 @@ from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
                   run_gradcheck, sample_negative, save_model, seed_stream,
                   train)
 from lgcf.models import (MODEL_KINDS, DotScorer, EnsembleScorer, Propagation,
-                         load_adam_states)
+                         _fit_lambda, load_adam_states)
+from lgcf.rng import ENSEMBLE
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
 
@@ -342,6 +343,17 @@ class TestEnsembleLambda:
         tc = tiny_tc(lambda_mode="learnable")
         model = train("lgcf-ens", g, split, tc).model
         assert math.isfinite(model.lam)
+
+    def test_lambda_fits_the_saved_scorer(self):
+        """Re-fitting lambda with the saved model's scorer returns the saved lambda."""
+        g, split = star_split()
+        tc = tiny_tc(lambda_mode="learnable")
+        model = train("lgcf-ens", g, split, tc).model
+        train_graph = build_graph(split.train_edges, 5, 6)
+        seeds = seed_stream(tc.master_seed, ENSEMBLE).integers(0, 2 ** 31 - 1, size=3)
+        saved = model.make_scorer(train_graph)
+        assert _fit_lambda(saved.lgcf, saved.dot, train_graph, split,
+                           int(seeds[2])) == model.lam
 
     def test_history_spans_both_stages(self):
         g, split = star_split()
