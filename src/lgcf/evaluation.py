@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError
 from .graph import BipartiteGraph, SplitSpec, build_graph
 from .labeling import label_graph
-from .rng import DUMP, EVAL_NEGATIVE, SYNTH, seed_stream
+from .rng import EVAL_NEGATIVE, EVAL_WALK, SYNTH, seed_stream
 from .subgraph import WalkConfig, dump_localized_graph, extract
 
 
@@ -290,6 +290,8 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
     per pair), and for each qualifying pair the positive plus scorer_b's
     top-ranked negative are extracted from the train graph, labeled, and
     written next to a manifest.csv that pairs the two scorers' scores.
+    Extraction uses walk_cfg and scorer_a's walk stream (scorer_a.seed,
+    EVAL_WALK, u, i), so an lgcf scorer_a's dumps are the subgraphs it scored.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,7 +309,7 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
         ordered_b = rb.cands[rb.order]
         top_neg = int(ordered_b[0]) if int(ordered_b[0]) != i else int(ordered_b[1])
         for pair_kind, item in (("positive", i), ("negative", top_neg)):
-            rng = seed_stream(protocol.seed, DUMP, u, item)
+            rng = seed_stream(scorer_a.seed, EVAL_WALK, u, item)
             lg = label_graph(extract(train_graph, u, item, walk_cfg, rng))
             fname = f"case{case:04d}_{pair_kind}_u{u}_i{item}.sg"
             (out_dir / fname).write_text(dump_localized_graph(lg, graph.num_users),

@@ -20,7 +20,7 @@ SYNTH = 7           # synthetic graph generation
 SPLIT = 8           # train/val/test splitting
 LEVELS = 9          # sparsity level construction
 ENSEMBLE = 10       # sub-model seed derivation for the ensemble
-DUMP = 11           # case-study subgraph dumps, keyed (u, i)
+# 11 is retired (case-study dumps now reuse EVAL_WALK); never reuse it.
 GRADCHECK = 12      # gradient check instance generation
 
 

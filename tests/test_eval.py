@@ -7,12 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lgcf import (DomainError, EvalProtocol, EvalReport, MetricStats,
-                  SplitSpec, TrainConfig, WalkConfig, aggregate_reports,
-                  build_graph, degree_probe, dump_cases, evaluate, hr_at_k,
-                  make_synthetic, metrics_csv, ndcg_at_k, normal_split,
-                  parse_localized_graph, seed_stream, sparsity_levels,
-                  sparsity_sweep)
+from lgcf import (DomainError, EvalProtocol, EvalReport, LabelEncoding,
+                  MetricStats, SplitSpec, TrainConfig, WalkConfig,
+                  aggregate_reports, build_graph, degree_probe, dump_cases,
+                  evaluate, forward_instance, hr_at_k, make_synthetic,
+                  metrics_csv, ndcg_at_k, normal_split, normalize_adjacency,
+                  one_hot_features, parse_localized_graph, seed_stream,
+                  sparsity_levels, sparsity_sweep, train)
 
 
 class KeyedScorer:
@@ -322,6 +323,25 @@ class TestDumpCases:
                 assert row["score_a"] == 1.0 and row["score_b"] == 0.0
             else:
                 assert row["score_a"] == 0.0 and row["score_b"] == 1.0
+
+
+    def test_dump_is_the_subgraph_scorer_a_scored(self, sbm_split, tmp_path):
+        g, split = sbm_split
+        tc = TrainConfig(epochs=1, batch_size=16, master_seed=4, walk=self.WALK,
+                         gcn_layers=2, hidden_dim=4, label_cap=8)
+        model = train("lgcf", g, split, tc).model
+        train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+        rows = dump_cases(model.make_scorer(train_graph),
+                          AntiOracleScorer(split.test_edges), g, split,
+                          model.walk, tmp_path, PROTOCOL)
+        assert rows
+        enc = LabelEncoding(model.label_cap)
+        for row in rows:
+            lg = parse_localized_graph((tmp_path / row["dump_file"]).read_text())
+            rescored = forward_instance(one_hot_features(lg.labels, enc),
+                                        normalize_adjacency(lg.adjacency),
+                                        model.gnn).score_value
+            assert rescored == row["score_a"], row
 
 
 class TestMakeSynthetic:
