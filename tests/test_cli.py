@@ -1,10 +1,14 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lgcf
 from lgcf import load_graph_dir, load_split
 from lgcf.cli import main
 
@@ -75,6 +79,22 @@ class TestPipeline:
         assert len(payload["tables"]["user"]) == 20
         assert len(payload["tables"]["user"][0]) == 8
         assert payload["adam"] is not None
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self, tmp_path):
+        src = str(Path(lgcf.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / "graph"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lgcf.cli", "synth", "--out", str(out),
+             "--users", "4", "--items", "4", "--p-in", "0.5", "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "graph.json").exists()
+        assert "generated" in proc.stdout
 
 
 class TestReturnCodes:
