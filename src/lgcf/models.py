@@ -180,9 +180,6 @@ class TrainConfig:
     embed_dim: int = 32
     lightgcn_layers: int = 3
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lambda_ens: float = 1.0
     lambda_mode: str = "grid"
     lambda_grid: tuple = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -356,12 +353,9 @@ def load_adam_states(path) -> dict[str, AdamState] | None:
 
 
 class LgcfScorer:
-    """sigmoid(head . [prefix || sum_pool(GCN(G_ui))]) on each pair's subgraph.
-
-    G_ui is extracted with the walk stream (seed, EVAL_WALK, u, i).  For lgcf
-    the prefix is empty and the head is gnn.scoring; for lgcf-emb, refined
-    holds the propagated embedding rows by global id, the prefix is
-    r_u * r_i and the head is w_joint.
+    """sigmoid(head . [prefix || sum_pool(GCN(G_ui))]), G_ui walked from the
+    stream (seed, EVAL_WALK, u, i).  lgcf-emb passes refined, the propagated
+    rows by global id, for the prefix r_u * r_i and scores through w_joint.
     """
 
     def __init__(self, graph: BipartiteGraph, model: "TrainedModel",
@@ -408,12 +402,8 @@ class EnsembleScorer:
 
 
 def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
-    """BPR over sigmoid(head . [prefix || sum_pool(GCN)]) for lgcf and lgcf-emb.
-
-    lgcf has no tables, an empty prefix and head gnn.scoring.  lgcf-emb
-    prefixes r_u * r_i over the propagated rows and scores through w_joint;
-    its prefix gradients collect in d_refined, indexed by global id, for one
-    propagation back per batch.
+    """BPR through LgcfScorer's score for lgcf and lgcf-emb.  lgcf-emb's prefix
+    gradients collect in d_refined, by global id, for one propagation back.
     """
     gnn, tables = model.gnn, model.tables
     head = gnn.scoring if model.w_joint is None else model.w_joint
@@ -434,13 +424,11 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
             for item, d_prefix in zip((i_pos, i_neg), pair.prefixes):
                 d_refined[u] += d_prefix * refined[item]
                 d_refined[item] += d_prefix * refined[u]
-    count = len(losses)
-    grads = [g / count for g in grads]
     if refined is not None:
         n = tables.user_matrix.shape[0]
         d_e0 = prop.apply(d_refined)
-        grads += [d_e0[:n] / count, d_e0[n:] / count]
-    return losses, grads
+        grads += [d_e0[:n], d_e0[n:]]
+    return losses, [g / len(losses) for g in grads]
 
 
 def _embedding_batch(model: TrainedModel, prop: Propagation, batch):
@@ -530,7 +518,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     edges = [tuple(e) for e in split.train_edges]
     model = _init_model(kind, train_graph, tc)
     arrays = model.trainable()
-    adam = init_adam(arrays, lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
+    adam = init_adam(arrays, lr=tc.lr)
     prop = Propagation(train_graph, model.propagation_layers)
     batch_grads = _BATCH_GRADS[kind]
     enc = LabelEncoding(tc.label_cap)

@@ -3,9 +3,8 @@
 Localized graphs are small (tens of nodes), so everything here is plain
 float64 numpy with hand-written analytic gradients.  Layer l computes
 Z_l = A_norm X_l W_l; hidden layers apply the activation, the final layer is
-linear.  The pooled sum of final node representations, optionally preceded
-by a per-pair prefix vector, is scored through a sigmoid dot product with a
-head vector (the parameters' own scoring vector unless another is given).
+linear.  The pooled sum of final node representations, after an optional
+per-pair prefix vector, is scored through a sigmoid dot product with a head.
 """
 
 import math
@@ -78,10 +77,7 @@ class GnnParameters:
 
 @dataclass
 class GnnGradients:
-    """Layer-weight and head gradients, plus one prefix gradient per branch.
-
-    scoring holds the gradient of whichever head scored the instances.
-    """
+    """Layer, head (in scoring) and per-branch prefix gradients."""
 
     weights: list[np.ndarray]
     scoring: np.ndarray
@@ -212,31 +208,24 @@ class InstanceCache:
 
     gcn: GcnCache
     features: np.ndarray  # prefix || sum-pooled final node reps
-    logit: float
     score_value: float
 
 
 def forward_instance(x0: np.ndarray, a_norm: np.ndarray, params: GnnParameters,
                      head: np.ndarray | None = None,
                      prefix: np.ndarray = NO_PREFIX) -> InstanceCache:
-    """sigmoid(head . [prefix || sum_pool(GCN(x0, a_norm))]).
-
-    head defaults to params.scoring and must be as long as the prefix plus
-    the hidden width.
-    """
+    """sigmoid(head . [prefix || sum_pool(GCN(x0, a_norm))]); head defaults
+    to params.scoring."""
     x_last, cache = gcn_forward(x0, a_norm, params)
     features = np.concatenate([prefix, sum_pool(x_last)])
     logit = float(features @ (params.scoring if head is None else head))
-    return InstanceCache(cache, features, logit, float(sigmoid(logit)))
+    return InstanceCache(cache, features, float(sigmoid(logit)))
 
 
 def backward_instance(inst: InstanceCache, params: GnnParameters, d_score: float,
                       head: np.ndarray | None = None) -> GnnGradients:
-    """Gradients of d_score * score(instance) for the layers, head and prefix.
-
-    This is the one backward pass through the pooled head; head must be the
-    one forward_instance scored with.
-    """
+    """Gradients of d_score * score(instance) for the layers, head and
+    prefix; head must be the one forward_instance scored with."""
     s = inst.score_value
     d_logit = d_score * s * (1.0 - s)
     d_features = d_logit * (params.scoring if head is None else head)
@@ -253,11 +242,8 @@ def bpr_pair_grads(params: GnnParameters, pos: tuple[np.ndarray, np.ndarray],
                    neg: tuple[np.ndarray, np.ndarray], head: np.ndarray | None = None,
                    prefixes: tuple[np.ndarray, np.ndarray] = (NO_PREFIX, NO_PREFIX),
                    ) -> tuple[float, GnnGradients]:
-    """Loss and analytic gradients for one (positive, negative) instance pair.
-
-    Layer and head gradients are summed over both branches; prefixes holds
-    the positive branch's prefix gradient, then the negative's.
-    """
+    """Loss and analytic gradients for one (positive, negative) instance
+    pair; layer and head gradients sum both branches, prefixes are (pos, neg)."""
     cp = forward_instance(pos[0], pos[1], params, head, prefixes[0])
     cn = forward_instance(neg[0], neg[1], params, head, prefixes[1])
     z = cp.score_value - cn.score_value
