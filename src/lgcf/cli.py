@@ -87,7 +87,6 @@ def _common(with_out: bool = True) -> list[Opt]:
 
 
 _TRAIN = [
-    Opt("model", "str", "lgcf", "lgcf | mf | lightgcn | lgcf-emb | lgcf-ens"),
     Opt("epochs", "int", 30, "training epochs"),
     Opt("batch-size", "int", 64, "triplets per Adam step"),
     Opt("negatives", "int", 1, "negatives sampled per positive"),
@@ -146,6 +145,7 @@ COMMANDS: dict[str, tuple[str, list[Opt]]] = {
     "train": ("train one model on a split", _common() + [
         Opt("graph", "path", None, "graph directory", required=True),
         Opt("split", "path", None, "split directory", required=True),
+        Opt("model", "str", "lgcf", "lgcf | mf | lightgcn | lgcf-emb | lgcf-ens"),
     ] + _TRAIN),
     "eval": ("rank held-out pairs with a trained checkpoint", _common() + [
         Opt("graph", "path", None, "graph directory", required=True),

@@ -271,12 +271,9 @@ def sparsity_levels(train_edges, fractions, seed: int) -> list[tuple[Edge, ...]]
     shuffled order.  Larger fractions therefore remove supersets, so the
     levels nest, and every node keeps at least one edge at every level.
 
-    train_edges is an edge list (typically SplitSpec.train_edges, so levels
-    nest inside an existing split) or a BipartiteGraph whose whole edge set
-    plays that role.
+    train_edges is an edge list, typically SplitSpec.train_edges, so levels
+    nest inside an existing split.
     """
-    if isinstance(train_edges, BipartiteGraph):
-        train_edges = train_edges.edges()
     edges = [tuple(e) for e in train_edges]
     if not edges:
         raise DomainError("cannot sparsify an empty train set")

@@ -31,6 +31,7 @@ from .subgraph import WalkConfig, extract
 
 MODEL_KINDS = ("lgcf", "mf", "lightgcn", "lgcf-emb", "lgcf-ens")
 CHECKPOINT_VERSION = 1
+LAMBDA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)  # lgcf-ens fusion weights tried in grid mode
 
 
 @dataclass
@@ -52,9 +53,9 @@ class EmbeddingTable:
 
 
 def init_embeddings(num_users: int, num_items: int, dim: int,
-                    rng: np.random.Generator, scale: float = 0.1) -> EmbeddingTable:
-    return EmbeddingTable(rng.normal(0.0, scale, (num_users, dim)),
-                          rng.normal(0.0, scale, (num_items, dim)))
+                    rng: np.random.Generator) -> EmbeddingTable:
+    return EmbeddingTable(rng.normal(0.0, 0.1, (num_users, dim)),
+                          rng.normal(0.0, 0.1, (num_items, dim)))
 
 
 class Propagation:
@@ -182,7 +183,6 @@ class TrainConfig:
     lr: float = 1e-3
     lambda_ens: float = 1.0
     lambda_mode: str = "grid"
-    lambda_grid: tuple = (0.1, 0.5, 1.0, 2.0, 5.0)
     cache_subgraphs: bool = False
     val_negatives: int = 99
 
@@ -617,7 +617,7 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
         protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
                                 seed=int(seeds[2]))
         best = None
-        for cand in tc.lambda_grid:
+        for cand in LAMBDA_GRID:
             scorer = EnsembleScorer(saved.lgcf, saved.dot, float(cand))
             report = evaluate(scorer, train_graph, split, protocol, subset="val")
             key = report.metrics[10].hr_mean
@@ -635,7 +635,7 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
 
 
 def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
-                  tolerance: float = 1e-4, step: float = 1e-5) -> GradCheckReport:
+                  tolerance: float = 1e-4) -> GradCheckReport:
     """Finite-difference verification on freshly sampled random instances.
 
     Builds small random bipartite graphs, extracts real localized graphs for
@@ -671,8 +671,7 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
         prop = Propagation(graph, model.propagation_layers)
         _, analytic = batch_grads(model, prop, batch)
         report = grad_check(lambda: batch_grads(model, prop, batch)[0][0],
-                            model.trainable(), analytic, step=step,
-                            tolerance=tolerance)
+                            model.trainable(), analytic, tolerance=tolerance)
         worst = max(worst, report.max_rel_err)
         checked += report.num_checked
     return GradCheckReport(worst, checked, tolerance, worst < tolerance)

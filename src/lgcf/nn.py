@@ -269,11 +269,9 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_adam(arrays, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def init_adam(arrays, lr: float = 1e-3) -> AdamState:
     return AdamState([np.zeros_like(a) for a in arrays],
-                     [np.zeros_like(a) for a in arrays],
-                     0, lr, beta1, beta2, eps)
+                     [np.zeros_like(a) for a in arrays], 0, lr)
 
 
 def adam_step(arrays, grads, state: AdamState) -> None:
@@ -302,15 +300,16 @@ class GradCheckReport:
     worst: tuple[int, int] = (0, 0)  # (array index, flat coordinate)
 
 
-def grad_check(loss_fn, arrays, analytic, step: float = 1e-5,
+def grad_check(loss_fn, arrays, analytic,
                tolerance: float = 1e-4) -> GradCheckReport:
-    """Central finite differences against analytic gradients.
+    """Central finite differences, step 1e-5, against analytic gradients.
 
     loss_fn must recompute the objective from the live arrays on every call.
     The relative error denominator floors at 1e-4 so coordinates whose true
     gradient is essentially zero do not fail on finite-difference noise;
     zero-parameter inputs pass vacuously.
     """
+    step = 1e-5
     max_rel = 0.0
     worst = (0, 0)
     checked = 0

@@ -303,11 +303,6 @@ class TestSparsityLevels:
                   for s in range(8)]
         assert {len(lv) for lv in levels} <= {2, 3}
 
-    def test_accepts_graph_input(self):
-        by_graph = sparsity_levels(FOUR_CYCLE, (0.0, 1.0), seed=2)
-        by_edges = sparsity_levels(tuple(FOUR_CYCLE.edges()), (0.0, 1.0), seed=2)
-        assert by_graph == by_edges
-
     def test_bad_fraction_rejected(self):
         with pytest.raises(DomainError):
             sparsity_levels(tuple(FOUR_CYCLE.edges()), (1.5,), seed=0)

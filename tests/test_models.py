@@ -14,8 +14,8 @@ from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
                   normalize_adjacency, one_hot_features, param_count,
                   run_gradcheck, sample_negative, save_model, seed_stream,
                   train)
-from lgcf.models import (MODEL_KINDS, DotScorer, EnsembleScorer, Propagation,
-                         _fit_lambda, load_adam_states)
+from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
+                         Propagation, _fit_lambda, load_adam_states)
 from lgcf.rng import ENSEMBLE
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
@@ -334,9 +334,9 @@ class TestEnsembleLambda:
 
     def test_grid_mode_picks_from_grid(self):
         g, split = star_split()
-        tc = tiny_tc(lambda_mode="grid", lambda_grid=(0.1, 1.0))
+        tc = tiny_tc(lambda_mode="grid")
         model = train("lgcf-ens", g, split, tc).model
-        assert model.lam in tc.lambda_grid
+        assert model.lam in LAMBDA_GRID
 
     def test_learnable_mode_is_finite(self):
         g, split = star_split()
