@@ -230,38 +230,42 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     return values
 
 
-def _config_hash(command: str, values: dict, opts: dict[str, Opt]) -> str:
+def _config_hash(command: str, values: dict) -> str:
     # Path-valued options and --force stay out of the hash so a rerun in a
     # different directory reports the same configuration identity.
-    skip_types = ("path",)
+    opts = {o.name: o for o in COMMANDS[command][1]}
     payload = [command]
     for name in sorted(values):
-        opt = opts[name]
-        if opt.type in skip_types or name == "force":
+        if opts[name].type == "path" or name == "force":
             continue
         payload.append(f"{name}={_canonical(values[name])}")
     return hashlib.sha256("\n".join(payload).encode("utf-8")).hexdigest()[:16]
 
 
-def _prepare_out(values: dict) -> Path:
+def _prepare_out(command: str, values: dict) -> Path:
+    """Create --out, refusing a non-empty one without --force, and echo the
+    resolved configuration to resolved_config.txt there."""
     out = Path(values["out"])
     if out.exists() and any(out.iterdir()) and not values["force"]:
         raise DomainError(
             f"output directory {out} is not empty; pass --force true to overwrite")
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(command: str, values: dict, out: Path) -> None:
     lines = [f"command={command}"]
     lines += [f"{name}={_canonical(values[name])}" for name in sorted(values)]
     (out / "resolved_config.txt").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
+    return out
 
 
 def _in_path(values: dict, key: str, out: Path) -> Path:
     path = Path(values[key])
     return path if path.is_absolute() else out / path
+
+
+def _load_graph_split(values: dict, out: Path):
+    """The --graph and --split inputs."""
+    return (load_graph_dir(_in_path(values, "graph", out)),
+            load_split(_in_path(values, "split", out)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -294,9 +298,7 @@ def _train_config(values: dict) -> TrainConfig:
         val_negatives=values["val-negatives"])
 
 
-def cmd_ingest(values: dict) -> int:
-    out = _prepare_out(values)
-    _echo_config("ingest", values, out)
+def cmd_ingest(values: dict, out: Path) -> int:
     delim = {"auto": None, "comma": ",", "tab": "\t"}.get(values["delimiter"])
     if delim is None and values["delimiter"] not in ("auto",):
         raise DomainError(f"unknown delimiter {values['delimiter']!r}")
@@ -313,9 +315,7 @@ def cmd_ingest(values: dict) -> int:
     return 0
 
 
-def cmd_synth(values: dict) -> int:
-    out = _prepare_out(values)
-    _echo_config("synth", values, out)
+def cmd_synth(values: dict, out: Path) -> int:
     if values["users"] % 2 or values["items"] % 2:
         raise DomainError("--users and --items must be even (two equal blocks)")
     graph = make_synthetic(values["users"] // 2, values["items"] // 2,
@@ -326,9 +326,7 @@ def cmd_synth(values: dict) -> int:
     return 0
 
 
-def cmd_split(values: dict) -> int:
-    out = _prepare_out(values)
-    _echo_config("split", values, out)
+def cmd_split(values: dict, out: Path) -> int:
     graph = load_graph_dir(_in_path(values, "graph", out))
     if values["kind"] == "normal":
         split = normal_split(graph, values["train-frac"], values["seed"])
@@ -342,11 +340,8 @@ def cmd_split(values: dict) -> int:
     return 0
 
 
-def cmd_train(values: dict) -> int:
-    out = _prepare_out(values)
-    _echo_config("train", values, out)
-    graph = load_graph_dir(_in_path(values, "graph", out))
-    split = load_split(_in_path(values, "split", out))
+def cmd_train(values: dict, out: Path) -> int:
+    graph, split = _load_graph_split(values, out)
     result = train(values["model"], graph, split, _train_config(values))
     save_model(out / "checkpoint.json", result.model, result.adam)
     with open(out / "history.jsonl", "w", encoding="utf-8", newline="\n") as fh:
@@ -361,18 +356,14 @@ def cmd_train(values: dict) -> int:
     return 0
 
 
-def cmd_eval(values: dict) -> int:
-    out = _prepare_out(values)
-    _echo_config("eval", values, out)
-    opts = {o.name: o for o in COMMANDS["eval"][1]}
-    graph = load_graph_dir(_in_path(values, "graph", out))
-    split = load_split(_in_path(values, "split", out))
+def cmd_eval(values: dict, out: Path) -> int:
+    graph, split = _load_graph_split(values, out)
     model = load_model(_in_path(values, "checkpoint", out))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
     protocol = _protocol(values)
     report = evaluate(model.make_scorer(train_graph), graph, split, protocol,
                       extra_metadata={"model": model.kind,
-                                      "config_hash": _config_hash("eval", values, opts)})
+                                      "config_hash": _config_hash("eval", values)})
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.csv").write_text(
         metrics_csv([("-", model.kind, report)], protocol.k_values),
@@ -384,17 +375,13 @@ def cmd_eval(values: dict) -> int:
     return 0
 
 
-def cmd_sweep(values: dict) -> int:
-    out = _prepare_out(values)
-    _echo_config("sweep", values, out)
-    opts = {o.name: o for o in COMMANDS["sweep"][1]}
-    graph = load_graph_dir(_in_path(values, "graph", out))
-    split = load_split(_in_path(values, "split", out))
+def cmd_sweep(values: dict, out: Path) -> int:
+    graph, split = _load_graph_split(values, out)
     levels = sparsity_levels(split.train_edges, values["fractions"], values["seed"])
     protocol = _protocol(values)
     results = sparsity_sweep(list(values["models"]), graph, split, levels,
                              _train_config(values), protocol)
-    cfg_hash = _config_hash("sweep", values, opts)
+    cfg_hash = _config_hash("sweep", values)
     reports_dir = out / "reports"
     reports_dir.mkdir(exist_ok=True)
     rows = []
@@ -411,12 +398,8 @@ def cmd_sweep(values: dict) -> int:
     return 0
 
 
-def cmd_probe_degree(values: dict) -> int:
-    out = _prepare_out(values)
-    _echo_config("probe-degree", values, out)
-    opts = {o.name: o for o in COMMANDS["probe-degree"][1]}
-    graph = load_graph_dir(_in_path(values, "graph", out))
-    split = load_split(_in_path(values, "split", out))
+def cmd_probe_degree(values: dict, out: Path) -> int:
+    graph, split = _load_graph_split(values, out)
     model = load_model(_in_path(values, "checkpoint", out))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
     protocol = _protocol(values)
@@ -424,7 +407,7 @@ def cmd_probe_degree(values: dict) -> int:
                           n_groups=values["groups"],
                           extra_metadata={"model": model.kind,
                                           "config_hash": _config_hash(
-                                              "probe-degree", values, opts)})
+                                              "probe-degree", values)})
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     rows = [(g.metadata["group_index"], model.kind, g) for g in report.groups]
     (out / "groups.csv").write_text(metrics_csv(rows, protocol.k_values),
@@ -433,11 +416,8 @@ def cmd_probe_degree(values: dict) -> int:
     return 0
 
 
-def cmd_dump_cases(values: dict) -> int:
-    out = _prepare_out(values)
-    _echo_config("dump-cases", values, out)
-    graph = load_graph_dir(_in_path(values, "graph", out))
-    split = load_split(_in_path(values, "split", out))
+def cmd_dump_cases(values: dict, out: Path) -> int:
+    graph, split = _load_graph_split(values, out)
     model_a = load_model(_in_path(values, "checkpoint-a", out))
     model_b = load_model(_in_path(values, "checkpoint-b", out))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
@@ -449,7 +429,7 @@ def cmd_dump_cases(values: dict) -> int:
     return 0
 
 
-def cmd_gradcheck(values: dict) -> int:
+def cmd_gradcheck(values: dict, out: None) -> int:
     report = run_gradcheck(kind=values["model"], seed=values["seed"],
                            instances=values["instances"],
                            tolerance=values["tolerance"])
@@ -479,11 +459,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         values = resolve_options(args.command, args)
-        return HANDLERS[args.command](values)
-    except LgcfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+        out = _prepare_out(args.command, values) if "out" in values else None
+        return HANDLERS[args.command](values, out)
+    except (LgcfError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
