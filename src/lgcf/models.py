@@ -29,8 +29,14 @@ from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
                   TRAIN_NEGATIVE, seed_stream, walk_stream)
 from .subgraph import WalkConfig, extract
 
-MODEL_KINDS = ("lgcf", "mf", "lightgcn", "lgcf-emb", "lgcf-ens")
+# The parameter sections each kind's checkpoint carries; the others are null.
+CHECKPOINT_SECTIONS = {"lgcf": ("gnn",), "mf": ("tables",), "lightgcn": ("tables",),
+                       "lgcf-emb": ("gnn", "tables", "w_joint"),
+                       "lgcf-ens": ("gnn", "tables", "lambda")}
+MODEL_KINDS = tuple(CHECKPOINT_SECTIONS)
 CHECKPOINT_VERSION = 1
+CHECKPOINT_ENTRIES = ("kind", "master_seed", "walk", "label_cap", "lightgcn_layers",
+                      "gnn", "tables", "w_joint", "lambda")
 LAMBDA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)  # lgcf-ens fusion weights tried in grid mode
 
 
@@ -302,6 +308,17 @@ class TrainedModel:
         if payload.get("format_version") != CHECKPOINT_VERSION:
             raise DomainError(
                 f"unsupported checkpoint format {payload.get('format_version')!r}")
+        missing = [key for key in CHECKPOINT_ENTRIES if key not in payload]
+        if missing:
+            raise DomainError(f"checkpoint has no {', '.join(missing)} entry")
+        kind = str(payload["kind"])
+        if kind not in CHECKPOINT_SECTIONS:
+            raise DomainError(f"unknown model kind {kind!r}")
+        for section in ("gnn", "tables", "w_joint", "lambda"):
+            needed = section in CHECKPOINT_SECTIONS[kind]
+            if (payload[section] is None) == needed:
+                verb = "needs" if needed else "must not have"
+                raise DomainError(f"{kind} checkpoint {verb} a {section} section")
         walk = WalkConfig(**payload["walk"])
         tables = None
         if payload["tables"] is not None:
@@ -316,11 +333,10 @@ class TrainedModel:
         w_joint = None
         if payload["w_joint"] is not None:
             w_joint = np.asarray(payload["w_joint"], dtype=np.float64)
-            if (gnn is None or tables is None
-                    or w_joint.shape != (tables.dim + gnn.hidden_dim,)):
+            if w_joint.shape != (tables.dim + gnn.hidden_dim,):
                 raise DomainError("w_joint length must be embed_dim + hidden_dim")
         return TrainedModel(
-            kind=str(payload["kind"]),
+            kind=kind,
             walk=walk,
             label_cap=label_cap,
             lightgcn_layers=int(payload["lightgcn_layers"]),

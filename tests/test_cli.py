@@ -137,6 +137,18 @@ class TestReturnCodes:
                    "--checkpoint", pipeline / "run" / "checkpoint.json") == 1
         assert "rows" in capsys.readouterr().err
 
+    def test_checkpoint_kind_must_fit_sections(self, pipeline, tmp_path, capsys):
+        payload = json.loads((pipeline / "run" / "checkpoint.json").read_text())
+        no_walk = {key: value for key, value in payload.items() if key != "walk"}
+        for name, bad, message in (("relabelled", dict(payload, kind="lgcf"),
+                                    "lgcf checkpoint needs a gnn section"),
+                                   ("no-walk", no_walk, "no walk entry")):
+            checkpoint = tmp_path / f"{name}.json"
+            checkpoint.write_text(json.dumps(bad))
+            assert run("eval", "--out", tmp_path / name, "--graph", pipeline / "graph",
+                       "--split", pipeline / "split", "--checkpoint", checkpoint) == 1
+            assert message in capsys.readouterr().err
+
     def test_missing_graph_dir(self, tmp_path, capsys):
         assert run("split", "--out", tmp_path / "s",
                    "--graph", tmp_path / "nope") == 1

@@ -412,6 +412,20 @@ class TestCheckpoints:
         with pytest.raises(DomainError, match="w_joint"):
             TrainedModel.from_dict(payload)
 
+    def test_kind_must_match_sections(self):
+        g, split = star_split()
+        good = train("mf", g, split, tiny_tc(epochs=1)).model.to_dict()
+        TrainedModel.from_dict(good)
+        no_walk = {key: value for key, value in good.items() if key != "walk"}
+        for payload, match in ((dict(good, kind="gbdt"), "unknown model kind"),
+                               (no_walk, "no walk entry"),
+                               (dict(good, kind="lgcf"), "lgcf checkpoint needs a gnn"),
+                               (dict(good, kind="lgcf-emb"), "needs a gnn"),
+                               (dict(good, w_joint=[0.0]), "must not have a w_joint"),
+                               (dict(good, **{"lambda": 1.0}), "must not have a lambda")):
+            with pytest.raises(DomainError, match=match):
+                TrainedModel.from_dict(payload)
+
     def test_scorer_kinds(self):
         g, split = star_split()
         for kind in MODEL_KINDS:
