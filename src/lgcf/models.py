@@ -8,6 +8,7 @@ representation and a joint head vector, and "lgcf-ens" sums a trained lgcf
 score and a scaled embedding dot product.
 """
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -630,12 +631,15 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     # it is tuned on the subgraph samples it is later applied to.
     saved = model.make_scorer(train_graph)
     if tc.lambda_mode == "grid" and split.val_edges:
+        # The lgcf part does not depend on lambda, so each candidate's is
+        # scored once for the whole grid.
+        saved.lgcf.score = functools.cache(saved.lgcf.score)
         protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
                                 seed=int(seeds[2]))
         best = None
         for cand in LAMBDA_GRID:
-            scorer = EnsembleScorer(saved.lgcf, saved.dot, float(cand))
-            report = evaluate(scorer, train_graph, split, protocol, subset="val")
+            saved.lam = float(cand)
+            report = evaluate(saved, train_graph, split, protocol, subset="val")
             key = report.metrics[10].hr_mean
             if best is None or key > best[0]:
                 best = (key, float(cand))

@@ -10,12 +10,12 @@ import pytest
 from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
                   TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
                   forward_instance, init_embeddings, label_graph,
-                  lightgcn_propagate, load_model, mf_score,
-                  normalize_adjacency, one_hot_features, param_count,
+                  lightgcn_propagate, load_model, make_synthetic, mf_score,
+                  normal_split, normalize_adjacency, one_hot_features, param_count,
                   run_gradcheck, sample_negative, save_model, seed_stream,
                   train)
 from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
-                         Propagation, _fit_lambda, load_adam_states)
+                         LgcfScorer, Propagation, _fit_lambda, load_adam_states)
 from lgcf.rng import ENSEMBLE
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
@@ -337,6 +337,24 @@ class TestEnsembleLambda:
         tc = tiny_tc(lambda_mode="grid")
         model = train("lgcf-ens", g, split, tc).model
         assert model.lam in LAMBDA_GRID
+
+    def test_grid_scores_each_lgcf_candidate_once(self, monkeypatch):
+        calls = Counter()
+        score = LgcfScorer.score
+
+        def counted(self, u, i):
+            calls[(u, i)] += 1
+            return score(self, u, i)
+
+        monkeypatch.setattr(LgcfScorer, "score", counted)
+        g = make_synthetic(10, 10, 0.5, 0.05, 1)
+        split = normal_split(g, 0.75, 2)
+        # eval_every > epochs: the sub-models never validate, so every lgcf
+        # score comes from the lambda search.
+        tc = tiny_tc(epochs=1, eval_every=2, master_seed=3, val_negatives=20)
+        train("lgcf-ens", g, split, tc)
+        assert len(calls) > 100
+        assert max(calls.values()) == 1
 
     def test_learnable_mode_is_finite(self):
         g, split = star_split()
