@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import lgcf
-from lgcf import load_graph_dir, load_split
-from lgcf.cli import main
+from lgcf import EvalProtocol, TrainConfig, load_graph_dir, load_split
+from lgcf.cli import (_PROTOCOL, _TRAIN, _protocol, _train_config, build_parser,
+                      main, resolve_options)
 
 
 def run(*argv) -> int:
@@ -187,6 +189,51 @@ class TestConfigResolution:
         assert run("split", "--out", out, "--force", "true",
                    "--graph", "g") == 0
         assert (out / "meta.json").exists()
+
+
+class TestFlagsCoverConfig:
+    """Each TrainConfig, WalkConfig and EvalProtocol field is set by exactly
+    one flag, and the flag defaults build the config defaults."""
+
+    OTHER_STR = {"activation": "tanh", "lambda-mode": "fixed"}
+
+    @staticmethod
+    def fields(config) -> dict:
+        flat = {}
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if dataclasses.is_dataclass(value):
+                flat.update({f"{f.name}.{g.name}": getattr(value, g.name)
+                             for g in dataclasses.fields(value)})
+            else:
+                flat[f.name] = value
+        return flat
+
+    def other(self, opt, value):
+        if opt.type == "str":
+            return self.OTHER_STR[opt.name]
+        return {"int": lambda v: v + 1, "float": lambda v: v / 2,
+                "bool": lambda v: not v, "ints": lambda v: v[:-1]}[opt.type](value)
+
+    @pytest.mark.parametrize("command, opts, build, default", [
+        ("train", _TRAIN, _train_config, TrainConfig()),
+        ("eval", _PROTOCOL, _protocol, EvalProtocol()),
+    ])
+    def test_each_field_has_one_flag(self, command, opts, build, default):
+        argv = [command, "--out", "o", "--graph", "g", "--split", "s"]
+        if command == "eval":
+            argv += ["--checkpoint", "c"]
+        values = resolve_options(command, build_parser().parse_args(argv))
+        assert build(values) == default
+        base = self.fields(default)
+        covered = []
+        for opt in opts:
+            changed = self.fields(build(
+                dict(values, **{opt.name: self.other(opt, values[opt.name])})))
+            moved = [name for name in base if changed[name] != base[name]]
+            assert len(moved) == 1, (opt.name, moved)
+            covered += moved
+        assert sorted(covered) == sorted(base)
 
 
 class TestConfigHash:
