@@ -631,8 +631,8 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     # it is tuned on the subgraph samples it is later applied to.
     saved = model.make_scorer(train_graph)
     if tc.lambda_mode == "grid" and split.val_edges:
-        # The lgcf part does not depend on lambda, so each candidate's is
-        # scored once for the whole grid.
+        # The lgcf part does not depend on lambda: score it once per
+        # candidate for the whole grid.
         saved.lgcf.score = functools.cache(saved.lgcf.score)
         protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
                                 seed=int(seeds[2]))
