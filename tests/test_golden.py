@@ -11,9 +11,13 @@ any other digest change is a behaviour change.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from lgcf import (TrainedModel, WalkConfig, build_graph, init_gnn_params,
+                  make_synthetic, normal_split, seed_stream)
 from lgcf.cli import main
+from lgcf.rng import PARAM_INIT
 
 TRAIN_ARGS = ("--epochs", "2", "--batch-size", "16", "--seed", "3",
               "--restart-prob", "0.2", "--walk-len", "8", "--max-nodes", "10",
@@ -87,3 +91,36 @@ def test_artifact_digests(data, tmp_path, case):
            sha("\n".join(history).encode("utf-8")))
     print(f"golden {case}: {got}")
     assert got == want
+
+
+# sha256 prefix of the float64 bytes of 300 LgcfScorer scores at the
+# benchmark's walk settings, where most subgraphs are truncated at max_nodes.
+EVAL_SCORES = "3c8883320ff64b6b"
+
+
+def test_eval_scores_at_benchmark_walks():
+    """Per-pair extraction, labeling and scoring, pinned without training.
+
+    The CLI cases above walk 8 steps into at most 10 nodes, where
+    truncation is rare; this case uses the benchmark's 0.15/20/20 walks on
+    the criterion-9 graph.  Half the pairs are training edges, so the
+    target-edge removal is exercised, and half are fixed random pairs.
+    """
+    g = make_synthetic(100, 100, 0.05, 0.005, 42)
+    split = normal_split(g, 0.9, 42)
+    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    model = TrainedModel(
+        kind="lgcf", walk=WalkConfig(0.15, 20, 20, True), label_cap=32,
+        lightgcn_layers=3, master_seed=42,
+        gnn=init_gnn_params(32, 32, 3, seed_stream(42, PARAM_INIT)))
+    scorer = model.make_scorer(train_graph)
+    rng = np.random.default_rng(2021)
+    users = rng.integers(0, g.num_users, 150)
+    items = g.num_users + rng.integers(0, g.num_items, 150)
+    pairs = list(split.train_edges[::6][:150]) + list(zip(users, items))
+    assert len(pairs) == 300
+    scores = np.array([scorer.score(int(u), int(i)) for u, i in pairs],
+                      dtype=np.float64)
+    got = sha(scores.tobytes())
+    print(f"golden eval scores: {got}")
+    assert got == EVAL_SCORES
