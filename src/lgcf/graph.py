@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,15 @@ class BipartiteGraph:
 
     def is_user(self, gid: int) -> bool:
         return 0 <= gid < self.num_users
+
+    @cached_property
+    def csr_lists(self) -> tuple[list[int], list[int]]:
+        """indptr and indices as Python lists, built on first use.
+
+        Per-node loops in subgraph extraction index these instead of the
+        arrays, which saves a numpy scalar per read.
+        """
+        return self.indptr.tolist(), self.indices.tolist()
 
     def neighbors(self, gid: int) -> np.ndarray:
         return self.indices[self.indptr[gid]:self.indptr[gid + 1]]

@@ -22,25 +22,39 @@ class LabelEncoding:
         self.label_cap = int(label_cap)
 
 
-def min_distances(lg: LocalizedGraph, source_pos: int) -> np.ndarray:
-    """BFS hop counts from a node position; UNREACHABLE where disconnected."""
-    k = lg.num_nodes
+def _neighbor_lists(lg: LocalizedGraph) -> list[list[int]]:
+    """Positions q with adjacency[p, q] != 0, per position p, ascending."""
+    nbrs: list[list[int]] = [[] for _ in range(lg.num_nodes)]
+    rows, cols = np.nonzero(lg.adjacency)
+    for p, q in zip(rows.tolist(), cols.tolist()):
+        nbrs[p].append(q)
+    return nbrs
+
+
+def _bfs(nbrs: list[list[int]], source_pos: int) -> list[int]:
+    """BFS hop counts over neighbor lists; UNREACHABLE where disconnected."""
+    k = len(nbrs)
     if not 0 <= source_pos < k:
         raise DomainError(f"source position {source_pos} out of range for {k} nodes")
-    adj = lg.adjacency != 0
-    dist = np.full(k, UNREACHABLE, dtype=np.int64)
+    dist = [UNREACHABLE] * k
     dist[source_pos] = 0
-    frontier = np.zeros(k, dtype=bool)
-    frontier[source_pos] = True
-    visited = frontier.copy()
+    frontier = [source_pos]
     d = 0
-    while frontier.any():
-        reached = adj[frontier].any(axis=0) & ~visited
+    while frontier:
         d += 1
-        dist[reached] = d
-        visited |= reached
+        reached = []
+        for p in frontier:
+            for q in nbrs[p]:
+                if dist[q] == UNREACHABLE:
+                    dist[q] = d
+                    reached.append(q)
         frontier = reached
     return dist
+
+
+def min_distances(lg: LocalizedGraph, source_pos: int) -> np.ndarray:
+    """BFS hop counts from a node position; UNREACHABLE where disconnected."""
+    return np.asarray(_bfs(_neighbor_lists(lg), source_pos), dtype=np.int64)
 
 
 def drnl_label(d_u: int, d_i: int) -> int:
@@ -60,12 +74,10 @@ def drnl_label(d_u: int, d_i: int) -> int:
 
 def label_graph(lg: LocalizedGraph) -> LocalizedGraph:
     """Fill lg.labels in place from distances to its two targets."""
-    du = min_distances(lg, 0)
-    di = min_distances(lg, 1)
-    for p in range(lg.num_nodes):
-        lg.labels[p] = drnl_label(int(du[p]), int(di[p]))
-    lg.labels[0] = 1
-    lg.labels[1] = 1
+    nbrs = _neighbor_lists(lg)
+    du = _bfs(nbrs, 0)
+    di = _bfs(nbrs, 1)
+    lg.labels[:] = [drnl_label(a, b) for a, b in zip(du, di)]
     return lg
 
 

@@ -115,7 +115,7 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
         raise DomainError("adjacency must be square")
     if a.diagonal().any():
         raise DomainError("adjacency must have a zero diagonal")
-    if not np.array_equal(a, a.T):
+    if (a != a.T).any():
         raise DomainError("adjacency must be symmetric")
     a_tilde = a + np.eye(a.shape[0])
     inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))

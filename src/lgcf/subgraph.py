@@ -60,21 +60,24 @@ def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
     Exactly 2 * walk_len draws are consumed regardless of the path taken, so
     the trace depends only on the generator state and the graph.
     """
-    restarts = rng.random(cfg.walk_len)
-    moves = rng.random(cfg.walk_len)
+    restarts = rng.random(cfg.walk_len).tolist()
+    moves = rng.random(cfg.walk_len).tolist()
+    indptr, indices = graph.csr_lists
+    restart_prob = cfg.restart_prob
     start = int(start)
     visited = [start]
     seen = {start}
     cur = start
-    for t in range(cfg.walk_len):
-        if restarts[t] < cfg.restart_prob:
+    for r, m in zip(restarts, moves):
+        if r < restart_prob:
             cur = start
             continue
-        nbrs = graph.neighbors(cur)
-        if nbrs.size == 0:
+        lo = indptr[cur]
+        deg = indptr[cur + 1] - lo
+        if deg == 0:
             cur = start
             continue
-        cur = int(nbrs[int(moves[t] * nbrs.size)])
+        cur = indices[lo + int(m * deg)]
         if cur not in seen:
             seen.add(cur)
             visited.append(cur)
@@ -111,12 +114,16 @@ def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
         ordered = ordered[:max_nodes]
     pos = {g: p for p, g in enumerate(ordered)}
     k = len(ordered)
-    adj = np.zeros((k, k), dtype=np.float64)
+    indptr, indices = graph.csr_lists
+    rows, cols = [], []
     for p, g in enumerate(ordered):
-        for nb in graph.neighbors(g):
-            q = pos.get(int(nb))
+        for nb in indices[indptr[g]:indptr[g + 1]]:
+            q = pos.get(nb)
             if q is not None:
-                adj[p, q] = 1.0
+                rows.append(p)
+                cols.append(q)
+    adj = np.zeros((k, k), dtype=np.float64)
+    adj[rows, cols] = 1.0
     if remove_target_edge:
         adj[TARGET_USER_POS, TARGET_ITEM_POS] = 0.0
         adj[TARGET_ITEM_POS, TARGET_USER_POS] = 0.0
