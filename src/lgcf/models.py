@@ -11,7 +11,7 @@ score and a scaled embedding dot product.
 import functools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +306,8 @@ class TrainedModel:
 
     @staticmethod
     def from_dict(payload: dict) -> "TrainedModel":
+        if not isinstance(payload, dict):
+            raise DomainError("checkpoint must be a JSON object")
         if payload.get("format_version") != CHECKPOINT_VERSION:
             raise DomainError(
                 f"unsupported checkpoint format {payload.get('format_version')!r}")
@@ -320,12 +322,16 @@ class TrainedModel:
             if (payload[section] is None) == needed:
                 verb = "needs" if needed else "must not have"
                 raise DomainError(f"{kind} checkpoint {verb} a {section} section")
+        if not isinstance(payload["walk"], dict):
+            raise DomainError("checkpoint walk entry must be an object")
+        unknown = sorted(set(payload["walk"]) - {f.name for f in fields(WalkConfig)})
+        if unknown:
+            raise DomainError(f"checkpoint walk entry has unknown key {', '.join(unknown)}")
         walk = WalkConfig(**payload["walk"])
         tables = None
         if payload["tables"] is not None:
-            tables = EmbeddingTable(
-                np.asarray(payload["tables"]["user"], dtype=np.float64),
-                np.asarray(payload["tables"]["item"], dtype=np.float64))
+            tables = EmbeddingTable(_float_array(payload["tables"]["user"], "tables.user"),
+                                    _float_array(payload["tables"]["item"], "tables.item"))
         label_cap = int(payload["label_cap"])
         gnn = None if payload["gnn"] is None else params_from_dict(payload["gnn"])
         if gnn is not None and gnn.feature_dim != label_cap:
@@ -333,7 +339,7 @@ class TrainedModel:
                               f"{gnn.feature_dim} rows of the first GCN weight")
         w_joint = None
         if payload["w_joint"] is not None:
-            w_joint = np.asarray(payload["w_joint"], dtype=np.float64)
+            w_joint = _float_array(payload["w_joint"], "w_joint")
             if w_joint.shape != (tables.dim + gnn.hidden_dim,):
                 raise DomainError("w_joint length must be embed_dim + hidden_dim")
         return TrainedModel(
@@ -347,6 +353,14 @@ class TrainedModel:
             w_joint=w_joint,
             lam=None if payload["lambda"] is None else float(payload["lambda"]),
         )
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """A checkpoint entry as a float64 array; DomainError if it is not numeric."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError(f"checkpoint {name} entry is not a numeric array") from None
 
 
 def save_model(path, model: TrainedModel,

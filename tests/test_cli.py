@@ -151,6 +151,25 @@ class TestReturnCodes:
                        "--split", pipeline / "split", "--checkpoint", checkpoint) == 1
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["walk-unknown-key", "tables-not-numeric",
+                                      "top-level-list"])
+    def test_malformed_checkpoint_exits_one(self, pipeline, tmp_path, capsys, case):
+        payload = json.loads((pipeline / "run" / "checkpoint.json").read_text())
+        if case == "walk-unknown-key":
+            payload["walk"]["detour"] = 1
+            message = "walk entry has unknown key detour"
+        elif case == "tables-not-numeric":
+            payload["tables"]["user"][0][0] = "x"
+            message = "tables.user entry is not a numeric array"
+        else:
+            payload = [payload]
+            message = "checkpoint must be a JSON object"
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload))
+        assert run("eval", "--out", tmp_path / "eval", "--graph", pipeline / "graph",
+                   "--split", pipeline / "split", "--checkpoint", checkpoint) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_graph_dir(self, tmp_path, capsys):
         assert run("split", "--out", tmp_path / "s",
                    "--graph", tmp_path / "nope") == 1
