@@ -1,14 +1,16 @@
 """The benchmark's tracer boundaries still name functions that exist.
 
 perfbench/tracing.py wraps public lgcf functions and methods by name; a
-rename in lgcf would otherwise surface only when the traced benchmark runs.
+rename in lgcf, or a fast path that stops calling a public stage, would
+otherwise surface only when the traced benchmark runs.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-import lgcf  # noqa: F401  (install() patches the loaded lgcf modules)
+from lgcf import (EvalProtocol, TrainConfig, WalkConfig, build_graph, evaluate,
+                  make_synthetic, normal_split, train)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -43,3 +45,27 @@ def test_every_boundary_resolves_and_uninstalls():
         uninstall()
     for (mod, cls, attr), original in before.items():
         assert getattr(owner_of(mod, cls), attr) is original
+
+
+# Spans that one lgcf train plus one evaluation must produce: each stage of
+# extraction, labeling and the GCN, reached through its public name.
+LGCF_SPANS = ("rng.seed_stream", "subgraph.rwr_trace", "subgraph.union_nodes",
+              "subgraph.induce_subgraph", "labeling.label_graph",
+              "labeling.one_hot_features", "nn.normalize_adjacency",
+              "nn.gcn_forward", "nn.gcn_backward", "nn.adam_step", "models.score")
+
+
+def test_lgcf_train_and_eval_pass_every_stage_boundary():
+    tracing = load_tracing()
+    g = make_synthetic(10, 10, 0.5, 0.05, 1)
+    split = normal_split(g, 0.75, 2)
+    tc = TrainConfig(epochs=1, batch_size=16, master_seed=3,
+                     walk=WalkConfig(0.2, 8, 10, True), gcn_layers=2,
+                     hidden_dim=4, label_cap=8, val_negatives=9)
+    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    tracer = tracing.Tracer()
+    model = tracer.run(1, lambda: train("lgcf", g, split, tc)).model
+    tracer.run(2, lambda: evaluate(model.make_scorer(train_graph), g, split,
+                                   EvalProtocol(n_negatives=9, k_values=(5,))))
+    fired = {span[0] for span in tracer.spans}
+    assert not [name for name in LGCF_SPANS if name not in fired]
