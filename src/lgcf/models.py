@@ -326,12 +326,14 @@ class TrainedModel:
             raise DomainError("checkpoint walk entry must be an object")
         unknown = sorted(set(payload["walk"]) - {f.name for f in fields(WalkConfig)})
         if unknown:
-            raise DomainError(f"checkpoint walk entry has unknown key {', '.join(unknown)}")
+            raise DomainError(
+                f"checkpoint walk entry has unknown key {', '.join(unknown)}")
         walk = WalkConfig(**payload["walk"])
         tables = None
         if payload["tables"] is not None:
-            tables = EmbeddingTable(_float_array(payload["tables"]["user"], "tables.user"),
-                                    _float_array(payload["tables"]["item"], "tables.item"))
+            tables = EmbeddingTable(
+                _float_array(payload["tables"]["user"], "tables.user"),
+                _float_array(payload["tables"]["item"], "tables.item"))
         label_cap = int(payload["label_cap"])
         gnn = None if payload["gnn"] is None else params_from_dict(payload["gnn"])
         if gnn is not None and gnn.feature_dim != label_cap:
