@@ -3,20 +3,26 @@
 Each case runs train -> eval through lgcf.cli.main on one small synthetic
 graph and compares the sha256 of checkpoint.json, report.json and
 history.jsonl (with the timing field wall_ms dropped) against recorded
-values.  A change that alters a random stream or an order of floating-point
-operations on purpose updates the digests here and says why in CHANGES.md;
-any other digest change is a behaviour change.
+values.  The sparse-graph cases pin one epoch of lightgcn and lgcf-emb
+training through the library (checkpoint with Adam state, and history) on a
+graph where a mini-batch touches few rows.  A change that alters a random
+stream or an order of floating-point operations on purpose updates the
+digests here and says why in CHANGES.md; any other digest change is a
+behaviour change.
 """
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from lgcf import (TrainedModel, WalkConfig, build_graph, init_gnn_params,
-                  make_synthetic, normal_split, seed_stream)
+from lgcf import (TrainConfig, TrainedModel, WalkConfig, build_graph,
+                  init_gnn_params, make_synthetic, normal_split, save_model,
+                  seed_stream, train)
 from lgcf.cli import main
+from lgcf.models import _triplet_batches
 from lgcf.rng import PARAM_INIT
 
 TRAIN_ARGS = ("--epochs", "2", "--batch-size", "16", "--seed", "3",
@@ -124,3 +130,52 @@ def test_eval_scores_at_benchmark_walks():
     got = sha(scores.tobytes())
     print(f"golden eval scores: {got}")
     assert got == EVAL_SCORES
+
+
+# Sparse-graph training, pinned through the library: one epoch of 8-triplet
+# batches on make_synthetic(200, 200, .01, .001, 1) with 3 propagation layers,
+# where a batch's rows and their 3-hop neighbourhood are a minority of the
+# 800 nodes.  The CLI cases' 20x20 graph is so dense that every batch
+# reaches every row.  (kind -> sha256 prefixes of the checkpoint with Adam
+# state and of the history without wall_ms)
+SPARSE_CONFIG = dict(epochs=1, batch_size=8, master_seed=5, eval_every=1,
+                     val_negatives=19, walk=WalkConfig(0.2, 8, 10, True),
+                     gcn_layers=2, hidden_dim=4, label_cap=8, embed_dim=8,
+                     lightgcn_layers=3, lr=0.01)
+SPARSE_GOLDEN = {
+    "lightgcn": ("97eaa243c3cd351d", "6dd9a7d10b6cc638"),
+    "lgcf-emb": ("bc736ac20f467623", "32e5d827730d35e6"),
+}
+
+
+@pytest.fixture(scope="module")
+def sparse():
+    g = make_synthetic(200, 200, 0.01, 0.001, 1)
+    return g, normal_split(g, 0.9, 1)
+
+
+def test_sparse_first_batch_reaches_under_half(sparse):
+    g, split = sparse
+    tc = TrainConfig(**SPARSE_CONFIG)
+    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    edges = [tuple(e) for e in split.train_edges]
+    first = next(_triplet_batches(train_graph, edges, tc, 1))
+    reach = np.zeros(train_graph.num_nodes, dtype=bool)
+    reach[np.ravel(first)] = True
+    for _ in range(tc.lightgcn_layers):
+        for v in np.flatnonzero(reach):
+            reach[train_graph.neighbors(int(v))] = True
+    assert reach.sum() < train_graph.num_nodes / 2
+
+
+@pytest.mark.parametrize("kind", list(SPARSE_GOLDEN))
+def test_sparse_training_digests(sparse, tmp_path, kind):
+    g, split = sparse
+    result = train(kind, g, split, TrainConfig(**SPARSE_CONFIG))
+    save_model(tmp_path / "checkpoint.json", result.model, result.adam)
+    history = [json.dumps({k: v for k, v in asdict(rec).items() if k != "wall_ms"},
+                          sort_keys=True) for rec in result.history]
+    got = (sha((tmp_path / "checkpoint.json").read_bytes()),
+           sha("\n".join(history).encode("utf-8")))
+    print(f"golden sparse {kind}: {got}")
+    assert got == SPARSE_GOLDEN[kind]
