@@ -23,9 +23,9 @@ from .graph import BipartiteGraph, SplitSpec, build_graph
 from .labeling import LabelEncoding, label_graph, one_hot_features
 from .nn import (NO_PREFIX, AdamState, GnnParameters, GradCheckReport,
                  adam_from_dict, adam_step, adam_to_dict, bpr_pair_grads,
-                 forward_instance, glorot_uniform, grad_check, init_adam,
-                 init_gnn_params, normalize_adjacency, params_from_dict,
-                 params_to_dict, sigmoid, softplus)
+                 float_array, forward_instance, glorot_uniform, grad_check,
+                 init_adam, init_gnn_params, normalize_adjacency,
+                 params_from_dict, params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
                   TRAIN_NEGATIVE, seed_stream, walk_stream)
 from .subgraph import WalkConfig, extract
@@ -68,9 +68,24 @@ def init_embeddings(num_users: int, num_items: int, dim: int,
 class Propagation:
     """Mean of symmetric-normalized adjacency powers over the full graph.
 
-    apply() serves both directions of training: the operator mean_k S^k is
-    symmetric, so refining embeddings forward and pulling gradients back are
-    the same computation.  layers == 0 is the identity (plain MF).
+    apply() serves both directions of training: the operator P = mean_k S^k
+    is symmetric, so refining embeddings forward and pulling gradients back
+    are the same computation.  layers == 0 is the identity (plain MF).
+
+    A mini-batch reads a few rows of the refined table, and its gradient is
+    nonzero on those rows only, so apply() takes either fact as a row set:
+    out_rows returns only those rows of P @ mat, computing each hop on just
+    the rows that later hops or the result read; in_rows says mat holds only
+    those rows of an input that is zero elsewhere, and each hop multiplies
+    by the columns of S its input can be nonzero on.  Both give the bytes of
+    the full product:
+    - A CSR product sums each row's terms in the order of its neighbour
+      list, so a row computed from a row slice of S is the same row.
+    - In the pull, the slice is S[rows].T, whose terms reach each output row
+      in ascending id order, as the sorted neighbour lists of S do.  The
+      terms it skips are s * (+0.0) = +0.0, since every entry of S is > 0,
+      and a running sum that starts at +0.0 is never -0.0 (x + (-x) and
+      +0.0 + -0.0 are both +0.0), so adding +0.0 never changes it.
     """
 
     def __init__(self, graph: BipartiteGraph, layers: int):
@@ -78,6 +93,7 @@ class Propagation:
             raise DomainError(f"layers must be >= 0, got {layers}")
         self.layers = int(layers)
         self.num_nodes = graph.num_nodes
+        self._last_hops = (None, [])
         if self.layers:
             deg = graph.degrees().astype(np.float64)
             inv = np.zeros_like(deg)
@@ -91,17 +107,64 @@ class Propagation:
         else:
             self.s = None
 
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        if mat.shape[0] != self.num_nodes:
-            raise DomainError("row count must equal the graph's node count")
-        if not self.layers:
-            return mat.copy()
-        acc = mat.copy()
-        cur = mat
+    def apply(self, mat: np.ndarray, out_rows: np.ndarray | None = None,
+              in_rows: np.ndarray | None = None) -> np.ndarray:
+        """P @ mat; out_rows and in_rows are sorted distinct node ids.
+
+        With out_rows, only those rows of the result are returned.  With
+        in_rows, mat holds those rows of the input, the others being zero.
+        """
+        if out_rows is not None and in_rows is not None:
+            raise DomainError("apply takes out_rows or in_rows, not both")
+        if mat.shape[0] != (self.num_nodes if in_rows is None else len(in_rows)):
+            raise DomainError("row count must equal the graph's node count, "
+                              "or the in_rows count")
+        if in_rows is not None:
+            acc = np.zeros((self.num_nodes, mat.shape[1]))
+            acc[in_rows] = mat
+            cur = acc
+            for rows, sub in reversed(self._hops(in_rows)):
+                cur = self.s @ cur if rows is None else sub.T @ cur[rows]
+                acc += cur
+        else:
+            acc = mat.copy() if out_rows is None else mat[out_rows]
+            cur = mat
+            for rows, sub in self._hops(out_rows):
+                if rows is None:
+                    cur = self.s @ cur
+                else:
+                    cur, prev = np.empty_like(mat), cur
+                    cur[rows] = sub @ prev
+                acc += cur if out_rows is None else cur[out_rows]
+        if self.layers:
+            acc /= self.layers + 1
+        return acc
+
+    def _hops(self, rows: np.ndarray | None) -> list:
+        """(rows, S[rows]) per hop, first hop first, for reading `rows` of
+        the result: the last hop computes rows, each earlier one also the
+        neighbours of the next one's rows.  None stands for every row; a set
+        over half the nodes widens to every row, since one full product is
+        then cheaper than slicing.  The last row set's hops are kept, so a
+        batch's pull reuses the slices of its forward pass."""
+        if rows is not None and np.array_equal(rows, self._last_hops[0]):
+            return self._last_hops[1]
+        hops = []
+        cur = rows
         for _ in range(self.layers):
-            cur = self.s @ cur
-            acc += cur
-        return acc / (self.layers + 1)
+            if cur is None or 2 * cur.size > self.num_nodes:
+                hops.append((None, None))
+                cur = None
+                continue
+            sub = self.s[cur]
+            hops.append((cur, sub))
+            mark = np.zeros(self.num_nodes, dtype=bool)
+            mark[rows] = True
+            mark[sub.indices] = True
+            cur = np.flatnonzero(mark)
+        hops.reverse()
+        self._last_hops = (rows, hops)
+        return hops
 
 
 def lightgcn_propagate(graph: BipartiteGraph, tables: EmbeddingTable,
@@ -332,37 +395,38 @@ class TrainedModel:
         tables = None
         if payload["tables"] is not None:
             tables = EmbeddingTable(
-                _float_array(payload["tables"]["user"], "tables.user"),
-                _float_array(payload["tables"]["item"], "tables.item"))
-        label_cap = int(payload["label_cap"])
+                float_array(payload["tables"]["user"], "tables.user"),
+                float_array(payload["tables"]["item"], "tables.item"))
+        label_cap = _number(payload["label_cap"], "label_cap")
         gnn = None if payload["gnn"] is None else params_from_dict(payload["gnn"])
         if gnn is not None and gnn.feature_dim != label_cap:
             raise DomainError(f"label_cap {label_cap} does not match the "
                               f"{gnn.feature_dim} rows of the first GCN weight")
         w_joint = None
         if payload["w_joint"] is not None:
-            w_joint = _float_array(payload["w_joint"], "w_joint")
+            w_joint = float_array(payload["w_joint"], "w_joint")
             if w_joint.shape != (tables.dim + gnn.hidden_dim,):
                 raise DomainError("w_joint length must be embed_dim + hidden_dim")
+        lam = payload["lambda"]
         return TrainedModel(
             kind=kind,
             walk=walk,
             label_cap=label_cap,
-            lightgcn_layers=int(payload["lightgcn_layers"]),
-            master_seed=int(payload["master_seed"]),
+            lightgcn_layers=_number(payload["lightgcn_layers"], "lightgcn_layers"),
+            master_seed=_number(payload["master_seed"], "master_seed"),
             gnn=gnn,
             tables=tables,
             w_joint=w_joint,
-            lam=None if payload["lambda"] is None else float(payload["lambda"]),
+            lam=None if lam is None else _number(lam, "lambda", float),
         )
 
 
-def _float_array(value, name: str) -> np.ndarray:
-    """A checkpoint entry as a float64 array; DomainError if it is not numeric."""
+def _number(value, name: str, kind=int):
+    """A checkpoint scalar as kind (int or float); DomainError if it is not one."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        return kind(value)
     except (TypeError, ValueError):
-        raise DomainError(f"checkpoint {name} entry is not a numeric array") from None
+        raise DomainError(f"checkpoint {name} entry is not a number") from None
 
 
 def save_model(path, model: TrainedModel,
@@ -442,7 +506,12 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
     head = gnn.scoring if model.w_joint is None else model.w_joint
     refined = d_refined = None
     if tables is not None:
-        refined = prop.apply(np.vstack([tables.user_matrix, tables.item_matrix]))
+        batch = list(batch)
+        rows, local = _batch_rows(prop.num_nodes, [t[:3] for t in batch])
+        # From here on u, i_pos and i_neg index rows, the batch's rows.
+        batch = [(*ids, *t[3:]) for ids, t in zip(local.tolist(), batch)]
+        refined = prop.apply(np.vstack([tables.user_matrix, tables.item_matrix]),
+                             out_rows=rows)
         d_refined = np.zeros_like(refined)
     grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
     losses = []
@@ -459,27 +528,43 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
                 d_refined[item] += d_prefix * refined[u]
     if refined is not None:
         n = tables.user_matrix.shape[0]
-        d_e0 = prop.apply(d_refined)
+        d_e0 = prop.apply(d_refined, in_rows=rows)
         grads += [d_e0[:n], d_e0[n:]]
     return losses, [g / len(losses) for g in grads]
 
 
 def _embedding_batch(model: TrainedModel, prop: Propagation, batch):
-    """BPR over propagated dot products; gradients pulled back to the tables."""
+    """BPR over propagated dot products; gradients pulled back to the tables.
+
+    Only the batch's rows of the refined table are propagated, and the
+    triplets are array operations with a per-triplet loop's bytes: dots by
+    stacked matmul, and the row updates by one np.add.at over each
+    triplet's u, i and j in turn.
+    """
     n = model.tables.user_matrix.shape[0]
-    refined = prop.apply(np.vstack([model.tables.user_matrix, model.tables.item_matrix]))
+    rows, local = _batch_rows(prop.num_nodes, [t[:3] for t in batch])
+    refined = prop.apply(np.vstack([model.tables.user_matrix,
+                                    model.tables.item_matrix]), out_rows=rows)
+    r_u, r_i, r_j = refined[local[:, 0]], refined[local[:, 1]], refined[local[:, 2]]
+    z = (r_u[:, None] @ r_i[:, :, None] - r_u[:, None] @ r_j[:, :, None]).ravel()
+    losses = [softplus(-x) for x in z.tolist()]
+    g = sigmoid(z)[:, None] - 1.0
+    g_u = g * r_u
+    d_rows = np.stack([g * (r_i - r_j), g_u, -g_u], axis=1)  # d -= x is d += -x
     d_refined = np.zeros_like(refined)
-    losses = []
-    for u, i, j, _, _ in batch:
-        r_u, r_i, r_j = refined[u], refined[i], refined[j]
-        z = float(r_u @ r_i - r_u @ r_j)
-        losses.append(softplus(-z))
-        g = float(sigmoid(z)) - 1.0
-        d_refined[u] += g * (r_i - r_j)
-        d_refined[i] += g * r_u
-        d_refined[j] -= g * r_u
-    d_e0 = prop.apply(d_refined) / len(losses)
+    np.add.at(d_refined, local.ravel(), d_rows.reshape(-1, refined.shape[1]))
+    d_e0 = prop.apply(d_refined, in_rows=rows)
+    d_e0 /= len(losses)
     return losses, [d_e0[:n], d_e0[n:]]
+
+
+def _batch_rows(num_nodes: int, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct node ids among ids, and each id's index in them."""
+    ids = np.asarray(ids, dtype=np.int64)
+    mark = np.zeros(num_nodes, dtype=bool)
+    mark[ids] = True
+    rows = np.flatnonzero(mark)
+    return rows, np.searchsorted(rows, ids)
 
 
 # Per trained kind: (model, propagation, batch) -> (per-triplet losses,

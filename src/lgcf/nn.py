@@ -16,7 +16,16 @@ from .errors import DomainError
 
 
 def sigmoid(x):
-    """Numerically stable logistic function for scalars or arrays."""
+    """Numerically stable logistic function for scalars or arrays.
+
+    A float takes the array path's expressions without building arrays;
+    both use np.exp (math.exp rounds differently on some hosts).
+    """
+    if isinstance(x, float):
+        if x >= 0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
@@ -48,11 +57,12 @@ class GnnParameters:
             raise DomainError("at least one layer weight is required")
         if self.activation not in ("relu", "tanh"):
             raise DomainError(f"unsupported activation {self.activation!r}")
-        h = self.weights[0].shape[1]
         for idx, w in enumerate(self.weights):
             if w.ndim != 2:
                 raise DomainError(f"weight {idx} must be a matrix")
-            if idx > 0 and w.shape != (h, h):
+        h = self.weights[0].shape[1]
+        for idx, w in enumerate(self.weights[1:], 1):
+            if w.shape != (h, h):
                 raise DomainError(
                     f"weight {idx} must be {h}x{h}, got {w.shape[0]}x{w.shape[1]}")
         if self.weights[-1].shape[1] != self.scoring.size:
@@ -269,26 +279,53 @@ class AdamState:
     eps: float = 1e-8
 
 
+# Elements per block of an in-place Adam update: two work buffers of this
+# size stay in cache, where a table-sized pair would add to peak memory.
+ADAM_BLOCK = 32768
+
+
 def init_adam(arrays, lr: float = 1e-3) -> AdamState:
     return AdamState([np.zeros_like(a) for a in arrays],
                      [np.zeros_like(a) for a in arrays], 0, lr)
 
 
 def adam_step(arrays, grads, state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to the arrays in place."""
+    """One bias-corrected Adam update, applied to the arrays in place.
+
+    Each array is updated in blocks of ADAM_BLOCK elements through two work
+    buffers, one IEEE operation at a time in the order of
+    m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2  and
+    arr -= lr (m / bc1) / (sqrt(v / bc2) + eps),
+    which gives the bytes of those whole-array expressions without their
+    temporaries.
+    """
     if len(arrays) != len(state.m) or len(grads) != len(state.m):
         raise DomainError("array/gradient count does not match optimizer state")
+    if any(arr.shape != g.shape for arr, g in zip(arrays, grads)):
+        raise DomainError("gradient shape does not match parameter shape")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
+    a_buf, b_buf = np.empty((2, ADAM_BLOCK))
     for arr, g, m, v in zip(arrays, grads, state.m, state.v):
-        if arr.shape != g.shape:
-            raise DomainError("gradient shape does not match parameter shape")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        arr -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        flat = [x.reshape(-1, copy=False) for x in (arr, m, v)] + [g.reshape(-1)]
+        for lo in range(0, arr.size, ADAM_BLOCK):
+            p, mb, vb, gb = (x[lo:lo + ADAM_BLOCK] for x in flat)
+            a, b = a_buf[:p.size], b_buf[:p.size]
+            mb *= state.beta1
+            np.multiply(gb, 1.0 - state.beta1, out=a)
+            mb += a
+            vb *= state.beta2
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - state.beta2
+            vb += a
+            np.divide(mb, bc1, out=a)
+            a *= state.lr
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            a /= b
+            p -= a
 
 
 @dataclass
@@ -343,9 +380,26 @@ def params_to_dict(params: GnnParameters) -> dict:
 
 
 def params_from_dict(payload: dict) -> GnnParameters:
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    scoring = np.asarray(payload["scoring"], dtype=np.float64)
+    """params_to_dict's inverse; DomainError for a malformed entry."""
+    if not isinstance(payload, dict):
+        raise DomainError("checkpoint gnn entry must be an object")
+    missing = [key for key in ("activation", "weights", "scoring")
+               if key not in payload]
+    if missing:
+        raise DomainError(f"checkpoint gnn entry has no {', '.join(missing)}")
+    if not isinstance(payload["weights"], list):
+        raise DomainError("checkpoint gnn.weights entry must be a list")
+    weights = [float_array(w, "gnn.weights") for w in payload["weights"]]
+    scoring = float_array(payload["scoring"], "gnn.scoring")
     return GnnParameters(weights, scoring, str(payload["activation"]))
+
+
+def float_array(value, name: str) -> np.ndarray:
+    """A checkpoint entry as a float64 array; DomainError if it is not numeric."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError(f"checkpoint {name} entry is not a numeric array") from None
 
 
 def adam_to_dict(state: AdamState) -> dict:

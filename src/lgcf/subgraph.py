@@ -1,6 +1,7 @@
 """Localized graph extraction around a user-item pair via restart walks."""
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -23,6 +24,11 @@ class WalkConfig:
     remove_target_edge: bool = True
 
     def __post_init__(self):
+        for name, kind in (("restart_prob", Real), ("walk_len", Integral),
+                           ("max_nodes", Integral)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.restart_prob <= 1.0:
             raise DomainError(f"restart_prob must be in [0, 1], got {self.restart_prob}")
         if self.walk_len < 1:

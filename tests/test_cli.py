@@ -13,6 +13,7 @@ import lgcf
 from lgcf import EvalProtocol, TrainConfig, load_graph_dir, load_split
 from lgcf.cli import (_PROTOCOL, _TRAIN, _protocol, _train_config, build_parser,
                       main, resolve_options)
+from lgcf.nn import params_to_dict
 
 
 def run(*argv) -> int:
@@ -152,15 +153,33 @@ class TestReturnCodes:
             assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["walk-unknown-key", "tables-not-numeric",
-                                      "top-level-list"])
+                                      "top-level-list", "gnn-weights-not-numeric",
+                                      "gnn-no-activation", "walk-len-string",
+                                      "label-cap-not-numeric"])
     def test_malformed_checkpoint_exits_one(self, pipeline, tmp_path, capsys, case):
         payload = json.loads((pipeline / "run" / "checkpoint.json").read_text())
+        if case.startswith("gnn-"):
+            # The mf checkpoint as an lgcf one, with a small GCN to break.
+            gnn = lgcf.init_gnn_params(payload["label_cap"], 4, 2, lgcf.seed_stream(0))
+            payload.update(kind="lgcf", tables=None, gnn=params_to_dict(gnn))
         if case == "walk-unknown-key":
             payload["walk"]["detour"] = 1
             message = "walk entry has unknown key detour"
         elif case == "tables-not-numeric":
             payload["tables"]["user"][0][0] = "x"
             message = "tables.user entry is not a numeric array"
+        elif case == "gnn-weights-not-numeric":
+            payload["gnn"]["weights"][1][0][0] = "x"
+            message = "gnn.weights entry is not a numeric array"
+        elif case == "gnn-no-activation":
+            del payload["gnn"]["activation"]
+            message = "gnn entry has no activation"
+        elif case == "walk-len-string":
+            payload["walk"]["walk_len"] = "8"
+            message = "walk_len must be a number, got '8'"
+        elif case == "label-cap-not-numeric":
+            payload["label_cap"] = "eight"
+            message = "label_cap entry is not a number"
         else:
             payload = [payload]
             message = "checkpoint must be a JSON object"

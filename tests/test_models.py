@@ -13,9 +13,10 @@ from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
                   lightgcn_propagate, load_model, make_synthetic, mf_score,
                   normal_split, normalize_adjacency, one_hot_features, param_count,
                   run_gradcheck, sample_negative, save_model, seed_stream,
-                  train)
+                  sigmoid, softplus, train)
 from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
-                         LgcfScorer, Propagation, _fit_lambda, load_adam_states)
+                         LgcfScorer, Propagation, _embedding_batch, _fit_lambda,
+                         load_adam_states)
 from lgcf.rng import ENSEMBLE
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
@@ -138,6 +139,85 @@ class TestPropagation:
             Propagation(g, -1)
         with pytest.raises(DomainError):
             Propagation(g, 1).apply(np.zeros((3, 2)))
+        with pytest.raises(DomainError):
+            Propagation(g, 1).apply(np.zeros((1, 2)), in_rows=np.array([0, 1]))
+        with pytest.raises(DomainError):
+            Propagation(g, 1).apply(np.zeros((2, 2)), out_rows=np.array([0]),
+                                    in_rows=np.array([1]))
+
+    def sparse_graph(self, rng):
+        """40 users, 40 items, about 1.5 edges per node; user 0 and item 79
+        are isolated."""
+        edges = {(int(u), 40 + int(i)) for u, i in
+                 zip(rng.integers(1, 40, 60), rng.integers(0, 39, 60))}
+        return build_graph(sorted(edges), 40, 40)
+
+    @staticmethod
+    def signed_zeros(mat, rows):
+        """mat with exact +0.0 and -0.0 entries in the first rows of rows."""
+        mat[rows[0], :2] = 0.0, -0.0
+        mat[rows[1], 0] = -0.0
+        return mat
+
+    def test_row_restricted_apply_is_the_full_apply(self):
+        rng = np.random.default_rng(63)
+        restricted = widened = 0
+        for trial in range(40):
+            g = self.sparse_graph(rng)
+            prop = Propagation(g, trial % 4)
+            size = int(rng.integers(2, 50))
+            # Two row sets of one size in turn through one Propagation, which
+            # keeps the last set's hops; the full products come first.
+            cases = []
+            for _ in range(2):
+                rows = np.sort(rng.choice(np.arange(1, 79), size, replace=False))
+                rows = np.union1d(rows, [0, 79])  # both isolated nodes
+                mat = self.signed_zeros(rng.normal(size=(80, 3)), rows)
+                pulled = np.zeros((80, 3))  # the pull's input: zero outside rows
+                pulled[rows] = mat[rows]
+                cases.append((rows, mat, prop.apply(mat)[rows], prop.apply(pulled)))
+            for rows, mat, want_rows, want_pull in cases:
+                assert prop.apply(mat, out_rows=rows).tobytes() == want_rows.tobytes()
+                got = prop.apply(mat[rows], in_rows=rows)
+                assert got.tobytes() == want_pull.tobytes()
+            hops = [r for r, _ in prop._hops(rows)]
+            restricted += any(r is not None for r in hops)
+            widened += any(r is None for r in hops)
+        assert restricted >= 10 and widened >= 10  # both hop kinds ran
+
+
+def loop_embedding_batch(model, prop, batch):
+    """_embedding_batch as a per-triplet loop over the fully propagated table."""
+    n = model.tables.user_matrix.shape[0]
+    refined = prop.apply(np.vstack([model.tables.user_matrix, model.tables.item_matrix]))
+    d_refined = np.zeros_like(refined)
+    losses = []
+    for u, i, j, _, _ in batch:
+        r_u, r_i, r_j = refined[u], refined[i], refined[j]
+        z = float(r_u @ r_i - r_u @ r_j)
+        losses.append(softplus(-z))
+        g = float(sigmoid(z)) - 1.0
+        d_refined[u] += g * (r_i - r_j)
+        d_refined[i] += g * r_u
+        d_refined[j] -= g * r_u
+    d_e0 = prop.apply(d_refined) / len(losses)
+    return losses, [d_e0[:n], d_e0[n:]]
+
+
+@pytest.mark.parametrize("layers", [0, 1, 3])
+def test_embedding_batch_is_the_triplet_loop(layers):
+    g = make_synthetic(30, 30, 0.05, 0.005, 4)
+    model = TrainedModel("lightgcn", TINY_WALK, 8, layers, 0,
+                         tables=init_embeddings(60, 60, 16, seed_stream(9)))
+    prop = Propagation(g, layers)
+    # User 3 repeats; item 70 is one triplet's positive and another's negative.
+    triplets = [(3, 70, 101), (5, 64, 70), (3, 88, 64), (59, 119, 60), (3, 70, 77)]
+    batch = [(u, i, j, None, None) for u, i, j in triplets]
+    want_losses, want = loop_embedding_batch(model, prop, batch)
+    got_losses, got = _embedding_batch(model, prop, batch)
+    assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
         with pytest.raises(DomainError):
             EmbeddingTable(np.zeros((2, 3)), np.zeros((2, 4)))
 

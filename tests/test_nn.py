@@ -48,6 +48,15 @@ class TestScalarOps:
         x = np.array([-800.0, 0.0, 800.0])
         assert np.allclose(sigmoid(x), [0.0, 0.5, 1.0])
 
+    def test_sigmoid_scalar_path_is_the_array_path(self):
+        special = [0.0, -0.0, 745.0, -745.0, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(3)
+        values = special + rng.normal(0.0, 30.0, 20000).tolist()
+        for x in values:
+            got = np.float64(sigmoid(x)).tobytes()
+            assert got == sigmoid(np.array([x]))[0].tobytes(), x
+            assert isinstance(sigmoid(x), float)
+
     def test_softplus_stability(self):
         assert softplus(0.0) == pytest.approx(math.log(2), abs=1e-15)
         assert softplus(1000.0) == 1000.0
