@@ -499,8 +499,9 @@ class EnsembleScorer:
 
 
 def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
-    """BPR through LgcfScorer's score for lgcf and lgcf-emb.  lgcf-emb's prefix
-    gradients collect in d_refined, by global id, for one propagation back.
+    """BPR through LgcfScorer's score for lgcf and lgcf-emb.  lgcf-emb
+    propagates only the batch's rows, and its prefix gradients collect in
+    d_refined over those rows for one propagation back.
     """
     gnn, tables = model.gnn, model.tables
     head = gnn.scoring if model.w_joint is None else model.w_joint

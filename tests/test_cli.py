@@ -154,8 +154,8 @@ class TestReturnCodes:
 
     @pytest.mark.parametrize("case", ["walk-unknown-key", "tables-not-numeric",
                                       "top-level-list", "gnn-weights-not-numeric",
-                                      "gnn-no-activation", "walk-len-string",
-                                      "label-cap-not-numeric"])
+                                      "gnn-no-activation", "gnn-weight-not-matrix",
+                                      "walk-len-string", "label-cap-not-numeric"])
     def test_malformed_checkpoint_exits_one(self, pipeline, tmp_path, capsys, case):
         payload = json.loads((pipeline / "run" / "checkpoint.json").read_text())
         if case.startswith("gnn-"):
@@ -174,6 +174,9 @@ class TestReturnCodes:
         elif case == "gnn-no-activation":
             del payload["gnn"]["activation"]
             message = "gnn entry has no activation"
+        elif case == "gnn-weight-not-matrix":
+            payload["gnn"]["weights"][0] = [1.0, 2.0]
+            message = "weight 0 must be a matrix"
         elif case == "walk-len-string":
             payload["walk"]["walk_len"] = "8"
             message = "walk_len must be a number, got '8'"
