@@ -429,13 +429,52 @@ def _number(value, name: str, kind=int):
         raise DomainError(f"checkpoint {name} entry is not a number") from None
 
 
+def _json_pieces(value, pad: str = ""):
+    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces.
+
+    pad is the indent of the line value starts on; dict keys are strings, as
+    in every checkpoint.  A list of plain floats (a table row, an Adam moment
+    row, a GCN weight row) is one piece made by repr, which formats a float
+    as json does; a repr holding nan or inf takes the per-item path, where
+    json writes NaN and Infinity.
+    """
+    inner = pad + "  "
+    if type(value) is list and value and all(type(x) is float for x in value):
+        text = repr(value)
+        if "n" not in text:
+            yield ("[\n" + inner + text[1:-1].replace(", ", ",\n" + inner)
+                   + "\n" + pad + "]")
+            return
+    if isinstance(value, dict) and value:
+        sep = "{\n" + inner
+        for key in sorted(value):
+            yield sep + json.dumps(key) + ": "
+            yield from _json_pieces(value[key], inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n" + inner
+        for item in value:
+            yield sep
+            yield from _json_pieces(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "]"
+    else:  # a scalar or an empty container
+        yield json.dumps(value)
+
+
 def save_model(path, model: TrainedModel,
                adam_states: dict[str, AdamState] | None = None) -> None:
+    """Write the checkpoint as json.dumps(payload, indent=2, sort_keys=True)
+    + "\\n", streamed: json.dumps with an indent holds every piece of the
+    text in memory before joining them, about 4.9x the file's size.
+    """
     payload = model.to_dict()
     payload["adam"] = None if adam_states is None else {
         name: adam_to_dict(state) for name, state in adam_states.items()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_json_pieces(payload))
+        out.write("\n")
 
 
 def load_model(path) -> TrainedModel:

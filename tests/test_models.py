@@ -1,6 +1,8 @@
 """Model kinds: propagation, sampling, training loop, checkpoints."""
 
+import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -16,7 +18,8 @@ from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
                   sigmoid, softplus, train)
 from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
                          LgcfScorer, Propagation, _embedding_batch, _fit_lambda,
-                         load_adam_states)
+                         _json_pieces, load_adam_states)
+from lgcf.nn import AdamState, adam_to_dict
 from lgcf.rng import ENSEMBLE
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
@@ -480,6 +483,51 @@ class TestCheckpoints:
             assert set(states) == set(result.adam)
             for name, st in states.items():
                 assert st.t == result.adam[name].t
+
+    def test_writer_is_json_dumps_on_edge_values(self):
+        inf = math.inf
+        payload = {
+            "specials": [math.nan, inf, -inf, -0.0, 5e-324, 1e16, 1e-7, 0.1],
+            "rows": [[1.5, -0.0, 1e-7], [math.nan, 2.0], [inf], [], [[]], [[0.5]]],
+            "empty": {"list": [], "dict": {}, "nested": [[], [{}]]},
+            "mixed": [1, 2.5, True, 3.0, False, 4, None],
+            "text": ["caf\u00e9", "\u2603 snow", "tab\tquote\"", ""],
+            "none": None, "int": 3, "bool": False, "\u00e9": {"z": 1.0, "a": [2.0]},
+        }
+        want = json.dumps(payload, indent=2, sort_keys=True)
+        assert "".join(_json_pieces(payload)) == want
+        assert "".join(_json_pieces(payload["rows"], "    ")) == (
+            json.dumps(payload["rows"], indent=2).replace("\n", "\n    "))
+
+    @pytest.mark.parametrize("kind", ["lightgcn", "lgcf-ens"])
+    def test_saved_file_is_json_dumps(self, kind, tmp_path):
+        g, split = star_split()
+        result = train(kind, g, split, tiny_tc(epochs=1, lambda_mode="fixed"))
+        assert kind != "lightgcn" or result.adam
+        path = tmp_path / "checkpoint.json"
+        save_model(path, result.model, result.adam)
+        payload = result.model.to_dict()
+        payload["adam"] = None if result.adam is None else {
+            name: adam_to_dict(state) for name, state in result.adam.items()}
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_save_peak_memory_is_under_twice_the_file(self, tmp_path):
+        rng = np.random.default_rng(0)
+        tables = EmbeddingTable(rng.normal(0, 0.1, (200, 32)),
+                                rng.normal(0, 0.1, (200, 32)))
+        model = TrainedModel("lightgcn", TINY_WALK, 8, 2, 0, tables=tables)
+        adam = {"tables": AdamState(
+            [rng.normal(0, 1e-3, (200, 32)) for _ in range(2)],
+            [rng.random((200, 32)) * 1e-6 for _ in range(2)], t=7)}
+        path = tmp_path / "checkpoint.json"
+        tracemalloc.start()
+        try:
+            save_model(path, model, adam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
 
     def test_version_gate(self, tmp_path):
         g, split = star_split()
