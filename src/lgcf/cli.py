@@ -108,7 +108,8 @@ _TRAIN = [
     Opt("lambda", "float", 1.0, "ensemble fusion weight (lambda-mode fixed)"),
     Opt("lambda-mode", "str", "grid", "grid | fixed | learnable"),
     Opt("cache-subgraphs", "bool", False, "reuse first-epoch subgraphs across epochs"),
-    Opt("val-negatives", "int", 99, "candidates per validation pair"),
+    Opt("val-negatives", "int", 99,
+        "sampled negatives per validation pair (>= 10)"),
 ]
 
 _PROTOCOL = [

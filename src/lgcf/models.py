@@ -269,8 +269,10 @@ class TrainConfig:
             raise DomainError("master_seed must be non-negative")
         if self.lambda_mode not in ("grid", "fixed", "learnable"):
             raise DomainError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.val_negatives < 1:
-            raise DomainError("val_negatives must be >= 1")
+        if self.val_negatives < 10:
+            raise DomainError(
+                f"val_negatives must be >= 10, got {self.val_negatives}: "
+                "validation ranks at K=10, so with fewer every pair has HR@10 = 1")
 
 
 @dataclass

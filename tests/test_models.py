@@ -284,7 +284,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(epochs=0), dict(batch_size=0), dict(negatives_per_positive=0),
         dict(eval_every=0), dict(master_seed=-1), dict(lambda_mode="bogus"),
-        dict(val_negatives=0),
+        dict(val_negatives=0), dict(val_negatives=9),
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):

@@ -61,7 +61,7 @@ def test_lgcf_train_and_eval_pass_every_stage_boundary():
     split = normal_split(g, 0.75, 2)
     tc = TrainConfig(epochs=1, batch_size=16, master_seed=3,
                      walk=WalkConfig(0.2, 8, 10, True), gcn_layers=2,
-                     hidden_dim=4, label_cap=8, val_negatives=9)
+                     hidden_dim=4, label_cap=8, val_negatives=10)
     train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
     tracer = tracing.Tracer()
     model = tracer.run(1, lambda: train("lgcf", g, split, tc)).model
