@@ -14,9 +14,8 @@ from .labeling import (UNREACHABLE, LabelEncoding, drnl_label, label_graph,
                        min_distances, one_hot_features)
 from .models import (MODEL_KINDS, EmbeddingTable, EpochRecord, Propagation,
                      TrainConfig, TrainedModel, TrainResult, init_embeddings,
-                     lgcf_inputs, lightgcn_propagate, load_model, mf_score,
-                     param_count, run_gradcheck, sample_negative, save_model,
-                     train)
+                     lgcf_inputs, load_model, param_count, run_gradcheck,
+                     sample_negative, save_model, train)
 from .nn import (AdamState, GnnParameters, GradCheckReport,
                  adam_step, bpr_loss, bpr_pair_grads, forward_instance,
                  gcn_backward, gcn_forward, grad_check, init_adam,

@@ -43,20 +43,26 @@ LAMBDA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)  # lgcf-ens fusion weights tried in grid
 
 @dataclass
 class EmbeddingTable:
-    """Free user and item embedding rows (one matrix per side)."""
+    """Free embedding rows by global id: matrix holds the user rows, then
+    the item rows, copied from the inputs; user_matrix and item_matrix are
+    views of its two blocks, so updating either updates matrix."""
 
     user_matrix: np.ndarray
     item_matrix: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.user_matrix.ndim != 2 or self.item_matrix.ndim != 2:
             raise DomainError("embedding tables must be matrices")
         if self.user_matrix.shape[1] != self.item_matrix.shape[1]:
             raise DomainError("user and item embeddings must share a width")
+        n = self.user_matrix.shape[0]
+        self.matrix = np.vstack([self.user_matrix, self.item_matrix])
+        self.user_matrix, self.item_matrix = self.matrix[:n], self.matrix[n:]
 
     @property
     def dim(self) -> int:
-        return self.user_matrix.shape[1]
+        return self.matrix.shape[1]
 
 
 def init_embeddings(num_users: int, num_items: int, dim: int,
@@ -165,21 +171,6 @@ class Propagation:
         hops.reverse()
         self._last_hops = (rows, hops)
         return hops
-
-
-def lightgcn_propagate(graph: BipartiteGraph, tables: EmbeddingTable,
-                       layers: int) -> EmbeddingTable:
-    """Refined tables: the layer-mean of propagated embeddings."""
-    e0 = np.vstack([tables.user_matrix, tables.item_matrix])
-    refined = Propagation(graph, layers).apply(e0)
-    n = tables.user_matrix.shape[0]
-    return EmbeddingTable(refined[:n].copy(), refined[n:].copy())
-
-
-def mf_score(tables: EmbeddingTable, u: int, i: int) -> float:
-    """Dot product of the user row and the item row (i is a global id)."""
-    n = tables.user_matrix.shape[0]
-    return float(tables.user_matrix[u] @ tables.item_matrix[i - n])
 
 
 def lgcf_inputs(graph: BipartiteGraph, u: int, i: int, cfg: WalkConfig,
@@ -323,7 +314,7 @@ class TrainedModel:
         return arrays
 
     def make_scorer(self, train_graph: BipartiteGraph):
-        """Scorer bound to the training graph; refined tables are precomputed."""
+        """Scorer bound to the training graph; refined rows are precomputed."""
         refined = None
         if self.tables is not None:
             rows = (self.tables.user_matrix.shape[0], self.tables.item_matrix.shape[0])
@@ -332,15 +323,14 @@ class TrainedModel:
                     f"model tables have {rows[0]} user and {rows[1]} item rows, but "
                     f"the graph has {train_graph.num_users} users and "
                     f"{train_graph.num_items} items")
-            refined = lightgcn_propagate(train_graph, self.tables,
-                                         self.propagation_layers)
+            refined = Propagation(train_graph, self.propagation_layers).apply(
+                self.tables.matrix)
         if self.kind == "lgcf":
             return LgcfScorer(train_graph, self)
         if self.kind in ("mf", "lightgcn"):
             return DotScorer(refined, self.kind, self.master_seed)
         if self.kind == "lgcf-emb":
-            return LgcfScorer(train_graph, self, np.vstack([refined.user_matrix,
-                                                            refined.item_matrix]))
+            return LgcfScorer(train_graph, self, refined)
         if self.kind == "lgcf-ens":
             return EnsembleScorer(LgcfScorer(train_graph, self),
                                   DotScorer(refined, "lightgcn", self.master_seed),
@@ -515,13 +505,15 @@ class LgcfScorer:
 
 
 class DotScorer:
-    def __init__(self, tables: EmbeddingTable, kind: str, seed: int = 0):
-        self.tables = tables
+    """Dot product of the refined rows of u and i, both global ids."""
+
+    def __init__(self, refined: np.ndarray, kind: str, seed: int = 0):
+        self.refined = refined
         self.kind = kind
         self.seed = int(seed)
 
     def score(self, u: int, i: int) -> float:
-        return mf_score(self.tables, u, i)
+        return float(self.refined[u] @ self.refined[i])
 
 
 class EnsembleScorer:
@@ -552,8 +544,7 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
         rows, local = _batch_rows(prop.num_nodes, [t[:3] for t in batch])
         # From here on u, i_pos and i_neg index rows, the batch's rows.
         batch = [(*ids, *t[3:]) for ids, t in zip(local.tolist(), batch)]
-        refined = prop.apply(np.vstack([tables.user_matrix, tables.item_matrix]),
-                             out_rows=rows)
+        refined = prop.apply(tables.matrix, out_rows=rows)
         d_refined = np.zeros_like(refined)
     grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
     losses = []
@@ -585,8 +576,7 @@ def _embedding_batch(model: TrainedModel, prop: Propagation, batch):
     """
     n = model.tables.user_matrix.shape[0]
     rows, local = _batch_rows(prop.num_nodes, [t[:3] for t in batch])
-    refined = prop.apply(np.vstack([model.tables.user_matrix,
-                                    model.tables.item_matrix]), out_rows=rows)
+    refined = prop.apply(model.tables.matrix, out_rows=rows)
     r_u, r_i, r_j = refined[local[:, 0]], refined[local[:, 1]], refined[local[:, 2]]
     z = (r_u[:, None] @ r_i[:, :, None] - r_u[:, None] @ r_j[:, :, None]).ravel()
     losses = [softplus(-x) for x in z.tolist()]

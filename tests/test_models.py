@@ -11,14 +11,13 @@ import pytest
 
 from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
                   TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
-                  forward_instance, init_embeddings, label_graph,
-                  lightgcn_propagate, load_model, make_synthetic, mf_score,
-                  normal_split, normalize_adjacency, one_hot_features, param_count,
+                  forward_instance, init_embeddings, label_graph, load_model,
+                  make_synthetic, normal_split, normalize_adjacency, one_hot_features, param_count,
                   run_gradcheck, sample_negative, save_model, seed_stream,
                   sigmoid, softplus, train)
 from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
                          LgcfScorer, Propagation, _embedding_batch, _fit_lambda,
-                         _json_pieces, load_adam_states)
+                         _init_model, _json_pieces, load_adam_states)
 from lgcf.nn import AdamState, adam_to_dict
 from lgcf.rng import ENSEMBLE
 
@@ -77,17 +76,17 @@ class TestPropagation:
     def test_single_edge_one_layer(self):
         g = build_graph([(0, 1)], 1, 1)
         tables = EmbeddingTable(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        refined = lightgcn_propagate(g, tables, 1)
-        assert np.allclose(refined.user_matrix, [[0.5, 0.5]])
-        assert np.allclose(refined.item_matrix, [[0.5, 0.5]])
+        refined = Propagation(g, 1).apply(tables.matrix)
+        assert np.allclose(refined[:1], [[0.5, 0.5]])
+        assert np.allclose(refined[1:], [[0.5, 0.5]])
 
     def test_zero_layers_is_identity(self):
         rng = np.random.default_rng(60)
         g = build_graph([(0, 2), (1, 2), (1, 3)], 2, 2)
         tables = init_embeddings(2, 2, 3, rng)
-        refined = lightgcn_propagate(g, tables, 0)
-        assert np.array_equal(refined.user_matrix, tables.user_matrix)
-        assert np.array_equal(refined.item_matrix, tables.item_matrix)
+        refined = Propagation(g, 0).apply(tables.matrix)
+        assert np.array_equal(refined[:2], tables.user_matrix)
+        assert np.array_equal(refined[2:], tables.item_matrix)
 
     def dense_mean_of_powers(self, g, e0, layers):
         a = np.zeros((g.num_nodes, g.num_nodes))
@@ -114,10 +113,9 @@ class TestPropagation:
             g = build_graph(edges, n, m)
             tables = init_embeddings(n, m, 4, rng)
             layers = int(rng.integers(1, 4))
-            refined = lightgcn_propagate(g, tables, layers)
+            got = Propagation(g, layers).apply(tables.matrix)
             e0 = np.vstack([tables.user_matrix, tables.item_matrix])
             want = self.dense_mean_of_powers(g, e0, layers)
-            got = np.vstack([refined.user_matrix, refined.item_matrix])
             assert np.abs(got - want).max() < 1e-12
 
     def test_permutation_equivariance(self):
@@ -131,10 +129,10 @@ class TestPropagation:
         g2 = build_graph([(int(pu[u]), n + int(pi[i - n])) for u, i in edges], n, m)
         tables2 = EmbeddingTable(tables.user_matrix[np.argsort(pu)],
                                  tables.item_matrix[np.argsort(pi)])
-        r1 = lightgcn_propagate(g, tables, 2)
-        r2 = lightgcn_propagate(g2, tables2, 2)
-        assert np.allclose(r2.user_matrix[pu], r1.user_matrix, atol=1e-12)
-        assert np.allclose(r2.item_matrix[pi], r1.item_matrix, atol=1e-12)
+        r1 = Propagation(g, 2).apply(tables.matrix)
+        r2 = Propagation(g2, 2).apply(tables2.matrix)
+        assert np.allclose(r2[:n][pu], r1[:n], atol=1e-12)
+        assert np.allclose(r2[n:][pi], r1[n:], atol=1e-12)
 
     def test_validation(self):
         g = build_graph([(0, 1)], 1, 1)
@@ -225,10 +223,39 @@ def test_embedding_batch_is_the_triplet_loop(layers):
             EmbeddingTable(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+class TestEmbeddingTable:
+    def test_views_share_the_matrix(self):
+        tables = EmbeddingTable(np.ones((2, 3)), np.zeros((4, 3)))
+        assert tables.matrix.shape == (6, 3)
+        assert np.shares_memory(tables.user_matrix, tables.matrix)
+        assert np.shares_memory(tables.item_matrix, tables.matrix)
+        tables.item_matrix[0] = 7.0
+        assert np.array_equal(tables.matrix[2], [7.0, 7.0, 7.0])
+
+    def test_inputs_are_copied(self):
+        user, item = np.ones((2, 3)), np.zeros((4, 3))
+        tables = EmbeddingTable(user, item)
+        assert not np.shares_memory(tables.matrix, user)
+        assert not np.shares_memory(tables.matrix, item)
+        user[0, 0] = 5.0
+        assert tables.user_matrix[0, 0] == 1.0
+
+    def test_matrix_is_the_stacked_views_after_training(self):
+        g, split = star_split()
+        tc = tiny_tc(epochs=1)
+        result = train("lightgcn", g, split, tc)
+        assert result.best_epoch == 1  # the best-epoch restore ran too
+        tables = result.model.tables
+        assert np.array_equal(tables.matrix,
+                              np.vstack([tables.user_matrix, tables.item_matrix]))
+        initial = _init_model("lightgcn", g, tc).tables.matrix
+        assert not np.array_equal(tables.matrix, initial)
+
+
 class TestScores:
     def test_mf_score_hand_dot(self):
         tables = EmbeddingTable(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-        assert mf_score(tables, 0, 1) == 1.0
+        assert DotScorer(tables.matrix, "mf").score(0, 1) == 1.0
 
     def test_ens_score_late_fusion(self):
         class FixedScorer:
@@ -238,7 +265,7 @@ class TestScores:
                 return 0.3
 
         tables = EmbeddingTable(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-        ens = EnsembleScorer(FixedScorer(), DotScorer(tables, "lightgcn"), 2.0)
+        ens = EnsembleScorer(FixedScorer(), DotScorer(tables.matrix, "lightgcn"), 2.0)
         assert ens.score(0, 1) == pytest.approx(2.3, abs=1e-15)
 
 
@@ -316,10 +343,9 @@ class TestTrainBasics:
         assert len(result.history) == 1
         assert result.best_epoch is None
         recorded = result.history[0].train_loss
-        tables = result.model.tables
+        dot = DotScorer(result.model.tables.matrix, "mf")
         # The only possible negative for user 0 is item 2.
-        post = math.log(1 + math.exp(-(mf_score(tables, 0, 1)
-                                       - mf_score(tables, 0, 2))))
+        post = math.log(1 + math.exp(-(dot.score(0, 1) - dot.score(0, 2))))
         assert post < recorded < math.log(2)
 
     def test_history_is_deterministic(self):
