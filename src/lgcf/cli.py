@@ -107,7 +107,9 @@ _TRAIN = [
     Opt("lightgcn-layers", "int", 3, "propagation depth for lightgcn/hybrids"),
     Opt("lambda", "float", 1.0, "ensemble fusion weight (lambda-mode fixed)"),
     Opt("lambda-mode", "str", "grid", "grid | fixed | learnable"),
-    Opt("cache-subgraphs", "bool", False, "reuse first-epoch subgraphs across epochs"),
+    Opt("cache-subgraphs", "bool", False,
+        "keep every (user, item) subgraph met, sampled negatives included, "
+        "walked once with the epoch-0 stream, which uncached epochs never use"),
     Opt("val-negatives", "int", 99,
         "sampled negatives per validation pair (>= 10)"),
 ]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .graph import BipartiteGraph, SplitSpec, build_graph
+from .graph import BipartiteGraph, SplitSpec, build_graph, check_split_fits
 from .labeling import label_graph
 from .rng import EVAL_NEGATIVE, EVAL_WALK, SYNTH, seed_stream
 from .subgraph import WalkConfig, dump_localized_graph, extract
@@ -106,6 +106,7 @@ class _PairResult:
 
 def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
                   protocol: EvalProtocol, pairs) -> list[_PairResult]:
+    check_split_fits(graph, split)
     interacted: dict[int, set] = {}
     for edge_set in (split.train_edges, split.val_edges, split.test_edges):
         for u, i in edge_set:
@@ -293,6 +294,8 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
     Extraction uses walk_cfg and scorer_a's walk stream (scorer_a.seed,
     EVAL_WALK, u, i), so an lgcf scorer_a's dumps are the subgraphs it scored.
     """
+    if top_k < 1:
+        raise DomainError(f"top_k must be >= 1, got {top_k}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     res_a = _pair_results(scorer_a, graph, split, protocol, split.test_edges)

@@ -357,19 +357,52 @@ def save_split(split: SplitSpec, out_dir) -> None:
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _meta_entry(meta, path: Path, *keys, kind=int):
+    """meta[keys[0]][keys[1]]... as kind; DomainError if it is missing or
+    does not convert."""
+    try:
+        value = meta
+        for key in keys:
+            value = value[key]
+        return kind(value)
+    except (KeyError, TypeError, ValueError):
+        raise DomainError(
+            f"{path}: missing or non-numeric {'.'.join(keys)} entry") from None
+
+
 def load_split(split_dir) -> SplitSpec:
+    """Read a split saved by save_split; every edge must join a user and an
+    item of the split's own metadata."""
     split_dir = Path(split_dir)
-    meta = json.loads((split_dir / "meta.json").read_text(encoding="utf-8"))
-    parts = {name: _read_edge_file(split_dir / f"{name}.tsv")
-             for name in ("train", "val", "test")}
+    meta_path = split_dir / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    n = _meta_entry(meta, meta_path, "num_users")
+    total = n + _meta_entry(meta, meta_path, "num_items")
+    parts = {}
     for name in ("train", "val", "test"):
-        if len(parts[name]) != meta["counts"][name]:
+        edges = _read_edge_file(split_dir / f"{name}.tsv")
+        count = _meta_entry(meta, meta_path, "counts", name)
+        if len(edges) != count:
             raise DomainError(
-                f"{name} edge count {len(parts[name])} does not match metadata "
-                f"{meta['counts'][name]}")
+                f"{name} edge count {len(edges)} does not match metadata {count}")
+        for u, i in edges:
+            if not (0 <= u < n and n <= i < total):
+                raise DomainError(f"{name} edge ({u}, {i}) is not a user-item pair "
+                                  f"of the split's {n} users and {total - n} items")
+        parts[name] = edges
     return SplitSpec(parts["train"], parts["val"], parts["test"],
-                     int(meta["seed"]), str(meta["kind"]),
-                     int(meta["num_users"]), int(meta["num_items"]))
+                     _meta_entry(meta, meta_path, "seed"),
+                     _meta_entry(meta, meta_path, "kind", kind=str),
+                     n, total - n)
+
+
+def check_split_fits(graph: BipartiteGraph, split: SplitSpec) -> None:
+    """DomainError unless the split was made for a graph of this size."""
+    if split.num_users != graph.num_users or split.num_items != graph.num_items:
+        raise DomainError(
+            f"split metadata does not match the graph: the split has "
+            f"{split.num_users} users and {split.num_items} items, the graph "
+            f"{graph.num_users} and {graph.num_items}")
 
 
 def save_graph_dir(graph: BipartiteGraph, out_dir) -> None:
@@ -385,6 +418,8 @@ def save_graph_dir(graph: BipartiteGraph, out_dir) -> None:
 
 def load_graph_dir(graph_dir) -> BipartiteGraph:
     graph_dir = Path(graph_dir)
-    meta = json.loads((graph_dir / "graph.json").read_text(encoding="utf-8"))
+    meta_path = graph_dir / "graph.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     edges = _read_edge_file(graph_dir / "edges.tsv")
-    return build_graph(edges, int(meta["num_users"]), int(meta["num_items"]))
+    return build_graph(edges, _meta_entry(meta, meta_path, "num_users"),
+                       _meta_entry(meta, meta_path, "num_items"))

@@ -10,6 +10,7 @@ score and a scaled embedding dot product.
 
 import functools
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -19,12 +20,12 @@ from scipy import sparse
 
 from .errors import DomainError
 from .evaluation import EvalProtocol, evaluate
-from .graph import BipartiteGraph, SplitSpec, build_graph
+from .graph import BipartiteGraph, SplitSpec, build_graph, check_split_fits
 from .labeling import LabelEncoding, label_graph, one_hot_features
-from .nn import (NO_PREFIX, AdamState, GnnParameters, GradCheckReport,
-                 adam_from_dict, adam_step, adam_to_dict, bpr_pair_grads,
-                 float_array, forward_instance, glorot_uniform, grad_check,
-                 init_adam, init_gnn_params, normalize_adjacency,
+from .nn import (ACTIVATIONS, NO_PREFIX, AdamState, GnnParameters,
+                 GradCheckReport, adam_from_dict, adam_step, adam_to_dict,
+                 bpr_pair_grads, float_array, forward_instance, glorot_uniform,
+                 grad_check, init_adam, init_gnn_params, normalize_adjacency,
                  params_from_dict, params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
                   TRAIN_NEGATIVE, seed_stream, walk_stream)
@@ -258,6 +259,20 @@ class TrainConfig:
             raise DomainError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.master_seed < 0:
             raise DomainError("master_seed must be non-negative")
+        for name in ("gcn_layers", "hidden_dim", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lightgcn_layers < 0:
+            raise DomainError(
+                f"lightgcn_layers must be >= 0, got {self.lightgcn_layers}")
+        if self.label_cap < 2:
+            raise DomainError(f"label_cap must be >= 2, got {self.label_cap}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DomainError(f"lr must be finite and > 0, got {self.lr}")
+        if not math.isfinite(self.lambda_ens):
+            raise DomainError(f"lambda_ens must be finite, got {self.lambda_ens}")
+        if self.activation not in ACTIVATIONS:
+            raise DomainError(f"unsupported activation {self.activation!r}")
         if self.lambda_mode not in ("grid", "fixed", "learnable"):
             raise DomainError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.val_negatives < 10:
@@ -658,8 +673,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     """
     if kind not in MODEL_KINDS:
         raise DomainError(f"unknown model kind {kind!r}")
-    if split.num_users != graph.num_users or split.num_items != graph.num_items:
-        raise DomainError("split metadata does not match the graph")
+    check_split_fits(graph, split)
     if not split.train_edges:
         raise DomainError("split has no training edges")
     if kind == "lgcf-ens":
@@ -680,7 +694,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         if cache is not None:
             if (u, i) in cache:
                 return cache[(u, i)]
-            epoch = 0  # cached pairs always use their first-epoch walk
+            epoch = 0  # cached pairs walk the epoch-0 stream; epochs count from 1
         pair = lgcf_inputs(train_graph, u, i, tc.walk,
                            walk_stream(tc.master_seed, u, i, epoch), enc)
         if cache is not None:

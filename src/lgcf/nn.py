@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DomainError
 
+ACTIVATIONS = ("relu", "tanh")  # hidden-layer activations
+
 
 def sigmoid(x):
     """Numerically stable logistic function for scalars or arrays.
@@ -55,7 +57,7 @@ class GnnParameters:
     def __post_init__(self):
         if not self.weights:
             raise DomainError("at least one layer weight is required")
-        if self.activation not in ("relu", "tanh"):
+        if self.activation not in ACTIVATIONS:
             raise DomainError(f"unsupported activation {self.activation!r}")
         for idx, w in enumerate(self.weights):
             if w.ndim != 2:

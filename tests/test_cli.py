@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,53 @@ class TestReturnCodes:
         assert run("eval", "--out", tmp_path / "eval", "--graph", pipeline / "graph",
                    "--split", pipeline / "split", "--checkpoint", checkpoint) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["split-no-counts", "graph-users-not-numeric",
+                                      "test-edge-outside-graph",
+                                      "split-for-another-graph"])
+    def test_malformed_graph_or_split_exits_one(self, pipeline, tmp_path, capsys,
+                                                case):
+        graph, split = tmp_path / "graph", tmp_path / "split"
+        shutil.copytree(pipeline / "graph", graph)
+        shutil.copytree(pipeline / "split", split)
+        graph_meta = json.loads((graph / "graph.json").read_text())
+        split_meta = json.loads((split / "meta.json").read_text())
+        if case == "split-no-counts":
+            del split_meta["counts"]
+            message = "missing or non-numeric counts.train entry"
+        elif case == "graph-users-not-numeric":
+            graph_meta["num_users"] = "x"
+            message = "missing or non-numeric num_users entry"
+        elif case == "test-edge-outside-graph":
+            with open(split / "test.tsv", "a") as fh:
+                fh.write("0\t99\n")
+            split_meta["counts"]["test"] += 1
+            message = "test edge (0, 99) is not a user-item pair"
+        else:
+            split_meta["num_items"] += 5
+            message = "split metadata does not match the graph"
+        (graph / "graph.json").write_text(json.dumps(graph_meta))
+        (split / "meta.json").write_text(json.dumps(split_meta))
+        assert run("eval", "--out", tmp_path / "eval", "--graph", graph,
+                   "--split", split,
+                   "--checkpoint", pipeline / "run" / "checkpoint.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_dump_cases_top_k_below_one_exits_one(self, pipeline, tmp_path, capsys,
+                                                  top_k):
+        run_dir = pipeline / "run"
+        assert run("dump-cases", "--out", tmp_path / "cases",
+                   "--graph", pipeline / "graph", "--split", pipeline / "split",
+                   "--checkpoint-a", run_dir / "checkpoint.json",
+                   "--checkpoint-b", run_dir / "checkpoint.json",
+                   "--top-k", top_k) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"top_k must be >= 1, got {top_k}" in err
+        assert not (tmp_path / "cases" / "manifest.csv").exists()
 
     def test_missing_graph_dir(self, tmp_path, capsys):
         assert run("split", "--out", tmp_path / "s",

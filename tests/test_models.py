@@ -12,9 +12,9 @@ import pytest
 from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
                   TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
                   forward_instance, init_embeddings, label_graph, load_model,
-                  make_synthetic, normal_split, normalize_adjacency, one_hot_features, param_count,
-                  run_gradcheck, sample_negative, save_model, seed_stream,
-                  sigmoid, softplus, train)
+                  make_synthetic, normal_split, normalize_adjacency,
+                  one_hot_features, param_count, run_gradcheck, sample_negative,
+                  save_model, seed_stream, sigmoid, softplus, train)
 from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
                          LgcfScorer, Propagation, _embedding_batch, _fit_lambda,
                          _init_model, _json_pieces, load_adam_states)
@@ -311,7 +311,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(epochs=0), dict(batch_size=0), dict(negatives_per_positive=0),
         dict(eval_every=0), dict(master_seed=-1), dict(lambda_mode="bogus"),
-        dict(val_negatives=0), dict(val_negatives=9),
+        dict(val_negatives=0), dict(val_negatives=9), dict(hidden_dim=0),
+        dict(embed_dim=0), dict(gcn_layers=0), dict(lightgcn_layers=-1),
+        dict(label_cap=1), dict(lr=-1.0), dict(lr=0.0), dict(lr=float("nan")),
+        dict(lr=float("inf")), dict(lambda_ens=float("nan")),
+        dict(activation="gelu"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
