@@ -367,7 +367,7 @@ def _meta_entry(meta, path: Path, *keys, kind=int):
         return kind(value)
     except (KeyError, TypeError, ValueError):
         raise DomainError(
-            f"{path}: missing or non-numeric {'.'.join(keys)} entry") from None
+            f"{path}: missing or malformed {'.'.join(keys)} entry") from None
 
 
 def load_split(split_dir) -> SplitSpec:

@@ -205,10 +205,10 @@ class TestReturnCodes:
         split_meta = json.loads((split / "meta.json").read_text())
         if case == "split-no-counts":
             del split_meta["counts"]
-            message = "missing or non-numeric counts.train entry"
+            message = "missing or malformed counts.train entry"
         elif case == "graph-users-not-numeric":
             graph_meta["num_users"] = "x"
-            message = "missing or non-numeric num_users entry"
+            message = "missing or malformed num_users entry"
         elif case == "test-edge-outside-graph":
             with open(split / "test.tsv", "a") as fh:
                 fh.write("0\t99\n")
