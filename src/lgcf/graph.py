@@ -386,7 +386,7 @@ def load_split(split_dir) -> SplitSpec:
             raise DomainError(
                 f"{name} edge count {len(edges)} does not match metadata {count}")
         for u, i in edges:
-            if not (0 <= u < n and n <= i < total):
+            if not 0 <= u < n <= i < total:
                 raise DomainError(f"{name} edge ({u}, {i}) is not a user-item pair "
                                   f"of the split's {n} users and {total - n} items")
         parts[name] = edges

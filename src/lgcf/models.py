@@ -226,7 +226,8 @@ class TrainConfig:
     """Hyperparameters shared by every model kind.
 
     Fields a kind does not use are ignored (mf ignores the walk settings,
-    for instance).  master_seed drives every random stream in training.
+    for instance), but every field is range-checked at construction.
+    master_seed drives every random stream in training.
     """
 
     epochs: int = 30
