@@ -29,7 +29,7 @@ TRAIN_ARGS = ("--epochs", "2", "--batch-size", "16", "--seed", "3",
               "--restart-prob", "0.2", "--walk-len", "8", "--max-nodes", "10",
               "--gcn-layers", "2", "--hidden-dim", "4", "--label-cap", "8",
               "--embed-dim", "4", "--lightgcn-layers", "2", "--lr", "0.01")
-CACHED = ("--negatives", "2", "--cache-subgraphs", "true", "--batch-size", "7")
+NEG2 = ("--negatives", "2", "--batch-size", "7")
 LEARNABLE = ("--lambda-mode", "learnable")
 
 # case id -> (kind, extra train flags, sha256 prefixes of checkpoint.json,
@@ -45,16 +45,16 @@ GOLDEN = {
         ("b41ff6270ec37e64", "f8fefa64f42b1aff", "3870c54e6460896f")),
     "lgcf-ens": ("lgcf-ens", (),
         ("bc7b9c7862cb63c6", "954b3bbc6b70414c", "4e90b7eb6b3fe75a")),
-    "lgcf-cached": ("lgcf", CACHED,
-        ("c747fa943ca7c3d3", "d9db0bbc1959cfc1", "cb7028da0bd6d39a")),
-    "mf-cached": ("mf", CACHED,
+    "lgcf-neg2": ("lgcf", NEG2,
+        ("cebb001a6ffddff8", "2a539a647d1f68aa", "61d80d4db2eec905")),
+    "mf-neg2": ("mf", NEG2,
         ("3f49c00a2906fcd4", "8b610570bd59d7dd", "e08cc6a57ea2e064")),
-    "lightgcn-cached": ("lightgcn", CACHED,
+    "lightgcn-neg2": ("lightgcn", NEG2,
         ("f2f8a86733337274", "9492614541efc9b3", "b41d37032ca881a4")),
-    "lgcf-emb-cached": ("lgcf-emb", CACHED,
-        ("c00fafa28136765d", "b80d7e0f6869a944", "36907a658cafa87c")),
-    "lgcf-ens-cached": ("lgcf-ens", CACHED,
-        ("375caeb999261332", "fac597d134ad1036", "c1516d7f2d4c70fa")),
+    "lgcf-emb-neg2": ("lgcf-emb", NEG2,
+        ("7b0ce134f2be778d", "8e069da0cec4369a", "111f30ea925e0279")),
+    "lgcf-ens-neg2": ("lgcf-ens", NEG2,
+        ("5c2b35b297efee66", "7569a39a61496a5f", "fa41b4c3f4f2264e")),
     "lgcf-ens-learnable": ("lgcf-ens", LEARNABLE,
         ("7faa688c2cb9d8ca", "7bd696ce15e2703c", "4e90b7eb6b3fe75a")),
 }
