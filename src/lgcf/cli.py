@@ -107,9 +107,6 @@ _TRAIN = [
     Opt("lightgcn-layers", "int", 3, "propagation depth for lightgcn/hybrids"),
     Opt("lambda", "float", 1.0, "ensemble fusion weight (lambda-mode fixed)"),
     Opt("lambda-mode", "str", "grid", "grid | fixed | learnable"),
-    Opt("cache-subgraphs", "bool", False,
-        "keep every (user, item) subgraph met, sampled negatives included, "
-        "walked once with the epoch-0 stream, which uncached epochs never use"),
     Opt("val-negatives", "int", 99,
         "sampled negatives per validation pair (>= 10)"),
 ]
@@ -297,7 +294,6 @@ def _train_config(values: dict) -> TrainConfig:
         activation=values["activation"], embed_dim=values["embed-dim"],
         lightgcn_layers=values["lightgcn-layers"], lr=values["lr"],
         lambda_ens=values["lambda"], lambda_mode=values["lambda-mode"],
-        cache_subgraphs=values["cache-subgraphs"],
         val_negatives=values["val-negatives"])
 
 

@@ -246,7 +246,6 @@ class TrainConfig:
     lr: float = 1e-3
     lambda_ens: float = 1.0
     lambda_mode: str = "grid"
-    cache_subgraphs: bool = False
     val_negatives: int = 99
 
     def __post_init__(self):
@@ -687,20 +686,12 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     prop = Propagation(train_graph, model.propagation_layers)
     batch_grads = _BATCH_GRADS[kind]
     enc = LabelEncoding(tc.label_cap)
-    cache: dict | None = {} if tc.cache_subgraphs else None
 
     def inputs(u: int, i: int, epoch: int):
         if model.gnn is None:
             return None
-        if cache is not None:
-            if (u, i) in cache:
-                return cache[(u, i)]
-            epoch = 0  # cached pairs walk the epoch-0 stream; epochs count from 1
-        pair = lgcf_inputs(train_graph, u, i, tc.walk,
+        return lgcf_inputs(train_graph, u, i, tc.walk,
                            walk_stream(tc.master_seed, u, i, epoch), enc)
-        if cache is not None:
-            cache[(u, i)] = pair
-        return pair
 
     history: list[EpochRecord] = []
     best_metric = -np.inf

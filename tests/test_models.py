@@ -381,15 +381,6 @@ class TestTrainBasics:
         assert result.best_epoch == 1
         assert all(rec.val_hr10 == 1.0 for rec in result.history)
 
-    def test_cache_subgraphs_deterministic(self):
-        g, split = star_split()
-        tc = tiny_tc(cache_subgraphs=True)
-        a = train("lgcf", g, split, tc)
-        b = train("lgcf", g, split, tc)
-        losses = [(ra.train_loss, rb.train_loss)
-                  for ra, rb in zip(a.history, b.history, strict=True)]
-        assert all(x == y for x, y in losses)
-
 
 class TestLgcfLearning:
     def test_separates_connected_from_isolated_item(self):
