@@ -1,6 +1,7 @@
 """User-item bipartite interaction graph: ingestion, construction, splits."""
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -372,7 +373,8 @@ def _meta_entry(meta, path: Path, *keys, kind=int):
 
 def load_split(split_dir) -> SplitSpec:
     """Read a split saved by save_split; every edge must join a user and an
-    item of the split's own metadata."""
+    item of the split's own metadata and appear once across train, val and
+    test."""
     split_dir = Path(split_dir)
     meta_path = split_dir / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -390,6 +392,11 @@ def load_split(split_dir) -> SplitSpec:
                 raise DomainError(f"{name} edge ({u}, {i}) is not a user-item pair "
                                   f"of the split's {n} users and {total - n} items")
         parts[name] = edges
+    edges = parts["train"] + parts["val"] + parts["test"]
+    if len(set(edges)) != len(edges):
+        edge, count = next((e, c) for e, c in Counter(edges).items() if c > 1)
+        where = ", ".join(name for name in parts if edge in parts[name])
+        raise DomainError(f"edge {edge} appears {count} times in the split ({where})")
     return SplitSpec(parts["train"], parts["val"], parts["test"],
                      _meta_entry(meta, meta_path, "seed"),
                      _meta_entry(meta, meta_path, "kind", kind=str),

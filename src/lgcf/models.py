@@ -394,13 +394,19 @@ class TrainedModel:
                 raise DomainError(f"{kind} checkpoint {verb} a {section} section")
         if not isinstance(payload["walk"], dict):
             raise DomainError("checkpoint walk entry must be an object")
-        unknown = sorted(set(payload["walk"]) - {f.name for f in fields(WalkConfig)})
-        if unknown:
-            raise DomainError(
-                f"checkpoint walk entry has unknown key {', '.join(unknown)}")
+        walk_keys = {f.name for f in fields(WalkConfig)}
+        for problem, keys in (("unknown", set(payload["walk"]) - walk_keys),
+                              ("no", walk_keys - set(payload["walk"]))):
+            if keys:
+                raise DomainError(
+                    f"checkpoint walk entry has {problem} key {', '.join(sorted(keys))}")
         walk = WalkConfig(**payload["walk"])
         tables = None
         if payload["tables"] is not None:
+            if not (isinstance(payload["tables"], dict)
+                    and {"user", "item"} <= payload["tables"].keys()):
+                raise DomainError(
+                    "checkpoint tables entry must be an object with user and item")
             tables = EmbeddingTable(
                 float_array(payload["tables"]["user"], "tables.user"),
                 float_array(payload["tables"]["item"], "tables.item"))
@@ -804,6 +810,10 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
     """
     if kind not in ("lgcf", "lgcf-emb"):
         raise DomainError(f"gradcheck supports lgcf and lgcf-emb, got {kind!r}")
+    if instances < 1:
+        raise DomainError(f"instances must be >= 1, got {instances}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tolerance}")
     rng = seed_stream(seed, GRADCHECK)
     n = m = 6
     cfg = WalkConfig(restart_prob=0.2, walk_len=12, max_nodes=12)

@@ -29,6 +29,9 @@ class WalkConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise DomainError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.remove_target_edge, bool):
+            raise DomainError(
+                f"remove_target_edge must be a bool, got {self.remove_target_edge!r}")
         if not 0.0 <= self.restart_prob <= 1.0:
             raise DomainError(f"restart_prob must be in [0, 1], got {self.restart_prob}")
         if self.walk_len < 1:

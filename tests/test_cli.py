@@ -156,7 +156,10 @@ class TestReturnCodes:
     @pytest.mark.parametrize("case", ["walk-unknown-key", "tables-not-numeric",
                                       "top-level-list", "gnn-weights-not-numeric",
                                       "gnn-no-activation", "gnn-weight-not-matrix",
-                                      "walk-len-string", "label-cap-not-numeric"])
+                                      "walk-len-string", "label-cap-not-numeric",
+                                      "tables-empty-object", "tables-list",
+                                      "walk-no-max-nodes",
+                                      "walk-remove-edge-string"])
     def test_malformed_checkpoint_exits_one(self, pipeline, tmp_path, capsys, case):
         payload = json.loads((pipeline / "run" / "checkpoint.json").read_text())
         if case.startswith("gnn-"):
@@ -184,6 +187,18 @@ class TestReturnCodes:
         elif case == "label-cap-not-numeric":
             payload["label_cap"] = "eight"
             message = "label_cap entry is not a number"
+        elif case == "tables-empty-object":
+            payload["tables"] = {}
+            message = "tables entry must be an object with user and item"
+        elif case == "tables-list":
+            payload["tables"] = [1, 2]
+            message = "tables entry must be an object with user and item"
+        elif case == "walk-no-max-nodes":
+            del payload["walk"]["max_nodes"]
+            message = "walk entry has no key max_nodes"
+        elif case == "walk-remove-edge-string":
+            payload["walk"]["remove_target_edge"] = "no"
+            message = "remove_target_edge must be a bool, got 'no'"
         else:
             payload = [payload]
             message = "checkpoint must be a JSON object"
@@ -195,7 +210,8 @@ class TestReturnCodes:
 
     @pytest.mark.parametrize("case", ["split-no-counts", "graph-users-not-numeric",
                                       "test-edge-outside-graph",
-                                      "split-for-another-graph"])
+                                      "split-for-another-graph",
+                                      "test-edge-in-train", "test-edge-repeated"])
     def test_malformed_graph_or_split_exits_one(self, pipeline, tmp_path, capsys,
                                                 case):
         graph, split = tmp_path / "graph", tmp_path / "split"
@@ -214,6 +230,14 @@ class TestReturnCodes:
                 fh.write("0\t99\n")
             split_meta["counts"]["test"] += 1
             message = "test edge (0, 99) is not a user-item pair"
+        elif case in ("test-edge-in-train", "test-edge-repeated"):
+            source = "train" if case == "test-edge-in-train" else "test"
+            u, i = (split / f"{source}.tsv").read_text().splitlines()[0].split("\t")
+            with open(split / "test.tsv", "a") as fh:
+                fh.write(f"{u}\t{i}\n")
+            split_meta["counts"]["test"] += 1
+            where = "train, test" if source == "train" else "test"
+            message = f"edge ({u}, {i}) appears 2 times in the split ({where})"
         else:
             split_meta["num_items"] += 5
             message = "split metadata does not match the graph"
@@ -378,6 +402,15 @@ class TestGradcheckCommand:
     def test_bad_kind_rejected(self, capsys):
         assert run("gradcheck", "--model", "mf") == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("instances", 0, "instances must be >= 1, got 0"),
+        ("tolerance", 0, "tolerance must be finite and > 0, got 0.0"),
+        ("tolerance", "nan", "tolerance must be finite and > 0, got nan")])
+    def test_vacuous_check_rejected(self, capsys, flag, value, message):
+        assert run("gradcheck", f"--{flag}", value) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "PASS" not in captured.out
 
 
 class TestSweepCommand:
