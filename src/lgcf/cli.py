@@ -342,7 +342,7 @@ def cmd_split(values: dict, out: Path) -> int:
 def cmd_train(values: dict, out: Path) -> int:
     graph, split = _load_graph_split(values, out)
     result = train(values["model"], graph, split, _train_config(values))
-    save_model(out / "checkpoint.json", result.model, result.adam)
+    save_model(out / "checkpoint.json", result.model)
     with open(out / "history.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for rec in result.history:
             fh.write(json.dumps({

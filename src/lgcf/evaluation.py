@@ -36,6 +36,8 @@ class EvalProtocol:
         for k in self.k_values:
             if k < 1:
                 raise DomainError(f"K values must be >= 1, got {k}")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise DomainError(f"K values must be distinct, got {list(self.k_values)}")
         if not self.full_ranking and max(self.k_values) > self.n_negatives + 1:
             raise DomainError("K cannot exceed the candidate list length")
 

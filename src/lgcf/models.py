@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .evaluation import EvalProtocol, evaluate
 from .graph import BipartiteGraph, SplitSpec, build_graph, check_split_fits
 from .labeling import LabelEncoding, label_graph, one_hot_features
 from .nn import (ACTIVATIONS, NO_PREFIX, AdamState, GnnParameters,
-                 GradCheckReport, adam_from_dict, adam_step, adam_to_dict,
+                 GradCheckReport, adam_step, adam_to_dict,
                  bpr_pair_grads, float_array, forward_instance, glorot_uniform,
                  grad_check, init_adam, init_gnn_params, normalize_adjacency,
                  params_from_dict, params_to_dict, sigmoid, softplus)
@@ -257,6 +258,9 @@ class TrainConfig:
             raise DomainError("negatives_per_positive must be >= 1")
         if self.eval_every < 1:
             raise DomainError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.early_stop_patience < 0:
+            raise DomainError("early_stop_patience must be >= 0 (0 turns early "
+                              f"stopping off), got {self.early_stop_patience}")
         if self.master_seed < 0:
             raise DomainError("master_seed must be non-negative")
         for name in ("gcn_layers", "hidden_dim", "embed_dim"):
@@ -410,7 +414,7 @@ class TrainedModel:
             tables = EmbeddingTable(
                 float_array(payload["tables"]["user"], "tables.user"),
                 float_array(payload["tables"]["item"], "tables.item"))
-        label_cap = _number(payload["label_cap"], "label_cap")
+        label_cap = _number(payload["label_cap"], "label_cap", minimum=2)
         gnn = None if payload["gnn"] is None else params_from_dict(payload["gnn"])
         if gnn is not None and gnn.feature_dim != label_cap:
             raise DomainError(f"label_cap {label_cap} does not match the "
@@ -425,8 +429,9 @@ class TrainedModel:
             kind=kind,
             walk=walk,
             label_cap=label_cap,
-            lightgcn_layers=_number(payload["lightgcn_layers"], "lightgcn_layers"),
-            master_seed=_number(payload["master_seed"], "master_seed"),
+            lightgcn_layers=_number(payload["lightgcn_layers"], "lightgcn_layers",
+                                    minimum=0),
+            master_seed=_number(payload["master_seed"], "master_seed", minimum=0),
             gnn=gnn,
             tables=tables,
             w_joint=w_joint,
@@ -434,12 +439,22 @@ class TrainedModel:
         )
 
 
-def _number(value, name: str, kind=int):
-    """A checkpoint scalar as kind (int or float); DomainError if it is not one."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"checkpoint {name} entry is not a number") from None
+def _number(value, name: str, kind=int, minimum=None):
+    """A checkpoint scalar as kind (int or float), at least minimum if given.
+
+    DomainError unless it is a finite JSON number, integral for an int
+    entry; booleans and strings are not numbers here.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"checkpoint {name} entry is not a number, got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"checkpoint {name} entry must be finite, got {value!r}")
+    if kind is int and value != int(value):
+        raise DomainError(f"checkpoint {name} entry must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(
+            f"checkpoint {name} entry must be >= {minimum}, got {value!r}")
+    return kind(value)
 
 
 def _json_pieces(value, pad: str = ""):
@@ -481,6 +496,9 @@ def save_model(path, model: TrainedModel,
     """Write the checkpoint as json.dumps(payload, indent=2, sort_keys=True)
     + "\\n", streamed: json.dumps with an indent holds every piece of the
     text in memory before joining them, about 4.9x the file's size.
+
+    adam_states, when given, fill the adam section; no loader reads it, and
+    lgcf train leaves it null.
     """
     payload = model.to_dict()
     payload["adam"] = None if adam_states is None else {
@@ -492,13 +510,6 @@ def save_model(path, model: TrainedModel,
 
 def load_model(path) -> TrainedModel:
     return TrainedModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def load_adam_states(path) -> dict[str, AdamState] | None:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("adam") is None:
-        return None
-    return {name: adam_from_dict(d) for name, d in payload["adam"].items()}
 
 
 class LgcfScorer:

@@ -414,10 +414,3 @@ def adam_to_dict(state: AdamState) -> dict:
         "beta2": state.beta2,
         "eps": state.eps,
     }
-
-
-def adam_from_dict(payload: dict) -> AdamState:
-    return AdamState([np.asarray(a, dtype=np.float64) for a in payload["m"]],
-                     [np.asarray(a, dtype=np.float64) for a in payload["v"]],
-                     int(payload["t"]), float(payload["lr"]), float(payload["beta1"]),
-                     float(payload["beta2"]), float(payload["eps"]))

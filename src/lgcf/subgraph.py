@@ -27,7 +27,7 @@ class WalkConfig:
         for name, kind in (("restart_prob", Real), ("walk_len", Integral),
                            ("max_nodes", Integral)):
             value = getattr(self, name)
-            if not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise DomainError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.remove_target_edge, bool):
             raise DomainError(

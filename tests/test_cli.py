@@ -82,7 +82,26 @@ class TestPipeline:
         assert payload["gnn"] is None
         assert len(payload["tables"]["user"]) == 20
         assert len(payload["tables"]["user"][0]) == 8
-        assert payload["adam"] is not None
+        assert payload["adam"] is None
+
+    def test_checkpoint_with_adam_state_evaluates_the_same(self, pipeline, tmp_path):
+        """A checkpoint that carries Adam state, as lgcf train wrote it before
+        it left the section out, evaluates byte for byte as the train output."""
+        graph, split = load_graph_dir(pipeline / "graph"), load_split(pipeline / "split")
+        result = lgcf.train("mf", graph, split,
+                            TrainConfig(epochs=2, batch_size=32, embed_dim=8))
+        checkpoint = tmp_path / "checkpoint.json"
+        lgcf.save_model(checkpoint, result.model, result.adam)
+        payload = json.loads(checkpoint.read_text())
+        assert payload["adam"]["main"]["t"] > 0
+        payload["adam"] = None
+        assert (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode() == (
+            pipeline / "run" / "checkpoint.json").read_bytes()
+        assert run("eval", "--out", tmp_path / "eval", "--graph", pipeline / "graph",
+                   "--split", pipeline / "split", "--checkpoint", checkpoint,
+                   "--k-values", "5,10") == 0
+        assert (tmp_path / "eval" / "report.json").read_bytes() == (
+            pipeline / "eval" / "report.json").read_bytes()
 
 
 class TestModuleEntry:
@@ -99,6 +118,26 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert (out / "graph.json").exists()
         assert "generated" in proc.stdout
+
+
+# Malformed checkpoint scalars: case -> (enclosing entry or None, key, value,
+# error message).
+BAD_SCALARS = {
+    "master-seed-negative": (None, "master_seed", -1,
+                             "master_seed entry must be >= 0, got -1"),
+    "master-seed-fraction": (None, "master_seed", 2.9,
+                             "master_seed entry must be an integer, got 2.9"),
+    "master-seed-bool": (None, "master_seed", True,
+                         "master_seed entry is not a number, got True"),
+    "lightgcn-layers-negative": (None, "lightgcn_layers", -2,
+                                 "lightgcn_layers entry must be >= 0, got -2"),
+    "lightgcn-layers-bool": (None, "lightgcn_layers", True,
+                             "lightgcn_layers entry is not a number, got True"),
+    "label-cap-one": (None, "label_cap", 1, "label_cap entry must be >= 2, got 1"),
+    "walk-len-bool": ("walk", "walk_len", True, "walk_len must be a number, got True"),
+    "restart-prob-bool": ("walk", "restart_prob", True,
+                          "restart_prob must be a number, got True"),
+}
 
 
 class TestReturnCodes:
@@ -159,7 +198,8 @@ class TestReturnCodes:
                                       "walk-len-string", "label-cap-not-numeric",
                                       "tables-empty-object", "tables-list",
                                       "walk-no-max-nodes",
-                                      "walk-remove-edge-string"])
+                                      "walk-remove-edge-string", "lambda-nan",
+                                      *BAD_SCALARS])
     def test_malformed_checkpoint_exits_one(self, pipeline, tmp_path, capsys, case):
         payload = json.loads((pipeline / "run" / "checkpoint.json").read_text())
         if case.startswith("gnn-"):
@@ -199,6 +239,15 @@ class TestReturnCodes:
         elif case == "walk-remove-edge-string":
             payload["walk"]["remove_target_edge"] = "no"
             message = "remove_target_edge must be a bool, got 'no'"
+        elif case in BAD_SCALARS:
+            section, key, value, message = BAD_SCALARS[case]
+            (payload[section] if section else payload)[key] = value
+        elif case == "lambda-nan":
+            # The mf checkpoint as an lgcf-ens one whose fusion weight is NaN.
+            gnn = lgcf.init_gnn_params(payload["label_cap"], 4, 2, lgcf.seed_stream(0))
+            payload.update({"kind": "lgcf-ens", "gnn": params_to_dict(gnn),
+                            "lambda": float("nan")})
+            message = "lambda entry must be finite, got nan"
         else:
             payload = [payload]
             message = "checkpoint must be a JSON object"

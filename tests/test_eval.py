@@ -85,6 +85,7 @@ class TestEvalProtocol:
 
     @pytest.mark.parametrize("bad", [
         dict(n_negatives=0), dict(k_values=()), dict(k_values=(0,)),
+        dict(k_values=(10, 10)),
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):

@@ -36,27 +36,27 @@ LEARNABLE = ("--lambda-mode", "learnable")
 # report.json and history.jsonl without wall_ms)
 GOLDEN = {
     "lgcf": ("lgcf", (),
-        ("21516985b4827b94", "ffc1d17c24c0afa7", "b541c301bdf46cbe")),
+        ("4a7b6718b1de0ce3", "ffc1d17c24c0afa7", "b541c301bdf46cbe")),
     "mf": ("mf", (),
-        ("3d24a333a1bbbd6e", "132fd0953a7311ef", "6f3c345a14465312")),
+        ("cab12bbff014b5ff", "132fd0953a7311ef", "6f3c345a14465312")),
     "lightgcn": ("lightgcn", (),
-        ("f9ee51f4cf1f1eee", "2da32dac65786408", "b825801be9952876")),
+        ("6849f2fb3c9cf12d", "2da32dac65786408", "b825801be9952876")),
     "lgcf-emb": ("lgcf-emb", (),
-        ("b41ff6270ec37e64", "f8fefa64f42b1aff", "3870c54e6460896f")),
+        ("05f84391a27b1e21", "f8fefa64f42b1aff", "3870c54e6460896f")),
     "lgcf-ens": ("lgcf-ens", (),
-        ("bc7b9c7862cb63c6", "954b3bbc6b70414c", "4e90b7eb6b3fe75a")),
+        ("847dc4c3159e2f23", "954b3bbc6b70414c", "4e90b7eb6b3fe75a")),
     "lgcf-neg2": ("lgcf", NEG2,
-        ("cebb001a6ffddff8", "2a539a647d1f68aa", "61d80d4db2eec905")),
+        ("a7ea6cbcdd222e1f", "2a539a647d1f68aa", "61d80d4db2eec905")),
     "mf-neg2": ("mf", NEG2,
-        ("3f49c00a2906fcd4", "8b610570bd59d7dd", "e08cc6a57ea2e064")),
+        ("e2251a2f79dd2a12", "8b610570bd59d7dd", "e08cc6a57ea2e064")),
     "lightgcn-neg2": ("lightgcn", NEG2,
-        ("f2f8a86733337274", "9492614541efc9b3", "b41d37032ca881a4")),
+        ("50da99d764fb30f8", "9492614541efc9b3", "b41d37032ca881a4")),
     "lgcf-emb-neg2": ("lgcf-emb", NEG2,
-        ("7b0ce134f2be778d", "8e069da0cec4369a", "111f30ea925e0279")),
+        ("cf0fdeb78c55ba02", "8e069da0cec4369a", "111f30ea925e0279")),
     "lgcf-ens-neg2": ("lgcf-ens", NEG2,
-        ("5c2b35b297efee66", "7569a39a61496a5f", "fa41b4c3f4f2264e")),
+        ("b6c7edcde89b397f", "7569a39a61496a5f", "fa41b4c3f4f2264e")),
     "lgcf-ens-learnable": ("lgcf-ens", LEARNABLE,
-        ("7faa688c2cb9d8ca", "7bd696ce15e2703c", "4e90b7eb6b3fe75a")),
+        ("00833457034be5c6", "7bd696ce15e2703c", "4e90b7eb6b3fe75a")),
 }
 
 
