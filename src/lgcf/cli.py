@@ -297,6 +297,19 @@ def _train_config(values: dict) -> TrainConfig:
         val_negatives=values["val-negatives"])
 
 
+def _configs(command: str, values: dict) -> dict:
+    """The TrainConfig and EvalProtocol a command's options describe, keyed
+    by handler parameter name.  main builds them, and so rejects bad
+    values, before --out is touched."""
+    opts = COMMANDS[command][1]
+    configs = {}
+    if _TRAIN[0] in opts:
+        configs["config"] = _train_config(values)
+    if _PROTOCOL[0] in opts:
+        configs["protocol"] = _protocol(values)
+    return configs
+
+
 def cmd_ingest(values: dict, out: Path) -> int:
     delim = {"auto": None, "comma": ",", "tab": "\t"}.get(values["delimiter"])
     if delim is None and values["delimiter"] not in ("auto",):
@@ -339,9 +352,9 @@ def cmd_split(values: dict, out: Path) -> int:
     return 0
 
 
-def cmd_train(values: dict, out: Path) -> int:
+def cmd_train(values: dict, out: Path, config: TrainConfig) -> int:
     graph, split = _load_graph_split(values, out)
-    result = train(values["model"], graph, split, _train_config(values))
+    result = train(values["model"], graph, split, config)
     save_model(out / "checkpoint.json", result.model)
     with open(out / "history.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for rec in result.history:
@@ -355,11 +368,10 @@ def cmd_train(values: dict, out: Path) -> int:
     return 0
 
 
-def cmd_eval(values: dict, out: Path) -> int:
+def cmd_eval(values: dict, out: Path, protocol: EvalProtocol) -> int:
     graph, split = _load_graph_split(values, out)
     model = load_model(_in_path(values, "checkpoint", out))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    protocol = _protocol(values)
     report = evaluate(model.make_scorer(train_graph), graph, split, protocol,
                       extra_metadata={"model": model.kind,
                                       "config_hash": _config_hash("eval", values)})
@@ -374,12 +386,12 @@ def cmd_eval(values: dict, out: Path) -> int:
     return 0
 
 
-def cmd_sweep(values: dict, out: Path) -> int:
+def cmd_sweep(values: dict, out: Path, config: TrainConfig,
+              protocol: EvalProtocol) -> int:
     graph, split = _load_graph_split(values, out)
     levels = sparsity_levels(split.train_edges, values["fractions"], values["seed"])
-    protocol = _protocol(values)
     results = sparsity_sweep(list(values["models"]), graph, split, levels,
-                             _train_config(values), protocol)
+                             config, protocol)
     cfg_hash = _config_hash("sweep", values)
     reports_dir = out / "reports"
     reports_dir.mkdir(exist_ok=True)
@@ -397,11 +409,10 @@ def cmd_sweep(values: dict, out: Path) -> int:
     return 0
 
 
-def cmd_probe_degree(values: dict, out: Path) -> int:
+def cmd_probe_degree(values: dict, out: Path, protocol: EvalProtocol) -> int:
     graph, split = _load_graph_split(values, out)
     model = load_model(_in_path(values, "checkpoint", out))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    protocol = _protocol(values)
     report = degree_probe(model.make_scorer(train_graph), graph, split, protocol,
                           n_groups=values["groups"],
                           extra_metadata={"model": model.kind,
@@ -415,14 +426,14 @@ def cmd_probe_degree(values: dict, out: Path) -> int:
     return 0
 
 
-def cmd_dump_cases(values: dict, out: Path) -> int:
+def cmd_dump_cases(values: dict, out: Path, protocol: EvalProtocol) -> int:
     graph, split = _load_graph_split(values, out)
     model_a = load_model(_in_path(values, "checkpoint-a", out))
     model_b = load_model(_in_path(values, "checkpoint-b", out))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
     rows = dump_cases(model_a.make_scorer(train_graph),
                       model_b.make_scorer(train_graph), graph, split,
-                      model_a.walk, out, _protocol(values),
+                      model_a.walk, out, protocol,
                       top_k=values["top-k"])
     print(f"dumped {len(rows) // 2} disagreement cases")
     return 0
@@ -458,8 +469,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         values = resolve_options(args.command, args)
+        configs = _configs(args.command, values)
         out = _prepare_out(args.command, values) if "out" in values else None
-        return HANDLERS[args.command](values, out)
+        return HANDLERS[args.command](values, out, **configs)
     except (LgcfError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

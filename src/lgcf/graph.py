@@ -68,11 +68,42 @@ class BipartiteGraph:
 
     def edges(self) -> list[Edge]:
         """All edges as (user, item) pairs in ascending (u, i) order."""
-        out = []
-        for u in range(self.num_users):
-            for i in self.neighbors(u):
-                out.append((u, int(i)))
-        return out
+        n = self.num_users
+        users = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr[:n + 1]))
+        return list(zip(users.tolist(), self.indices[:self.indptr[n]].tolist()))
+
+
+def _edge_array(edges) -> np.ndarray:
+    """edges as an (E, 2) int64 array; DomainError unless every entry is a
+    pair of integers."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("edges must be (user, item) pairs of 64-bit integers") from None
+    if pairs.ndim == 1 and pairs.size == 0:
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise DomainError(
+            f"edges must be (user, item) pairs, got an array of shape {pairs.shape}")
+    return pairs
+
+
+def _raise_first_bad_edge(pairs: np.ndarray, out_of_range: np.ndarray,
+                          n: int, total: int):
+    """DomainError for the first edge, in input order, that is out of range
+    or repeats an earlier edge."""
+    u, i = pairs[:, 0], pairs[:, 1]
+    repeats = np.ones(len(pairs), dtype=bool)
+    repeats[np.unique(u * total + i, return_index=True)[1]] = False
+    first = int(np.argmax(out_of_range | repeats))
+    u, i = int(u[first]), int(i[first])
+    if not 0 <= u < n:
+        raise DomainError(f"edge ({u}, {i}): {u} is not a valid user id")
+    if not n <= i < total:
+        raise DomainError(f"edge ({u}, {i}): {i} is not a valid item id")
+    raise DomainError(f"duplicate edge ({u}, {i})")
 
 
 def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
@@ -80,38 +111,27 @@ def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
 
     Every edge must connect a user id in [0, num_users) to an item id in
     [num_users, num_users+num_items).  Out-of-range or wrong-side endpoints
-    and duplicate edges raise DomainError.
+    and duplicate edges raise DomainError for the first offending edge in
+    input order; entries that are not pairs raise DomainError too.  Input
+    order does not matter otherwise: both edge directions are sorted by
+    the key src * total + dst in one pass, which yields every neighbour
+    list ascending.
     """
     if num_users < 0 or num_items < 0:
         raise DomainError("num_users and num_items must be non-negative")
     n, total = num_users, num_users + num_items
-    seen = set()
-    deg = np.zeros(total, dtype=np.int64)
-    pairs = []
-    for u, i in edges:
-        u, i = int(u), int(i)
-        if not 0 <= u < n:
-            raise DomainError(f"edge ({u}, {i}): {u} is not a valid user id")
-        if not n <= i < total:
-            raise DomainError(f"edge ({u}, {i}): {i} is not a valid item id")
-        if (u, i) in seen:
-            raise DomainError(f"duplicate edge ({u}, {i})")
-        seen.add((u, i))
-        deg[u] += 1
-        deg[i] += 1
-        pairs.append((u, i))
+    pairs = _edge_array(edges)
+    u, i = pairs[:, 0], pairs[:, 1]
+    out_of_range = (u < 0) | (u >= n) | (i < n) | (i >= total)
+    src = np.concatenate((u, i))
+    keys = np.sort(src * total + np.concatenate((i, u)))
+    # In-range edges give distinct keys in both directions unless an edge
+    # repeats; either fault is then located in input order.
+    if out_of_range.any() or (keys[1:] == keys[:-1]).any():
+        _raise_first_bad_edge(pairs, out_of_range, n, total)
     indptr = np.zeros(total + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(deg)
-    indices = np.zeros(int(indptr[-1]), dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for u, i in pairs:
-        indices[cursor[u]] = i
-        cursor[u] += 1
-        indices[cursor[i]] = u
-        cursor[i] += 1
-    for gid in range(total):
-        indices[indptr[gid]:indptr[gid + 1]].sort()
-    return BipartiteGraph(n, num_items, indptr, indices)
+    np.cumsum(np.bincount(src, minlength=total), out=indptr[1:])
+    return BipartiteGraph(n, num_items, indptr, keys % total)
 
 
 def density(graph: BipartiteGraph) -> float:

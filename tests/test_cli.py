@@ -313,6 +313,24 @@ class TestReturnCodes:
         assert f"top_k must be >= 1, got {top_k}" in err
         assert not (tmp_path / "cases" / "manifest.csv").exists()
 
+    @pytest.mark.parametrize("command, flag, bad, good", [
+        ("train", "--patience", -1, 1),
+        ("eval", "--k-values", "10,10", "10"),
+    ])
+    def test_rejected_option_leaves_out_empty(self, pipeline, tmp_path, capsys,
+                                              command, flag, bad, good):
+        out = tmp_path / "out"
+        extra = {"train": ("--model", "mf", "--epochs", 1, "--embed-dim", 8),
+                 "eval": ("--checkpoint", pipeline / "run" / "checkpoint.json")}
+        argv = (command, "--out", out, "--graph", pipeline / "graph",
+                "--split", pipeline / "split") + extra[command]
+        assert run(*argv, flag, bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+        assert run(*argv, flag, good) == 0  # no --force needed
+        capsys.readouterr()
+
     def test_missing_graph_dir(self, tmp_path, capsys):
         assert run("split", "--out", tmp_path / "s",
                    "--graph", tmp_path / "nope") == 1

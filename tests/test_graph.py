@@ -1,6 +1,7 @@
 """Graph construction, ingestion, splits, and persistence."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ def random_bipartite(rng, max_users=12, max_items=12, p=0.3):
 
 
 FOUR_CYCLE = build_graph([(0, 2), (0, 3), (1, 2), (1, 3)], 2, 2)
+
+
+def reference_csr(edges, total):
+    """indptr and indices by a plain per-node loop, the construction
+    build_graph must reproduce."""
+    nbrs = [[] for _ in range(total)]
+    for u, i in edges:
+        nbrs[u].append(i)
+        nbrs[i].append(u)
+    indptr = np.cumsum([0] + [len(row) for row in nbrs], dtype=np.int64)
+    indices = np.array([x for row in nbrs for x in sorted(row)], dtype=np.int64)
+    return indptr, indices
 
 
 class TestBuildGraph:
@@ -57,6 +70,7 @@ class TestBuildGraph:
         g, n, m = random_bipartite(rng)
         edges = g.edges()
         assert edges == sorted(edges)
+        assert all(type(x) is int for edge in edges for x in edge)
         g2 = build_graph(edges, n, m)
         assert np.array_equal(g.indptr, g2.indptr)
         assert np.array_equal(g.indices, g2.indices)
@@ -66,15 +80,37 @@ class TestBuildGraph:
         assert [g.is_user(gid) for gid in range(5)] == [True, True, True, False, False]
         assert g.num_nodes == 5
 
+    def test_input_order_does_not_matter(self):
+        rng = np.random.default_rng(104)
+        for _ in range(20):
+            g, n, m = random_bipartite(rng)
+            indptr, indices = reference_csr(g.edges(), n + m)
+            assert g.indptr.tobytes() == indptr.tobytes()
+            assert g.indices.tobytes() == indices.tobytes()
+            shuffled = [g.edges()[j] for j in rng.permutation(g.edge_count)]
+            for edges in (shuffled, (e for e in shuffled),
+                          np.array(shuffled, dtype=np.int64)):
+                g2 = build_graph(edges, n, m)
+                for got, want in ((g2.indptr, g.indptr), (g2.indices, g.indices)):
+                    assert got.dtype == np.int64 and not got.flags.writeable
+                    assert got.tobytes() == want.tobytes()
+
     def test_rejects_bad_edges(self):
-        with pytest.raises(DomainError):
-            build_graph([(0, 5)], 2, 2)  # item gid out of range
-        with pytest.raises(DomainError):
-            build_graph([(0, 1)], 2, 2)  # both endpoints user side
-        with pytest.raises(DomainError):
-            build_graph([(3, 2)], 2, 2)  # first endpoint not a user
-        with pytest.raises(DomainError):
-            build_graph([(0, 2), (0, 2)], 2, 2)  # duplicate
+        cases = [
+            ([(0, 5)], "edge (0, 5): 5 is not a valid item id"),  # item gid out of range
+            ([(0, 1)], "edge (0, 1): 1 is not a valid item id"),  # both endpoints user side
+            ([(3, 2)], "edge (3, 2): 3 is not a valid user id"),  # first endpoint not a user
+            ([(0, 2), (0, 2)], "duplicate edge (0, 2)"),
+            # the first offending edge in input order is the one reported
+            ([(0, 2), (0, 2), (0, 9)], "duplicate edge (0, 2)"),
+            ([(0, 9), (0, 2), (0, 2)], "edge (0, 9): 9 is not a valid item id"),
+            ([(5, 9)], "edge (5, 9): 5 is not a valid user id"),  # user check first
+            ([(0, 2, 5)], "edges must be (user, item) pairs"),
+            ([(0, 2), (1,)], "edges must be (user, item) pairs"),  # ragged
+        ]
+        for edges, message in cases:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                build_graph(edges, 2, 2)
 
     def test_arrays_are_frozen(self):
         g = build_graph([(0, 1)], 1, 1)
