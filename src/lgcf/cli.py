@@ -310,12 +310,27 @@ def _configs(command: str, values: dict) -> dict:
     return configs
 
 
-def cmd_ingest(values: dict, out: Path) -> int:
-    delim = {"auto": None, "comma": ",", "tab": "\t"}.get(values["delimiter"])
-    if delim is None and values["delimiter"] not in ("auto",):
+_DELIMITERS = {"auto": None, "comma": ",", "tab": "\t"}
+
+
+def _check_options(command: str, values: dict) -> None:
+    """Reject option values that are wrong whatever the input data.  main
+    runs these checks, like _configs, before --out is touched."""
+    if command == "synth" and (values["users"] % 2 or values["items"] % 2):
+        raise DomainError("--users and --items must be even (two equal blocks)")
+    if command == "ingest" and values["delimiter"] not in _DELIMITERS:
         raise DomainError(f"unknown delimiter {values['delimiter']!r}")
+    if command == "split" and values["kind"] not in ("normal", "sparse"):
+        raise DomainError(f"unknown split kind {values['kind']!r}")
+    if command == "probe-degree" and values["groups"] < 1:
+        raise DomainError(f"n_groups must be >= 1, got {values['groups']}")
+    if command == "dump-cases" and values["top-k"] < 1:
+        raise DomainError(f"top_k must be >= 1, got {values['top-k']}")
+
+
+def cmd_ingest(values: dict, out: Path) -> int:
     result = ingest_interactions(
-        _in_path(values, "input", out), delimiter=delim,
+        _in_path(values, "input", out), delimiter=_DELIMITERS[values["delimiter"]],
         user_col=values["user-col"], item_col=values["item-col"],
         rating_col=values["rating-col"], rating_threshold=values["rating-threshold"])
     graph = build_graph(result.edges, result.num_users, result.num_items)
@@ -328,8 +343,6 @@ def cmd_ingest(values: dict, out: Path) -> int:
 
 
 def cmd_synth(values: dict, out: Path) -> int:
-    if values["users"] % 2 or values["items"] % 2:
-        raise DomainError("--users and --items must be even (two equal blocks)")
     graph = make_synthetic(values["users"] // 2, values["items"] // 2,
                            values["p-in"], values["p-out"], values["seed"])
     save_graph_dir(graph, out)
@@ -342,10 +355,8 @@ def cmd_split(values: dict, out: Path) -> int:
     graph = load_graph_dir(_in_path(values, "graph", out))
     if values["kind"] == "normal":
         split = normal_split(graph, values["train-frac"], values["seed"])
-    elif values["kind"] == "sparse":
-        split = sparse_split(graph, values["seed"])
     else:
-        raise DomainError(f"unknown split kind {values['kind']!r}")
+        split = sparse_split(graph, values["seed"])
     save_split(split, out)
     print(f"split kind={split.kind} train={len(split.train_edges)} "
           f"val={len(split.val_edges)} test={len(split.test_edges)}")
@@ -469,6 +480,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         values = resolve_options(args.command, args)
+        _check_options(args.command, values)
         configs = _configs(args.command, values)
         out = _prepare_out(args.command, values) if "out" in values else None
         return HANDLERS[args.command](values, out, **configs)

@@ -22,15 +22,6 @@ class LabelEncoding:
         self.label_cap = int(label_cap)
 
 
-def _neighbor_lists(lg: LocalizedGraph) -> list[list[int]]:
-    """Positions q with adjacency[p, q] != 0, per position p, ascending."""
-    nbrs: list[list[int]] = [[] for _ in range(lg.num_nodes)]
-    rows, cols = np.nonzero(lg.adjacency)
-    for p, q in zip(rows.tolist(), cols.tolist()):
-        nbrs[p].append(q)
-    return nbrs
-
-
 def _bfs(nbrs: list[list[int]], source_pos: int) -> list[int]:
     """BFS hop counts over neighbor lists; UNREACHABLE where disconnected."""
     k = len(nbrs)
@@ -54,7 +45,7 @@ def _bfs(nbrs: list[list[int]], source_pos: int) -> list[int]:
 
 def min_distances(lg: LocalizedGraph, source_pos: int) -> np.ndarray:
     """BFS hop counts from a node position; UNREACHABLE where disconnected."""
-    return np.asarray(_bfs(_neighbor_lists(lg), source_pos), dtype=np.int64)
+    return np.asarray(_bfs(lg.neighbors, source_pos), dtype=np.int64)
 
 
 def drnl_label(d_u: int, d_i: int) -> int:
@@ -74,9 +65,8 @@ def drnl_label(d_u: int, d_i: int) -> int:
 
 def label_graph(lg: LocalizedGraph) -> LocalizedGraph:
     """Fill lg.labels in place from distances to its two targets."""
-    nbrs = _neighbor_lists(lg)
-    du = _bfs(nbrs, 0)
-    di = _bfs(nbrs, 1)
+    du = _bfs(lg.neighbors, 0)
+    di = _bfs(lg.neighbors, 1)
     lg.labels[:] = [drnl_label(a, b) for a, b in zip(du, di)]
     return lg
 

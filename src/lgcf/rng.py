@@ -25,14 +25,24 @@ GRADCHECK = 12      # gradient check instance generation
 
 
 def seed_stream(*keys: int) -> np.random.Generator:
-    """Generator seeded by a tuple of non-negative integers."""
-    entropy = []
+    """Generator seeded by a tuple of non-negative integers.
+
+    Each key is split into little-endian 32-bit words, as SeedSequence does
+    for a list of ints, and the words go in as one uint32 array: the same
+    entropy without numpy's per-key conversion.
+    """
+    words = []
     for k in keys:
         k = int(k)
         if k < 0:
             raise ValueError(f"seed keys must be non-negative, got {k}")
-        entropy.append(k)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+        words.append(k & 0xFFFFFFFF)
+        k >>= 32
+        while k:
+            words.append(k & 0xFFFFFFFF)
+            k >>= 32
+    return np.random.default_rng(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def walk_stream(master_seed: int, u: int, i: int, epoch: int) -> np.random.Generator:

@@ -1,6 +1,6 @@
 """Localized graph extraction around a user-item pair via restart walks."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
@@ -47,6 +47,9 @@ class LocalizedGraph:
     nodes[0] is the target user and nodes[1] the target item (global ids);
     adjacency is a dense symmetric 0/1 matrix over node positions with zero
     diagonal.  labels start at zero and are filled by the labeling stage.
+    neighbors[p] holds the positions q with adjacency[p, q] != 0, in any
+    order; induce_subgraph passes the lists it builds the adjacency from,
+    and a graph built without them derives them from adjacency.
     """
 
     nodes: np.ndarray
@@ -54,10 +57,24 @@ class LocalizedGraph:
     labels: np.ndarray
     target_pair: tuple[int, int]
     target_edge_removed: bool
+    neighbors: list[list[int]] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.neighbors is None:
+            self.neighbors = _neighbor_lists(self.adjacency)
 
     @property
     def num_nodes(self) -> int:
         return int(self.nodes.size)
+
+
+def _neighbor_lists(adjacency: np.ndarray) -> list[list[int]]:
+    """Positions q with adjacency[p, q] != 0, per position p, ascending."""
+    nbrs: list[list[int]] = [[] for _ in range(adjacency.shape[0])]
+    rows, cols = np.nonzero(adjacency)
+    for p, q in zip(rows.tolist(), cols.tolist()):
+        nbrs[p].append(q)
+    return nbrs
 
 
 def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
@@ -66,11 +83,13 @@ def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
 
     Each of the walk_len steps restarts at the start node with probability
     cfg.restart_prob and otherwise moves to a uniformly random neighbor.
-    Exactly 2 * walk_len draws are consumed regardless of the path taken, so
-    the trace depends only on the generator state and the graph.
+    Exactly 2 * walk_len draws are consumed regardless of the path taken (the
+    first walk_len gate the restarts, the rest pick the moves), so the trace
+    depends only on the generator state and the graph.
     """
-    restarts = rng.random(cfg.walk_len).tolist()
-    moves = rng.random(cfg.walk_len).tolist()
+    walk_len = cfg.walk_len
+    draws = rng.random(2 * walk_len).tolist()
+    restarts, moves = draws[:walk_len], draws[walk_len:]
     indptr, indices = graph.csr_lists
     restart_prob = cfg.restart_prob
     start = int(start)
@@ -95,14 +114,7 @@ def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
 
 def union_nodes(first, second) -> list[int]:
     """Order-preserving union: first-appearance order across both inputs."""
-    out: list[int] = []
-    seen: set[int] = set()
-    for x in (*first, *second):
-        x = int(x)
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
+    return list(dict.fromkeys(map(int, (*first, *second))))
 
 
 def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
@@ -121,27 +133,36 @@ def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
             ordered.append(x)
     if max_nodes is not None:
         ordered = ordered[:max_nodes]
-    pos = {g: p for p, g in enumerate(ordered)}
+    pos = {g: p for p, g in enumerate(ordered)}.get
     k = len(ordered)
     indptr, indices = graph.csr_lists
-    rows, cols = [], []
-    for p, g in enumerate(ordered):
-        for nb in indices[indptr[g]:indptr[g + 1]]:
-            q = pos.get(nb)
+    # One pass over the CSR rows gives both the neighbor lists and the flat
+    # indices of the adjacency entries.
+    nbrs, flat = [], []
+    base = 0
+    for g in ordered:
+        row = []
+        for q in map(pos, indices[indptr[g]:indptr[g + 1]]):
             if q is not None:
-                rows.append(p)
-                cols.append(q)
+                row.append(q)
+                flat.append(base + q)
+        nbrs.append(row)
+        base += k
     adj = np.zeros((k, k), dtype=np.float64)
-    adj[rows, cols] = 1.0
+    adj.ravel()[flat] = 1.0
     if remove_target_edge:
-        adj[TARGET_USER_POS, TARGET_ITEM_POS] = 0.0
-        adj[TARGET_ITEM_POS, TARGET_USER_POS] = 0.0
+        for p, q in ((TARGET_USER_POS, TARGET_ITEM_POS),
+                     (TARGET_ITEM_POS, TARGET_USER_POS)):
+            adj[p, q] = 0.0
+            if q in nbrs[p]:
+                nbrs[p].remove(q)
     return LocalizedGraph(
         nodes=np.asarray(ordered, dtype=np.int64),
         adjacency=adj,
         labels=np.zeros(k, dtype=np.int64),
         target_pair=(u, i),
         target_edge_removed=bool(remove_target_edge),
+        neighbors=nbrs,
     )
 
 

@@ -316,14 +316,28 @@ class TestReturnCodes:
     @pytest.mark.parametrize("command, flag, bad, good", [
         ("train", "--patience", -1, 1),
         ("eval", "--k-values", "10,10", "10"),
+        ("synth", "--users", 5, 4),
+        ("ingest", "--delimiter", "pipe", "comma"),
+        ("split", "--kind", "dense", "sparse"),
+        ("probe-degree", "--groups", 0, 2),
+        ("dump-cases", "--top-k", 0, 10),
     ])
     def test_rejected_option_leaves_out_empty(self, pipeline, tmp_path, capsys,
                                               command, flag, bad, good):
         out = tmp_path / "out"
-        extra = {"train": ("--model", "mf", "--epochs", 1, "--embed-dim", 8),
-                 "eval": ("--checkpoint", pipeline / "run" / "checkpoint.json")}
-        argv = (command, "--out", out, "--graph", pipeline / "graph",
-                "--split", pipeline / "split") + extra[command]
+        raw = tmp_path / "raw.csv"
+        raw.write_text("alice,red\nbob,blue\n")
+        checkpoint = pipeline / "run" / "checkpoint.json"
+        inputs = ("--graph", pipeline / "graph", "--split", pipeline / "split")
+        extra = {"train": inputs + ("--model", "mf", "--epochs", 1, "--embed-dim", 8),
+                 "eval": inputs + ("--checkpoint", checkpoint),
+                 "synth": ("--items", 4),
+                 "ingest": ("--input", raw),
+                 "split": ("--graph", pipeline / "graph"),
+                 "probe-degree": inputs + ("--checkpoint", checkpoint),
+                 "dump-cases": inputs + ("--checkpoint-a", checkpoint,
+                                         "--checkpoint-b", checkpoint)}
+        argv = (command, "--out", out) + extra[command]
         assert run(*argv, flag, bad) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err

@@ -8,8 +8,8 @@ import pytest
 
 from lgcf import (BipartiteGraph, DomainError, ParseError, build_graph,
                   density, ingest_interactions, load_graph_dir, load_split,
-                  normal_split, save_graph_dir, save_split, sparse_split,
-                  sparsity_levels)
+                  normal_split, save_graph_dir, save_split, seed_stream,
+                  sparse_split, sparsity_levels)
 
 
 def random_bipartite(rng, max_users=12, max_items=12, p=0.3):
@@ -371,3 +371,31 @@ class TestPersistence:
         g2 = load_graph_dir(tmp_path / "g")
         assert g2.num_users == g.num_users and g2.num_items == g.num_items
         assert g2.edges() == g.edges()
+
+
+class TestSeedStream:
+    """seed_stream passes SeedSequence the 32-bit words of its keys itself."""
+
+    KEYS = [(0,), (2**32 - 1,), (2**32,), (2**64 + 5,), (2**100,),
+            (3, 0, 2**32, 7), (2**64 + 5, 1, 2**100, 0, 2**32 - 1),
+            (np.int64(42), 6, np.uint64(2**63 + 1))]
+
+    @pytest.mark.parametrize("keys", KEYS)
+    def test_draws_match_a_seed_sequence_of_the_key_list(self, keys):
+        want = np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
+        got = seed_stream(*keys)
+        assert np.array_equal(got.random(8), want.random(8))
+        assert np.array_equal(got.integers(0, 2**62, 8), want.integers(0, 2**62, 8))
+
+    def test_random_key_tuples_match(self):
+        rng = np.random.default_rng(112)
+        for _ in range(200):
+            keys = [int(rng.integers(0, 2**62)) >> int(rng.integers(0, 62))
+                    << int(rng.integers(0, 70)) for _ in range(rng.integers(1, 6))]
+            want = np.random.default_rng(np.random.SeedSequence(keys))
+            assert seed_stream(*keys).random() == want.random()
+
+    @pytest.mark.parametrize("keys", [(-1,), (3, -2**40)])
+    def test_negative_key_rejected(self, keys):
+        with pytest.raises(ValueError):
+            seed_stream(*keys)

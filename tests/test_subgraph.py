@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lgcf import (DomainError, ParseError, WalkConfig, build_graph,
-                  dump_localized_graph, extract, induce_subgraph,
+from lgcf import (DomainError, LocalizedGraph, ParseError, WalkConfig, build_graph,
+                  dump_localized_graph, extract, induce_subgraph, label_graph,
                   parse_localized_graph, rwr_trace, seed_stream, union_nodes)
 from lgcf.subgraph import TARGET_ITEM_POS, TARGET_USER_POS
 
@@ -112,6 +112,70 @@ class TestInduceSubgraph:
         lg = induce_subgraph(g, nodes, (0, 10), True, max_nodes=6)
         assert lg.num_nodes == 6
         assert list(lg.nodes) == nodes[:6]
+
+
+class TestNeighborLists:
+    """induce_subgraph's neighbor lists match the adjacency they come with."""
+
+    @staticmethod
+    def assert_lists_match(lg):
+        assert len(lg.neighbors) == lg.num_nodes
+        for p, row in enumerate(lg.neighbors):
+            assert len(row) == len(set(row))
+            assert set(row) == set(np.nonzero(lg.adjacency[p])[0].tolist())
+
+    def induced_graphs(self):
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            g = random_graph(rng, n=int(rng.integers(2, 9)),
+                             m=int(rng.integers(2, 9)), p=float(rng.uniform(0.1, 0.6)))
+            cfg = WalkConfig(float(rng.uniform(0.0, 0.5)), int(rng.integers(1, 30)),
+                             int(rng.integers(2, 12)), bool(trial % 2))
+            u = int(rng.integers(g.num_users))
+            i = g.num_users + int(rng.integers(g.num_items))
+            yield g, cfg, extract(g, u, i, cfg, seed_stream(24, trial))
+            # every node in id order, so that max_nodes truncates
+            yield g, cfg, induce_subgraph(g, range(g.num_nodes), (0, g.num_users),
+                                          cfg.remove_target_edge, cfg.max_nodes)
+        # isolated targets: user 1 and item 4 have no edges
+        g = build_graph([(0, 3), (2, 3), (2, 5)], 3, 3)
+        for remove in (True, False):
+            cfg = WalkConfig(0.1, 20, 10, remove)
+            for u, i in ((1, 3), (0, 4), (1, 4)):
+                yield g, cfg, extract(g, u, i, cfg, seed_stream(25, u, i))
+
+    def test_lists_match_adjacency(self):
+        kinds = set()
+        for g, cfg, lg in self.induced_graphs():
+            self.assert_lists_match(lg)
+            if cfg.remove_target_edge:
+                assert 1 not in lg.neighbors[0] and 0 not in lg.neighbors[1]
+            elif g.has_edge(*lg.target_pair):
+                assert 1 in lg.neighbors[0] and 0 in lg.neighbors[1]
+            kinds.add(("removed", cfg.remove_target_edge))
+            if lg.num_nodes == cfg.max_nodes:
+                kinds.add("truncated")
+            if not lg.neighbors[0] or not lg.neighbors[1]:
+                kinds.add("isolated target")
+        assert kinds == {("removed", True), ("removed", False), "truncated",
+                         "isolated target"}
+
+    def test_parsed_and_hand_built_graphs_derive_the_same_lists(self):
+        for g, _, lg in self.induced_graphs():
+            parsed = parse_localized_graph(dump_localized_graph(lg, g.num_users))
+            by_hand = LocalizedGraph(lg.nodes.copy(), lg.adjacency.copy(),
+                                     np.zeros_like(lg.labels), lg.target_pair,
+                                     lg.target_edge_removed)
+            assert parsed.neighbors == by_hand.neighbors
+            assert [sorted(row) for row in lg.neighbors] == by_hand.neighbors
+            self.assert_lists_match(by_hand)
+
+    def test_labels_do_not_depend_on_where_lists_come_from(self):
+        for _, _, lg in self.induced_graphs():
+            by_hand = LocalizedGraph(lg.nodes.copy(), lg.adjacency.copy(),
+                                     np.zeros_like(lg.labels), lg.target_pair,
+                                     lg.target_edge_removed)
+            assert np.array_equal(label_graph(lg).labels, label_graph(by_hand).labels)
 
 
 class TestExtract:

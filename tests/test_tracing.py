@@ -47,12 +47,14 @@ def test_every_boundary_resolves_and_uninstalls():
         assert getattr(owner_of(mod, cls), attr) is original
 
 
-# Spans that one lgcf train plus one evaluation must produce: each stage of
-# extraction, labeling and the GCN, reached through its public name.
-LGCF_SPANS = ("rng.seed_stream", "subgraph.rwr_trace", "subgraph.union_nodes",
-              "subgraph.induce_subgraph", "labeling.label_graph",
-              "labeling.one_hot_features", "nn.normalize_adjacency",
-              "nn.gcn_forward", "nn.gcn_backward", "nn.adam_step", "models.score")
+# Spans that one lgcf training run and one evaluation must each produce on
+# their own: every stage of extraction and labeling, then the GCN, reached
+# through its public name (perfbench's lgcf-train and lgcf-eval pass_spans).
+EXTRACTION_SPANS = ("rng.seed_stream", "subgraph.rwr_trace", "subgraph.union_nodes",
+                    "subgraph.induce_subgraph", "labeling.label_graph",
+                    "labeling.one_hot_features", "nn.normalize_adjacency")
+TRAIN_SPANS = EXTRACTION_SPANS + ("nn.gcn_forward", "nn.gcn_backward", "nn.adam_step")
+EVAL_SPANS = EXTRACTION_SPANS + ("nn.gcn_forward", "models.score")
 
 
 def test_lgcf_train_and_eval_pass_every_stage_boundary():
@@ -61,11 +63,16 @@ def test_lgcf_train_and_eval_pass_every_stage_boundary():
     split = normal_split(g, 0.75, 2)
     tc = TrainConfig(epochs=1, batch_size=16, master_seed=3,
                      walk=WalkConfig(0.2, 8, 10, True), gcn_layers=2,
-                     hidden_dim=4, label_cap=8, val_negatives=10)
+                     hidden_dim=4, label_cap=8, val_negatives=10,
+                     eval_every=2)  # no validation pass inside training
     train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
     tracer = tracing.Tracer()
     model = tracer.run(1, lambda: train("lgcf", g, split, tc)).model
     tracer.run(2, lambda: evaluate(model.make_scorer(train_graph), g, split,
                                    EvalProtocol(n_negatives=9, k_values=(5,))))
-    fired = {span[0] for span in tracer.spans}
-    assert not [name for name in LGCF_SPANS if name not in fired]
+    fired = {request: {span[0] for span in tracer.spans if span[4] == request}
+             for request in (1, 2)}
+    assert not [name for name in TRAIN_SPANS if name not in fired[1]]
+    assert not [name for name in EVAL_SPANS if name not in fired[2]]
+    # training scored no validation pair, so its own path fired its stages
+    assert "models.score" not in fired[1]
