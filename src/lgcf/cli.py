@@ -316,12 +316,28 @@ _DELIMITERS = {"auto": None, "comma": ",", "tab": "\t"}
 def _check_options(command: str, values: dict) -> None:
     """Reject option values that are wrong whatever the input data.  main
     runs these checks, like _configs, before --out is touched."""
-    if command == "synth" and (values["users"] % 2 or values["items"] % 2):
-        raise DomainError("--users and --items must be even (two equal blocks)")
-    if command == "ingest" and values["delimiter"] not in _DELIMITERS:
-        raise DomainError(f"unknown delimiter {values['delimiter']!r}")
-    if command == "split" and values["kind"] not in ("normal", "sparse"):
-        raise DomainError(f"unknown split kind {values['kind']!r}")
+    if command == "synth":
+        if values["users"] % 2 or values["items"] % 2:
+            raise DomainError("--users and --items must be even (two equal blocks)")
+        if values["users"] < 2 or values["items"] < 2:
+            raise DomainError("--users and --items must be >= 2 (two equal blocks)")
+        for name in ("p-in", "p-out"):
+            if not 0.0 <= values[name] <= 1.0:
+                raise DomainError(f"--{name} must be in [0, 1], got {values[name]}")
+    if command == "ingest":
+        if values["delimiter"] not in _DELIMITERS:
+            raise DomainError(f"unknown delimiter {values['delimiter']!r}")
+        if values["rating-threshold"] is not None and values["rating-col"] is None:
+            raise DomainError("--rating-threshold requires --rating-col")
+        for name in ("user-col", "item-col", "rating-col"):
+            if values[name] is not None and values[name] < 0:
+                raise DomainError(f"--{name} must be non-negative, got {values[name]}")
+    if command == "split":
+        if values["kind"] not in ("normal", "sparse"):
+            raise DomainError(f"unknown split kind {values['kind']!r}")
+        if values["kind"] == "normal" and not 0.0 < values["train-frac"] < 1.0:
+            raise DomainError(
+                f"--train-frac must be in (0, 1), got {values['train-frac']}")
     if command == "probe-degree" and values["groups"] < 1:
         raise DomainError(f"n_groups must be >= 1, got {values['groups']}")
     if command == "dump-cases" and values["top-k"] < 1:

@@ -1,7 +1,6 @@
 """User-item bipartite interaction graph: ingestion, construction, splits."""
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -338,7 +337,40 @@ def _write_edge_file(path: Path, edges):
             fh.write(f"{u}\t{i}\n")
 
 
-def _read_edge_file(path: Path) -> tuple[Edge, ...]:
+# The bytes an edge file may hold for np.loadtxt to parse it.  numpy's
+# parser takes text that int() rejects (ASCII 0x1c-0x1f as spaces, some
+# non-ASCII code points as digits of other values) and crashes the process
+# on others (U+FFFFF), so a file with any other byte is read line by line.
+_LOADTXT_BYTES = b"0123456789+- \t\r\n"
+_INT64 = np.iinfo(np.int64)
+
+
+def _read_edge_file(path: Path) -> np.ndarray:
+    """The (user, item) ids of an edge file as an (E, 2) int64 array.
+
+    Each non-blank line holds two integer ids separated by a tab.  Blank
+    lines, whitespace around a line or an id, CRLF or CR line ends and
+    anything else int() accepts in an id are allowed.  ParseError names the
+    first line that does not parse or holds an id outside the signed 64-bit
+    range.  One np.loadtxt call parses a file of plain ids; the per-line
+    reader serves the rest and explains every rejection.
+    """
+    data = path.read_bytes()
+    # A blank file goes to the per-line reader too: loadtxt warns on it.
+    if data.strip() and not data.translate(None, _LOADTXT_BYTES):
+        try:
+            pairs = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None,
+                               ndmin=2, encoding="utf-8")
+        except ValueError:
+            pass
+        else:
+            if pairs.shape[1] == 2:
+                return pairs
+    return _read_edge_lines(path)
+
+
+def _read_edge_lines(path: Path) -> np.ndarray:
+    """_read_edge_file one line at a time."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -349,10 +381,14 @@ def _read_edge_file(path: Path) -> tuple[Edge, ...]:
             if len(parts) != 2:
                 raise ParseError(f"expected 'user<TAB>item', got {line!r}", line_no)
             try:
-                out.append((int(parts[0]), int(parts[1])))
+                edge = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ParseError(f"non-integer id in {line!r}", line_no) from None
-    return tuple(out)
+            if not all(_INT64.min <= x <= _INT64.max for x in edge):
+                raise ParseError(
+                    f"id outside the signed 64-bit range in {line!r}", line_no)
+            out.append(edge)
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
 def save_split(split: SplitSpec, out_dir) -> None:
@@ -391,10 +427,22 @@ def _meta_entry(meta, path: Path, *keys, kind=int):
             f"{path}: missing or malformed {'.'.join(keys)} entry") from None
 
 
+def _raise_first_repeat(parts: dict, pairs: np.ndarray, keys: np.ndarray):
+    """DomainError for the repeated split edge whose first occurrence comes
+    first in train, val, test order; keys[j] identifies pairs[j]."""
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    j = int(np.argmin(np.where(counts > 1, first, len(keys))))
+    edge = tuple(pairs[first[j]].tolist())
+    where = ", ".join(name for name, part in parts.items()
+                      if (part == edge).all(axis=1).any())
+    raise DomainError(f"edge {edge} appears {counts[j]} times in the split ({where})")
+
+
 def load_split(split_dir) -> SplitSpec:
     """Read a split saved by save_split; every edge must join a user and an
     item of the split's own metadata and appear once across train, val and
-    test."""
+    test.  Each file's count and range checks run before the next file is
+    read, and an error names the first offending edge in file order."""
     split_dir = Path(split_dir)
     meta_path = split_dir / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -402,22 +450,29 @@ def load_split(split_dir) -> SplitSpec:
     total = n + _meta_entry(meta, meta_path, "num_items")
     parts = {}
     for name in ("train", "val", "test"):
-        edges = _read_edge_file(split_dir / f"{name}.tsv")
+        pairs = _read_edge_file(split_dir / f"{name}.tsv")
         count = _meta_entry(meta, meta_path, "counts", name)
-        if len(edges) != count:
+        if len(pairs) != count:
             raise DomainError(
-                f"{name} edge count {len(edges)} does not match metadata {count}")
-        for u, i in edges:
-            if not 0 <= u < n <= i < total:
-                raise DomainError(f"{name} edge ({u}, {i}) is not a user-item pair "
-                                  f"of the split's {n} users and {total - n} items")
-        parts[name] = edges
-    edges = parts["train"] + parts["val"] + parts["test"]
-    if len(set(edges)) != len(edges):
-        edge, count = next((e, c) for e, c in Counter(edges).items() if c > 1)
-        where = ", ".join(name for name in parts if edge in parts[name])
-        raise DomainError(f"edge {edge} appears {count} times in the split ({where})")
-    return SplitSpec(parts["train"], parts["val"], parts["test"],
+                f"{name} edge count {len(pairs)} does not match metadata {count}")
+        u, i = pairs[:, 0], pairs[:, 1]
+        out_of_range = (u < 0) | (u >= n) | (i < n) | (i >= total)
+        if out_of_range.any():
+            edge = tuple(pairs[np.argmax(out_of_range)].tolist())
+            raise DomainError(f"{name} edge {edge} is not a user-item pair "
+                              f"of the split's {n} users and {total - n} items")
+        parts[name] = pairs
+    pairs = np.concatenate(list(parts.values()))
+    # In range, u * total + i < n * total; where that bound does not fit in
+    # int64 the keys would wrap, so the rows are ranked instead.
+    keys = (pairs[:, 0] * total + pairs[:, 1] if 0 < n * total <= _INT64.max
+            else np.unique(pairs, axis=0, return_inverse=True)[1])
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        _raise_first_repeat(parts, pairs, keys)
+    train, val, test = (tuple(zip(part[:, 0].tolist(), part[:, 1].tolist()))
+                        for part in parts.values())
+    return SplitSpec(train, val, test,
                      _meta_entry(meta, meta_path, "seed"),
                      _meta_entry(meta, meta_path, "kind", kind=str),
                      n, total - n)

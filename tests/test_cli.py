@@ -317,8 +317,16 @@ class TestReturnCodes:
         ("train", "--patience", -1, 1),
         ("eval", "--k-values", "10,10", "10"),
         ("synth", "--users", 5, 4),
+        ("synth", "--users", 0, 4),
+        ("synth", "--p-in", 2, 0.5),
+        ("synth", "--p-out", -0.1, 0.1),
         ("ingest", "--delimiter", "pipe", "comma"),
+        ("ingest", "--rating-threshold", 3, "none"),
+        ("ingest", "--user-col", -1, 0),
+        ("ingest", "--rating-col", -1, "none"),
         ("split", "--kind", "dense", "sparse"),
+        ("split", "--train-frac", 1.5, 0.5),
+        ("split", "--train-frac", 0, 0.5),
         ("probe-degree", "--groups", 0, 2),
         ("dump-cases", "--top-k", 0, 10),
     ])

@@ -1,15 +1,18 @@
 """Graph construction, ingestion, splits, and persistence."""
 
 import json
+import random
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from lgcf import (BipartiteGraph, DomainError, ParseError, build_graph,
-                  density, ingest_interactions, load_graph_dir, load_split,
-                  normal_split, save_graph_dir, save_split, seed_stream,
-                  sparse_split, sparsity_levels)
+from lgcf import (BipartiteGraph, DomainError, ParseError, SplitSpec,
+                  build_graph, density, ingest_interactions, load_graph_dir,
+                  load_split, normal_split, save_graph_dir, save_split,
+                  seed_stream, sparse_split, sparsity_levels)
+from lgcf.graph import _read_edge_file
 
 
 def random_bipartite(rng, max_users=12, max_items=12, p=0.3):
@@ -371,6 +374,199 @@ class TestPersistence:
         g2 = load_graph_dir(tmp_path / "g")
         assert g2.num_users == g.num_users and g2.num_items == g.num_items
         assert g2.edges() == g.edges()
+
+
+def per_line_edges(lines) -> tuple:
+    """The per-line edge-file reader that np.loadtxt replaced, kept as the
+    oracle; lines is an open edge file or a list of its lines."""
+    out = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"expected 'user<TAB>item', got {line!r}", line_no)
+        try:
+            out.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"non-integer id in {line!r}", line_no) from None
+    return tuple(out)
+
+
+def outcome(read, arg):
+    try:
+        return [list(e) for e in read(arg)]
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def expected_outcome(path):
+    """per_line_edges' outcome, except that an id outside the signed 64-bit
+    range now raises ParseError on its line if no earlier line fails."""
+    with open(path, encoding="utf-8") as fh:
+        lines = list(fh)
+    for line_no, raw in enumerate(lines, start=1):
+        edges = outcome(per_line_edges, [raw])
+        if isinstance(edges, tuple):
+            break
+        if any(not -2**63 <= x < 2**63 for edge in edges for x in edge):
+            return ParseError, (f"line {line_no}: id outside the signed 64-bit "
+                                f"range in {raw.strip()!r}")
+    return outcome(per_line_edges, lines)
+
+
+PLAIN_IDS = ["0", "3", "42", "+7", "-5", "007", " 9 ", str(2**63 - 1),
+             str(-2**63)]
+IDS = PLAIN_IDS + ["1_0", "\x0c8", "\uff11", "\ufeff1", "1.0", "#4", str(2**63),
+                   str(-2**63 - 1), str(2**64), "\x1c1", "\U00020000"]
+PIECES = list("0123456789\t \n+-_.#\x0c") + ["\r\n", "\r", "\ufeff", "\uff11",
+                                            str(2**63), "\x1c", "\U00020000"]
+
+
+def random_edge_text(rng: random.Random) -> str:
+    """Edge-file text: mostly id<TAB>id lines, half of them with plain ids
+    only, and some free character soup."""
+    if rng.random() < 0.25:
+        return "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 24)))
+    ids = PLAIN_IDS if rng.random() < 0.5 else IDS
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        line = rng.choice(ids) + "\t" + rng.choice(ids)
+        if rng.random() < 0.1:
+            line = rng.choice(["", " ", "\t", "#", "\x0c", rng.choice(ids),
+                               line + "\t", line + "\t1", " " + line + " "])
+        lines.append(line + rng.choice(["\n", "\n", "\r\n", "\r"]))
+    return "".join(lines)
+
+
+class TestEdgeFiles:
+    def write(self, path, text: str):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return path
+
+    def test_matches_the_per_line_reader(self, tmp_path):
+        rng = random.Random(0)
+        path = tmp_path / "edges.tsv"
+        for _ in range(3000):
+            text = random_edge_text(rng)
+            self.write(path, text)
+            got = outcome(_read_edge_file, path)
+            assert got == expected_outcome(path), repr(text)
+            if isinstance(got, list):
+                pairs = _read_edge_file(path)
+                assert pairs.dtype == np.int64 and pairs.shape == (len(got), 2)
+
+    def test_the_array_parse_reads_plain_files(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path / "edges.tsv", "0\t5\r\n+1\t 6\n\n-2\t7 \n")
+        monkeypatch.setattr("lgcf.graph._read_edge_lines", None)
+        assert _read_edge_file(path).tolist() == [[0, 5], [1, 6], [-2, 7]]
+
+    BAD_LINES = [("1", "expected 'user<TAB>item', got '1'"),
+                 ("0\t2\t3", "expected 'user<TAB>item', got '0\\t2\\t3'"),
+                 ("0\tx", "non-integer id in '0\\tx'"),
+                 ("# 0\t2", "non-integer id in '# 0\\t2'"),
+                 ("#", "expected 'user<TAB>item', got '#'"),
+                 (f"0\t{2**63}", f"id outside the signed 64-bit range in '0\\t{2**63}'")]
+
+    @pytest.mark.parametrize("bad, message", BAD_LINES)
+    def test_parse_errors_name_the_line(self, tmp_path, bad, message):
+        save_graph_dir(FOUR_CYCLE, tmp_path / "g")
+        save_split(normal_split(FOUR_CYCLE, 0.75, seed=5), tmp_path / "s")
+        self.write(tmp_path / "g" / "edges.tsv", f"0\t2\n\n{bad}\n1\t3\n")
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {message}")):
+            load_graph_dir(tmp_path / "g")
+        self.write(tmp_path / "s" / "val.tsv", f"1\t3\n{bad}\n")
+        with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
+            load_split(tmp_path / "s")
+
+    @pytest.mark.parametrize("blank", ["", "\n", "\n \n\t\r\n\x0c\n"])
+    def test_blank_files_hold_no_edges(self, tmp_path, blank):
+        split = normal_split(FOUR_CYCLE, 0.75, seed=5)
+        assert split.val_edges == ()  # save_split writes an empty val.tsv
+        save_split(split, tmp_path / "s")
+        self.write(tmp_path / "s" / "val.tsv", blank)
+        save_graph_dir(build_graph([], 2, 2), tmp_path / "g")
+        self.write(tmp_path / "g" / "edges.tsv", blank)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_split(tmp_path / "s") == split
+            assert load_graph_dir(tmp_path / "g").edge_count == 0
+
+    def test_crlf_loads_like_lf(self, tmp_path):
+        rng = np.random.default_rng(112)
+        g, _, _ = random_bipartite(rng, p=0.5)
+        split = normal_split(g, 0.6, seed=8)
+        save_graph_dir(g, tmp_path / "g")
+        save_split(split, tmp_path / "s")
+        for path in (tmp_path / "g" / "edges.tsv", tmp_path / "s" / "train.tsv"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_split(tmp_path / "s") == split
+        assert load_graph_dir(tmp_path / "g").edges() == g.edges()
+
+
+class TestLoadSplitChecks:
+    """Which fault load_split reports when a split has several."""
+
+    def save(self, path, train, val=(), test=(), num_users=2, num_items=2):
+        save_split(SplitSpec(tuple(train), tuple(val), tuple(test), 0, "normal",
+                             num_users, num_items), path)
+        return path
+
+    def set_count(self, path, name, count):
+        meta = json.loads((path / "meta.json").read_text())
+        meta["counts"][name] = count
+        (path / "meta.json").write_text(json.dumps(meta))
+
+    def test_range_error_in_train_wins_over_count_in_val(self, tmp_path):
+        path = self.save(tmp_path / "s", [(0, 2), (1, 9)], val=[(0, 3)])
+        self.set_count(path, "val", 5)
+        with pytest.raises(DomainError, match=re.escape(
+                "train edge (1, 9) is not a user-item pair of the split's 2 users "
+                "and 2 items")):
+            load_split(path)
+
+    def test_count_wins_over_range_in_one_file(self, tmp_path):
+        path = self.save(tmp_path / "s", [(0, 2), (1, 9)])
+        self.set_count(path, "train", 1)
+        with pytest.raises(DomainError, match=re.escape(
+                "train edge count 2 does not match metadata 1")):
+            load_split(path)
+
+    def test_first_out_of_range_edge_in_file_order(self, tmp_path):
+        path = self.save(tmp_path / "s", [(0, 2)], test=[(1, 9), (0, 8), (-1, 2)])
+        with pytest.raises(DomainError, match=re.escape("test edge (1, 9) is not")):
+            load_split(path)
+
+    @pytest.mark.parametrize("train, val, test, message", [
+        ([(0, 2), (1, 3)], [], [(0, 2)], "edge (0, 2) appears 2 times in the split "
+         "(train, test)"),
+        # (1, 3) is reported: its first occurrence comes first.
+        ([(1, 3), (0, 2)], [(1, 2)], [(0, 2), (1, 3)], "edge (1, 3) appears 2 times "
+         "in the split (train, test)"),
+        ([(0, 3)], [(1, 3), (1, 3)], [(1, 3)], "edge (1, 3) appears 3 times in the "
+         "split (val, test)"),
+    ])
+    def test_repeat_names_its_files(self, tmp_path, train, val, test, message):
+        path = self.save(tmp_path / "s", train, val, test)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            load_split(path)
+
+    def test_ids_past_int64_keys_do_not_collide(self, tmp_path):
+        # With 8 users and 2**62 items, 4 * total + 8 wraps to 0 * total + 40.
+        train = [(0, 40), (4, 8)]
+        path = self.save(tmp_path / "s", train, num_users=8, num_items=2**62)
+        assert load_split(path).train_edges == tuple(train)
+        self.save(path, train + [(4, 8)], num_users=8, num_items=2**62)
+        with pytest.raises(DomainError, match=re.escape("edge (4, 8) appears 2 times")):
+            load_split(path)
+
+    def test_edges_are_python_int_tuples(self, tmp_path):
+        split = load_split(self.save(tmp_path / "s", [(0, 2), (1, 3)], [(0, 3)]))
+        edges = split.train_edges + split.val_edges + split.test_edges
+        assert all(type(e) is tuple and all(type(x) is int for x in e)
+                   for e in edges)
 
 
 class TestSeedStream:
