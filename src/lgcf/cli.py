@@ -2,7 +2,9 @@
 
 Every artifact-producing command takes --out, refuses to clobber a non-empty
 directory without --force true, and echoes its fully resolved configuration
-to resolved_config.txt.  Options resolve as defaults, then --config file
+to resolved_config.txt when it succeeds.  A rejected command, whether an
+option or the input data is at fault, leaves --out empty, so the corrected
+rerun needs no --force.  Options resolve as defaults, then --config file
 entries (flat key=value lines), then explicit flags.  Relative paths other
 than --config resolve against --out.  Exit codes: 0 success, 1 failure,
 2 usage error.
@@ -242,19 +244,21 @@ def _config_hash(command: str, values: dict) -> str:
     return hashlib.sha256("\n".join(payload).encode("utf-8")).hexdigest()[:16]
 
 
-def _prepare_out(command: str, values: dict) -> Path:
-    """Create --out, refusing a non-empty one without --force, and echo the
-    resolved configuration to resolved_config.txt there."""
+def _prepare_out(values: dict) -> Path:
+    """Create --out, refusing a non-empty one without --force."""
     out = Path(values["out"])
     if out.exists() and any(out.iterdir()) and not values["force"]:
         raise DomainError(
             f"output directory {out} is not empty; pass --force true to overwrite")
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_resolved_config(command: str, values: dict, out: Path) -> None:
     lines = [f"command={command}"]
     lines += [f"{name}={_canonical(values[name])}" for name in sorted(values)]
     (out / "resolved_config.txt").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
-    return out
 
 
 def _in_path(values: dict, key: str, out: Path) -> Path:
@@ -297,54 +301,12 @@ def _train_config(values: dict) -> TrainConfig:
         val_negatives=values["val-negatives"])
 
 
-def _configs(command: str, values: dict) -> dict:
-    """The TrainConfig and EvalProtocol a command's options describe, keyed
-    by handler parameter name.  main builds them, and so rejects bad
-    values, before --out is touched."""
-    opts = COMMANDS[command][1]
-    configs = {}
-    if _TRAIN[0] in opts:
-        configs["config"] = _train_config(values)
-    if _PROTOCOL[0] in opts:
-        configs["protocol"] = _protocol(values)
-    return configs
-
-
 _DELIMITERS = {"auto": None, "comma": ",", "tab": "\t"}
 
 
-def _check_options(command: str, values: dict) -> None:
-    """Reject option values that are wrong whatever the input data.  main
-    runs these checks, like _configs, before --out is touched."""
-    if command == "synth":
-        if values["users"] % 2 or values["items"] % 2:
-            raise DomainError("--users and --items must be even (two equal blocks)")
-        if values["users"] < 2 or values["items"] < 2:
-            raise DomainError("--users and --items must be >= 2 (two equal blocks)")
-        for name in ("p-in", "p-out"):
-            if not 0.0 <= values[name] <= 1.0:
-                raise DomainError(f"--{name} must be in [0, 1], got {values[name]}")
-    if command == "ingest":
-        if values["delimiter"] not in _DELIMITERS:
-            raise DomainError(f"unknown delimiter {values['delimiter']!r}")
-        if values["rating-threshold"] is not None and values["rating-col"] is None:
-            raise DomainError("--rating-threshold requires --rating-col")
-        for name in ("user-col", "item-col", "rating-col"):
-            if values[name] is not None and values[name] < 0:
-                raise DomainError(f"--{name} must be non-negative, got {values[name]}")
-    if command == "split":
-        if values["kind"] not in ("normal", "sparse"):
-            raise DomainError(f"unknown split kind {values['kind']!r}")
-        if values["kind"] == "normal" and not 0.0 < values["train-frac"] < 1.0:
-            raise DomainError(
-                f"--train-frac must be in (0, 1), got {values['train-frac']}")
-    if command == "probe-degree" and values["groups"] < 1:
-        raise DomainError(f"n_groups must be >= 1, got {values['groups']}")
-    if command == "dump-cases" and values["top-k"] < 1:
-        raise DomainError(f"top_k must be >= 1, got {values['top-k']}")
-
-
 def cmd_ingest(values: dict, out: Path) -> int:
+    if values["delimiter"] not in _DELIMITERS:
+        raise DomainError(f"unknown delimiter {values['delimiter']!r}")
     result = ingest_interactions(
         _in_path(values, "input", out), delimiter=_DELIMITERS[values["delimiter"]],
         user_col=values["user-col"], item_col=values["item-col"],
@@ -359,6 +321,8 @@ def cmd_ingest(values: dict, out: Path) -> int:
 
 
 def cmd_synth(values: dict, out: Path) -> int:
+    if values["users"] % 2 or values["items"] % 2:
+        raise DomainError("--users and --items must be even (two equal blocks)")
     graph = make_synthetic(values["users"] // 2, values["items"] // 2,
                            values["p-in"], values["p-out"], values["seed"])
     save_graph_dir(graph, out)
@@ -368,6 +332,8 @@ def cmd_synth(values: dict, out: Path) -> int:
 
 
 def cmd_split(values: dict, out: Path) -> int:
+    if values["kind"] not in ("normal", "sparse"):
+        raise DomainError(f"unknown split kind {values['kind']!r}")
     graph = load_graph_dir(_in_path(values, "graph", out))
     if values["kind"] == "normal":
         split = normal_split(graph, values["train-frac"], values["seed"])
@@ -379,7 +345,8 @@ def cmd_split(values: dict, out: Path) -> int:
     return 0
 
 
-def cmd_train(values: dict, out: Path, config: TrainConfig) -> int:
+def cmd_train(values: dict, out: Path) -> int:
+    config = _train_config(values)
     graph, split = _load_graph_split(values, out)
     result = train(values["model"], graph, split, config)
     save_model(out / "checkpoint.json", result.model)
@@ -395,7 +362,8 @@ def cmd_train(values: dict, out: Path, config: TrainConfig) -> int:
     return 0
 
 
-def cmd_eval(values: dict, out: Path, protocol: EvalProtocol) -> int:
+def cmd_eval(values: dict, out: Path) -> int:
+    protocol = _protocol(values)
     graph, split = _load_graph_split(values, out)
     model = load_model(_in_path(values, "checkpoint", out))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
@@ -413,8 +381,8 @@ def cmd_eval(values: dict, out: Path, protocol: EvalProtocol) -> int:
     return 0
 
 
-def cmd_sweep(values: dict, out: Path, config: TrainConfig,
-              protocol: EvalProtocol) -> int:
+def cmd_sweep(values: dict, out: Path) -> int:
+    config, protocol = _train_config(values), _protocol(values)
     graph, split = _load_graph_split(values, out)
     levels = sparsity_levels(split.train_edges, values["fractions"], values["seed"])
     results = sparsity_sweep(list(values["models"]), graph, split, levels,
@@ -436,7 +404,8 @@ def cmd_sweep(values: dict, out: Path, config: TrainConfig,
     return 0
 
 
-def cmd_probe_degree(values: dict, out: Path, protocol: EvalProtocol) -> int:
+def cmd_probe_degree(values: dict, out: Path) -> int:
+    protocol = _protocol(values)
     graph, split = _load_graph_split(values, out)
     model = load_model(_in_path(values, "checkpoint", out))
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
@@ -453,7 +422,8 @@ def cmd_probe_degree(values: dict, out: Path, protocol: EvalProtocol) -> int:
     return 0
 
 
-def cmd_dump_cases(values: dict, out: Path, protocol: EvalProtocol) -> int:
+def cmd_dump_cases(values: dict, out: Path) -> int:
+    protocol = _protocol(values)
     graph, split = _load_graph_split(values, out)
     model_a = load_model(_in_path(values, "checkpoint-a", out))
     model_b = load_model(_in_path(values, "checkpoint-b", out))
@@ -496,11 +466,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         values = resolve_options(args.command, args)
-        _check_options(args.command, values)
-        configs = _configs(args.command, values)
-        out = _prepare_out(args.command, values) if "out" in values else None
-        return HANDLERS[args.command](values, out, **configs)
-    except (LgcfError, OSError, json.JSONDecodeError) as exc:
+        out = _prepare_out(values) if "out" in values else None
+        code = HANDLERS[args.command](values, out)
+        if out is not None:
+            _write_resolved_config(args.command, values, out)
+        return code
+    except (LgcfError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

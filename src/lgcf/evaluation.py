@@ -31,6 +31,8 @@ class EvalProtocol:
     def __post_init__(self):
         if self.n_negatives < 1:
             raise DomainError(f"n_negatives must be >= 1, got {self.n_negatives}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not self.k_values:
             raise DomainError("at least one K is required")
         for k in self.k_values:
@@ -256,11 +258,23 @@ def sparsity_sweep(models, graph: BipartiteGraph, split: SplitSpec, levels,
     models holds kind names (trained via models.train) or callables
     (train_graph, level_split, tc) -> scorer.  Validation, test, and the
     candidate exclusion set stay fixed at the original split across levels,
-    so the series isolates the effect of train sparsity.
+    so the series isolates the effect of train sparsity.  The model and
+    level lists are checked before anything is trained.
     """
-    out: dict[str, list[EvalReport]] = {}
+    from . import models as model_mod
+    names = [model if isinstance(model, str) else getattr(model, "__name__", "custom")
+             for model in models]
+    if not names:
+        raise DomainError("at least one model is required")
+    if not levels:
+        raise DomainError("at least one sparsity level is required")
+    if len(set(names)) != len(names):
+        raise DomainError(f"model names must be distinct, got {names}")
     for model in models:
-        name = model if isinstance(model, str) else getattr(model, "__name__", "custom")
+        if isinstance(model, str) and model not in model_mod.MODEL_KINDS:
+            raise DomainError(f"unknown model kind {model!r}")
+    out: dict[str, list[EvalReport]] = {}
+    for name, model in zip(names, models):
         reports = []
         for level_index, level_edges in enumerate(levels):
             level_split = SplitSpec(tuple(tuple(e) for e in level_edges),
@@ -270,7 +284,6 @@ def sparsity_sweep(models, graph: BipartiteGraph, split: SplitSpec, levels,
             train_graph = build_graph(level_split.train_edges,
                                       graph.num_users, graph.num_items)
             if isinstance(model, str):
-                from . import models as model_mod
                 result = model_mod.train(model, graph, level_split, tc)
                 scorer = result.model.make_scorer(train_graph)
             else:

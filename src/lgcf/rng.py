@@ -8,6 +8,8 @@ streams of different components disjoint even under equal master seeds.
 
 import numpy as np
 
+from .errors import DomainError
+
 # Purpose tags (arbitrary distinct small ints; part of the persistence story,
 # so never renumber).
 WALK = 1            # training-time subgraph walks, keyed (u, i, epoch)
@@ -35,7 +37,7 @@ def seed_stream(*keys: int) -> np.random.Generator:
     for k in keys:
         k = int(k)
         if k < 0:
-            raise ValueError(f"seed keys must be non-negative, got {k}")
+            raise DomainError(f"seed keys must be non-negative, got {k}")
         words.append(k & 0xFFFFFFFF)
         k >>= 32
         while k:

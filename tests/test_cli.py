@@ -353,6 +353,65 @@ class TestReturnCodes:
         assert run(*argv, flag, good) == 0  # no --force needed
         capsys.readouterr()
 
+    @pytest.mark.parametrize("case", ["split-missing", "split-count-off",
+                                      "checkpoint-for-another-graph",
+                                      "synth-seed-negative", "eval-seed-negative",
+                                      "edges-not-utf8", "split-not-utf8",
+                                      "graph-json-not-utf8", "checkpoint-not-utf8",
+                                      "config-not-utf8"])
+    def test_rejected_input_leaves_out_empty(self, pipeline, tmp_path, capsys, case):
+        """A rejection caused by the input data, not by an option value, also
+        leaves --out empty, so the corrected rerun needs no --force."""
+        graph, split = tmp_path / "graph", tmp_path / "split"
+        shutil.copytree(pipeline / "graph", graph)
+        shutil.copytree(pipeline / "split", split)
+        checkpoint = tmp_path / "checkpoint.json"
+        shutil.copy(pipeline / "run" / "checkpoint.json", checkpoint)
+        config = tmp_path / "eval.cfg"
+        config.write_text("k-values=5,10\n")
+        out = tmp_path / "out"
+        argv = ["eval", "--out", out, "--graph", graph, "--split", split,
+                "--checkpoint", checkpoint, "--config", config]
+        bad, fixed = list(argv), list(argv)
+        damaged = {"edges-not-utf8": graph / "edges.tsv",
+                   "split-not-utf8": split / "test.tsv",
+                   "graph-json-not-utf8": graph / "graph.json",
+                   "checkpoint-not-utf8": checkpoint,
+                   "config-not-utf8": config,
+                   "split-count-off": split / "meta.json"}.get(case)
+        original = damaged.read_bytes() if damaged else None
+        if case == "split-missing":
+            bad[6] = tmp_path / "no-such-split"
+        elif case == "split-count-off":
+            meta = json.loads(original)
+            meta["counts"]["train"] += 1
+            damaged.write_text(json.dumps(meta))
+        elif case == "checkpoint-for-another-graph":
+            other = tmp_path / "other"
+            assert run("synth", "--out", other / "graph", "--users", 30,
+                       "--items", 30, "--p-in", 0.5, "--p-out", 0.05) == 0
+            assert run("split", "--out", other / "split",
+                       "--graph", other / "graph") == 0
+            bad[4], bad[6] = other / "graph", other / "split"
+        elif case == "synth-seed-negative":
+            bad = ["synth", "--out", out, "--users", 4, "--items", 4, "--seed", -1]
+            fixed = bad[:-1] + [1]
+        elif case == "eval-seed-negative":
+            bad, fixed = argv + ["--eval-seed", -1], argv + ["--eval-seed", 1]
+        else:
+            damaged.write_bytes(b"\xff" + original)
+        capsys.readouterr()
+        assert run(*bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+        if damaged:
+            damaged.write_bytes(original)
+        assert run(*fixed) == 0  # no --force needed
+        assert (out / "resolved_config.txt").exists()
+        capsys.readouterr()
+
     def test_missing_graph_dir(self, tmp_path, capsys):
         assert run("split", "--out", tmp_path / "s",
                    "--graph", tmp_path / "nope") == 1
@@ -517,6 +576,17 @@ class TestSweepCommand:
                      "lightgcn_level1"):
             payload = json.loads((out / "reports" / f"{name}.json").read_text())
             assert payload["metadata"]["config_hash"]
+
+
+    def test_repeated_model_rejected_before_training(self, pipeline, tmp_path,
+                                                     capsys):
+        out = tmp_path / "sweep"
+        assert run("sweep", "--out", out, "--graph", pipeline / "graph",
+                   "--split", pipeline / "split", "--models", "mf,mf",
+                   "--fractions", "0.0", "--epochs", 1, "--embed-dim", 4) == 1
+        captured = capsys.readouterr()
+        assert "model names must be distinct, got ['mf', 'mf']" in captured.err
+        assert captured.out == "" and not any(out.iterdir())
 
 
 class TestProbeAndDump:

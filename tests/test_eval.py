@@ -85,7 +85,7 @@ class TestEvalProtocol:
 
     @pytest.mark.parametrize("bad", [
         dict(n_negatives=0), dict(k_values=()), dict(k_values=(0,)),
-        dict(k_values=(10, 10)),
+        dict(k_values=(10, 10)), dict(seed=-1),
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
@@ -286,6 +286,25 @@ class TestSparsitySweep:
             assert swept.metrics[k].hr_mean == plain.metrics[k].hr_mean
             assert swept.metrics[k].ndcg_mean == plain.metrics[k].ndcg_mean
 
+
+    @pytest.mark.parametrize("case", ["no-models", "no-levels", "repeated-kind",
+                                      "repeated-callable", "unknown-kind"])
+    def test_rejects_before_training(self, sbm_split, case):
+        g, split = sbm_split
+        calls = []
+
+        def factory(train_graph, level_split, tc):
+            calls.append(len(level_split.train_edges))
+            return KeyedScorer(30)
+
+        models = {"no-models": [], "no-levels": [factory],
+                  "repeated-kind": ["mf", "mf"],
+                  "repeated-callable": [factory, factory],
+                  "unknown-kind": [factory, "bogus"]}[case]
+        levels = [] if case == "no-levels" else [split.train_edges]
+        with pytest.raises(DomainError):
+            sparsity_sweep(models, g, split, levels, TrainConfig(), PROTOCOL)
+        assert calls == []
 
 class TestDumpCases:
     WALK = WalkConfig(0.2, 10, 12)
