@@ -4,7 +4,9 @@ Every artifact-producing command takes --out, refuses to clobber a non-empty
 directory without --force true, and echoes its fully resolved configuration
 to resolved_config.txt when it succeeds.  A rejected command, whether an
 option or the input data is at fault, leaves --out empty, so the corrected
-rerun needs no --force.  Options resolve as defaults, then --config file
+rerun needs no --force.  --force true deletes the resolved_config.txt of an
+earlier run before the command runs, so a rejected forced rerun does not
+read as finished.  Options resolve as defaults, then --config file
 entries (flat key=value lines), then explicit flags.  Relative paths other
 than --config resolve against --out.  Exit codes: 0 success, 1 failure,
 2 usage error.
@@ -22,7 +24,7 @@ from .evaluation import (EvalProtocol, degree_probe, dump_cases, evaluate,
                          make_synthetic, metrics_csv, sparsity_sweep)
 from .graph import (build_graph, ingest_interactions, load_graph_dir,
                     load_split, normal_split, save_graph_dir, save_split,
-                    sparse_split, sparsity_levels)
+                    sparse_split, sparsity_levels, text_lines)
 from .models import TrainConfig, load_model, run_gradcheck, save_model, train
 from .subgraph import WalkConfig
 
@@ -200,18 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: Path, opts: dict[str, Opt]) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}: line {line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in opts or key in ("config",):
-                raise DomainError(f"{path}: unknown config key {key!r}")
-            values[key] = _coerce(opts[key], value)
+    for line_no, raw in text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}: line {line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in opts or key in ("config",):
+            raise DomainError(f"{path}: unknown config key {key!r}")
+        values[key] = _coerce(opts[key], value)
     return values
 
 
@@ -245,12 +246,17 @@ def _config_hash(command: str, values: dict) -> str:
 
 
 def _prepare_out(values: dict) -> Path:
-    """Create --out, refusing a non-empty one without --force."""
+    """Create --out, refusing a non-empty one without --force.
+
+    A forced rerun first deletes the earlier run's resolved_config.txt, so
+    --out reads as a finished run only once this one succeeds.
+    """
     out = Path(values["out"])
     if out.exists() and any(out.iterdir()) and not values["force"]:
         raise DomainError(
             f"output directory {out} is not empty; pass --force true to overwrite")
     out.mkdir(parents=True, exist_ok=True)
+    (out / "resolved_config.txt").unlink(missing_ok=True)
     return out
 
 
@@ -471,7 +477,7 @@ def main(argv=None) -> int:
         if out is not None:
             _write_resolved_config(args.command, values, out)
         return code
-    except (LgcfError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (LgcfError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

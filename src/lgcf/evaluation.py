@@ -109,22 +109,28 @@ class _PairResult:
 
 
 def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
-                  protocol: EvalProtocol, pairs) -> list[_PairResult]:
+                  protocol: EvalProtocol, pairs: np.ndarray) -> list[_PairResult]:
+    """Rank each (u, i) row of pairs against negatives drawn from u's pool.
+
+    u's pool is every item, ascending, that u has no edge to anywhere in
+    the split; the sampler draws from it by position.
+    """
     check_split_fits(graph, split)
-    interacted: dict[int, set] = {}
-    for edge_set in (split.train_edges, split.val_edges, split.test_edges):
-        for u, i in edge_set:
-            interacted.setdefault(u, set()).add(i)
-    n = graph.num_users
-    items = np.arange(n, graph.num_nodes, dtype=np.int64)
+    n, total = graph.num_users, graph.num_nodes
+    # Every split edge as u * total + i, sorted: a user's interacted items
+    # are the keys in [u * total, (u + 1) * total).
+    held = np.concatenate((split.train_edges, split.val_edges, split.test_edges))
+    keys = np.sort(held[:, 0] * total + held[:, 1])
+    items = np.arange(n, total, dtype=np.int64)
     pool_cache: dict[int, np.ndarray] = {}
     results = []
     empty = np.zeros(0, dtype=np.int64)
-    for u, i in pairs:
+    for u, i in pairs.tolist():
         pool = pool_cache.get(u)
         if pool is None:
+            lo, hi = np.searchsorted(keys, (u * total, (u + 1) * total))
             keep = np.ones(items.size, dtype=bool)
-            keep[[j - n for j in interacted.get(u, ())]] = False
+            keep[keys[lo:hi] - (u * total + n)] = False
             pool = items[keep]
             pool_cache[u] = pool
         if pool.size == 0:
@@ -140,7 +146,7 @@ def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
         scores = np.array([scorer.score(u, int(c)) for c in cands], dtype=np.float64)
         order = np.lexsort((cands, -scores))
         rank = int(np.nonzero(order == 0)[0][0]) + 1
-        results.append(_PairResult(u, int(i), rank, cands, scores, order))
+        results.append(_PairResult(u, i, rank, cands, scores, order))
     return results
 
 
@@ -212,16 +218,13 @@ def degree_probe(scorer, graph: BipartiteGraph, split: SplitSpec,
     pair, so each group's metrics equal an independent evaluation of those
     pairs, and the top-level metrics cover all pairs together.
     """
-    pairs = list(split.test_edges)
+    pairs = split.test_edges
     if n_groups < 1:
         raise DomainError(f"n_groups must be >= 1, got {n_groups}")
     if len(pairs) < n_groups:
         raise DomainError(f"cannot form {n_groups} groups from {len(pairs)} pairs")
-    deg = np.zeros(graph.num_nodes, dtype=np.int64)
-    for u, i in split.train_edges:
-        deg[u] += 1
-        deg[i] += 1
-    keys = np.array([(deg[u] + deg[i]) / 2.0 for u, i in pairs])
+    deg = np.bincount(split.train_edges.ravel(), minlength=graph.num_nodes)
+    keys = (deg[pairs[:, 0]] + deg[pairs[:, 1]]) / 2.0
     sorted_idx = np.argsort(keys, kind="stable")
     results = _pair_results(scorer, graph, split, protocol, pairs)
     base, rem = divmod(len(pairs), n_groups)
@@ -277,9 +280,8 @@ def sparsity_sweep(models, graph: BipartiteGraph, split: SplitSpec, levels,
     for name, model in zip(names, models):
         reports = []
         for level_index, level_edges in enumerate(levels):
-            level_split = SplitSpec(tuple(tuple(e) for e in level_edges),
-                                    split.val_edges, split.test_edges, split.seed,
-                                    f"{split.kind}-level{level_index}",
+            level_split = SplitSpec(level_edges, split.val_edges, split.test_edges,
+                                    split.seed, f"{split.kind}-level{level_index}",
                                     split.num_users, split.num_items)
             train_graph = build_graph(level_split.train_edges,
                                       graph.num_users, graph.num_items)

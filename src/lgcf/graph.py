@@ -13,6 +13,31 @@ from .rng import LEVELS, SPLIT, seed_stream
 Edge = tuple[int, int]
 
 
+def read_utf8(path) -> str:
+    """The text of the file at path.  A byte that is not UTF-8 raises
+    ParseError naming the path and the line that holds it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        # Lines end at LF, CR or CRLF, as text-mode reads count them.
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         line_no, path) from None
+
+
+def text_lines(path):
+    """(line number, line) for each line of a UTF-8 text file, read lazily
+    in text mode; a byte that is not UTF-8 raises read_utf8's ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            read_utf8(path)
+            raise
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable undirected user-item graph over a global id space.
@@ -179,33 +204,32 @@ def ingest_interactions(path, *, delimiter: str | None = None, user_col: int = 0
     item_ids: dict[str, int] = {}
     pairs: set[tuple[int, int]] = set()
     sep = delimiter
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if sep is None:
-                sep = "\t" if "\t" in line else ","
-            parts = line.split(sep)
-            if len(parts) <= need:
+    for line_no, raw in text_lines(path):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if sep is None:
+            sep = "\t" if "\t" in line else ","
+        parts = line.split(sep)
+        if len(parts) <= need:
+            raise ParseError(
+                f"expected at least {need + 1} columns, got {len(parts)}", line_no)
+        ukey = parts[user_col].strip()
+        ikey = parts[item_col].strip()
+        if not ukey or not ikey:
+            raise ParseError("empty user or item key", line_no)
+        rating = None
+        if rating_col is not None:
+            try:
+                rating = float(parts[rating_col])
+            except ValueError:
                 raise ParseError(
-                    f"expected at least {need + 1} columns, got {len(parts)}", line_no)
-            ukey = parts[user_col].strip()
-            ikey = parts[item_col].strip()
-            if not ukey or not ikey:
-                raise ParseError("empty user or item key", line_no)
-            rating = None
-            if rating_col is not None:
-                try:
-                    rating = float(parts[rating_col])
-                except ValueError:
-                    raise ParseError(
-                        f"unparseable rating {parts[rating_col]!r}", line_no) from None
-            uid = user_ids.setdefault(ukey, len(user_ids))
-            iid = item_ids.setdefault(ikey, len(item_ids))
-            if rating_threshold is not None and rating < rating_threshold:
-                continue
-            pairs.add((uid, iid))
+                    f"unparseable rating {parts[rating_col]!r}", line_no) from None
+        uid = user_ids.setdefault(ukey, len(user_ids))
+        iid = item_ids.setdefault(ikey, len(item_ids))
+        if rating_threshold is not None and rating < rating_threshold:
+            continue
+        pairs.add((uid, iid))
     if not pairs:
         raise DomainError(f"no interactions ingested from {path}")
     n = len(user_ids)
@@ -213,17 +237,46 @@ def ingest_interactions(path, *, delimiter: str | None = None, user_col: int = 0
     return IngestResult(edges, n, len(item_ids), tuple(user_ids), tuple(item_ids))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Disjoint train/validation/test edge sets for one graph."""
+_EDGE_FIELDS = ("train_edges", "val_edges", "test_edges")
 
-    train_edges: tuple[Edge, ...]
-    val_edges: tuple[Edge, ...]
-    test_edges: tuple[Edge, ...]
+
+@dataclass(frozen=True, eq=False)
+class SplitSpec:
+    """Disjoint train/validation/test edge sets for one graph.
+
+    Each edge set is a read-only (E, 2) int64 array of (user, item) global
+    ids.  Any sequence of pairs is accepted and converted once; a read-only
+    int64 array of that shape is kept as is, and anything else is copied, so
+    a split never shares a writeable array with its caller.
+    """
+
+    train_edges: np.ndarray
+    val_edges: np.ndarray
+    test_edges: np.ndarray
     seed: int
     kind: str
     num_users: int
     num_items: int
+
+    def __post_init__(self):
+        for name in _EDGE_FIELDS:
+            given = getattr(self, name)
+            try:
+                pairs = _edge_array(given)
+            except DomainError as exc:
+                raise DomainError(f"{name}: {exc}") from None
+            if pairs.flags.writeable and isinstance(given, np.ndarray):
+                pairs = pairs.copy()
+            pairs.flags.writeable = False
+            object.__setattr__(self, name, pairs)
+
+    def __eq__(self, other):
+        if not isinstance(other, SplitSpec):
+            return NotImplemented
+        return (all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in _EDGE_FIELDS)
+                and (self.seed, self.kind, self.num_users, self.num_items)
+                == (other.seed, other.kind, other.num_users, other.num_items))
 
 
 def _greedy_holdout(graph: BipartiteGraph, seed: int, limit: int | None):
@@ -292,7 +345,7 @@ def sparse_split(graph: BipartiteGraph, seed: int) -> SplitSpec:
     return _finish_split(graph, train, held, seed, "sparse")
 
 
-def sparsity_levels(train_edges, fractions, seed: int) -> list[tuple[Edge, ...]]:
+def sparsity_levels(train_edges, fractions, seed: int) -> list[np.ndarray]:
     """Nested sparsifications of a training edge set.
 
     A greedy pass over one seeded edge order keeps a necessary set that
@@ -301,20 +354,22 @@ def sparsity_levels(train_edges, fractions, seed: int) -> list[tuple[Edge, ...]]
     shuffled order.  Larger fractions therefore remove supersets, so the
     levels nest, and every node keeps at least one edge at every level.
 
-    train_edges is an edge list, typically SplitSpec.train_edges, so levels
-    nest inside an existing split.
+    train_edges is any sequence of (user, item) pairs, typically
+    SplitSpec.train_edges, so levels nest inside an existing split.  Each
+    level is a read-only (E, 2) int64 array in train_edges order.
     """
-    edges = [tuple(e) for e in train_edges]
-    if not edges:
+    pairs = _edge_array(train_edges)
+    if not len(pairs):
         raise DomainError("cannot sparsify an empty train set")
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise DomainError(f"fractions must be in [0, 1], got {f}")
     rng = seed_stream(seed, LEVELS)
-    order = rng.permutation(len(edges))
+    order = rng.permutation(len(pairs))
+    edges = pairs.tolist()
     covered: set[int] = set()
     necessary = np.zeros(len(edges), dtype=bool)
-    for idx in order:
+    for idx in order.tolist():
         u, i = edges[idx]
         if u not in covered or i not in covered:
             necessary[idx] = True
@@ -325,9 +380,11 @@ def sparsity_levels(train_edges, fractions, seed: int) -> list[tuple[Edge, ...]]
         additional = additional[rng.permutation(additional.size)]
     levels = []
     for f in fractions:
-        k = int(round(f * additional.size))
-        removed = set(additional[:k].tolist())
-        levels.append(tuple(e for j, e in enumerate(edges) if j not in removed))
+        keep = np.ones(len(pairs), dtype=bool)
+        keep[additional[:int(round(f * additional.size))]] = False
+        level = pairs[keep]
+        level.flags.writeable = False
+        levels.append(level)
     return levels
 
 
@@ -372,22 +429,21 @@ def _read_edge_file(path: Path) -> np.ndarray:
 def _read_edge_lines(path: Path) -> np.ndarray:
     """_read_edge_file one line at a time."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected 'user<TAB>item', got {line!r}", line_no)
-            try:
-                edge = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError(f"non-integer id in {line!r}", line_no) from None
-            if not all(_INT64.min <= x <= _INT64.max for x in edge):
-                raise ParseError(
-                    f"id outside the signed 64-bit range in {line!r}", line_no)
-            out.append(edge)
+    for line_no, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"expected 'user<TAB>item', got {line!r}", line_no)
+        try:
+            edge = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise ParseError(f"non-integer id in {line!r}", line_no) from None
+        if not all(_INT64.min <= x <= _INT64.max for x in edge):
+            raise ParseError(
+                f"id outside the signed 64-bit range in {line!r}", line_no)
+        out.append(edge)
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
@@ -398,7 +454,7 @@ def save_split(split: SplitSpec, out_dir) -> None:
     for name, edges in (("train", split.train_edges),
                         ("val", split.val_edges),
                         ("test", split.test_edges)):
-        _write_edge_file(out_dir / f"{name}.tsv", edges)
+        _write_edge_file(out_dir / f"{name}.tsv", edges.tolist())
     meta = {
         "kind": split.kind,
         "seed": split.seed,
@@ -445,7 +501,7 @@ def load_split(split_dir) -> SplitSpec:
     read, and an error names the first offending edge in file order."""
     split_dir = Path(split_dir)
     meta_path = split_dir / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = json.loads(read_utf8(meta_path))
     n = _meta_entry(meta, meta_path, "num_users")
     total = n + _meta_entry(meta, meta_path, "num_items")
     parts = {}
@@ -470,9 +526,9 @@ def load_split(split_dir) -> SplitSpec:
     ordered = np.sort(keys)
     if (ordered[1:] == ordered[:-1]).any():
         _raise_first_repeat(parts, pairs, keys)
-    train, val, test = (tuple(zip(part[:, 0].tolist(), part[:, 1].tolist()))
-                        for part in parts.values())
-    return SplitSpec(train, val, test,
+    for part in parts.values():
+        part.flags.writeable = False
+    return SplitSpec(parts["train"], parts["val"], parts["test"],
                      _meta_entry(meta, meta_path, "seed"),
                      _meta_entry(meta, meta_path, "kind", kind=str),
                      n, total - n)
@@ -501,7 +557,7 @@ def save_graph_dir(graph: BipartiteGraph, out_dir) -> None:
 def load_graph_dir(graph_dir) -> BipartiteGraph:
     graph_dir = Path(graph_dir)
     meta_path = graph_dir / "graph.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = json.loads(read_utf8(meta_path))
     edges = _read_edge_file(graph_dir / "edges.tsv")
     return build_graph(edges, _meta_entry(meta, meta_path, "num_users"),
                        _meta_entry(meta, meta_path, "num_items"))

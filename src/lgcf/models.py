@@ -14,14 +14,14 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from numbers import Real
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DomainError
 from .evaluation import EvalProtocol, evaluate
-from .graph import BipartiteGraph, SplitSpec, build_graph, check_split_fits
+from .graph import (BipartiteGraph, SplitSpec, build_graph, check_split_fits,
+                    read_utf8)
 from .labeling import LabelEncoding, label_graph, one_hot_features
 from .nn import (ACTIVATIONS, NO_PREFIX, AdamState, GnnParameters,
                  GradCheckReport, adam_step, adam_to_dict,
@@ -509,7 +509,7 @@ def save_model(path, model: TrainedModel,
 
 
 def load_model(path) -> TrainedModel:
-    return TrainedModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return TrainedModel.from_dict(json.loads(read_utf8(path)))
 
 
 class LgcfScorer:
@@ -691,12 +691,12 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     if kind not in MODEL_KINDS:
         raise DomainError(f"unknown model kind {kind!r}")
     check_split_fits(graph, split)
-    if not split.train_edges:
+    if not len(split.train_edges):
         raise DomainError("split has no training edges")
     if kind == "lgcf-ens":
         return _train_ensemble(graph, split, tc)
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    edges = [tuple(e) for e in split.train_edges]
+    edges = split.train_edges.tolist()
     model = _init_model(kind, train_graph, tc)
     arrays = model.trainable()
     adam = init_adam(arrays, lr=tc.lr)
@@ -727,7 +727,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
             losses += batch_losses
             adam_step(arrays, grads, adam)
         val_hr = val_ndcg = None
-        if split.val_edges and epoch % tc.eval_every == 0:
+        if len(split.val_edges) and epoch % tc.eval_every == 0:
             report = evaluate(model.make_scorer(train_graph), train_graph, split,
                               val_protocol, subset="val")
             val_hr = report.metrics[10].hr_mean
@@ -742,7 +742,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         wall_ms = (time.perf_counter() - t0) * 1000.0
         history.append(EpochRecord(epoch, float(np.mean(losses)), val_hr, val_ndcg,
                                    wall_ms))
-        if (split.val_edges and tc.early_stop_patience > 0
+        if (len(split.val_edges) and tc.early_stop_patience > 0
                 and stale >= tc.early_stop_patience):
             break
     if best_snap is not None:
@@ -763,7 +763,7 @@ def _fit_lambda(lgcf: LgcfScorer, dot: DotScorer, train_graph: BipartiteGraph,
     rng = seed_stream(seed, TRAIN_NEGATIVE)
     s_diffs = []
     dot_diffs = []
-    for u, i in split.val_edges:
+    for u, i in split.val_edges.tolist():
         j = sample_negative(train_graph, u, rng)
         s_diffs.append(lgcf.score(u, i) - lgcf.score(u, j))
         dot_diffs.append(dot.score(u, i) - dot.score(u, j))
@@ -786,7 +786,7 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     # lambda is chosen with the parts of the scorer the saved model uses, so
     # it is tuned on the subgraph samples it is later applied to.
     saved = model.make_scorer(train_graph)
-    if tc.lambda_mode == "grid" and split.val_edges:
+    if tc.lambda_mode == "grid" and len(split.val_edges):
         # The lgcf part does not depend on lambda: score it once per
         # candidate for the whole grid.
         saved.lgcf.score = functools.cache(saved.lgcf.score)
@@ -800,7 +800,7 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
             if best is None or key > best[0]:
                 best = (key, float(cand))
         model.lam = best[1]
-    elif tc.lambda_mode == "learnable" and split.val_edges:
+    elif tc.lambda_mode == "learnable" and len(split.val_edges):
         model.lam = _fit_lambda(saved.lgcf, saved.dot, train_graph, split,
                                 int(seeds[2]))
     offset = len(res_lgcf.history)

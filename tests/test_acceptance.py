@@ -41,7 +41,7 @@ class OracleScorer:
     seed = 0
 
     def __init__(self, positives):
-        self.positives = set(positives)
+        self.positives = {tuple(e) for e in positives.tolist()}
 
     def score(self, u: int, i: int) -> float:
         return 1.0 if (u, i) in self.positives else 0.0

@@ -160,6 +160,17 @@ class TestReturnCodes:
         assert run("synth", "--out", out, "--force", "true", "--users", 4,
                    "--items", 4, "--p-in", 1.0, "--seed", 0) == 0
 
+    def test_rejected_forced_rerun_deletes_the_run_marker(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run("synth", "--out", out, "--users", 20, "--items", 20,
+                   "--seed", 1) == 0
+        assert (out / "resolved_config.txt").exists()
+        assert run("synth", "--out", out, "--force", "true", "--users", 20,
+                   "--items", 20, "--seed", -1) == 1
+        assert not (out / "resolved_config.txt").exists()
+        assert (out / "edges.tsv").exists()  # nothing else is deleted
+        capsys.readouterr()
+
     def test_bad_bool_value(self, tmp_path, capsys):
         assert run("synth", "--out", tmp_path / "g", "--force", "perhaps",
                    "--users", 4, "--items", 4) == 1
@@ -405,6 +416,8 @@ class TestReturnCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        if case.endswith("-not-utf8"):
+            assert err == f"error: {damaged}: line 1: not UTF-8 text (byte 0xff)\n"
         assert not out.exists() or not any(out.iterdir())
         if damaged:
             damaged.write_bytes(original)
@@ -442,6 +455,14 @@ class TestConfigResolution:
         assert run("train", "--out", tmp_path / "r", "--graph", "g",
                    "--split", "s", "--config", cfg) == 1
         assert "epoch" in capsys.readouterr().err
+
+    def test_config_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_bytes(b"users=10\r\nitems=\xff10\n")
+        assert run("synth", "--out", tmp_path / "g", "--config", cfg) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: line 2: not UTF-8 text (byte 0xff)\n"
+        assert not (tmp_path / "g").exists()
 
     def test_relative_inputs_resolve_under_out(self, tmp_path):
         out = tmp_path / "ws"

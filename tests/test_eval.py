@@ -14,6 +14,8 @@ from lgcf import (DomainError, EvalProtocol, EvalReport, LabelEncoding,
                   metrics_csv, ndcg_at_k, normal_split, normalize_adjacency,
                   one_hot_features, parse_localized_graph, seed_stream,
                   sparsity_levels, sparsity_sweep, train)
+from lgcf.evaluation import _pair_results
+from lgcf.rng import EVAL_NEGATIVE
 
 
 class KeyedScorer:
@@ -28,12 +30,23 @@ class KeyedScorer:
         return float(seed_stream(self.seed, u, i).random())
 
 
+class IntCheckingScorer(KeyedScorer):
+    """KeyedScorer that fails unless both ids are Python ints."""
+
+    calls = 0
+
+    def score(self, u: int, i: int) -> float:
+        assert type(u) is int and type(i) is int, (type(u), type(i))
+        self.calls += 1
+        return super().score(u, i)
+
+
 class OracleScorer:
     kind = "oracle"
     seed = 0
 
     def __init__(self, positives):
-        self.positives = set(positives)
+        self.positives = {tuple(e) for e in positives.tolist()}
 
     def score(self, u: int, i: int) -> float:
         return 1.0 if (u, i) in self.positives else 0.0
@@ -156,6 +169,38 @@ class TestEvaluate:
         assert (u, i) == (0, 3)
         assert sorted(cands) == [3, 4, 5]  # positive plus the 2 free items
 
+    @pytest.mark.parametrize("full_ranking", [False, True])
+    def test_pools_match_a_set_difference_oracle(self, full_ranking):
+        """Each pair's negatives come from u's pool: every item u has no
+        split edge to, ascending, as the sampler draws by position."""
+        g = make_synthetic(8, 10, 0.5, 0.2, 6)
+        split = normal_split(g, 0.6, 4)
+        interacted = {}
+        for u, i in (*split.train_edges.tolist(), *split.val_edges.tolist(),
+                     *split.test_edges.tolist()):
+            interacted.setdefault(u, set()).add(i)
+        protocol = EvalProtocol(n_negatives=5, k_values=(1,), seed=9,
+                                full_ranking=full_ranking)
+        results = _pair_results(KeyedScorer(4), g, split, protocol,
+                                np.concatenate((split.test_edges, split.val_edges)))
+        assert len(results) == len(split.test_edges) + len(split.val_edges) > 0
+        for r in results:
+            pool = np.array(sorted(set(range(g.num_users, g.num_nodes))
+                                   - interacted[r.u]), dtype=np.int64)
+            if not full_ranking:
+                pool = seed_stream(9, EVAL_NEGATIVE, r.u, r.i).choice(
+                    pool, size=min(5, pool.size), replace=False)
+            assert r.cands[0] == r.i and np.array_equal(r.cands[1:], pool)
+
+    def test_scorers_get_python_ints(self, sbm_split, tmp_path):
+        g, split = sbm_split
+        scorer = IntCheckingScorer(14)
+        evaluate(scorer, g, split, PROTOCOL)
+        degree_probe(scorer, g, split, PROTOCOL, n_groups=3)
+        dump_cases(scorer, scorer, g, split, WalkConfig(0.2, 8, 10), tmp_path,
+                   PROTOCOL)
+        assert scorer.calls > 0
+
     def test_subset_validation(self, sbm_split):
         g, split = sbm_split
         with pytest.raises(DomainError):
@@ -212,7 +257,8 @@ class TestDegreeProbe:
         start = 0
         for grp in report.groups:
             size = grp.num_pairs + grp.num_skipped
-            pairs = [split.test_edges[j] for j in order[start:start + size]]
+            pairs = [tuple(split.test_edges[j].tolist())
+                     for j in order[start:start + size]]
             start += size
             ranks = [rank_of[p] for p in pairs if p in rank_of]
             want_hr = np.mean([1.0 if r <= 10 else 0.0 for r in ranks])

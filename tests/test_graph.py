@@ -4,6 +4,7 @@ import json
 import random
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lgcf import (BipartiteGraph, DomainError, ParseError, SplitSpec,
                   build_graph, density, ingest_interactions, load_graph_dir,
                   load_split, normal_split, save_graph_dir, save_split,
                   seed_stream, sparse_split, sparsity_levels)
-from lgcf.graph import _read_edge_file
+from lgcf.graph import _read_edge_file, read_utf8
 
 
 def random_bipartite(rng, max_users=12, max_items=12, p=0.3):
@@ -208,15 +209,20 @@ class TestIngest:
         assert res.user_keys == ("a,1", "b,2")
 
 
+def edge_tuples(*edge_arrays):
+    """The rows of the given (E, 2) arrays, concatenated, as Python tuples."""
+    return [tuple(e) for e in np.concatenate(edge_arrays).tolist()]
+
+
 def split_invariants(graph, split):
-    all_edges = sorted(split.train_edges + split.val_edges + split.test_edges)
+    all_edges = sorted(edge_tuples(split.train_edges, split.val_edges, split.test_edges))
     assert all_edges == graph.edges()
     assert len(set(all_edges)) == len(all_edges)
     deg = {gid: 0 for gid in range(graph.num_nodes)}
     for u, i in split.train_edges:
         deg[u] += 1
         deg[i] += 1
-    for u, i in split.val_edges + split.test_edges:
+    for u, i in edge_tuples(split.val_edges, split.test_edges):
         assert deg[u] >= 1 and deg[i] >= 1, "cold-start endpoint"
     assert all(d >= 1 for d in deg.values()), "isolated train node"
 
@@ -232,7 +238,7 @@ class TestNormalSplit:
         star = build_graph([(0, 1 + i) for i in range(10)], 1, 10)
         split = normal_split(star, 0.9, seed=1)
         assert len(split.train_edges) == 10
-        assert split.val_edges == () and split.test_edges == ()
+        assert split.val_edges.shape == (0, 2) and split.test_edges.shape == (0, 2)
 
     def test_determinism_and_seed_sensitivity(self):
         rng = np.random.default_rng(104)
@@ -266,7 +272,7 @@ class TestSparseSplit:
         for seed in range(6):
             split = sparse_split(FOUR_CYCLE, seed)
             assert len(split.train_edges) == 2
-            held = sorted(split.val_edges + split.test_edges)
+            held = sorted(edge_tuples(split.val_edges, split.test_edges))
             assert held in ([(0, 2), (1, 3)], [(0, 3), (1, 2)])
             split_invariants(FOUR_CYCLE, split)
 
@@ -306,7 +312,7 @@ class TestSparsityLevels:
         g, _, _ = random_bipartite(rng, p=0.5)
         train = tuple(g.edges())
         levels = sparsity_levels(train, (0.0,), seed=9)
-        assert levels[0] == train
+        assert np.array_equal(levels[0], train)
 
     def test_fraction_one_keeps_a_cover(self):
         rng = np.random.default_rng(108)
@@ -329,7 +335,7 @@ class TestSparsityLevels:
             levels = sparsity_levels(tuple(g.edges()), fractions, seed=trial)
             assert len(levels) == 5
             for a, b in zip(levels, levels[1:]):
-                assert set(b) <= set(a)
+                assert set(edge_tuples(b)) <= set(edge_tuples(a))
             for level in levels:
                 deg = {gid: 0 for gid in range(n + m)}
                 for u, i in level:
@@ -347,6 +353,63 @@ class TestSparsityLevels:
             sparsity_levels(tuple(FOUR_CYCLE.edges()), (1.5,), seed=0)
         with pytest.raises(DomainError):
             sparsity_levels((), (0.5,), seed=0)
+
+
+class TestSplitSpec:
+    EDGES = [(0, 2), (1, 3), (0, 3)]
+
+    @pytest.mark.parametrize("given", [
+        tuple(EDGES), list(EDGES), [list(e) for e in EDGES],
+        tuple(np.array(EDGES)),  # a tuple of row arrays
+        np.array(EDGES, dtype=np.int32), np.array(EDGES, dtype=np.int64)])
+    def test_any_sequence_of_pairs_becomes_a_read_only_array(self, given):
+        split = SplitSpec(given, (), [], 0, "normal", 2, 2)
+        for edges, want in ((split.train_edges, self.EDGES),
+                            (split.val_edges, []), (split.test_edges, [])):
+            assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
+            assert not edges.flags.writeable
+            assert edge_tuples(edges) == want
+        assert split == SplitSpec(tuple(self.EDGES), (), (), 0, "normal", 2, 2)
+
+    def test_a_writeable_array_is_copied_and_a_read_only_one_kept(self):
+        given = np.array(self.EDGES, dtype=np.int64)
+        split = SplitSpec(given, (), (), 0, "normal", 2, 2)
+        given[0] = (1, 2)
+        assert given.flags.writeable and split.train_edges[0].tolist() == [0, 2]
+        assert replace(split, kind="sparse").train_edges is split.train_edges
+
+    @pytest.mark.parametrize("field", ["train_edges", "val_edges", "test_edges"])
+    @pytest.mark.parametrize("bad, message", [
+        ([(0, 2, 3)], "shape (1, 3)"), ([0, 2], "shape (2,)"),
+        (np.zeros((2, 2, 2), dtype=np.int64), "shape (2, 2, 2)"),
+        ([(0, 2), (1,)], "pairs of 64-bit integers"),
+        ([(0, "x")], "pairs of 64-bit integers")])
+    def test_bad_shapes_are_rejected(self, field, bad, message):
+        fields = dict(train_edges=[(0, 2)], val_edges=(), test_edges=())
+        fields[field] = bad
+        with pytest.raises(DomainError, match=re.escape(f"{field}: ") + ".*"
+                           + re.escape(message)):
+            SplitSpec(**fields, seed=0, kind="normal", num_users=2, num_items=2)
+
+    def test_equality_compares_every_field(self):
+        split = normal_split(FOUR_CYCLE, 0.75, seed=5)
+        assert split == replace(split)
+        assert split != replace(split, train_edges=split.train_edges[::-1])
+        assert split != replace(split, train_edges=split.train_edges[:-1])
+        assert split != replace(split, seed=6)
+        assert split != replace(split, kind="sparse")
+        assert split != "split"
+
+    def test_save_of_load_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(113)
+        g, _, _ = random_bipartite(rng, p=0.5)
+        save_split(normal_split(g, 0.6, seed=8), tmp_path / "a")
+        save_split(load_split(tmp_path / "a"), tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["meta.json", "test.tsv", "train.tsv", "val.tsv"]
+        for name in names:
+            assert (tmp_path / "b" / name).read_bytes() == \
+                (tmp_path / "a" / name).read_bytes()
 
 
 class TestPersistence:
@@ -484,7 +547,7 @@ class TestEdgeFiles:
     @pytest.mark.parametrize("blank", ["", "\n", "\n \n\t\r\n\x0c\n"])
     def test_blank_files_hold_no_edges(self, tmp_path, blank):
         split = normal_split(FOUR_CYCLE, 0.75, seed=5)
-        assert split.val_edges == ()  # save_split writes an empty val.tsv
+        assert split.val_edges.shape == (0, 2)  # save_split writes an empty val.tsv
         save_split(split, tmp_path / "s")
         self.write(tmp_path / "s" / "val.tsv", blank)
         save_graph_dir(build_graph([], 2, 2), tmp_path / "g")
@@ -557,16 +620,59 @@ class TestLoadSplitChecks:
         # With 8 users and 2**62 items, 4 * total + 8 wraps to 0 * total + 40.
         train = [(0, 40), (4, 8)]
         path = self.save(tmp_path / "s", train, num_users=8, num_items=2**62)
-        assert load_split(path).train_edges == tuple(train)
+        assert np.array_equal(load_split(path).train_edges, train)
         self.save(path, train + [(4, 8)], num_users=8, num_items=2**62)
         with pytest.raises(DomainError, match=re.escape("edge (4, 8) appears 2 times")):
             load_split(path)
 
-    def test_edges_are_python_int_tuples(self, tmp_path):
+    def test_edges_are_read_only_int64_arrays(self, tmp_path):
         split = load_split(self.save(tmp_path / "s", [(0, 2), (1, 3)], [(0, 3)]))
-        edges = split.train_edges + split.val_edges + split.test_edges
-        assert all(type(e) is tuple and all(type(x) is int for x in e)
-                   for e in edges)
+        for edges, want in ((split.train_edges, [(0, 2), (1, 3)]),
+                            (split.val_edges, [(0, 3)]), (split.test_edges, [])):
+            assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
+            assert not edges.flags.writeable
+            assert edge_tuples(edges) == want
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 raises ParseError naming the file and line."""
+
+    def damage(self, path, line_no: int):
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines.insert(line_no - 1, b"\xff\n")
+        path.write_bytes(b"".join(lines))
+        return re.escape(f"{path}: line {line_no}: not UTF-8 text (byte 0xff)")
+
+    @pytest.mark.parametrize("name", ["edges.tsv", "graph.json"])
+    def test_graph_files(self, tmp_path, name):
+        save_graph_dir(FOUR_CYCLE, tmp_path / "g")
+        with pytest.raises(ParseError, match=self.damage(tmp_path / "g" / name, 3)):
+            load_graph_dir(tmp_path / "g")
+
+    @pytest.mark.parametrize("name", ["train.tsv", "val.tsv", "test.tsv", "meta.json"])
+    def test_split_files(self, tmp_path, name):
+        save_split(normal_split(FOUR_CYCLE, 0.75, seed=5), tmp_path / "s")
+        with pytest.raises(ParseError, match=self.damage(tmp_path / "s" / name, 1)):
+            load_split(tmp_path / "s")
+
+    def test_ingest_input(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"a,x\nb,y\n" * 5000)  # past the first read chunk
+        with pytest.raises(ParseError, match=self.damage(path, 9001)):
+            ingest_interactions(path)
+
+    @pytest.mark.parametrize("text, line_no", [
+        (b"\xff", 1), (b"a\nb\n\xff", 3), (b"a\r\nb\r\xff", 3), (b"a\r\r\n\xff", 3),
+        (b"\xe2\x82\xac\xe2\x82", 1)])
+    def test_line_counts_as_text_mode_reads_count_them(self, tmp_path, text, line_no):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text)
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            lines = fh.readlines()
+        assert "\ufffd" in lines[line_no - 1]
+        assert all("\ufffd" not in line for line in lines[:line_no - 1])
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line {line_no}: ")):
+            read_utf8(path)
 
 
 class TestSeedStream:

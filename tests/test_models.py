@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -9,8 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lgcf import (DomainError, EmbeddingTable, LabelEncoding, SplitSpec,
-                  TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
+from lgcf import (DomainError, EmbeddingTable, LabelEncoding, ParseError,
+                  SplitSpec, TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
                   forward_instance, init_embeddings, label_graph, load_model,
                   make_synthetic, normal_split, normalize_adjacency,
                   one_hot_features, param_count, run_gradcheck, sample_negative,
@@ -338,6 +339,26 @@ class TestTrainBasics:
         with pytest.raises(DomainError):
             train("mf", g, replace(split, train_edges=()), tiny_tc())
 
+    @pytest.mark.parametrize("lambda_mode", ["grid", "learnable"])
+    def test_per_pair_calls_get_python_ints(self, monkeypatch, lambda_mode):
+        """Triplets, validation and the lambda fit pass ids as Python ints."""
+        import lgcf.models as models
+        seen = Counter()
+
+        def checked(fn, name):
+            def call(graph, u, *rest):
+                ids = (u, *rest[:1]) if name == "lgcf_inputs" else (u,)
+                assert all(type(x) is int for x in ids), (name, ids)
+                seen[name] += 1
+                return fn(graph, u, *rest)
+            return call
+
+        for name in ("lgcf_inputs", "sample_negative"):
+            monkeypatch.setattr(models, name, checked(getattr(models, name), name))
+        g, split = star_split()
+        train("lgcf-ens", g, split, tiny_tc(epochs=1, lambda_mode=lambda_mode))
+        assert seen["lgcf_inputs"] > 0 and seen["sample_negative"] > 0
+
     def test_single_edge_descent(self):
         """One Adam step on one pair lowers the one-pair BPR objective."""
         g = build_graph([(0, 1)], 1, 2)
@@ -484,6 +505,17 @@ class TestEnsembleLambda:
 
 
 class TestCheckpoints:
+    def test_not_utf8_names_the_file_and_line(self, tmp_path):
+        g, split = star_split()
+        path = tmp_path / "checkpoint.json"
+        save_model(path, train("mf", g, split, tiny_tc(epochs=1)).model)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: line 3: not UTF-8 text (byte 0xff)")):
+            load_model(path)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_roundtrip(self, kind, tmp_path):
         g, split = star_split()
