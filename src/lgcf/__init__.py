@@ -2,12 +2,11 @@
 
 from .errors import DomainError, LgcfError, ParseError
 from .rng import seed_stream, walk_stream
-from .evaluation import (EvalProtocol, EvalReport, MetricStats,
-                         aggregate_reports, degree_probe, dump_cases, evaluate,
-                         hr_at_k, make_synthetic, metrics_csv, ndcg_at_k,
-                         sparsity_sweep)
+from .evaluation import (EvalProtocol, EvalReport, MetricStats, degree_probe,
+                         dump_cases, evaluate, hr_at_k, make_synthetic,
+                         metrics_csv, ndcg_at_k)
 from .graph import (BipartiteGraph, IngestResult, SplitSpec, build_graph,
-                    density, ingest_interactions, load_graph_dir, load_split,
+                    ingest_interactions, load_graph_dir, load_split,
                     normal_split, save_graph_dir, save_split, sparse_split,
                     sparsity_levels)
 from .labeling import (UNREACHABLE, LabelEncoding, drnl_label, label_graph,
@@ -15,7 +14,7 @@ from .labeling import (UNREACHABLE, LabelEncoding, drnl_label, label_graph,
 from .models import (MODEL_KINDS, EmbeddingTable, EpochRecord, Propagation,
                      TrainConfig, TrainedModel, TrainResult, init_embeddings,
                      lgcf_inputs, load_model, param_count, run_gradcheck,
-                     sample_negative, save_model, train)
+                     sample_negative, save_model, sparsity_sweep, train)
 from .nn import (AdamState, GnnParameters, GradCheckReport,
                  adam_step, bpr_loss, bpr_pair_grads, forward_instance,
                  gcn_backward, gcn_forward, grad_check, init_adam,

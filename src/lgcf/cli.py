@@ -21,11 +21,12 @@ from pathlib import Path
 
 from .errors import DomainError, LgcfError
 from .evaluation import (EvalProtocol, degree_probe, dump_cases, evaluate,
-                         make_synthetic, metrics_csv, sparsity_sweep)
+                         make_synthetic, metrics_csv)
 from .graph import (build_graph, ingest_interactions, load_graph_dir,
                     load_split, normal_split, save_graph_dir, save_split,
                     sparse_split, sparsity_levels, text_lines)
-from .models import TrainConfig, load_model, run_gradcheck, save_model, train
+from .models import (TrainConfig, load_model, run_gradcheck, save_model,
+                     sparsity_sweep, train)
 from .subgraph import WalkConfig
 
 
@@ -477,7 +478,7 @@ def main(argv=None) -> int:
         if out is not None:
             _write_resolved_config(args.command, values, out)
         return code
-    except (LgcfError, OSError, json.JSONDecodeError) as exc:
+    except (LgcfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Ranking evaluation, degree and sparsity probes, case dumps, synthetic data."""
+"""Ranking evaluation, degree probes, case dumps, synthetic data."""
 
 import json
 import math
@@ -56,16 +56,18 @@ def ndcg_at_k(rank: int, k: int) -> float:
 
 @dataclass
 class MetricStats:
+    """HR@K and NDCG@K averaged over one run's ranked pairs.
+
+    A report describes one run, so its spread fields are written as
+    hr_std = ndcg_std = 0.0 and n_runs = 1.
+    """
+
     hr_mean: float
-    hr_std: float
     ndcg_mean: float
-    ndcg_std: float
-    n_runs: int = 1
 
     def to_dict(self) -> dict:
-        return {"hr_mean": self.hr_mean, "hr_std": self.hr_std,
-                "ndcg_mean": self.ndcg_mean, "ndcg_std": self.ndcg_std,
-                "n_runs": self.n_runs}
+        return {"hr_mean": self.hr_mean, "hr_std": 0.0,
+                "ndcg_mean": self.ndcg_mean, "ndcg_std": 0.0, "n_runs": 1}
 
 
 @dataclass
@@ -150,20 +152,22 @@ def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
     return results
 
 
-def _metrics_from_ranks(ranks, k_values) -> dict[int, MetricStats]:
-    out = {}
-    for k in k_values:
+def _report(results: list[_PairResult], scorer, protocol: EvalProtocol,
+            subset: str, extra_metadata: dict | None = None,
+            groups: list[EvalReport] | None = None) -> EvalReport:
+    """HR@K and NDCG@K over the ranked results; a pair with no negative
+    to rank against is counted in num_skipped.  extra_metadata entries
+    are added to, and may replace, the scorer and protocol metadata."""
+    ranks = [r.rank for r in results if r.rank is not None]
+    metrics = {}
+    for k in protocol.k_values:
         if ranks:
             hr = float(np.mean([hr_at_k(r, k) for r in ranks]))
             ndcg = float(np.mean([ndcg_at_k(r, k) for r in ranks]))
         else:
             hr = ndcg = 0.0
-        out[int(k)] = MetricStats(hr, 0.0, ndcg, 0.0, 1)
-    return out
-
-
-def _base_metadata(scorer, protocol: EvalProtocol, subset: str) -> dict:
-    return {
+        metrics[int(k)] = MetricStats(hr, ndcg)
+    metadata = {
         "scorer": getattr(scorer, "kind", "unknown"),
         "scorer_seed": getattr(scorer, "seed", None),
         "subset": subset,
@@ -174,6 +178,10 @@ def _base_metadata(scorer, protocol: EvalProtocol, subset: str) -> dict:
             "full_ranking": protocol.full_ranking,
         },
     }
+    if extra_metadata:
+        metadata.update(extra_metadata)
+    return EvalReport(metrics, len(ranks), len(results) - len(ranks), metadata,
+                      groups=groups)
 
 
 def evaluate(scorer, graph: BipartiteGraph, split: SplitSpec,
@@ -194,13 +202,7 @@ def evaluate(scorer, graph: BipartiteGraph, split: SplitSpec,
         raise DomainError(f"subset must be 'test' or 'val', got {subset!r}")
     pairs = split.test_edges if subset == "test" else split.val_edges
     results = _pair_results(scorer, graph, split, protocol, pairs)
-    ranks = [r.rank for r in results if r.rank is not None]
-    skipped = len(results) - len(ranks)
-    metadata = _base_metadata(scorer, protocol, subset)
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    report = EvalReport(_metrics_from_ranks(ranks, protocol.k_values),
-                        len(ranks), skipped, metadata)
+    report = _report(results, scorer, protocol, subset, extra_metadata)
     if collect_rankings:
         report.rankings = [(r.u, r.i, tuple(int(c) for c in r.cands[r.order]))
                            for r in results if r.rank is not None]
@@ -234,68 +236,13 @@ def degree_probe(scorer, graph: BipartiteGraph, split: SplitSpec,
     for g, size in enumerate(sizes):
         member_idx = sorted_idx[start:start + size]
         start += size
-        member = [results[j] for j in member_idx]
-        ranks = [r.rank for r in member if r.rank is not None]
-        meta = _base_metadata(scorer, protocol, "test")
-        meta.update({
-            "group_index": g,
-            "mean_degree_min": float(keys[member_idx].min()),
-            "mean_degree_max": float(keys[member_idx].max()),
-        })
-        groups.append(EvalReport(_metrics_from_ranks(ranks, protocol.k_values),
-                                 len(ranks), len(member) - len(ranks), meta))
-    all_ranks = [r.rank for r in results if r.rank is not None]
-    metadata = _base_metadata(scorer, protocol, "test")
-    metadata["n_groups"] = n_groups
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    return EvalReport(_metrics_from_ranks(all_ranks, protocol.k_values),
-                      len(all_ranks), len(results) - len(all_ranks),
-                      metadata, groups=groups)
-
-
-def sparsity_sweep(models, graph: BipartiteGraph, split: SplitSpec, levels,
-                   tc, protocol: EvalProtocol) -> dict[str, list[EvalReport]]:
-    """Train and evaluate each model at each sparsity level.
-
-    models holds kind names (trained via models.train) or callables
-    (train_graph, level_split, tc) -> scorer.  Validation, test, and the
-    candidate exclusion set stay fixed at the original split across levels,
-    so the series isolates the effect of train sparsity.  The model and
-    level lists are checked before anything is trained.
-    """
-    from . import models as model_mod
-    names = [model if isinstance(model, str) else getattr(model, "__name__", "custom")
-             for model in models]
-    if not names:
-        raise DomainError("at least one model is required")
-    if not levels:
-        raise DomainError("at least one sparsity level is required")
-    if len(set(names)) != len(names):
-        raise DomainError(f"model names must be distinct, got {names}")
-    for model in models:
-        if isinstance(model, str) and model not in model_mod.MODEL_KINDS:
-            raise DomainError(f"unknown model kind {model!r}")
-    out: dict[str, list[EvalReport]] = {}
-    for name, model in zip(names, models):
-        reports = []
-        for level_index, level_edges in enumerate(levels):
-            level_split = SplitSpec(level_edges, split.val_edges, split.test_edges,
-                                    split.seed, f"{split.kind}-level{level_index}",
-                                    split.num_users, split.num_items)
-            train_graph = build_graph(level_split.train_edges,
-                                      graph.num_users, graph.num_items)
-            if isinstance(model, str):
-                result = model_mod.train(model, graph, level_split, tc)
-                scorer = result.model.make_scorer(train_graph)
-            else:
-                scorer = model(train_graph, level_split, tc)
-            extra = {"model": name, "level_index": level_index,
-                     "train_edges": len(level_split.train_edges)}
-            reports.append(evaluate(scorer, graph, split, protocol,
-                                    extra_metadata=extra))
-        out[name] = reports
-    return out
+        meta = {"group_index": g,
+                "mean_degree_min": float(keys[member_idx].min()),
+                "mean_degree_max": float(keys[member_idx].max())}
+        groups.append(_report([results[j] for j in member_idx], scorer, protocol,
+                              "test", meta))
+    return _report(results, scorer, protocol, "test",
+                   {"n_groups": n_groups, **(extra_metadata or {})}, groups)
 
 
 def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
@@ -397,31 +344,6 @@ def make_synthetic(block_users: int, block_items: int, p_in: float, p_out: float
             deg[u] += 1
             deg[j] += 1
     return build_graph(sorted(edges), n, m)
-
-
-def aggregate_reports(reports) -> EvalReport:
-    """Mean and std of per-run metrics across runs (typically seeds)."""
-    reports = list(reports)
-    if not reports:
-        raise DomainError("nothing to aggregate")
-    k_sets = {tuple(sorted(r.metrics)) for r in reports}
-    if len(k_sets) != 1:
-        raise DomainError("reports must share the same K values")
-    metrics = {}
-    for k in reports[0].metrics:
-        hr = np.array([r.metrics[k].hr_mean for r in reports])
-        ndcg = np.array([r.metrics[k].ndcg_mean for r in reports])
-        metrics[k] = MetricStats(float(hr.mean()), float(hr.std()),
-                                 float(ndcg.mean()), float(ndcg.std()),
-                                 len(reports))
-    metadata = {"aggregated_runs": len(reports),
-                "scorer_seeds": [r.metadata.get("scorer_seed") for r in reports]}
-    first_meta = reports[0].metadata
-    for key in ("scorer", "subset", "protocol", "model"):
-        if key in first_meta:
-            metadata[key] = first_meta[key]
-    return EvalReport(metrics, sum(r.num_pairs for r in reports),
-                      sum(r.num_skipped for r in reports), metadata)
 
 
 def metrics_csv(rows, k_values) -> str:

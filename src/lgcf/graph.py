@@ -11,6 +11,7 @@ from .errors import DomainError, ParseError
 from .rng import LEVELS, SPLIT, seed_stream
 
 Edge = tuple[int, int]
+_INT64 = np.iinfo(np.int64)
 
 
 def read_utf8(path) -> str:
@@ -25,6 +26,16 @@ def read_utf8(path) -> str:
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
                          line_no, path) from None
+
+
+def read_json(path):
+    """The JSON value in the file at path.  Text that is not UTF-8 or not
+    JSON raises ParseError naming the path and the line."""
+    try:
+        return json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{exc.msg} at column {exc.colno}", exc.lineno,
+                         path) from None
 
 
 def text_lines(path):
@@ -98,14 +109,21 @@ class BipartiteGraph:
 
 
 def _edge_array(edges) -> np.ndarray:
-    """edges as an (E, 2) int64 array; DomainError unless every entry is a
-    pair of integers."""
+    """edges as an (E, 2) int64 array; DomainError unless they form an
+    array of integer dtype whose values fit in int64 (floats, strings and
+    booleans do not).  The check reads the dtype, not the values, so an
+    int64 array is returned as is."""
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:
-        pairs = np.asarray(edges, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("edges must be (user, item) pairs of 64-bit integers") from None
+        pairs = np.asarray(edges)
+    except ValueError:
+        pairs = None
+    if pairs is None or pairs.size and (
+            pairs.dtype.kind not in "iu"
+            or pairs.dtype == np.uint64 and pairs.max() > _INT64.max):
+        raise DomainError("edges must be (user, item) pairs of 64-bit integers")
+    pairs = pairs.astype(np.int64, copy=False)
     if pairs.ndim == 1 and pairs.size == 0:
         return pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -136,7 +154,9 @@ def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
     Every edge must connect a user id in [0, num_users) to an item id in
     [num_users, num_users+num_items).  Out-of-range or wrong-side endpoints
     and duplicate edges raise DomainError for the first offending edge in
-    input order; entries that are not pairs raise DomainError too.  Input
+    input order; entries that are not pairs of integers raise DomainError
+    too, and so do more nodes than the int64 keys below can tell apart
+    (num_nodes ** 2 > 2 ** 63 - 1).  Input
     order does not matter otherwise: both edge directions are sorted by
     the key src * total + dst in one pass, which yields every neighbour
     list ascending.
@@ -144,6 +164,9 @@ def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
     if num_users < 0 or num_items < 0:
         raise DomainError("num_users and num_items must be non-negative")
     n, total = num_users, num_users + num_items
+    if total * total > _INT64.max:
+        raise DomainError(f"{total} nodes are too many: edge keys need "
+                          f"num_nodes ** 2 <= 2 ** 63 - 1")
     pairs = _edge_array(edges)
     u, i = pairs[:, 0], pairs[:, 1]
     out_of_range = (u < 0) | (u >= n) | (i < n) | (i >= total)
@@ -156,13 +179,6 @@ def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
     indptr = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=total), out=indptr[1:])
     return BipartiteGraph(n, num_items, indptr, keys % total)
-
-
-def density(graph: BipartiteGraph) -> float:
-    """Interaction density |E| / (num_users * num_items)."""
-    if graph.num_users == 0 or graph.num_items == 0:
-        raise DomainError("density is undefined for an empty side")
-    return graph.edge_count / (graph.num_users * graph.num_items)
 
 
 @dataclass(frozen=True)
@@ -399,7 +415,6 @@ def _write_edge_file(path: Path, edges):
 # non-ASCII code points as digits of other values) and crashes the process
 # on others (U+FFFFF), so a file with any other byte is read line by line.
 _LOADTXT_BYTES = b"0123456789+- \t\r\n"
-_INT64 = np.iinfo(np.int64)
 
 
 def _read_edge_file(path: Path) -> np.ndarray:
@@ -435,14 +450,14 @@ def _read_edge_lines(path: Path) -> np.ndarray:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ParseError(f"expected 'user<TAB>item', got {line!r}", line_no)
+            raise ParseError(f"expected 'user<TAB>item', got {line!r}", line_no, path)
         try:
             edge = (int(parts[0]), int(parts[1]))
         except ValueError:
-            raise ParseError(f"non-integer id in {line!r}", line_no) from None
+            raise ParseError(f"non-integer id in {line!r}", line_no, path) from None
         if not all(_INT64.min <= x <= _INT64.max for x in edge):
             raise ParseError(
-                f"id outside the signed 64-bit range in {line!r}", line_no)
+                f"id outside the signed 64-bit range in {line!r}", line_no, path)
         out.append(edge)
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
@@ -501,7 +516,7 @@ def load_split(split_dir) -> SplitSpec:
     read, and an error names the first offending edge in file order."""
     split_dir = Path(split_dir)
     meta_path = split_dir / "meta.json"
-    meta = json.loads(read_utf8(meta_path))
+    meta = read_json(meta_path)
     n = _meta_entry(meta, meta_path, "num_users")
     total = n + _meta_entry(meta, meta_path, "num_items")
     parts = {}
@@ -557,7 +572,7 @@ def save_graph_dir(graph: BipartiteGraph, out_dir) -> None:
 def load_graph_dir(graph_dir) -> BipartiteGraph:
     graph_dir = Path(graph_dir)
     meta_path = graph_dir / "graph.json"
-    meta = json.loads(read_utf8(meta_path))
+    meta = read_json(meta_path)
     edges = _read_edge_file(graph_dir / "edges.tsv")
     return build_graph(edges, _meta_entry(meta, meta_path, "num_users"),
                        _meta_entry(meta, meta_path, "num_items"))

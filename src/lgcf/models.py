@@ -1,4 +1,4 @@
-"""Model kinds, BPR training, scorers, and checkpoints.
+"""Model kinds, BPR training, the sparsity sweep, scorers, and checkpoints.
 
 Five kinds share one training entry point: "lgcf" scores localized graphs
 with the hand-written GCN, "mf" and "lightgcn" are embedding baselines (mf is
@@ -19,9 +19,9 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DomainError
-from .evaluation import EvalProtocol, evaluate
+from .evaluation import EvalProtocol, EvalReport, evaluate
 from .graph import (BipartiteGraph, SplitSpec, build_graph, check_split_fits,
-                    read_utf8)
+                    read_json)
 from .labeling import LabelEncoding, label_graph, one_hot_features
 from .nn import (ACTIVATIONS, NO_PREFIX, AdamState, GnnParameters,
                  GradCheckReport, adam_step, adam_to_dict,
@@ -509,7 +509,7 @@ def save_model(path, model: TrainedModel,
 
 
 def load_model(path) -> TrainedModel:
-    return TrainedModel.from_dict(json.loads(read_utf8(path)))
+    return TrainedModel.from_dict(read_json(path))
 
 
 class LgcfScorer:
@@ -749,6 +749,49 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         for dst, src in zip(arrays, best_snap):
             dst[:] = src
     return TrainResult(model, history, best_epoch, {"main": adam})
+
+
+def sparsity_sweep(models, graph: BipartiteGraph, split: SplitSpec, levels,
+                   tc, protocol: EvalProtocol) -> dict[str, list[EvalReport]]:
+    """Train and evaluate each model at each sparsity level.
+
+    models holds kind names (each trained by train) or callables
+    (train_graph, level_split, tc) -> scorer.  Validation, test, and the
+    candidate exclusion set stay fixed at the original split across levels,
+    so the series isolates the effect of train sparsity.  The model and
+    level lists are checked before anything is trained.
+    """
+    names = [model if isinstance(model, str) else getattr(model, "__name__", "custom")
+             for model in models]
+    if not names:
+        raise DomainError("at least one model is required")
+    if not levels:
+        raise DomainError("at least one sparsity level is required")
+    if len(set(names)) != len(names):
+        raise DomainError(f"model names must be distinct, got {names}")
+    for model in models:
+        if isinstance(model, str) and model not in MODEL_KINDS:
+            raise DomainError(f"unknown model kind {model!r}")
+    out: dict[str, list[EvalReport]] = {}
+    for name, model in zip(names, models):
+        reports = []
+        for level_index, level_edges in enumerate(levels):
+            level_split = SplitSpec(level_edges, split.val_edges, split.test_edges,
+                                    split.seed, f"{split.kind}-level{level_index}",
+                                    split.num_users, split.num_items)
+            train_graph = build_graph(level_split.train_edges,
+                                      graph.num_users, graph.num_items)
+            if isinstance(model, str):
+                result = train(model, graph, level_split, tc)
+                scorer = result.model.make_scorer(train_graph)
+            else:
+                scorer = model(train_graph, level_split, tc)
+            extra = {"model": name, "level_index": level_index,
+                     "train_edges": len(level_split.train_edges)}
+            reports.append(evaluate(scorer, graph, split, protocol,
+                                    extra_metadata=extra))
+        out[name] = reports
+    return out
 
 
 def _fit_lambda(lgcf: LgcfScorer, dot: DotScorer, train_graph: BipartiteGraph,

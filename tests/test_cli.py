@@ -369,7 +369,8 @@ class TestReturnCodes:
                                       "synth-seed-negative", "eval-seed-negative",
                                       "edges-not-utf8", "split-not-utf8",
                                       "graph-json-not-utf8", "checkpoint-not-utf8",
-                                      "config-not-utf8"])
+                                      "config-not-utf8", "graph-json-truncated",
+                                      "meta-json-truncated", "checkpoint-truncated"])
     def test_rejected_input_leaves_out_empty(self, pipeline, tmp_path, capsys, case):
         """A rejection caused by the input data, not by an option value, also
         leaves --out empty, so the corrected rerun needs no --force."""
@@ -389,6 +390,9 @@ class TestReturnCodes:
                    "graph-json-not-utf8": graph / "graph.json",
                    "checkpoint-not-utf8": checkpoint,
                    "config-not-utf8": config,
+                   "graph-json-truncated": graph / "graph.json",
+                   "meta-json-truncated": split / "meta.json",
+                   "checkpoint-truncated": checkpoint,
                    "split-count-off": split / "meta.json"}.get(case)
         original = damaged.read_bytes() if damaged else None
         if case == "split-missing":
@@ -409,6 +413,8 @@ class TestReturnCodes:
             fixed = bad[:-1] + [1]
         elif case == "eval-seed-negative":
             bad, fixed = argv + ["--eval-seed", -1], argv + ["--eval-seed", 1]
+        elif case.endswith("-truncated"):
+            damaged.write_bytes(original[:len(original) // 2])
         else:
             damaged.write_bytes(b"\xff" + original)
         capsys.readouterr()
@@ -418,12 +424,26 @@ class TestReturnCodes:
         assert "Traceback" not in err
         if case.endswith("-not-utf8"):
             assert err == f"error: {damaged}: line 1: not UTF-8 text (byte 0xff)\n"
+        if case.endswith("-truncated"):
+            assert err.startswith(f"error: {damaged}: line ")
         assert not out.exists() or not any(out.iterdir())
         if damaged:
             damaged.write_bytes(original)
         assert run(*fixed) == 0  # no --force needed
         assert (out / "resolved_config.txt").exists()
         capsys.readouterr()
+
+    def test_graph_too_large_for_edge_keys(self, pipeline, tmp_path, capsys):
+        graph, out = tmp_path / "graph", tmp_path / "split"
+        shutil.copytree(pipeline / "graph", graph)
+        meta = json.loads((graph / "graph.json").read_text())
+        meta["num_items"] = 2**62
+        (graph / "graph.json").write_text(json.dumps(meta))
+        assert run("split", "--out", out, "--graph", graph) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nodes are too many" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_missing_graph_dir(self, tmp_path, capsys):
         assert run("split", "--out", tmp_path / "s",

@@ -1,5 +1,7 @@
 """Evaluation harness: ranking protocol, probes, sweeps, synthetic data."""
 
+import ast
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -9,11 +11,12 @@ import pytest
 
 from lgcf import (DomainError, EvalProtocol, EvalReport, LabelEncoding,
                   MetricStats, SplitSpec, TrainConfig, WalkConfig,
-                  aggregate_reports, build_graph, degree_probe, dump_cases,
-                  evaluate, forward_instance, hr_at_k, make_synthetic,
-                  metrics_csv, ndcg_at_k, normal_split, normalize_adjacency,
+                  build_graph, degree_probe, dump_cases, evaluate,
+                  forward_instance, hr_at_k, make_synthetic, metrics_csv,
+                  ndcg_at_k, normal_split, normalize_adjacency,
                   one_hot_features, parse_localized_graph, seed_stream,
                   sparsity_levels, sparsity_sweep, train)
+from lgcf import evaluation
 from lgcf.evaluation import _pair_results
 from lgcf.rng import EVAL_NEGATIVE
 
@@ -446,41 +449,13 @@ class TestMakeSynthetic:
             make_synthetic(5, 5, 1.5, 0.1, 0)
 
 
-def stub_report(hr10, ndcg10, pairs=4) -> EvalReport:
-    return EvalReport({10: MetricStats(hr10, 0.0, ndcg10, 0.0, 1)}, pairs, 0,
-                      {"scorer": "stub", "scorer_seed": 0, "subset": "test"})
-
-
-class TestAggregateReports:
-    def test_mean_and_std(self):
-        hrs = [0.2, 0.5, 0.8]
-        ndcgs = [0.1, 0.1, 0.4]
-        agg = aggregate_reports([stub_report(h, n) for h, n in zip(hrs, ndcgs)])
-        stats = agg.metrics[10]
-        assert stats.hr_mean == pytest.approx(np.mean(hrs), abs=1e-15)
-        assert stats.hr_std == pytest.approx(np.std(hrs), abs=1e-15)
-        assert stats.ndcg_mean == pytest.approx(np.mean(ndcgs), abs=1e-15)
-        assert stats.ndcg_std == pytest.approx(np.std(ndcgs), abs=1e-15)
-        assert stats.n_runs == 3
-        assert agg.num_pairs == 12
-
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(DomainError):
-            aggregate_reports([])
-        other = EvalReport({5: MetricStats(1.0, 0.0, 1.0, 0.0, 1)}, 1, 0, {})
-        with pytest.raises(DomainError):
-            aggregate_reports([stub_report(0.5, 0.5), other])
-
-
 class TestReportSerialization:
     def test_metrics_csv_golden(self):
         rows = [
-            (0, "mf", EvalReport({5: MetricStats(0.5, 0.0, 0.25, 0.0, 1),
-                                  10: MetricStats(1.0, 0.0, 1.0, 0.0, 1)},
-                                 3, 0, {})),
-            (1, "lgcf", EvalReport({5: MetricStats(0.125, 0.0, 0.0625, 0.0, 1),
-                                    10: MetricStats(0.75, 0.0, 0.5, 0.0, 1)},
-                                   3, 0, {})),
+            (0, "mf", EvalReport({5: MetricStats(0.5, 0.25),
+                                  10: MetricStats(1.0, 1.0)}, 3, 0, {})),
+            (1, "lgcf", EvalReport({5: MetricStats(0.125, 0.0625),
+                                    10: MetricStats(0.75, 0.5)}, 3, 0, {})),
         ]
         want = ("level,model,hr@5,ndcg@5,hr@10,ndcg@10\n"
                 "0,mf,0.5,0.25,1.0,1.0\n"
@@ -498,3 +473,23 @@ class TestReportSerialization:
         assert payload == report.to_dict()
         assert list(payload) == sorted(payload)
         assert len(payload["groups"]) == 2
+        # A report describes one run, so its spread fields are constants.
+        for part in [payload] + payload["groups"]:
+            for stats in part["metrics"].values():
+                spread = (stats["hr_std"], stats["ndcg_std"], stats["n_runs"])
+                assert spread == (0.0, 0.0, 1)
+
+
+def test_evaluation_does_not_import_models():
+    """Training imports evaluation for validation; evaluation must not
+    import models back, or the two modules form a cycle."""
+    for node in ast.walk(ast.parse(inspect.getsource(evaluation))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert "models" not in name.split("."), ast.unparse(node)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lgcf import (BipartiteGraph, DomainError, ParseError, SplitSpec,
-                  build_graph, density, ingest_interactions, load_graph_dir,
+                  build_graph, ingest_interactions, load_graph_dir,
                   load_split, normal_split, save_graph_dir, save_split,
                   seed_stream, sparse_split, sparsity_levels)
 from lgcf.graph import _read_edge_file, read_utf8
@@ -116,27 +116,18 @@ class TestBuildGraph:
             with pytest.raises(DomainError, match=re.escape(message)):
                 build_graph(edges, 2, 2)
 
+    def test_too_many_nodes_for_the_keys(self):
+        # The keys src * num_nodes + dst must fit in int64.
+        for n, m in ((2**62, 0), (1, 2**62)):
+            with pytest.raises(DomainError, match="nodes are too many"):
+                build_graph([], n, m)
+
     def test_arrays_are_frozen(self):
         g = build_graph([(0, 1)], 1, 1)
         with pytest.raises(ValueError):
             g.indices[0] = 0
         with pytest.raises(ValueError):
             g.indptr[0] = 1
-
-
-class TestDensity:
-    def test_complete_bipartite_is_one(self):
-        g = build_graph([(u, 3 + i) for u in range(3) for i in range(3)], 3, 3)
-        assert density(g) == 1.0
-
-    def test_halves_with_edge_count(self):
-        full = build_graph([(u, 2 + i) for u in range(2) for i in range(2)], 2, 2)
-        half = build_graph([(0, 2), (1, 3)], 2, 2)
-        assert density(half) == density(full) / 2
-
-    def test_empty_side_rejected(self):
-        with pytest.raises(DomainError):
-            density(build_graph([], 0, 3))
 
 
 class TestIngest:
@@ -361,7 +352,8 @@ class TestSplitSpec:
     @pytest.mark.parametrize("given", [
         tuple(EDGES), list(EDGES), [list(e) for e in EDGES],
         tuple(np.array(EDGES)),  # a tuple of row arrays
-        np.array(EDGES, dtype=np.int32), np.array(EDGES, dtype=np.int64)])
+        np.array(EDGES, dtype=np.int32), np.array(EDGES, dtype=np.int64),
+        np.array(EDGES, dtype=np.uint64)])
     def test_any_sequence_of_pairs_becomes_a_read_only_array(self, given):
         split = SplitSpec(given, (), [], 0, "normal", 2, 2)
         for edges, want in ((split.train_edges, self.EDGES),
@@ -439,6 +431,25 @@ class TestPersistence:
         assert g2.edges() == g.edges()
 
 
+class TestNonIntegerEdges:
+    """Edges must be integers that fit in int64; nothing is truncated or
+    parsed on the way in."""
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 2.7), (1.9, 3)], [(0.5, 2)], np.array([[0.0, 2.0]]),
+        [("0", "2")], [(True, False)], np.array([[0, 1]], dtype=bool),
+        np.array([[0, 2**63]], dtype=np.uint64), [(0, 2**63)], [(0, 2**64)],
+        [(0, None)]])
+    def test_rejected_by_every_entry_point(self, edges):
+        message = re.escape("edges must be (user, item) pairs of 64-bit integers")
+        with pytest.raises(DomainError, match=message):
+            build_graph(edges, 2, 2)
+        with pytest.raises(DomainError, match="train_edges: " + message):
+            SplitSpec(edges, (), (), 0, "normal", 2, 2)
+        with pytest.raises(DomainError, match=message):
+            sparsity_levels(edges, (0.5,), seed=0)
+
+
 def per_line_edges(lines) -> tuple:
     """The per-line edge-file reader that np.loadtxt replaced, kept as the
     oracle; lines is an open edge file or a list of its lines."""
@@ -466,7 +477,8 @@ def outcome(read, arg):
 
 def expected_outcome(path):
     """per_line_edges' outcome, except that an id outside the signed 64-bit
-    range now raises ParseError on its line if no earlier line fails."""
+    range now raises ParseError on its line if no earlier line fails, and
+    every ParseError names the file first."""
     with open(path, encoding="utf-8") as fh:
         lines = list(fh)
     for line_no, raw in enumerate(lines, start=1):
@@ -474,9 +486,10 @@ def expected_outcome(path):
         if isinstance(edges, tuple):
             break
         if any(not -2**63 <= x < 2**63 for edge in edges for x in edge):
-            return ParseError, (f"line {line_no}: id outside the signed 64-bit "
-                                f"range in {raw.strip()!r}")
-    return outcome(per_line_edges, lines)
+            return ParseError, (f"{path}: line {line_no}: id outside the signed "
+                                f"64-bit range in {raw.strip()!r}")
+    want = outcome(per_line_edges, lines)
+    return (want[0], f"{path}: {want[1]}") if isinstance(want, tuple) else want
 
 
 PLAIN_IDS = ["0", "3", "42", "+7", "-5", "007", " 9 ", str(2**63 - 1),
@@ -537,11 +550,11 @@ class TestEdgeFiles:
     def test_parse_errors_name_the_line(self, tmp_path, bad, message):
         save_graph_dir(FOUR_CYCLE, tmp_path / "g")
         save_split(normal_split(FOUR_CYCLE, 0.75, seed=5), tmp_path / "s")
-        self.write(tmp_path / "g" / "edges.tsv", f"0\t2\n\n{bad}\n1\t3\n")
-        with pytest.raises(ParseError, match=re.escape(f"line 3: {message}")):
+        path = self.write(tmp_path / "g" / "edges.tsv", f"0\t2\n\n{bad}\n1\t3\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line 3: {message}")):
             load_graph_dir(tmp_path / "g")
-        self.write(tmp_path / "s" / "val.tsv", f"1\t3\n{bad}\n")
-        with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
+        path = self.write(tmp_path / "s" / "val.tsv", f"1\t3\n{bad}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line 2: {message}")):
             load_split(tmp_path / "s")
 
     @pytest.mark.parametrize("blank", ["", "\n", "\n \n\t\r\n\x0c\n"])
