@@ -13,6 +13,9 @@ from .labeling import label_graph
 from .rng import EVAL_NEGATIVE, EVAL_WALK, SYNTH, seed_stream
 from .subgraph import WalkConfig, dump_localized_graph, extract
 
+# Uniforms per draw in make_synthetic, rounded to whole block rows.
+SYNTH_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class EvalProtocol:
@@ -305,6 +308,11 @@ def make_synthetic(block_users: int, block_items: int, p_in: float, p_out: float
     pairs with p_out.  Any node left isolated then gains one edge to a
     uniformly random within-block partner (users first, then still-isolated
     items, ascending ids), so every node has degree >= 1.
+
+    Each block's uniforms are drawn SYNTH_CHUNK at a time, a whole number of
+    rows per draw (at least one): the same doubles in the same order as one
+    draw of the whole block, without holding it.  The partners come from one
+    draw per side, the same integers as one draw per isolated node.
     """
     if block_users < 1 or block_items < 1:
         raise DomainError("block sizes must be >= 1")
@@ -314,36 +322,34 @@ def make_synthetic(block_users: int, block_items: int, p_in: float, p_out: float
     rng = seed_stream(seed, SYNTH)
     n = 2 * block_users
     m = 2 * block_items
-    edges = set()
     blocks = [
         (0, n, p_in),                       # user block 0 x item block 0
         (block_users, n + block_items, p_in),  # user block 1 x item block 1
         (0, n + block_items, p_out),        # user block 0 x item block 1
         (block_users, n, p_out),            # user block 1 x item block 0
     ]
+    step = max(1, SYNTH_CHUNK // block_items)
+    users, items = [], []
     for u_off, i_off, p in blocks:
-        mask = rng.random((block_users, block_items)) < p
-        for a, b in zip(*np.nonzero(mask)):
-            edges.add((u_off + int(a), i_off + int(b)))
-    deg = np.zeros(n + m, dtype=np.int64)
-    for u, i in edges:
-        deg[u] += 1
-        deg[i] += 1
-    for u in range(n):
-        if deg[u] == 0:
-            block = 0 if u < block_users else 1
-            j = n + block * block_items + int(rng.integers(block_items))
-            edges.add((u, j))
-            deg[u] += 1
-            deg[j] += 1
-    for j in range(n, n + m):
-        if deg[j] == 0:
-            block = 0 if j - n < block_items else 1
-            u = block * block_users + int(rng.integers(block_users))
-            edges.add((u, j))
-            deg[u] += 1
-            deg[j] += 1
-    return build_graph(sorted(edges), n, m)
+        for lo in range(0, block_users, step):
+            rows = min(step, block_users - lo)
+            a, b = np.nonzero(rng.random((rows, block_items)) < p)
+            users.append(a + (u_off + lo))
+            items.append(b + i_off)
+    deg = np.bincount(np.concatenate(users + items), minlength=n + m)
+    lonely = np.flatnonzero(deg[:n] == 0)
+    partners = (n + np.where(lonely < block_users, 0, block_items)
+                + rng.integers(block_items, size=lonely.size))
+    users.append(lonely)
+    items.append(partners)
+    deg += np.bincount(partners, minlength=n + m)
+    lonely = n + np.flatnonzero(deg[n:] == 0)
+    partners = (np.where(lonely - n < block_items, 0, block_users)
+                + rng.integers(block_users, size=lonely.size))
+    users.append(partners)
+    items.append(lonely)
+    edges = np.column_stack([np.concatenate(users), np.concatenate(items)])
+    return build_graph(edges, n, m)
 
 
 def metrics_csv(rows, k_values) -> str:

@@ -30,12 +30,16 @@ def read_utf8(path) -> str:
 
 def read_json(path):
     """The JSON value in the file at path.  Text that is not UTF-8 or not
-    JSON raises ParseError naming the path and the line."""
+    JSON raises ParseError naming the path and the line; arrays or objects
+    nested deeper than the decoder's recursion limit, ParseError naming the
+    path."""
     try:
         return json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{exc.msg} at column {exc.colno}", exc.lineno,
                          path) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to decode", path=path) from None
 
 
 def text_lines(path):

@@ -17,6 +17,7 @@ from numbers import Real
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import DomainError
 from .evaluation import EvalProtocol, EvalReport, evaluate
@@ -94,6 +95,17 @@ class Propagation:
       terms it skips are s * (+0.0) = +0.0, since every entry of S is > 0,
       and a running sum that starts at +0.0 is never -0.0 (x + (-x) and
       +0.0 + -0.0 are both +0.0), so adding +0.0 never changes it.
+
+    Each hop writes into one of two table-sized buffers the object owns,
+    and the rows the result reads are gathered into a third, so a call
+    allocates only the array it returns (and a new row set's slices of S).
+    SciPy has no public sparse-dense product into a given array, so a hop
+    calls the compiled kernels that S @ X and S[rows].T @ X call
+    (csr_matvecs, csc_matvecs), which add each term into an output that
+    starts at zero, as theirs does; a forward hop on a row slice zeroes
+    only its rows, the only ones that later hops and the result read.  A
+    row slice is kept with its row pointer spread over every node id (empty
+    rows elsewhere), so it reads and writes the tables by global id.
     """
 
     def __init__(self, graph: BipartiteGraph, layers: int):
@@ -102,6 +114,7 @@ class Propagation:
         self.layers = int(layers)
         self.num_nodes = graph.num_nodes
         self._last_hops = (None, [])
+        self._buffers = np.empty((3, 0, 0))
         if self.layers:
             deg = graph.degrees().astype(np.float64)
             inv = np.zeros_like(deg)
@@ -131,41 +144,68 @@ class Propagation:
             acc = np.zeros((self.num_nodes, mat.shape[1]))
             acc[in_rows] = mat
             cur = acc
-            for rows, sub in reversed(self._hops(in_rows)):
-                cur = self.s @ cur if rows is None else sub.T @ cur[rows]
+            for hop, out in zip(reversed(self._hops(in_rows)),
+                                self._hop_buffers(acc.shape[1])):
+                cur = self._hop(hop, cur, out, pull=True)
                 acc += cur
         else:
             acc = mat.copy() if out_rows is None else mat[out_rows]
             cur = mat
-            for rows, sub in self._hops(out_rows):
-                if rows is None:
-                    cur = self.s @ cur
+            for hop, out in zip(self._hops(out_rows), self._hop_buffers(mat.shape[1])):
+                cur = self._hop(hop, cur, out, pull=False)
+                if out_rows is None:
+                    acc += cur
                 else:
-                    cur, prev = np.empty_like(mat), cur
-                    cur[rows] = sub @ prev
-                acc += cur if out_rows is None else cur[out_rows]
+                    gathered = self._buffers[2, :len(out_rows)]
+                    np.take(cur, out_rows, axis=0, out=gathered, mode="clip")
+                    acc += gathered
         if self.layers:
             acc /= self.layers + 1
         return acc
 
+    def _hop_buffers(self, width: int):
+        """The two hop buffers in turn, one per hop, for `width` columns."""
+        if self.layers and self._buffers.shape[1:] != (self.num_nodes, width):
+            self._buffers = np.empty((3, self.num_nodes, width))
+        return (self._buffers[k % 2] for k in range(self.layers))
+
+    def _hop(self, hop, src: np.ndarray, out: np.ndarray, pull: bool) -> np.ndarray:
+        """The hop's rows of S @ src into out, other rows left as they were;
+        in the pull S[rows].T @ src[rows] into out, zero elsewhere."""
+        rows, arrays = hop
+        kernel = (_sparsetools.csc_matvecs if pull and rows is not None
+                  else _sparsetools.csr_matvecs)
+        if pull or rows is None:
+            out.fill(0.0)
+        else:
+            out[rows] = 0.0
+        kernel(self.num_nodes, self.num_nodes, out.shape[1], *arrays,
+               src.ravel(), out.ravel())
+        return out
+
     def _hops(self, rows: np.ndarray | None) -> list:
-        """(rows, S[rows]) per hop, first hop first, for reading `rows` of
-        the result: the last hop computes rows, each earlier one also the
-        neighbours of the next one's rows.  None stands for every row; a set
-        over half the nodes widens to every row, since one full product is
-        then cheaper than slicing.  The last row set's hops are kept, so a
-        batch's pull reuses the slices of its forward pass."""
+        """(rows, (indptr, indices, data) of S[rows]) per hop, first hop first,
+        for reading `rows` of the result: the last hop computes rows, each
+        earlier one also the neighbours of the next one's rows.  indptr has
+        an entry per node, empty for nodes outside rows.  None stands for
+        every row, with S's own arrays; a set over half the nodes widens to
+        every row, since one full product is then cheaper than slicing.  The
+        last row set's hops are kept, so a batch's pull reuses the slices of
+        its forward pass."""
         if rows is not None and np.array_equal(rows, self._last_hops[0]):
             return self._last_hops[1]
         hops = []
         cur = rows
         for _ in range(self.layers):
             if cur is None or 2 * cur.size > self.num_nodes:
-                hops.append((None, None))
+                hops.append((None, (self.s.indptr, self.s.indices, self.s.data)))
                 cur = None
                 continue
             sub = self.s[cur]
-            hops.append((cur, sub))
+            indptr = np.zeros(self.num_nodes + 1, dtype=sub.indices.dtype)
+            indptr[cur + 1] = np.diff(sub.indptr)
+            np.cumsum(indptr, out=indptr)
+            hops.append((cur, (indptr, sub.indices, sub.data)))
             mark = np.zeros(self.num_nodes, dtype=bool)
             mark[rows] = True
             mark[sub.indices] = True

@@ -370,7 +370,9 @@ class TestReturnCodes:
                                       "edges-not-utf8", "split-not-utf8",
                                       "graph-json-not-utf8", "checkpoint-not-utf8",
                                       "config-not-utf8", "graph-json-truncated",
-                                      "meta-json-truncated", "checkpoint-truncated"])
+                                      "meta-json-truncated", "checkpoint-truncated",
+                                      "graph-json-nested", "meta-json-nested",
+                                      "checkpoint-nested", "split-graph-json-nested"])
     def test_rejected_input_leaves_out_empty(self, pipeline, tmp_path, capsys, case):
         """A rejection caused by the input data, not by an option value, also
         leaves --out empty, so the corrected rerun needs no --force."""
@@ -393,6 +395,10 @@ class TestReturnCodes:
                    "graph-json-truncated": graph / "graph.json",
                    "meta-json-truncated": split / "meta.json",
                    "checkpoint-truncated": checkpoint,
+                   "graph-json-nested": graph / "graph.json",
+                   "meta-json-nested": split / "meta.json",
+                   "checkpoint-nested": checkpoint,
+                   "split-graph-json-nested": graph / "graph.json",
                    "split-count-off": split / "meta.json"}.get(case)
         original = damaged.read_bytes() if damaged else None
         if case == "split-missing":
@@ -415,6 +421,10 @@ class TestReturnCodes:
             bad, fixed = argv + ["--eval-seed", -1], argv + ["--eval-seed", 1]
         elif case.endswith("-truncated"):
             damaged.write_bytes(original[:len(original) // 2])
+        elif case.endswith("-nested"):
+            damaged.write_bytes(b"[" * 100_000)
+            if case.startswith("split-"):
+                bad = fixed = ["split", "--out", out, "--graph", graph]
         else:
             damaged.write_bytes(b"\xff" + original)
         capsys.readouterr()
@@ -426,6 +436,8 @@ class TestReturnCodes:
             assert err == f"error: {damaged}: line 1: not UTF-8 text (byte 0xff)\n"
         if case.endswith("-truncated"):
             assert err.startswith(f"error: {damaged}: line ")
+        if case.endswith("-nested"):
+            assert err == f"error: {damaged}: JSON nested too deeply to decode\n"
         assert not out.exists() or not any(out.iterdir())
         if damaged:
             damaged.write_bytes(original)

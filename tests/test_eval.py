@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from lgcf import (DomainError, EvalProtocol, EvalReport, LabelEncoding,
                   sparsity_levels, sparsity_sweep, train)
 from lgcf import evaluation
 from lgcf.evaluation import _pair_results
-from lgcf.rng import EVAL_NEGATIVE
+from lgcf.rng import EVAL_NEGATIVE, SYNTH
 
 
 class KeyedScorer:
@@ -441,6 +442,62 @@ class TestMakeSynthetic:
     def test_isolation_repair(self):
         g = make_synthetic(10, 10, 0.001, 0.0, 3)
         assert (g.degrees() >= 1).all()
+
+    @staticmethod
+    def dense_reference(block_users, block_items, p_in, p_out, seed):
+        """make_synthetic as one whole-block draw and per-edge loops."""
+        rng = seed_stream(seed, SYNTH)
+        n, m = 2 * block_users, 2 * block_items
+        edges = set()
+        for u_off, i_off, p in [(0, n, p_in), (block_users, n + block_items, p_in),
+                                (0, n + block_items, p_out), (block_users, n, p_out)]:
+            mask = rng.random((block_users, block_items)) < p
+            for a, b in zip(*np.nonzero(mask)):
+                edges.add((u_off + int(a), i_off + int(b)))
+        deg = np.zeros(n + m, dtype=np.int64)
+        for u, i in edges:
+            deg[u] += 1
+            deg[i] += 1
+        for u in range(n):
+            if deg[u] == 0:
+                j = n + (0 if u < block_users else block_items) + int(
+                    rng.integers(block_items))
+                edges.add((u, j))
+                deg[u] += 1
+                deg[j] += 1
+        for j in range(n, n + m):
+            if deg[j] == 0:
+                u = (0 if j - n < block_items else block_users) + int(
+                    rng.integers(block_users))
+                edges.add((u, j))
+                deg[u] += 1
+                deg[j] += 1
+        return build_graph(sorted(edges), n, m)
+
+    @pytest.mark.parametrize("block_users,block_items", [
+        (1, 1), (6, 1), (5, 7),
+        (3, evaluation.SYNTH_CHUNK),           # one row per draw, exactly
+        (2, evaluation.SYNTH_CHUNK + 1),       # one row per draw, just above
+        (7, evaluation.SYNTH_CHUNK // 3),      # three rows per draw, then one
+    ])
+    def test_chunked_draws_match_the_dense_reference(self, block_users, block_items):
+        for p_in, p_out, seed in [(0.0, 0.0, 0), (0.5, 0.05, 1), (1.0, 1.0, 2),
+                                  (3e-5, 0.0, 3)]:
+            got = make_synthetic(block_users, block_items, p_in, p_out, seed)
+            want = self.dense_reference(block_users, block_items, p_in, p_out, seed)
+            assert got.indptr.tobytes() == want.indptr.tobytes()
+            assert got.indices.tobytes() == want.indices.tobytes()
+
+    def test_peak_memory_does_not_hold_a_block(self):
+        # One 2000 x 2000 block of doubles is 32 MB; the whole-block draw
+        # peaked at about 47 MB, the chunked one at about 4 MB.
+        tracemalloc.start()
+        try:
+            make_synthetic(2000, 2000, .005, .0005, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -187,6 +187,57 @@ class TestPropagation:
             widened += any(r is None for r in hops)
         assert restricted >= 10 and widened >= 10  # both hop kinds ran
 
+    def test_hops_are_the_scipy_products(self):
+        """Each hop, written into an owned buffer by SciPy's kernels, has the
+        bytes of S @ X (forward) or S[rows].T @ X[rows] (pull); a change in
+        those kernels or in how S @ X calls them shows here first."""
+        rng = np.random.default_rng(64)
+        restricted = widened = 0
+        for trial in range(30):
+            g = self.sparse_graph(rng)
+            prop = Propagation(g, 3)
+            size = int(rng.integers(2, 30))
+            rows = np.sort(rng.choice(80, size, replace=False))
+            x = self.signed_zeros(rng.normal(size=(80, 5)), rows)
+            out = np.full((80, 5), np.nan)
+            for hop in prop._hops(rows):
+                hop_rows = hop[0]
+                if hop_rows is None:
+                    want = prop.s @ x
+                    for pull in (False, True):
+                        assert prop._hop(hop, x, out, pull).tobytes() == want.tobytes()
+                    widened += 1
+                    continue
+                sub = prop.s[hop_rows]
+                got = prop._hop(hop, x, out, pull=False)[hop_rows]
+                assert got.tobytes() == (sub @ x).tobytes()
+                got = prop._hop(hop, x, out, pull=True)
+                assert got.tobytes() == (sub.T @ x[hop_rows]).tobytes()
+                restricted += 1
+        assert restricted >= 10 and widened >= 10
+
+    def test_apply_allocates_little_beyond_its_result(self):
+        """After a warm-up, a mini-batch's forward and pull on new rows
+        allocate their results and the new rows' hop slices, and no
+        table-sized temporary: the peak is under the two results plus a
+        quarter of a table.  It is about 0.15 tables over them; with a fresh
+        array for each hop product and gather, it was about 2.4."""
+        g = make_synthetic(500, 500, 0.01, 0.001, 1)
+        prop = Propagation(g, 3)
+        rng = np.random.default_rng(65)
+        table = rng.normal(size=(g.num_nodes, 32))
+        warm, rows = (np.unique(rng.integers(0, g.num_nodes, 100)) for _ in range(2))
+        prop.apply(prop.apply(table, out_rows=warm), in_rows=warm)
+        tracemalloc.start()
+        try:
+            refined = prop.apply(table, out_rows=rows)
+            pulled = prop.apply(refined, in_rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [hop[0] is None for hop in prop._hops(rows)] == [True, False, False]
+        assert peak < refined.nbytes + pulled.nbytes + table.nbytes / 4
+
 
 def loop_embedding_batch(model, prop, batch):
     """_embedding_batch as a per-triplet loop over the fully propagated table."""
