@@ -179,3 +179,51 @@ def test_sparse_training_digests(sparse, tmp_path, kind):
            sha("\n".join(history).encode("utf-8")))
     print(f"golden sparse {kind}: {got}")
     assert got == SPARSE_GOLDEN[kind]
+
+
+# The other consumers of the ranking loop, pinned on the same data with an
+# lgcf and an mf checkpoint trained by TRAIN_ARGS: sha256 prefixes of
+# probe-degree's report.json and groups.csv, of dump-cases' manifest.csv and
+# its .sg dumps concatenated in name order, and of a full-ranking report.json.
+PROBE_DEGREE = ("a2acf1e8ab5157f7", "af9eca89ee18a46f")
+DUMP_CASES = ("d425ca3750f2cfd0", "64e5915d8cd8a0cc")
+FULL_RANKING = "73caec5e5bf16485"
+
+
+@pytest.fixture(scope="module")
+def checkpoints(data, tmp_path_factory):
+    root = tmp_path_factory.mktemp("checkpoints")
+    for kind in ("lgcf", "mf"):
+        run("train", "--out", root / kind, "--graph", data / "graph",
+            "--split", data / "split", "--model", kind, *TRAIN_ARGS)
+    return {kind: root / kind / "checkpoint.json" for kind in ("lgcf", "mf")}
+
+
+def test_probe_degree_digests(data, checkpoints, tmp_path):
+    run("probe-degree", "--out", tmp_path, "--graph", data / "graph",
+        "--split", data / "split", "--checkpoint", checkpoints["lgcf"])
+    got = (sha((tmp_path / "report.json").read_bytes()),
+           sha((tmp_path / "groups.csv").read_bytes()))
+    print(f"golden probe-degree: {got}")
+    assert got == PROBE_DEGREE
+
+
+def test_dump_cases_digests(data, checkpoints, tmp_path):
+    run("dump-cases", "--out", tmp_path, "--graph", data / "graph",
+        "--split", data / "split", "--checkpoint-a", checkpoints["lgcf"],
+        "--checkpoint-b", checkpoints["mf"])
+    dumps = sorted(tmp_path.glob("*.sg"))
+    assert dumps
+    got = (sha((tmp_path / "manifest.csv").read_bytes()),
+           sha(b"".join(path.read_bytes() for path in dumps)))
+    print(f"golden dump-cases: {got} over {len(dumps)} dumps")
+    assert got == DUMP_CASES
+
+
+def test_full_ranking_digest(data, checkpoints, tmp_path):
+    run("eval", "--out", tmp_path, "--graph", data / "graph",
+        "--split", data / "split", "--checkpoint", checkpoints["lgcf"],
+        "--full-ranking", "true")
+    got = sha((tmp_path / "report.json").read_bytes())
+    print(f"golden full ranking: {got}")
+    assert got == FULL_RANKING
