@@ -114,8 +114,9 @@ class _PairResult:
 
 
 def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
-                  protocol: EvalProtocol, pairs: np.ndarray) -> list[_PairResult]:
-    """Rank each (u, i) row of pairs against negatives drawn from u's pool.
+                  protocol: EvalProtocol, pairs: np.ndarray):
+    """Rank each (u, i) row of pairs against negatives drawn from u's pool,
+    yielding one _PairResult at a time.
 
     u's pool is every item, ascending, that u has no edge to anywhere in
     the split; the sampler draws from it by position.
@@ -127,19 +128,11 @@ def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
     held = np.concatenate((split.train_edges, split.val_edges, split.test_edges))
     keys = np.sort(held[:, 0] * total + held[:, 1])
     items = np.arange(n, total, dtype=np.int64)
-    pool_cache: dict[int, np.ndarray] = {}
-    results = []
-    empty = np.zeros(0, dtype=np.int64)
     for u, i in pairs.tolist():
-        pool = pool_cache.get(u)
-        if pool is None:
-            lo, hi = np.searchsorted(keys, (u * total, (u + 1) * total))
-            keep = np.ones(items.size, dtype=bool)
-            keep[keys[lo:hi] - (u * total + n)] = False
-            pool = items[keep]
-            pool_cache[u] = pool
+        lo, hi = np.searchsorted(keys, (u * total, (u + 1) * total))
+        pool = np.delete(items, keys[lo:hi] - (u * total + n))
         if pool.size == 0:
-            results.append(_PairResult(u, i, None, empty, empty, empty))
+            yield _PairResult(u, i, None, pool, pool, pool)
             continue
         rng = seed_stream(protocol.seed, EVAL_NEGATIVE, u, i)
         if protocol.full_ranking:
@@ -148,25 +141,26 @@ def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
             take = min(protocol.n_negatives, pool.size)
             negatives = rng.choice(pool, size=take, replace=False)
         cands = np.concatenate([np.array([i], dtype=np.int64), negatives])
-        scores = np.array([scorer.score(u, int(c)) for c in cands], dtype=np.float64)
+        scores = np.array([scorer.score(u, c) for c in cands.tolist()],
+                          dtype=np.float64)
         order = np.lexsort((cands, -scores))
         rank = int(np.nonzero(order == 0)[0][0]) + 1
-        results.append(_PairResult(u, i, rank, cands, scores, order))
-    return results
+        yield _PairResult(u, i, rank, cands, scores, order)
 
 
-def _report(results: list[_PairResult], scorer, protocol: EvalProtocol,
+def _report(ranks: list[int | None], scorer, protocol: EvalProtocol,
             subset: str, extra_metadata: dict | None = None,
             groups: list[EvalReport] | None = None) -> EvalReport:
-    """HR@K and NDCG@K over the ranked results; a pair with no negative
-    to rank against is counted in num_skipped.  extra_metadata entries
-    are added to, and may replace, the scorer and protocol metadata."""
-    ranks = [r.rank for r in results if r.rank is not None]
+    """HR@K and NDCG@K over the ranks; a pair with no negative to rank
+    against has rank None and is counted in num_skipped.  extra_metadata
+    entries are added to, and may replace, the scorer and protocol
+    metadata."""
+    ranked = [r for r in ranks if r is not None]
     metrics = {}
     for k in protocol.k_values:
-        if ranks:
-            hr = float(np.mean([hr_at_k(r, k) for r in ranks]))
-            ndcg = float(np.mean([ndcg_at_k(r, k) for r in ranks]))
+        if ranked:
+            hr = float(np.mean([hr_at_k(r, k) for r in ranked]))
+            ndcg = float(np.mean([ndcg_at_k(r, k) for r in ranked]))
         else:
             hr = ndcg = 0.0
         metrics[int(k)] = MetricStats(hr, ndcg)
@@ -183,7 +177,7 @@ def _report(results: list[_PairResult], scorer, protocol: EvalProtocol,
     }
     if extra_metadata:
         metadata.update(extra_metadata)
-    return EvalReport(metrics, len(ranks), len(results) - len(ranks), metadata,
+    return EvalReport(metrics, len(ranked), len(ranks) - len(ranked), metadata,
                       groups=groups)
 
 
@@ -204,11 +198,14 @@ def evaluate(scorer, graph: BipartiteGraph, split: SplitSpec,
     if subset not in ("test", "val"):
         raise DomainError(f"subset must be 'test' or 'val', got {subset!r}")
     pairs = split.test_edges if subset == "test" else split.val_edges
-    results = _pair_results(scorer, graph, split, protocol, pairs)
-    report = _report(results, scorer, protocol, subset, extra_metadata)
+    ranks, rankings = [], []
+    for r in _pair_results(scorer, graph, split, protocol, pairs):
+        ranks.append(r.rank)
+        if collect_rankings and r.rank is not None:
+            rankings.append((r.u, r.i, tuple(r.cands[r.order].tolist())))
+    report = _report(ranks, scorer, protocol, subset, extra_metadata)
     if collect_rankings:
-        report.rankings = [(r.u, r.i, tuple(int(c) for c in r.cands[r.order]))
-                           for r in results if r.rank is not None]
+        report.rankings = rankings
     return report
 
 
@@ -231,7 +228,7 @@ def degree_probe(scorer, graph: BipartiteGraph, split: SplitSpec,
     deg = np.bincount(split.train_edges.ravel(), minlength=graph.num_nodes)
     keys = (deg[pairs[:, 0]] + deg[pairs[:, 1]]) / 2.0
     sorted_idx = np.argsort(keys, kind="stable")
-    results = _pair_results(scorer, graph, split, protocol, pairs)
+    ranks = [r.rank for r in _pair_results(scorer, graph, split, protocol, pairs)]
     base, rem = divmod(len(pairs), n_groups)
     sizes = [base + 1] * rem + [base] * (n_groups - rem)
     groups = []
@@ -242,9 +239,9 @@ def degree_probe(scorer, graph: BipartiteGraph, split: SplitSpec,
         meta = {"group_index": g,
                 "mean_degree_min": float(keys[member_idx].min()),
                 "mean_degree_max": float(keys[member_idx].max())}
-        groups.append(_report([results[j] for j in member_idx], scorer, protocol,
+        groups.append(_report([ranks[j] for j in member_idx], scorer, protocol,
                               "test", meta))
-    return _report(results, scorer, protocol, "test",
+    return _report(ranks, scorer, protocol, "test",
                    {"n_groups": n_groups, **(extra_metadata or {})}, groups)
 
 
@@ -265,12 +262,13 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
         raise DomainError(f"top_k must be >= 1, got {top_k}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    res_a = _pair_results(scorer_a, graph, split, protocol, split.test_edges)
-    res_b = _pair_results(scorer_b, graph, split, protocol, split.test_edges)
+    check_split_fits(graph, split)
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
     rows = []
     case = 0
-    for ra, rb in zip(res_a, res_b):
+    test = split.test_edges
+    for ra, rb in zip(_pair_results(scorer_a, graph, split, protocol, test),
+                      _pair_results(scorer_b, graph, split, protocol, test)):
         if ra.rank is None or rb.rank is None:
             continue
         if not (ra.rank <= top_k and rb.rank > top_k):
