@@ -220,6 +220,7 @@ def degree_probe(scorer, graph: BipartiteGraph, split: SplitSpec,
     pair, so each group's metrics equal an independent evaluation of those
     pairs, and the top-level metrics cover all pairs together.
     """
+    check_split_fits(graph, split)
     pairs = split.test_edges
     if n_groups < 1:
         raise DomainError(f"n_groups must be >= 1, got {n_groups}")

@@ -513,6 +513,17 @@ def _raise_first_repeat(parts: dict, pairs: np.ndarray, keys: np.ndarray):
     raise DomainError(f"edge {edge} appears {counts[j]} times in the split ({where})")
 
 
+def _check_user_item_pairs(name: str, pairs: np.ndarray, n: int, total: int):
+    """DomainError naming the first of a split's name edges that does not
+    join a user id in [0, n) to an item id in [n, total)."""
+    u, i = pairs[:, 0], pairs[:, 1]
+    out_of_range = (u < 0) | (u >= n) | (i < n) | (i >= total)
+    if out_of_range.any():
+        edge = tuple(pairs[np.argmax(out_of_range)].tolist())
+        raise DomainError(f"{name} edge {edge} is not a user-item pair "
+                          f"of the split's {n} users and {total - n} items")
+
+
 def load_split(split_dir) -> SplitSpec:
     """Read a split saved by save_split; every edge must join a user and an
     item of the split's own metadata and appear once across train, val and
@@ -530,12 +541,7 @@ def load_split(split_dir) -> SplitSpec:
         if len(pairs) != count:
             raise DomainError(
                 f"{name} edge count {len(pairs)} does not match metadata {count}")
-        u, i = pairs[:, 0], pairs[:, 1]
-        out_of_range = (u < 0) | (u >= n) | (i < n) | (i >= total)
-        if out_of_range.any():
-            edge = tuple(pairs[np.argmax(out_of_range)].tolist())
-            raise DomainError(f"{name} edge {edge} is not a user-item pair "
-                              f"of the split's {n} users and {total - n} items")
+        _check_user_item_pairs(name, pairs, n, total)
         parts[name] = pairs
     pairs = np.concatenate(list(parts.values()))
     # In range, u * total + i < n * total; where that bound does not fit in
@@ -554,12 +560,18 @@ def load_split(split_dir) -> SplitSpec:
 
 
 def check_split_fits(graph: BipartiteGraph, split: SplitSpec) -> None:
-    """DomainError unless the split was made for a graph of this size."""
+    """DomainError unless the split was made for a graph of this size and
+    each of its train, val and test edges joins one of its users to one of
+    its items."""
     if split.num_users != graph.num_users or split.num_items != graph.num_items:
         raise DomainError(
             f"split metadata does not match the graph: the split has "
             f"{split.num_users} users and {split.num_items} items, the graph "
             f"{graph.num_users} and {graph.num_items}")
+    n = split.num_users
+    for name in ("train", "val", "test"):
+        _check_user_item_pairs(name, getattr(split, f"{name}_edges"), n,
+                               n + split.num_items)
 
 
 def save_graph_dir(graph: BipartiteGraph, out_dir) -> None:

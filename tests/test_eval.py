@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -237,13 +238,12 @@ class TestEvaluate:
         assert report.metrics[10].ndcg_mean == pytest.approx(np.mean(ndcg10),
                                                              abs=1e-12)
 
-
     @pytest.mark.parametrize("full_ranking", [False, True])
     def test_memory_does_not_grow_with_users_or_pairs(self, full_ranking):
         """Evaluation holds one pair's candidates at a time: 493 test pairs
         over 331 users and 600 items peak under 1 MiB, sampled or full.
         Keeping every user's pool and every pair's arrays peaked at about
-        3.2 and 8.8 MiB."""
+        3.2 and 8.6 MiB."""
         g = make_synthetic(300, 300, .05, .005, 3)
         split = normal_split(g, .9, 3)
         protocol = EvalProtocol(k_values=(10,), full_ranking=full_ranking)
@@ -256,6 +256,24 @@ class TestEvaluate:
         assert report.num_pairs == 493
         assert len(np.unique(split.test_edges[:, 0])) == 331
         assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("edge", [(0, 1), (0, 9)])
+    @pytest.mark.parametrize("name", ["train", "val", "test"])
+    def test_split_edges_must_be_user_item_pairs(self, name, edge):
+        """A user id in the item column, or an id past the graph, is
+        rejected before any pool is built or degree read."""
+        g = build_graph(((0, 2), (1, 3), (1, 4)), 2, 3)
+        edges = {"train": ((0, 2), (1, 3), (1, 4)), "val": (), "test": ((0, 3),)}
+        edges[name] = (*edges[name], edge)
+        split = SplitSpec(edges["train"], edges["val"], edges["test"], 0,
+                          "normal", 2, 3)
+        protocol = EvalProtocol(n_negatives=1, k_values=(1,))
+        message = re.escape(f"{name} edge {edge} is not a user-item pair of "
+                            f"the split's 2 users and 3 items")
+        with pytest.raises(DomainError, match=message):
+            evaluate(HashScorer(), g, split, protocol)
+        with pytest.raises(DomainError, match=message):
+            degree_probe(HashScorer(), g, split, protocol, n_groups=1)
 
 
 class TestDegreeProbe:
