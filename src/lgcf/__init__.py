@@ -18,8 +18,8 @@ from .models import (MODEL_KINDS, EmbeddingTable, EpochRecord, Propagation,
 from .nn import (AdamState, GnnParameters, GradCheckReport,
                  adam_step, bpr_loss, bpr_pair_grads, forward_instance,
                  gcn_backward, gcn_forward, grad_check, init_adam,
-                 init_gnn_params, normalize_adjacency, score, sigmoid,
-                 softplus, sum_pool)
+                 init_gnn_params, normalize_adjacency, sigmoid, softplus,
+                 sum_pool)
 from .subgraph import (LocalizedGraph, WalkConfig, dump_localized_graph,
                        extract, induce_subgraph, parse_localized_graph,
                        rwr_trace, union_nodes)

@@ -199,13 +199,6 @@ def sum_pool(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=0)
 
 
-def score(x: np.ndarray, w: np.ndarray) -> float:
-    """sigmoid(x . w) for a pooled representation."""
-    if x.shape != w.shape:
-        raise DomainError("pooled vector and scoring vector must have equal length")
-    return float(sigmoid(float(x @ w)))
-
-
 def bpr_loss(s_pos: float, s_neg: float) -> float:
     """-ln sigmoid(s_pos - s_neg), evaluated stably."""
     return softplus(-(s_pos - s_neg))

@@ -19,7 +19,7 @@ from lgcf import (EvalProtocol, LocalizedGraph, TrainConfig, TrainedModel,
                   WalkConfig, bpr_loss, build_graph, drnl_label, evaluate,
                   induce_subgraph, label_graph, make_synthetic,
                   normal_split, normalize_adjacency, param_count,
-                  run_gradcheck, score, seed_stream, sparsity_levels,
+                  run_gradcheck, seed_stream, sigmoid, sparsity_levels,
                   sparsity_sweep, train)
 from lgcf.cli import main as cli_main
 
@@ -185,10 +185,10 @@ def test_criterion_04_gradients_match_finite_differences():
 
 
 def test_criterion_05_closed_forms():
-    """bpr_loss(s,s) = ln 2, score(0) = 0.5, 2-node normalization = 0.5."""
+    """bpr_loss(s,s) = ln 2, sigmoid(0) = 0.5, 2-node normalization = 0.5."""
     for s in (0.0, 0.37, -4.0, 12.5):
         assert abs(bpr_loss(s, s) - math.log(2)) < 1e-12
-    assert score(np.zeros(16), np.ones(16)) == 0.5
+    assert sigmoid(float(np.zeros(16) @ np.ones(16))) == 0.5
     got = normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.abs(got - 0.5).max() < 1e-12
     print("criterion 5: closed forms hold at 1e-12 / exact")

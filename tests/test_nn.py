@@ -7,7 +7,7 @@ import pytest
 
 from lgcf import (AdamState, DomainError, GnnParameters, adam_step, bpr_loss,
                   forward_instance, gcn_backward, gcn_forward, grad_check,
-                  init_adam, init_gnn_params, normalize_adjacency, score,
+                  init_adam, init_gnn_params, normalize_adjacency,
                   seed_stream, sigmoid, softplus, sum_pool)
 from lgcf.nn import (bpr_pair_grads, glorot_uniform, params_from_dict,
                      params_to_dict)
@@ -158,17 +158,6 @@ class TestPoolingAndScoring:
         x = rng.normal(size=(7, 3))
         perm = rng.permutation(7)
         assert np.allclose(sum_pool(x), sum_pool(x[perm]))
-
-    def test_score_closed_forms(self):
-        assert score(np.zeros(4), np.ones(4)) == 0.5
-        assert score(np.array([20.0]), np.array([1.0])) == pytest.approx(1.0, abs=1e-8)
-        half_log3 = math.log(3) / 2
-        got = score(np.array([1.0, 1.0]), np.array([half_log3, half_log3]))
-        assert got == pytest.approx(0.75, abs=1e-15)
-
-    def test_score_length_mismatch(self):
-        with pytest.raises(DomainError):
-            score(np.zeros(3), np.zeros(4))
 
     def test_bpr_closed_forms(self):
         assert bpr_loss(0.3, 0.3) == pytest.approx(math.log(2), abs=1e-12)
