@@ -115,13 +115,11 @@ class _PairResult:
 
 def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
                   protocol: EvalProtocol, pairs: np.ndarray):
-    """Rank each (u, i) row of pairs against negatives drawn from u's pool,
-    yielding one _PairResult at a time.
+    """Yield each (u, i) row of pairs ranked against negatives from u's pool.
 
     u's pool is every item, ascending, that u has no edge to anywhere in
-    the split; the sampler draws from it by position.
+    the split (the caller runs check_split_fits); the sampler draws by position.
     """
-    check_split_fits(graph, split)
     n, total = graph.num_users, graph.num_nodes
     # Every split edge as u * total + i, sorted: a user's interacted items
     # are the keys in [u * total, (u + 1) * total).
@@ -151,10 +149,9 @@ def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
 def _report(ranks: list[int | None], scorer, protocol: EvalProtocol,
             subset: str, extra_metadata: dict | None = None,
             groups: list[EvalReport] | None = None) -> EvalReport:
-    """HR@K and NDCG@K over the ranks; a pair with no negative to rank
-    against has rank None and is counted in num_skipped.  extra_metadata
-    entries are added to, and may replace, the scorer and protocol
-    metadata."""
+    """HR@K and NDCG@K over the ranks; None marks a pair with no negative
+    to rank against, counted in num_skipped.  extra_metadata entries are
+    added to, and may replace, the scorer and protocol metadata."""
     ranked = [r for r in ranks if r is not None]
     metrics = {}
     for k in protocol.k_values:
@@ -197,15 +194,16 @@ def evaluate(scorer, graph: BipartiteGraph, split: SplitSpec,
     """
     if subset not in ("test", "val"):
         raise DomainError(f"subset must be 'test' or 'val', got {subset!r}")
+    check_split_fits(graph, split)
     pairs = split.test_edges if subset == "test" else split.val_edges
-    ranks, rankings = [], []
+    ranks = []
+    rankings = [] if collect_rankings else None
     for r in _pair_results(scorer, graph, split, protocol, pairs):
         ranks.append(r.rank)
         if collect_rankings and r.rank is not None:
             rankings.append((r.u, r.i, tuple(r.cands[r.order].tolist())))
     report = _report(ranks, scorer, protocol, subset, extra_metadata)
-    if collect_rankings:
-        report.rankings = rankings
+    report.rankings = rankings
     return report
 
 

@@ -513,15 +513,15 @@ def _raise_first_repeat(parts: dict, pairs: np.ndarray, keys: np.ndarray):
     raise DomainError(f"edge {edge} appears {counts[j]} times in the split ({where})")
 
 
-def _check_user_item_pairs(name: str, pairs: np.ndarray, n: int, total: int):
+def _check_user_item_pairs(name: str, pairs: np.ndarray, n: int, m: int):
     """DomainError naming the first of a split's name edges that does not
-    join a user id in [0, n) to an item id in [n, total)."""
+    join a user id in [0, n) to an item id in [n, n + m)."""
     u, i = pairs[:, 0], pairs[:, 1]
-    out_of_range = (u < 0) | (u >= n) | (i < n) | (i >= total)
+    out_of_range = (u < 0) | (u >= n) | (i < n) | (i >= n + m)
     if out_of_range.any():
         edge = tuple(pairs[np.argmax(out_of_range)].tolist())
         raise DomainError(f"{name} edge {edge} is not a user-item pair "
-                          f"of the split's {n} users and {total - n} items")
+                          f"of the split's {n} users and {m} items")
 
 
 def load_split(split_dir) -> SplitSpec:
@@ -541,7 +541,7 @@ def load_split(split_dir) -> SplitSpec:
         if len(pairs) != count:
             raise DomainError(
                 f"{name} edge count {len(pairs)} does not match metadata {count}")
-        _check_user_item_pairs(name, pairs, n, total)
+        _check_user_item_pairs(name, pairs, n, total - n)
         parts[name] = pairs
     pairs = np.concatenate(list(parts.values()))
     # In range, u * total + i < n * total; where that bound does not fit in
@@ -561,17 +561,15 @@ def load_split(split_dir) -> SplitSpec:
 
 def check_split_fits(graph: BipartiteGraph, split: SplitSpec) -> None:
     """DomainError unless the split was made for a graph of this size and
-    each of its train, val and test edges joins one of its users to one of
-    its items."""
+    every split edge joins one of its users to one of its items."""
     if split.num_users != graph.num_users or split.num_items != graph.num_items:
         raise DomainError(
             f"split metadata does not match the graph: the split has "
             f"{split.num_users} users and {split.num_items} items, the graph "
             f"{graph.num_users} and {graph.num_items}")
-    n = split.num_users
     for name in ("train", "val", "test"):
-        _check_user_item_pairs(name, getattr(split, f"{name}_edges"), n,
-                               n + split.num_items)
+        _check_user_item_pairs(name, getattr(split, f"{name}_edges"),
+                               split.num_users, split.num_items)
 
 
 def save_graph_dir(graph: BipartiteGraph, out_dir) -> None:
