@@ -104,6 +104,36 @@ class TestPipeline:
             pipeline / "eval" / "report.json").read_bytes()
 
 
+class TestJsonFormat:
+    def test_every_json_file_is_indented_sorted_json(self, pipeline, tmp_path):
+        """Each JSON file a command writes is json.dumps(value, indent=2,
+        sort_keys=True) plus a newline, byte for byte."""
+        raw = tmp_path / "ratings.tsv"
+        raw.write_text("alice\tred\t5\nbob\tblue\t3\nalice\tblue\t4\n")
+        inputs = ("--graph", pipeline / "graph", "--split", pipeline / "split")
+        checkpoint = pipeline / "run" / "checkpoint.json"
+        assert run("ingest", "--out", tmp_path / "ingest", "--input", raw,
+                   "--rating-col", 2) == 0
+        assert run("probe-degree", "--out", tmp_path / "probe", *inputs,
+                   "--checkpoint", checkpoint, "--groups", 3, "--k-values", "5",
+                   "--n-negatives", 20) == 0
+        assert run("sweep", "--out", tmp_path / "sweep", *inputs,
+                   "--models", "mf,lightgcn", "--fractions", "0.0,0.5",
+                   "--epochs", 2, "--embed-dim", 4, "--batch-size", 32,
+                   "--k-values", "5", "--n-negatives", 20) == 0
+        files = [pipeline / "graph" / "graph.json", pipeline / "split" / "meta.json",
+                 checkpoint, pipeline / "eval" / "report.json",
+                 tmp_path / "ingest" / "graph.json",
+                 tmp_path / "ingest" / "mapping.json",
+                 tmp_path / "probe" / "report.json",
+                 *sorted((tmp_path / "sweep" / "reports").glob("*.json"))]
+        assert len(files) == 11
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2,
+                                      sort_keys=True) + "\n", path
+
+
 class TestModuleEntry:
     def test_python_m_runs_the_cli(self, tmp_path):
         src = str(Path(lgcf.__file__).resolve().parent.parent)
