@@ -24,7 +24,7 @@ from .evaluation import (EvalProtocol, degree_probe, dump_cases, evaluate,
                          make_synthetic, metrics_csv)
 from .graph import (build_graph, ingest_interactions, load_graph_dir,
                     load_split, normal_split, save_graph_dir, save_split,
-                    sparse_split, sparsity_levels, text_lines)
+                    sparse_split, sparsity_levels, text_lines, write_json)
 from .models import (TrainConfig, load_model, run_gradcheck, save_model,
                      sparsity_sweep, train)
 from .subgraph import WalkConfig
@@ -279,11 +279,6 @@ def _load_graph_split(values: dict, out: Path):
             load_split(_in_path(values, "split", out)))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
 def _protocol(values: dict) -> EvalProtocol:
     return EvalProtocol(n_negatives=values["n-negatives"],
                         k_values=tuple(values["k-values"]),
@@ -320,8 +315,8 @@ def cmd_ingest(values: dict, out: Path) -> int:
         rating_col=values["rating-col"], rating_threshold=values["rating-threshold"])
     graph = build_graph(result.edges, result.num_users, result.num_items)
     save_graph_dir(graph, out)
-    _write_json(out / "mapping.json", {"users": list(result.user_keys),
-                                       "items": list(result.item_keys)})
+    write_json(out / "mapping.json", {"users": list(result.user_keys),
+                                      "items": list(result.item_keys)})
     print(f"ingested {graph.edge_count} edges over {graph.num_users} users "
           f"and {graph.num_items} items")
     return 0
@@ -377,7 +372,7 @@ def cmd_eval(values: dict, out: Path) -> int:
     report = evaluate(model.make_scorer(train_graph), graph, split, protocol,
                       extra_metadata={"model": model.kind,
                                       "config_hash": _config_hash("eval", values)})
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    write_json(out / "report.json", report.to_dict())
     (out / "report.csv").write_text(
         metrics_csv([("-", model.kind, report)], protocol.k_values),
         encoding="utf-8")
@@ -403,8 +398,8 @@ def cmd_sweep(values: dict, out: Path) -> int:
             report = results[model][level_index]
             report.metadata["config_hash"] = cfg_hash
             rows.append((level_index, model, report))
-            (reports_dir / f"{model}_level{level_index}.json").write_text(
-                report.to_json(), encoding="utf-8")
+            write_json(reports_dir / f"{model}_level{level_index}.json",
+                       report.to_dict())
     (out / "series.csv").write_text(metrics_csv(rows, protocol.k_values),
                                     encoding="utf-8")
     print(f"swept {len(values['models'])} models over {len(levels)} levels")
@@ -421,7 +416,7 @@ def cmd_probe_degree(values: dict, out: Path) -> int:
                           extra_metadata={"model": model.kind,
                                           "config_hash": _config_hash(
                                               "probe-degree", values)})
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    write_json(out / "report.json", report.to_dict())
     rows = [(g.metadata["group_index"], model.kind, g) for g in report.groups]
     (out / "groups.csv").write_text(metrics_csv(rows, protocol.k_values),
                                     encoding="utf-8")

@@ -1,6 +1,5 @@
 """Ranking evaluation, degree probes, case dumps, synthetic data."""
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,9 +97,6 @@ class EvalReport:
         if self.groups is not None:
             out["groups"] = [g.to_dict() for g in self.groups]
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 @dataclass

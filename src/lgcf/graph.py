@@ -1,8 +1,10 @@
 """User-item bipartite interaction graph: ingestion, construction, splits."""
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,66 @@ def read_json(path):
                          path) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply to decode", path=path) from None
+
+
+def write_json(path, value) -> None:
+    """Write json.dumps(value, indent=2, sort_keys=True) + "\\n" to path,
+    streamed: json.dumps with an indent holds every piece of the text in
+    memory before joining them, about 4.9x a checkpoint's size."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_json_pieces(value))
+        out.write("\n")
+
+
+def _json_pieces(value, pad: str = ""):
+    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces.
+
+    pad is the indent of the line value starts on; dict keys are strings, as
+    in every file written here.  A list of plain floats (a table row, an
+    Adam moment row, a GCN weight row) is one piece made by repr, which
+    formats a float as json does; a repr holding nan or inf takes the
+    per-item path, where json writes NaN and Infinity.
+    """
+    inner = pad + "  "
+    if type(value) is list and value and all(type(x) is float for x in value):
+        text = repr(value)
+        if "n" not in text:
+            yield ("[\n" + inner + text[1:-1].replace(", ", ",\n" + inner)
+                   + "\n" + pad + "]")
+            return
+    if isinstance(value, dict) and value:
+        sep = "{\n" + inner
+        for key in sorted(value):
+            yield sep + json.dumps(key) + ": "
+            yield from _json_pieces(value[key], inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n" + inner
+        for item in value:
+            yield sep
+            yield from _json_pieces(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "]"
+    else:  # a scalar or an empty container
+        yield json.dumps(value)
+
+
+def _number(value, name: str, kind=int, minimum=None):
+    """A JSON number entry as kind (int or float), at least minimum if given.
+
+    DomainError naming the entry unless it is a finite JSON number,
+    integral for an int entry; booleans and strings are not numbers here.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name} entry is not a number, got {value!r}")
+    if not isinstance(value, Integral) and not math.isfinite(value):
+        raise DomainError(f"{name} entry must be finite, got {value!r}")
+    if kind is int and value != int(value):
+        raise DomainError(f"{name} entry must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} entry must be >= {minimum}, got {value!r}")
+    return kind(value)
 
 
 def text_lines(path):
@@ -485,19 +547,18 @@ def save_split(split: SplitSpec, out_dir) -> None:
             "test": len(split.test_edges),
         },
     }
-    (out_dir / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out_dir / "meta.json", meta)
 
 
 def _meta_entry(meta, path: Path, *keys, kind=int):
-    """meta[keys[0]][keys[1]]... as kind; DomainError if it is missing or
-    does not convert."""
+    """meta[keys[0]][keys[1]]... as kind: an int entry by _number's rule, a
+    str entry as str(); DomainError if it is missing or malformed."""
     try:
         value = meta
         for key in keys:
             value = value[key]
-        return kind(value)
-    except (KeyError, TypeError, ValueError):
+        return str(value) if kind is str else _number(value, ".".join(keys))
+    except (KeyError, TypeError, DomainError):
         raise DomainError(
             f"{path}: missing or malformed {'.'.join(keys)} entry") from None
 
@@ -579,8 +640,7 @@ def save_graph_dir(graph: BipartiteGraph, out_dir) -> None:
     _write_edge_file(out_dir / "edges.tsv", graph.edges())
     meta = {"num_users": graph.num_users, "num_items": graph.num_items,
             "num_edges": graph.edge_count}
-    (out_dir / "graph.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out_dir / "graph.json", meta)
 
 
 def load_graph_dir(graph_dir) -> BipartiteGraph:

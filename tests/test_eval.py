@@ -20,6 +20,7 @@ from lgcf import (DomainError, EvalProtocol, EvalReport, LabelEncoding,
                   sparsity_levels, sparsity_sweep, train)
 from lgcf import evaluation
 from lgcf.evaluation import _pair_results
+from lgcf.graph import write_json
 from lgcf.rng import EVAL_NEGATIVE, SYNTH
 
 
@@ -569,12 +570,13 @@ class TestReportSerialization:
                 "1,lgcf,0.125,0.0625,0.75,0.5\n")
         assert metrics_csv(rows, (5, 10)) == want
 
-    def test_to_json_roundtrip(self, sbm_split):
+    def test_to_json_roundtrip(self, sbm_split, tmp_path):
         g, split = sbm_split
         report = degree_probe(KeyedScorer(50), g,
                               replace(split, test_edges=split.test_edges[:11]),
                               PROTOCOL, n_groups=2)
-        text = report.to_json()
+        write_json(tmp_path / "report.json", report.to_dict())
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
         assert text.endswith("\n")
         payload = json.loads(text)
         assert payload == report.to_dict()

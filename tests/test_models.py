@@ -16,9 +16,10 @@ from lgcf import (DomainError, EmbeddingTable, LabelEncoding, ParseError,
                   make_synthetic, normal_split, normalize_adjacency,
                   one_hot_features, param_count, run_gradcheck, sample_negative,
                   save_model, seed_stream, sigmoid, softplus, train)
+from lgcf.graph import _json_pieces
 from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
                          LgcfScorer, Propagation, _embedding_batch, _fit_lambda,
-                         _init_model, _json_pieces)
+                         _init_model)
 from lgcf.nn import AdamState, adam_to_dict
 from lgcf.rng import ENSEMBLE
 
