@@ -170,6 +170,18 @@ BAD_SCALARS = {
 }
 
 
+# graph.json and meta.json number entries that must not load: case -> (file,
+# key, value).  The fixture graph has 20 users and 20 items.
+BAD_META_ENTRIES = {
+    "graph-users-fraction": ("graph.json", "num_users", 20.9),
+    "graph-users-string": ("graph.json", "num_users", "20"),
+    "split-items-fraction": ("meta.json", "num_items", 20.7),
+    "split-seed-fraction": ("meta.json", "seed", 1.5),
+    "split-seed-string": ("meta.json", "seed", "3"),
+    "split-seed-bool": ("meta.json", "seed", True),
+}
+
+
 class TestReturnCodes:
     def test_usage_errors(self, capsys):
         assert run() == 2
@@ -301,7 +313,8 @@ class TestReturnCodes:
     @pytest.mark.parametrize("case", ["split-no-counts", "graph-users-not-numeric",
                                       "test-edge-outside-graph",
                                       "split-for-another-graph",
-                                      "test-edge-in-train", "test-edge-repeated"])
+                                      "test-edge-in-train", "test-edge-repeated",
+                                      *BAD_META_ENTRIES])
     def test_malformed_graph_or_split_exits_one(self, pipeline, tmp_path, capsys,
                                                 case):
         graph, split = tmp_path / "graph", tmp_path / "split"
@@ -328,6 +341,11 @@ class TestReturnCodes:
             split_meta["counts"]["test"] += 1
             where = "train, test" if source == "train" else "test"
             message = f"edge ({u}, {i}) appears 2 times in the split ({where})"
+        elif case in BAD_META_ENTRIES:
+            name, key, value = BAD_META_ENTRIES[case]
+            (graph_meta if name == "graph.json" else split_meta)[key] = value
+            path = (graph if name == "graph.json" else split) / name
+            message = f"{path}: missing or malformed {key} entry"
         else:
             split_meta["num_items"] += 5
             message = "split metadata does not match the graph"
