@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_field_types, check_type
 from .graph import BipartiteGraph, SplitSpec, build_graph, check_split_fits
 from .labeling import label_graph
 from .rng import EVAL_NEGATIVE, EVAL_WALK, SYNTH, seed_stream
@@ -31,6 +31,7 @@ class EvalProtocol:
     full_ranking: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_negatives < 1:
             raise DomainError(f"n_negatives must be >= 1, got {self.n_negatives}")
         if self.seed < 0:
@@ -38,6 +39,7 @@ class EvalProtocol:
         if not self.k_values:
             raise DomainError("at least one K is required")
         for k in self.k_values:
+            check_type("k_values entry", k, int)
             if k < 1:
                 raise DomainError(f"K values must be >= 1, got {k}")
         if len(set(self.k_values)) != len(self.k_values):

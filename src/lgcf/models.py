@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .errors import DomainError
+from .errors import DomainError, check_field_types
 from .evaluation import EvalProtocol, EvalReport, evaluate
 from .graph import (BipartiteGraph, SplitSpec, _number, build_graph,
                     check_split_fits, read_json, write_json)
@@ -265,7 +265,8 @@ class TrainConfig:
     """Hyperparameters shared by every model kind.
 
     Fields a kind does not use are ignored (mf ignores the walk settings,
-    for instance), but every field is range-checked at construction.
+    for instance), but every field is type- and range-checked at
+    construction.
     master_seed drives every random stream in training.
     """
 
@@ -288,6 +289,7 @@ class TrainConfig:
     val_negatives: int = 99
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

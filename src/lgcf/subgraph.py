@@ -1,11 +1,10 @@
 """Localized graph extraction around a user-item pair via restart walks."""
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_field_types
 from .graph import BipartiteGraph
 
 # Localized graphs place the target user at position 0 and the target item at
@@ -24,14 +23,7 @@ class WalkConfig:
     remove_target_edge: bool = True
 
     def __post_init__(self):
-        for name, kind in (("restart_prob", Real), ("walk_len", Integral),
-                           ("max_nodes", Integral)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise DomainError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.remove_target_edge, bool):
-            raise DomainError(
-                f"remove_target_edge must be a bool, got {self.remove_target_edge!r}")
+        check_field_types(self)
         if not 0.0 <= self.restart_prob <= 1.0:
             raise DomainError(f"restart_prob must be in [0, 1], got {self.restart_prob}")
         if self.walk_len < 1:

@@ -121,6 +121,15 @@ class TestEvalProtocol:
         with pytest.raises(DomainError):
             EvalProtocol(**bad)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", True), ("full_ranking", "false"),
+        ("full_ranking", 0), ("n_negatives", 20.5), ("k_values", (5, 2.5)),
+        ("k_values", (True,)),
+    ])
+    def test_rejects_bools_and_other_types_naming_the_field(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} (entry )?must be "):
+            EvalProtocol(**{name: value})
+
 
 class TestEvaluate:
     def test_oracle_scorer_is_perfect(self, sbm_split):

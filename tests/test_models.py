@@ -374,6 +374,15 @@ class TestTrainConfig:
         with pytest.raises(DomainError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 2.5), ("epochs", True), ("negatives_per_positive", 1.5),
+        ("embed_dim", 4.5), ("val_negatives", "99"), ("master_seed", 1.0),
+        ("lr", "0.01"), ("lr", True), ("lambda_ens", None),
+    ])
+    def test_rejects_bools_and_other_types_naming_the_field(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be "):
+            TrainConfig(**{name: value})
+
 
 class TestTrainBasics:
     def test_unknown_kind(self):
