@@ -1,7 +1,7 @@
 """Localized-graph collaborative filtering and its evaluation harness."""
 
 from .errors import DomainError, LgcfError, ParseError
-from .rng import seed_stream, walk_stream
+from .rng import seed_stream
 from .evaluation import (EvalProtocol, EvalReport, MetricStats, degree_probe,
                          dump_cases, evaluate, hr_at_k, make_synthetic,
                          metrics_csv, ndcg_at_k)

@@ -28,7 +28,7 @@ from .nn import (ACTIVATIONS, NO_PREFIX, AdamState, GnnParameters,
                  grad_check, init_adam, init_gnn_params, normalize_adjacency,
                  params_from_dict, params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
-                  TRAIN_NEGATIVE, seed_stream, walk_stream)
+                  TRAIN_NEGATIVE, WALK, seed_stream)
 from .subgraph import WalkConfig, extract
 
 # The parameter sections each kind's checkpoint carries; the others are null.
@@ -693,7 +693,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         if model.gnn is None:
             return None
         return lgcf_inputs(train_graph, u, i, tc.walk,
-                           walk_stream(tc.master_seed, u, i, epoch), enc)
+                           seed_stream(tc.master_seed, WALK, u, i, epoch), enc)
 
     history: list[EpochRecord] = []
     best_metric = -np.inf

@@ -45,8 +45,3 @@ def seed_stream(*keys: int) -> np.random.Generator:
             k >>= 32
     return np.random.default_rng(
         np.random.SeedSequence(np.array(words, dtype=np.uint32)))
-
-
-def walk_stream(master_seed: int, u: int, i: int, epoch: int) -> np.random.Generator:
-    """Stream for the two restart walks of one (u, i) extraction."""
-    return seed_stream(master_seed, WALK, u, i, epoch)
