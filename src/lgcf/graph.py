@@ -1,10 +1,11 @@
-"""User-item bipartite interaction graph: ingestion, construction, splits."""
+"""User-item bipartite interaction graph: ingestion, construction, splits,
+and the JSON text format every artifact is read and written in."""
 
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,11 @@ def _number(value, name: str, kind=int, minimum=None):
     """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise DomainError(f"{name} entry is not a number, got {value!r}")
-    if not isinstance(value, Integral) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = kind is int
+    if not finite:
         raise DomainError(f"{name} entry must be finite, got {value!r}")
     if kind is int and value != int(value):
         raise DomainError(f"{name} entry must be an integer, got {value!r}")

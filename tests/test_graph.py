@@ -1,6 +1,7 @@
 """Graph construction, ingestion, splits, and persistence."""
 
 import json
+import math
 import random
 import re
 import warnings
@@ -13,7 +14,7 @@ from lgcf import (BipartiteGraph, DomainError, ParseError, SplitSpec,
                   build_graph, ingest_interactions, load_graph_dir,
                   load_split, normal_split, save_graph_dir, save_split,
                   seed_stream, sparse_split, sparsity_levels)
-from lgcf.graph import _read_edge_file, read_utf8
+from lgcf.graph import _number, _read_edge_file, read_utf8
 
 
 def random_bipartite(rng, max_users=12, max_items=12, p=0.3):
@@ -645,6 +646,32 @@ class TestLoadSplitChecks:
             assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
             assert not edges.flags.writeable
             assert edge_tuples(edges) == want
+
+
+class TestNumberEntry:
+    """graph._number, the rule for every JSON number entry."""
+
+    @pytest.mark.parametrize("value, kind, want", [
+        (3, int, 3), (3.0, int, 3), (10 ** 400, int, 10 ** 400), (2.5, float, 2.5),
+        (7, float, 7.0),
+    ])
+    def test_accepts(self, value, kind, want):
+        got = _number(value, "x", kind)
+        assert got == want and type(got) is kind
+
+    @pytest.mark.parametrize("value, kind, message", [
+        (True, int, "x entry is not a number, got True"),
+        ("3", int, "x entry is not a number, got '3'"),
+        (None, float, "x entry is not a number, got None"),
+        (2.9, int, "x entry must be an integer, got 2.9"),
+        (math.nan, float, "x entry must be finite, got nan"),
+        (math.inf, int, "x entry must be finite, got inf"),
+        (10 ** 400, float, "x entry must be finite, got 1000"),
+        (1, int, "x entry must be >= 2, got 1"),
+    ])
+    def test_rejects(self, value, kind, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            _number(value, "x", kind, minimum=2)
 
 
 class TestNotUtf8:
