@@ -111,12 +111,12 @@ class _PairResult:
     order: np.ndarray
 
 
-def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
+def _pair_results(score_fns, graph: BipartiteGraph, split: SplitSpec,
                   protocol: EvalProtocol, pairs: np.ndarray):
-    """Yield each (u, i) row of pairs ranked against negatives from u's pool.
+    """Yield, per (u, i) row of pairs, a list of one _PairResult per score function.
 
-    u's pool is every item, ascending, that u has no edge to anywhere in
-    the split (the caller runs check_split_fits); the sampler draws by position.
+    They rank one draw from u's pool: each item, ascending, that u has no
+    edge to in the split (the caller runs check_split_fits), drawn by position.
     """
     n, total = graph.num_users, graph.num_nodes
     # Every split edge as u * total + i, sorted: a user's interacted items
@@ -128,7 +128,7 @@ def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
         lo, hi = np.searchsorted(keys, (u * total, (u + 1) * total))
         pool = np.delete(items, keys[lo:hi] - (u * total + n))
         if pool.size == 0:
-            yield _PairResult(u, i, None, pool, pool, pool)
+            yield [_PairResult(u, i, None, pool, pool, pool) for _ in score_fns]
             continue
         rng = seed_stream(protocol.seed, EVAL_NEGATIVE, u, i)
         if protocol.full_ranking:
@@ -137,11 +137,13 @@ def _pair_results(scorer, graph: BipartiteGraph, split: SplitSpec,
             take = min(protocol.n_negatives, pool.size)
             negatives = rng.choice(pool, size=take, replace=False)
         cands = np.concatenate([np.array([i], dtype=np.int64), negatives])
-        scores = np.array([scorer.score(u, c) for c in cands.tolist()],
-                          dtype=np.float64)
-        order = np.lexsort((cands, -scores))
-        rank = int(np.nonzero(order == 0)[0][0]) + 1
-        yield _PairResult(u, i, rank, cands, scores, order)
+        results = []
+        for score in score_fns:
+            scores = np.array([score(u, c) for c in cands.tolist()], dtype=np.float64)
+            order = np.lexsort((cands, -scores))
+            rank = int(np.nonzero(order == 0)[0][0]) + 1
+            results.append(_PairResult(u, i, rank, cands, scores, order))
+        yield results
 
 
 def _report(ranks: list[int | None], scorer, protocol: EvalProtocol,
@@ -196,7 +198,7 @@ def evaluate(scorer, graph: BipartiteGraph, split: SplitSpec,
     pairs = split.test_edges if subset == "test" else split.val_edges
     ranks = []
     rankings = [] if collect_rankings else None
-    for r in _pair_results(scorer, graph, split, protocol, pairs):
+    for (r,) in _pair_results([scorer.score], graph, split, protocol, pairs):
         ranks.append(r.rank)
         if collect_rankings and r.rank is not None:
             rankings.append((r.u, r.i, tuple(r.cands[r.order].tolist())))
@@ -225,7 +227,8 @@ def degree_probe(scorer, graph: BipartiteGraph, split: SplitSpec,
     deg = np.bincount(split.train_edges.ravel(), minlength=graph.num_nodes)
     keys = (deg[pairs[:, 0]] + deg[pairs[:, 1]]) / 2.0
     sorted_idx = np.argsort(keys, kind="stable")
-    ranks = [r.rank for r in _pair_results(scorer, graph, split, protocol, pairs)]
+    ranks = [r.rank for (r,) in _pair_results([scorer.score], graph, split,
+                                               protocol, pairs)]
     base, rem = divmod(len(pairs), n_groups)
     sizes = [base + 1] * rem + [base] * (n_groups - rem)
     groups = []
@@ -248,10 +251,10 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
     """Dump labeled subgraphs where scorer_a succeeds and scorer_b fails.
 
     A test pair qualifies when scorer_a ranks it within top_k and scorer_b
-    does not.  Both scorers see identical candidate lists (sampling is keyed
-    per pair), and for each qualifying pair the positive plus scorer_b's
-    top-ranked negative are extracted from the train graph, labeled, and
-    written next to a manifest.csv that pairs the two scorers' scores.
+    does not.  Both scorers rank the same candidate draw of each pair, and
+    for each qualifying pair the positive plus scorer_b's top-ranked
+    negative are extracted from the train graph, labeled, and written next
+    to a manifest.csv that pairs the two scorers' scores.
     Extraction uses walk_cfg and scorer_a's walk stream (scorer_a.seed,
     EVAL_WALK, u, i), so an lgcf scorer_a's dumps are the subgraphs it scored.
     """
@@ -263,12 +266,9 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
     rows = []
     case = 0
-    test = split.test_edges
-    for ra, rb in zip(_pair_results(scorer_a, graph, split, protocol, test),
-                      _pair_results(scorer_b, graph, split, protocol, test)):
-        if ra.rank is None or rb.rank is None:
-            continue
-        if not (ra.rank <= top_k and rb.rank > top_k):
+    for ra, rb in _pair_results([scorer_a.score, scorer_b.score], graph, split,
+                                protocol, split.test_edges):
+        if ra.rank is None or not ra.rank <= top_k < rb.rank:
             continue
         u, i = ra.u, ra.i
         ordered_b = rb.cands[rb.order]
@@ -279,11 +279,10 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
             fname = f"case{case:04d}_{pair_kind}_u{u}_i{item}.sg"
             (out_dir / fname).write_text(dump_localized_graph(lg, graph.num_users),
                                          encoding="utf-8")
-            idx_a = int(np.nonzero(ra.cands == item)[0][0])
-            idx_b = int(np.nonzero(rb.cands == item)[0][0])
+            idx = int(np.nonzero(ra.cands == item)[0][0])
             rows.append({"pair_kind": pair_kind, "u": u, "i": item,
-                         "score_a": float(ra.scores[idx_a]),
-                         "score_b": float(rb.scores[idx_b]),
+                         "score_a": float(ra.scores[idx]),
+                         "score_b": float(rb.scores[idx]),
                          "dump_file": fname})
         case += 1
     lines = ["pair_kind,u,i,score_a,score_b,dump_file"]

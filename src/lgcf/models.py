@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .errors import DomainError, check_field_types
-from .evaluation import EvalProtocol, EvalReport, evaluate
+from .evaluation import EvalProtocol, EvalReport, _pair_results, _report, evaluate
 from .graph import (BipartiteGraph, SplitSpec, _number, build_graph,
                     check_split_fits, read_json, write_json)
 from .labeling import LabelEncoding, label_graph, one_hot_features
@@ -815,19 +815,18 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     # it is tuned on the subgraph samples it is later applied to.
     saved = model.make_scorer(train_graph)
     if tc.lambda_mode == "grid" and len(split.val_edges):
-        # The lgcf part does not depend on lambda: score it once per
-        # candidate for the whole grid.
-        saved.lgcf.score = functools.cache(saved.lgcf.score)
+        # One candidate draw per validation pair, ranked by s + lam * d for
+        # each lam in the grid; each candidate's lgcf part is scored once.
+        lgcf, dot = functools.cache(saved.lgcf.score), saved.dot.score
+        fused = [lambda u, i, lam=lam: lgcf(u, i) + lam * dot(u, i)
+                 for lam in LAMBDA_GRID]
         protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
                                 seed=int(seeds[2]))
-        best = None
-        for cand in LAMBDA_GRID:
-            saved.lam = float(cand)
-            report = evaluate(saved, train_graph, split, protocol, subset="val")
-            key = report.metrics[10].hr_mean
-            if best is None or key > best[0]:
-                best = (key, float(cand))
-        model.lam = best[1]
+        per_pair = (tuple(r.rank for r in results) for results in _pair_results(
+            fused, train_graph, split, protocol, split.val_edges))
+        hrs = [_report(ranks, saved, protocol, "val").metrics[10].hr_mean
+               for ranks in zip(*per_pair)]
+        model.lam = LAMBDA_GRID[hrs.index(max(hrs))]
     elif tc.lambda_mode == "learnable" and len(split.val_edges):
         model.lam = _fit_lambda(saved.lgcf, saved.dot, train_graph, split,
                                 int(seeds[2]))

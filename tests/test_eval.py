@@ -207,9 +207,10 @@ class TestEvaluate:
             interacted.setdefault(u, set()).add(i)
         protocol = EvalProtocol(n_negatives=5, k_values=(1,), seed=9,
                                 full_ranking=full_ranking)
-        results = list(_pair_results(KeyedScorer(4), g, split, protocol,
-                                     np.concatenate((split.test_edges,
-                                                     split.val_edges))))
+        results = [r for (r,) in _pair_results([KeyedScorer(4).score], g, split,
+                                                protocol,
+                                                np.concatenate((split.test_edges,
+                                                                split.val_edges)))]
         assert len(results) == len(split.test_edges) + len(split.val_edges) > 0
         for r in results:
             pool = np.array(sorted(set(range(g.num_users, g.num_nodes))
@@ -454,6 +455,24 @@ class TestDumpCases:
             else:
                 assert row["score_a"] == 0.0 and row["score_b"] == 1.0
 
+
+    def test_one_candidate_draw_per_test_pair(self, sbm_split, tmp_path,
+                                              monkeypatch):
+        """Both scorers rank the same draw: each test pair's candidate
+        stream is seeded once, not once per scorer."""
+        g, split = sbm_split
+        keys = []
+
+        def counted(*key):
+            if key[1] == EVAL_NEGATIVE:
+                keys.append(key)
+            return seed_stream(*key)
+
+        monkeypatch.setattr(evaluation, "seed_stream", counted)
+        dump_cases(KeyedScorer(40), KeyedScorer(41), g, split, self.WALK,
+                   tmp_path, PROTOCOL)
+        assert sorted(keys) == sorted((PROTOCOL.seed, EVAL_NEGATIVE, u, i)
+                                      for u, i in split.test_edges.tolist())
 
     def test_dump_is_the_subgraph_scorer_a_scored(self, sbm_split, tmp_path):
         g, split = sbm_split

@@ -21,7 +21,7 @@ from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
                          LgcfScorer, Propagation, _embedding_batch, _fit_lambda,
                          _init_model)
 from lgcf.nn import AdamState, adam_to_dict
-from lgcf.rng import ENSEMBLE
+from lgcf.rng import ENSEMBLE, EVAL_NEGATIVE
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
 
@@ -541,6 +541,25 @@ class TestEnsembleLambda:
         train("lgcf-ens", g, split, tc)
         assert len(calls) > 100
         assert max(calls.values()) == 1
+
+    def test_grid_draws_each_validation_pair_once(self, monkeypatch):
+        """Every lambda ranks the same candidate draw of a validation pair."""
+        import lgcf.evaluation as evaluation
+        draws = Counter()
+
+        def counted(*key):
+            if key[1] == EVAL_NEGATIVE:
+                draws[key[2:]] += 1
+            return seed_stream(*key)
+
+        monkeypatch.setattr(evaluation, "seed_stream", counted)
+        g = make_synthetic(10, 10, 0.5, 0.05, 1)
+        split = normal_split(g, 0.75, 2)
+        # eval_every > epochs: the sub-models never validate, so every draw
+        # comes from the lambda search.
+        tc = tiny_tc(epochs=1, eval_every=2, master_seed=3, val_negatives=20)
+        train("lgcf-ens", g, split, tc)
+        assert draws == Counter(map(tuple, split.val_edges.tolist()))
 
     def test_learnable_mode_is_finite(self):
         g, split = star_split()
