@@ -278,11 +278,14 @@ def ingest_interactions(path, *, delimiter: str | None = None, user_col: int = 0
     space covers every key seen.  Duplicate (user, item) rows collapse to one
     edge.  Lines starting with '#' and blank lines are skipped.  When
     delimiter is None it is sniffed from the first data line (tab wins over
-    comma).  Malformed rows raise ParseError with their line number; an
-    empty edge set raises DomainError.
+    comma).  Malformed rows, and ratings that are not finite, raise
+    ParseError with their line number; a threshold that is not finite and
+    an empty edge set raise DomainError.
     """
     if rating_threshold is not None and rating_col is None:
         raise DomainError("rating_threshold requires rating_col")
+    if rating_threshold is not None and not math.isfinite(rating_threshold):
+        raise DomainError(f"rating_threshold must be finite, got {rating_threshold}")
     cols = [user_col, item_col] + ([rating_col] if rating_col is not None else [])
     if any(c < 0 for c in cols):
         raise DomainError("column indices must be non-negative")
@@ -312,6 +315,9 @@ def ingest_interactions(path, *, delimiter: str | None = None, user_col: int = 0
             except ValueError:
                 raise ParseError(
                     f"unparseable rating {parts[rating_col]!r}", line_no) from None
+            if not math.isfinite(rating):
+                raise ParseError(
+                    f"rating {parts[rating_col]!r} is not finite", line_no)
         uid = user_ids.setdefault(ukey, len(user_ids))
         iid = item_ids.setdefault(ikey, len(item_ids))
         if rating_threshold is not None and rating < rating_threshold:
@@ -557,12 +563,16 @@ def save_split(split: SplitSpec, out_dir) -> None:
 
 def _meta_entry(meta, path: Path, *keys, kind=int):
     """meta[keys[0]][keys[1]]... as kind: an int entry by _number's rule, a
-    str entry as str(); DomainError if it is missing or malformed."""
+    str entry a JSON string; DomainError if it is missing or malformed."""
     try:
         value = meta
         for key in keys:
             value = value[key]
-        return str(value) if kind is str else _number(value, ".".join(keys))
+        if kind is not str:
+            return _number(value, ".".join(keys))
+        if not isinstance(value, str):
+            raise DomainError("not a string")
+        return value
     except (KeyError, TypeError, DomainError):
         raise DomainError(
             f"{path}: missing or malformed {'.'.join(keys)} entry") from None

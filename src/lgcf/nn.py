@@ -7,6 +7,7 @@ linear.  The pooled sum of final node representations, after an optional
 per-pair prefix vector, is scored through a sigmoid dot product with a head.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -390,11 +391,31 @@ def params_from_dict(payload: dict) -> GnnParameters:
 
 
 def float_array(value, name: str) -> np.ndarray:
-    """A checkpoint entry as a float64 array; DomainError if it is not numeric."""
+    """A checkpoint entry as a float64 array; DomainError naming the entry
+    unless it is nested lists of finite JSON numbers.  numpy alone would
+    also read booleans, numeric strings and null as floats."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise DomainError(f"checkpoint {name} entry is not a numeric array") from None
+    except OverflowError:  # an integer beyond the float range
+        raise DomainError(f"checkpoint {name} entry must be finite") from None
+    if not set(map(type, _leaves(value, array.ndim))) <= {int, float}:
+        bad = next(x for x in _leaves(value, array.ndim) if type(x) not in (int, float))
+        raise DomainError(
+            f"checkpoint {name} entry is not a numeric array, got {bad!r}")
+    if not np.isfinite(array).all():
+        bad = float(array[~np.isfinite(array)][0])
+        raise DomainError(f"checkpoint {name} entry must be finite, got {bad!r}")
+    return array
+
+
+def _leaves(value, depth: int):
+    """The entries of depth levels of nested lists, in order."""
+    leaves = [value]
+    for _ in range(depth):
+        leaves = itertools.chain.from_iterable(leaves)
+    return leaves
 
 
 def adam_to_dict(state: AdamState) -> dict:

@@ -170,8 +170,31 @@ BAD_SCALARS = {
 }
 
 
-# graph.json and meta.json number entries that must not load: case -> (file,
-# key, value).  The fixture graph has 20 users and 20 items.
+# Checkpoint array entries, read by nn.float_array, that must not load: case ->
+# (path to an innermost list, its new first value, error message).  Shapes stay
+# valid, so only the number rule rejects them.  A gnn- case loads as lgcf.
+BAD_ARRAYS = {
+    "tables-user-bool": (("tables", "user", 0), True,
+                         "tables.user entry is not a numeric array, got True"),
+    "tables-item-string": (("tables", "item", 1), "0.5",
+                           "tables.item entry is not a numeric array, got '0.5'"),
+    "tables-user-null": (("tables", "user", 2), None,
+                         "tables.user entry is not a numeric array, got None"),
+    "tables-user-nan": (("tables", "user", 0), float("nan"),
+                        "tables.user entry must be finite, got nan"),
+    "tables-item-huge-int": (("tables", "item", 0), 10 ** 400,
+                             "tables.item entry must be finite"),
+    "gnn-scoring-infinity": (("gnn", "scoring"), float("inf"),
+                             "gnn.scoring entry must be finite, got inf"),
+    "gnn-weights-bool": (("gnn", "weights", 1, 0), False,
+                         "gnn.weights entry is not a numeric array, got False"),
+    "gnn-weights-nan": (("gnn", "weights", 0, 3), float("nan"),
+                        "gnn.weights entry must be finite, got nan"),
+}
+
+
+# graph.json and meta.json number and kind entries that must not load: case ->
+# (file, key, value).  The fixture graph has 20 users and 20 items.
 BAD_META_ENTRIES = {
     "graph-users-fraction": ("graph.json", "num_users", 20.9),
     "graph-users-string": ("graph.json", "num_users", "20"),
@@ -179,6 +202,11 @@ BAD_META_ENTRIES = {
     "split-seed-fraction": ("meta.json", "seed", 1.5),
     "split-seed-string": ("meta.json", "seed", "3"),
     "split-seed-bool": ("meta.json", "seed", True),
+    "split-kind-null": ("meta.json", "kind", None),
+    "split-kind-number": ("meta.json", "kind", 5),
+    "split-kind-bool": ("meta.json", "kind", True),
+    "split-kind-object": ("meta.json", "kind", {"a": 1}),
+    "split-kind-list": ("meta.json", "kind", ["normal"]),
 }
 
 
@@ -252,7 +280,7 @@ class TestReturnCodes:
                                       "tables-empty-object", "tables-list",
                                       "walk-no-max-nodes",
                                       "walk-remove-edge-string", "lambda-nan",
-                                      *BAD_SCALARS])
+                                      *BAD_SCALARS, *BAD_ARRAYS])
     def test_malformed_checkpoint_exits_one(self, pipeline, tmp_path, capsys, case):
         payload = json.loads((pipeline / "run" / "checkpoint.json").read_text())
         if case.startswith("gnn-"):
@@ -295,6 +323,12 @@ class TestReturnCodes:
         elif case in BAD_SCALARS:
             section, key, value, message = BAD_SCALARS[case]
             (payload[section] if section else payload)[key] = value
+        elif case in BAD_ARRAYS:
+            path, value, message = BAD_ARRAYS[case]
+            entry = payload
+            for key in path:
+                entry = entry[key]
+            entry[0] = value
         elif case == "lambda-nan":
             # The mf checkpoint as an lgcf-ens one whose fusion weight is NaN.
             gnn = lgcf.init_gnn_params(payload["label_cap"], 4, 2, lgcf.seed_stream(0))
@@ -639,6 +673,20 @@ class TestIngest:
         # carol's rating 1 drops the edge but keeps her id
         assert graph.edge_count == 3
         assert graph.degree(2) == 0
+
+    def test_nan_threshold_exits_one_and_leaves_out_empty(self, tmp_path, capsys):
+        raw = tmp_path / "ratings.tsv"
+        raw.write_text("u1\ti1\t5\nu2\ti2\t2\nu3\ti3\t1\n")
+        out = tmp_path / "data"
+        argv = ("ingest", "--out", out, "--input", raw, "--rating-col", 2,
+                "--rating-threshold")
+        assert run(*argv, "nan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "rating_threshold must be finite, got nan" in err
+        assert not out.exists() or not any(out.iterdir())
+        assert run(*argv, "3.0") == 0  # no --force needed
+        assert load_graph_dir(out).edge_count == 1
 
 
 class TestGradcheckCommand:

@@ -186,6 +186,21 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 2"):
             ingest_interactions(empty_key)
 
+    @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_rating_is_a_parse_error(self, tmp_path, bad):
+        path = self.write(tmp_path, f"u1,i1,5\nu2,i2,{bad}\nu3,i3,1\n")
+        with pytest.raises(ParseError, match=f"line 2: rating '{bad}' is not finite"):
+            ingest_interactions(path, rating_col=2, rating_threshold=3.0)
+        with pytest.raises(ParseError, match="line 2"):
+            ingest_interactions(path, rating_col=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_is_rejected_before_reading(self, tmp_path, bad):
+        # Line 2 would raise ParseError if any row were read.
+        path = self.write(tmp_path, "u1,i1,5\nu2,i2,high\n")
+        with pytest.raises(DomainError, match="rating_threshold must be finite"):
+            ingest_interactions(path, rating_col=2, rating_threshold=bad)
+
     def test_no_edges_is_an_error(self, tmp_path):
         path = self.write(tmp_path, "# only comments\n")
         with pytest.raises(DomainError):
