@@ -568,11 +568,9 @@ def _meta_entry(meta, path: Path, *keys, kind=int):
         value = meta
         for key in keys:
             value = value[key]
-        if kind is not str:
-            return _number(value, ".".join(keys))
-        if not isinstance(value, str):
-            raise DomainError("not a string")
-        return value
+        if kind is str and not isinstance(value, str):
+            raise DomainError("not a JSON string")
+        return value if kind is str else _number(value, ".".join(keys))
     except (KeyError, TypeError, DomainError):
         raise DomainError(
             f"{path}: missing or malformed {'.'.join(keys)} entry") from None
