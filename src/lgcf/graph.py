@@ -150,13 +150,14 @@ class BipartiteGraph:
         return 0 <= gid < self.num_users
 
     @cached_property
-    def csr_lists(self) -> tuple[list[int], list[int]]:
-        """indptr and indices as Python lists, built on first use.
+    def adjacency_lists(self) -> list[list[int]]:
+        """Each node's sorted neighbour list as a Python list, built on first use.
 
         Per-node loops in subgraph extraction index these instead of the
-        arrays, which saves a numpy scalar per read.
+        CSR arrays, which saves a numpy scalar per read and a slice per node.
         """
-        return self.indptr.tolist(), self.indices.tolist()
+        indptr, indices = self.indptr.tolist(), self.indices.tolist()
+        return [indices[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
 
     def neighbors(self, gid: int) -> np.ndarray:
         return self.indices[self.indptr[gid]:self.indptr[gid + 1]]

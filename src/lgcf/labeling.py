@@ -14,12 +14,18 @@ UNREACHABLE = -1
 
 
 class LabelEncoding:
-    """One-hot width for hashed labels; values >= label_cap share the top row."""
+    """One-hot width for hashed labels; values >= label_cap share the top row.
+
+    identity is the read-only (label_cap, label_cap) identity whose rows
+    one_hot_features returns.
+    """
 
     def __init__(self, label_cap: int = 64):
         if label_cap < 2:
             raise DomainError(f"label_cap must be >= 2, got {label_cap}")
         self.label_cap = int(label_cap)
+        self.identity = np.eye(self.label_cap)
+        self.identity.flags.writeable = False
 
 
 def _bfs(nbrs: list[list[int]], source_pos: int) -> list[int]:
@@ -67,7 +73,7 @@ def label_graph(lg: LocalizedGraph) -> LocalizedGraph:
     """Fill lg.labels in place from distances to its two targets."""
     du = _bfs(lg.neighbors, 0)
     di = _bfs(lg.neighbors, 1)
-    lg.labels[:] = [drnl_label(a, b) for a, b in zip(du, di)]
+    lg.labels[:] = list(map(drnl_label, du, di))
     return lg
 
 
@@ -78,7 +84,4 @@ def one_hot_features(labels, enc: LabelEncoding) -> np.ndarray:
         raise DomainError("labels must be one-dimensional")
     if (labels < 0).any():
         raise DomainError("labels must be non-negative")
-    x = np.zeros((labels.size, enc.label_cap), dtype=np.float64)
-    cols = np.minimum(labels, enc.label_cap - 1)
-    x[np.arange(labels.size), cols] = 1.0
-    return x
+    return enc.identity[np.minimum(labels, enc.label_cap - 1)]

@@ -130,9 +130,14 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
         raise DomainError("adjacency must have a zero diagonal")
     if (a != a.T).any():
         raise DomainError("adjacency must be symmetric")
-    a_tilde = a + np.eye(a.shape[0])
+    # a + 0.0 turns a -0.0 entry into the +0.0 that a + I gives; a copy
+    # would keep it.
+    a_tilde = a + 0.0
+    a_tilde.flat[::a.shape[0] + 1] = 1.0
     inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+    a_tilde *= inv_sqrt[:, None]
+    a_tilde *= inv_sqrt
+    return a_tilde
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -170,8 +175,8 @@ def gcn_forward(x0: np.ndarray, a_norm: np.ndarray,
     zs = []
     last = params.num_layers - 1
     for l, w in enumerate(params.weights):
-        ax = a_norm @ xs[l]
-        z = ax @ w
+        ax = np.dot(a_norm, xs[l])
+        z = np.dot(ax, w)
         axs.append(ax)
         zs.append(z)
         xs.append(z if l == last else _activate(params.activation, z))
@@ -189,6 +194,8 @@ def gcn_backward(cache: GcnCache, params: GnnParameters,
             d_z = d_x
         else:
             d_z = d_x * _activation_grad(params.activation, cache.zs[l], cache.xs[l + 1])
+        # d_out is a broadcast view: @ runs numpy's own loop on it where
+        # np.dot would copy it and call BLAS, which rounds differently.
         grads[l] = cache.axs[l].T @ d_z
         if l > 0:
             d_x = cache.a_norm.T @ (d_z @ params.weights[l].T)
@@ -223,8 +230,10 @@ def forward_instance(x0: np.ndarray, a_norm: np.ndarray, params: GnnParameters,
     """sigmoid(head . [prefix || sum_pool(GCN(x0, a_norm))]); head defaults
     to params.scoring."""
     x_last, cache = gcn_forward(x0, a_norm, params)
-    features = np.concatenate([prefix, sum_pool(x_last)])
-    logit = float(features @ (params.scoring if head is None else head))
+    features = sum_pool(x_last)
+    if prefix.size:
+        features = np.concatenate([prefix, features])
+    logit = float(np.dot(features, params.scoring if head is None else head))
     return InstanceCache(cache, features, float(sigmoid(logit)))
 
 

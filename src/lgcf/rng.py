@@ -7,6 +7,7 @@ streams of different components disjoint even under equal master seeds.
 """
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import DomainError
 
@@ -31,7 +32,8 @@ def seed_stream(*keys: int) -> np.random.Generator:
 
     Each key is split into little-endian 32-bit words, as SeedSequence does
     for a list of ints, and the words go in as one uint32 array: the same
-    entropy without numpy's per-key conversion.
+    entropy without numpy's per-key conversion.  The Generator is built as
+    default_rng builds it, without its argument checks.
     """
     words = []
     for k in keys:
@@ -43,5 +45,4 @@ def seed_stream(*keys: int) -> np.random.Generator:
         while k:
             words.append(k & 0xFFFFFFFF)
             k >>= 32
-    return np.random.default_rng(
-        np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+    return Generator(PCG64(SeedSequence(np.array(words, dtype=np.uint32))))

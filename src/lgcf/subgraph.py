@@ -77,14 +77,17 @@ def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
     cfg.restart_prob and otherwise moves to a uniformly random neighbor.
     Exactly 2 * walk_len draws are consumed regardless of the path taken (the
     first walk_len gate the restarts, the rest pick the moves), so the trace
-    depends only on the generator state and the graph.
+    depends only on the generator state and the graph.  DomainError unless
+    start is a node id of the graph.
     """
+    adj = graph.adjacency_lists
+    start = int(start)
+    if not 0 <= start < len(adj):
+        raise DomainError(f"start node {start} is not in [0, {len(adj)})")
     walk_len = cfg.walk_len
     draws = rng.random(2 * walk_len).tolist()
     restarts, moves = draws[:walk_len], draws[walk_len:]
-    indptr, indices = graph.csr_lists
     restart_prob = cfg.restart_prob
-    start = int(start)
     visited = [start]
     seen = {start}
     cur = start
@@ -92,12 +95,11 @@ def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
         if r < restart_prob:
             cur = start
             continue
-        lo = indptr[cur]
-        deg = indptr[cur + 1] - lo
-        if deg == 0:
+        nbrs = adj[cur]
+        if not nbrs:
             cur = start
             continue
-        cur = indices[lo + int(m * deg)]
+        cur = nbrs[int(m * len(nbrs))]
         if cur not in seen:
             seen.add(cur)
             visited.append(cur)
@@ -116,38 +118,49 @@ def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
 
     The target pair is forced to positions 0 and 1; any truncation to
     max_nodes drops from the tail of the visit order, never the targets.
+    DomainError for a target or node id outside the graph and for
+    max_nodes < 2.
     """
+    if max_nodes is not None and max_nodes < 2:
+        raise DomainError(f"max_nodes must be >= 2, got {max_nodes}")
+    total = graph.num_nodes
     u, i = int(target[0]), int(target[1])
+    if not (0 <= u < total and 0 <= i < total):
+        raise DomainError(f"target ({u}, {i}) has a node outside [0, {total})")
     ordered = [u, i]
     for x in nodes:
         x = int(x)
         if x != u and x != i:
+            if not 0 <= x < total:
+                raise DomainError(f"node {x} is not in [0, {total})")
             ordered.append(x)
     if max_nodes is not None:
         ordered = ordered[:max_nodes]
-    pos = {g: p for p, g in enumerate(ordered)}.get
     k = len(ordered)
-    indptr, indices = graph.csr_lists
-    # One pass over the CSR rows gives both the neighbor lists and the flat
-    # indices of the adjacency entries.
+    pos = dict(zip(ordered, range(k))).get
+    lists = graph.adjacency_lists
+    # One pass over the neighbour lists gives both the in-subgraph neighbour
+    # positions and the flat indices of the adjacency entries.
     nbrs, flat = [], []
     base = 0
     for g in ordered:
         row = []
-        for q in map(pos, indices[indptr[g]:indptr[g + 1]]):
+        for q in map(pos, lists[g]):
             if q is not None:
                 row.append(q)
                 flat.append(base + q)
         nbrs.append(row)
         base += k
-    adj = np.zeros((k, k), dtype=np.float64)
-    adj.ravel()[flat] = 1.0
     if remove_target_edge:
+        # Drop the target edge before the matrix is built, at flat indices
+        # 0 * k + 1 and 1 * k + 0.
         for p, q in ((TARGET_USER_POS, TARGET_ITEM_POS),
                      (TARGET_ITEM_POS, TARGET_USER_POS)):
-            adj[p, q] = 0.0
             if q in nbrs[p]:
                 nbrs[p].remove(q)
+                flat.remove(p * k + q)
+    adj = np.zeros((k, k), dtype=np.float64)
+    adj.ravel()[flat] = 1.0
     return LocalizedGraph(
         nodes=np.asarray(ordered, dtype=np.int64),
         adjacency=adj,

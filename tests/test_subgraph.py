@@ -5,7 +5,8 @@ import pytest
 
 from lgcf import (DomainError, LocalizedGraph, ParseError, WalkConfig, build_graph,
                   dump_localized_graph, extract, induce_subgraph, label_graph,
-                  parse_localized_graph, rwr_trace, seed_stream, union_nodes)
+                  make_synthetic, parse_localized_graph, rwr_trace, seed_stream,
+                  union_nodes)
 from lgcf.subgraph import TARGET_ITEM_POS, TARGET_USER_POS
 
 
@@ -112,6 +113,40 @@ class TestInduceSubgraph:
         lg = induce_subgraph(g, nodes, (0, 10), True, max_nodes=6)
         assert lg.num_nodes == 6
         assert list(lg.nodes) == nodes[:6]
+
+
+class TestIdsOutsideTheGraph:
+    """Ids outside [0, num_nodes) and max_nodes < 2 are rejected, not read
+    through Python's negative indexing or numpy's IndexError."""
+
+    GRAPH = make_synthetic(10, 10, .5, .1, 1)  # 40 nodes
+    CFG = WalkConfig(0.15, 20, 20)
+
+    @pytest.mark.parametrize("start", [-1, -40, 40, 99])
+    def test_rwr_trace_start(self, start):
+        with pytest.raises(DomainError, match=f"start node {start} is not in"):
+            rwr_trace(self.GRAPH, start, self.CFG, seed_stream(1))
+
+    @pytest.mark.parametrize("target", [(0, -5), (0, 40), (0, 99), (-1, 20),
+                                        (40, 20)], ids=str)
+    @pytest.mark.parametrize("remove", [True, False])
+    def test_induce_subgraph_target(self, target, remove):
+        with pytest.raises(DomainError, match="has a node outside"):
+            induce_subgraph(self.GRAPH, [3, 25], target, remove, 20)
+
+    @pytest.mark.parametrize("node", [-1, -39, 40, 1000])
+    def test_induce_subgraph_node(self, node):
+        with pytest.raises(DomainError, match=f"node {node} is not in"):
+            induce_subgraph(self.GRAPH, [3, node, 25], (0, 20), True, 20)
+
+    @pytest.mark.parametrize("max_nodes", [1, 0, -1])
+    @pytest.mark.parametrize("remove", [True, False])
+    def test_induce_subgraph_max_nodes(self, max_nodes, remove):
+        u = 0
+        i = self.GRAPH.neighbors(u).tolist()[0]  # a target with its edge
+        nodes = list(range(self.GRAPH.num_nodes))
+        with pytest.raises(DomainError, match="max_nodes must be >= 2"):
+            induce_subgraph(self.GRAPH, nodes, (u, i), remove, max_nodes)
 
 
 class TestNeighborLists:
