@@ -117,6 +117,8 @@ def _pair_results(score_fns, graph: BipartiteGraph, split: SplitSpec,
 
     They rank one draw from u's pool: each item, ascending, that u has no
     edge to in the split (the caller runs check_split_fits), drawn by position.
+    DomainError naming the pair and candidate if a score is not finite, since
+    NaN has no rank.
     """
     n, total = graph.num_users, graph.num_nodes
     # Every split edge as u * total + i, sorted: a user's interacted items
@@ -140,6 +142,11 @@ def _pair_results(score_fns, graph: BipartiteGraph, split: SplitSpec,
         results = []
         for score in score_fns:
             scores = np.array([score(u, c) for c in cands.tolist()], dtype=np.float64)
+            bad = ~np.isfinite(scores)
+            if bad.any():
+                j = int(bad.argmax())
+                raise DomainError(f"pair ({u}, {i}): candidate {int(cands[j])} "
+                                  f"scored {float(scores[j])!r}, which is not finite")
             order = np.lexsort((cands, -scores))
             rank = int(np.nonzero(order == 0)[0][0]) + 1
             results.append(_PairResult(u, i, rank, cands, scores, order))
@@ -264,7 +271,7 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
     out_dir.mkdir(parents=True, exist_ok=True)
     check_split_fits(graph, split)
     train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    rows = []
+    rows, dumps = [], []
     case = 0
     for ra, rb in _pair_results([scorer_a.score, scorer_b.score], graph, split,
                                 protocol, split.test_edges):
@@ -277,14 +284,16 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
             rng = seed_stream(scorer_a.seed, EVAL_WALK, u, item)
             lg = label_graph(extract(train_graph, u, item, walk_cfg, rng))
             fname = f"case{case:04d}_{pair_kind}_u{u}_i{item}.sg"
-            (out_dir / fname).write_text(dump_localized_graph(lg, graph.num_users),
-                                         encoding="utf-8")
+            dumps.append((fname, dump_localized_graph(lg, graph.num_users)))
             idx = int(np.nonzero(ra.cands == item)[0][0])
             rows.append({"pair_kind": pair_kind, "u": u, "i": item,
                          "score_a": float(ra.scores[idx]),
                          "score_b": float(rb.scores[idx]),
                          "dump_file": fname})
         case += 1
+    # Written once every pair has ranked, so a rejected score leaves no dumps.
+    for fname, text in dumps:
+        (out_dir / fname).write_text(text, encoding="utf-8")
     lines = ["pair_kind,u,i,score_a,score_b,dump_file"]
     for r in rows:
         lines.append(f"{r['pair_kind']},{r['u']},{r['i']},"

@@ -527,6 +527,26 @@ class TestReturnCodes:
         assert (out / "resolved_config.txt").exists()
         capsys.readouterr()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_scores_exit_one_and_leave_out_empty(self, pipeline, tmp_path,
+                                                     capsys):
+        """Finite weights near the float range make the lgcf scores NaN,
+        which eval rejects instead of ranking."""
+        payload = json.loads((pipeline / "run" / "checkpoint.json").read_text())
+        gnn = lgcf.init_gnn_params(payload["label_cap"], 8, 2, lgcf.seed_stream(0))
+        gnn.weights[0][:, 0] = 1e308
+        gnn.weights[0][:, 1] = -1e308
+        payload.update(kind="lgcf", tables=None, gnn=params_to_dict(gnn))
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run("eval", "--out", out, "--graph", pipeline / "graph",
+                   "--split", pipeline / "split", "--checkpoint", checkpoint) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pair (") and "Traceback" not in err
+        assert "scored nan, which is not finite" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_graph_too_large_for_edge_keys(self, pipeline, tmp_path, capsys):
         graph, out = tmp_path / "graph", tmp_path / "split"
         shutil.copytree(pipeline / "graph", graph)

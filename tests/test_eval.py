@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from lgcf import (DomainError, EvalProtocol, EvalReport, LabelEncoding,
-                  MetricStats, SplitSpec, TrainConfig, WalkConfig,
+                  MetricStats, SplitSpec, TrainConfig, TrainedModel, WalkConfig,
                   build_graph, degree_probe, dump_cases, evaluate,
-                  forward_instance, hr_at_k, make_synthetic, metrics_csv,
-                  ndcg_at_k, normal_split, normalize_adjacency,
+                  forward_instance, hr_at_k, init_gnn_params, make_synthetic,
+                  metrics_csv, ndcg_at_k, normal_split, normalize_adjacency,
                   one_hot_features, parse_localized_graph, seed_stream,
                   sparsity_levels, sparsity_sweep, train)
 from lgcf import evaluation
@@ -285,6 +285,67 @@ class TestEvaluate:
             evaluate(HashScorer(), g, split, protocol)
         with pytest.raises(DomainError, match=message):
             degree_probe(HashScorer(), g, split, protocol, n_groups=1)
+
+
+class BadPairScorer(KeyedScorer):
+    """KeyedScorer that returns `bad` for one (user, item) pair."""
+
+    def __init__(self, seed: int, pair: tuple[int, int], bad: float):
+        super().__init__(seed)
+        self.pair, self.bad = pair, bad
+
+    def score(self, u: int, i: int) -> float:
+        return self.bad if (u, i) == self.pair else super().score(u, i)
+
+
+class TestNonFiniteScores:
+    """A score that is not finite has no rank, so ranking stops there."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("caller", ["evaluate", "degree_probe", "dump_cases"])
+    def test_rejected_naming_pair_and_candidate(self, sbm_split, tmp_path, caller,
+                                                bad):
+        g, split = sbm_split
+        u, i = split.test_edges[3].tolist()
+        scorer = BadPairScorer(11, (u, i), bad)
+        run = {"evaluate": lambda: evaluate(scorer, g, split, PROTOCOL),
+               "degree_probe": lambda: degree_probe(scorer, g, split, PROTOCOL),
+               "dump_cases": lambda: dump_cases(KeyedScorer(11), scorer, g, split,
+                                                TestDumpCases.WALK, tmp_path,
+                                                PROTOCOL)}[caller]
+        message = rf"pair \({u}, {i}\): candidate {i} scored {bad!r}, which is not finite"
+        with pytest.raises(DomainError, match=message):
+            run()
+
+    def test_dump_cases_writes_nothing_before_a_late_rejection(self, sbm_split,
+                                                              tmp_path):
+        """Pairs ranked before the rejected one qualify, yet leave no dumps."""
+        g, split = sbm_split
+        late = tuple(split.test_edges[5].tolist())
+
+        class LateNan(AntiOracleScorer):
+            def score(self, u, i):
+                return math.nan if (u, i) == late else super().score(u, i)
+
+        with pytest.raises(DomainError, match="scored nan"):
+            dump_cases(OracleScorer(split.test_edges), LateNan(split.test_edges),
+                       g, split, TestDumpCases.WALK, tmp_path, PROTOCOL)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_lgcf_weights_are_rejected(self, sbm_split):
+        """Finite weights near the float range make the GCN produce NaN."""
+        g, split = sbm_split
+        train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+        gnn = init_gnn_params(8, 8, 2, seed_stream(0))
+        gnn.weights[0][:, 0] = 1e308
+        gnn.weights[0][:, 1] = -1e308
+        model = TrainedModel("lgcf", WalkConfig(0.15, 20, 20), 8, 2, 0, gnn=gnn)
+        scorer = model.make_scorer(train_graph)
+        u, i = split.test_edges[0].tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(scorer.score(u, i))
+            with pytest.raises(DomainError, match=rf"pair \({u}, {i}\): .* scored nan"):
+                evaluate(scorer, g, split, PROTOCOL)
 
 
 class TestDegreeProbe:
