@@ -118,15 +118,18 @@ def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
 
     The target pair is forced to positions 0 and 1; any truncation to
     max_nodes drops from the tail of the visit order, never the targets.
-    DomainError for a target or node id outside the graph and for
-    max_nodes < 2.
+    DomainError for a target that is not a (user, item) pair, a node id
+    outside the graph and max_nodes < 2.
     """
     if max_nodes is not None and max_nodes < 2:
         raise DomainError(f"max_nodes must be >= 2, got {max_nodes}")
-    total = graph.num_nodes
+    total, n = graph.num_nodes, graph.num_users
     u, i = int(target[0]), int(target[1])
-    if not (0 <= u < total and 0 <= i < total):
-        raise DomainError(f"target ({u}, {i}) has a node outside [0, {total})")
+    if not 0 <= u < n <= i < total:
+        if not (0 <= u < total and 0 <= i < total):
+            raise DomainError(f"target ({u}, {i}) has a node outside [0, {total})")
+        raise DomainError(f"target ({u}, {i}) is not a (user, item) pair: "
+                          f"users are [0, {n}), items [{n}, {total})")
     ordered = [u, i]
     for x in nodes:
         x = int(x)
@@ -174,10 +177,6 @@ def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
 def extract(graph: BipartiteGraph, u: int, i: int, cfg: WalkConfig,
             rng: np.random.Generator) -> LocalizedGraph:
     """Localized graph for the pair (u, i): walk from both, union, induce."""
-    if not graph.is_user(u):
-        raise DomainError(f"{u} is not a user id")
-    if graph.is_user(i) or not i < graph.num_nodes or i < 0:
-        raise DomainError(f"{i} is not an item id")
     trace_u = rwr_trace(graph, u, cfg, rng)
     trace_i = rwr_trace(graph, i, cfg, rng)
     return induce_subgraph(graph, union_nodes(trace_u, trace_i), (u, i),

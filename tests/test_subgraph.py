@@ -134,6 +134,18 @@ class TestIdsOutsideTheGraph:
         with pytest.raises(DomainError, match="has a node outside"):
             induce_subgraph(self.GRAPH, [3, 25], target, remove, 20)
 
+    @pytest.mark.parametrize("target", [(3, 3), (25, 3), (3, 4), (25, 30)], ids=str)
+    @pytest.mark.parametrize("remove", [True, False])
+    def test_induce_subgraph_target_sides(self, target, remove):
+        """Users are [0, 20) here; a target must be a (user, item) pair.
+        (3, 3) used to give nodes [3, 3, 25, 4] and an asymmetric adjacency,
+        and (25, 3) an item at the user position."""
+        with pytest.raises(DomainError, match=r"is not a \(user, item\) pair"):
+            induce_subgraph(self.GRAPH, [3, 25, 4], target, remove, 20)
+        with pytest.raises(DomainError, match=r"is not a \(user, item\) pair"):
+            extract(self.GRAPH, *target, WalkConfig(0.15, 20, 20, remove),
+                    seed_stream(1))
+
     @pytest.mark.parametrize("node", [-1, -39, 40, 1000])
     def test_induce_subgraph_node(self, node):
         with pytest.raises(DomainError, match=f"node {node} is not in"):
