@@ -16,7 +16,7 @@ from .models import (MODEL_KINDS, EmbeddingTable, EpochRecord, Propagation,
                      lgcf_inputs, load_model, param_count, run_gradcheck,
                      sample_negative, save_model, sparsity_sweep, train)
 from .nn import (AdamState, GnnParameters, GradCheckReport,
-                 adam_step, bpr_loss, bpr_pair_grads, forward_instance,
+                 adam_step, bpr_loss, forward_instance,
                  gcn_backward, gcn_forward, grad_check, init_adam,
                  init_gnn_params, normalize_adjacency, sigmoid, softplus,
                  sum_pool)

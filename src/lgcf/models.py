@@ -9,6 +9,7 @@ score and a scaled embedding dot product.
 """
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -23,8 +24,8 @@ from .graph import (BipartiteGraph, SplitSpec, _number, build_graph,
                     check_split_fits, read_json, write_json)
 from .labeling import LabelEncoding, label_graph, one_hot_features
 from .nn import (ACTIVATIONS, NO_PREFIX, AdamState, GnnParameters,
-                 GradCheckReport, adam_step, adam_to_dict,
-                 bpr_pair_grads, float_array, forward_instance, glorot_uniform,
+                 GradCheckReport, adam_step, adam_to_dict, float_array,
+                 forward_instance, gcn_backward, gcn_forward, glorot_uniform,
                  grad_check, init_adam, init_gnn_params, normalize_adjacency,
                  params_from_dict, params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
@@ -548,13 +549,27 @@ class EnsembleScorer:
         return self.lgcf.score(u, i) + self.lam * self.dot.score(u, i)
 
 
+# Triplets per GCN stack group in _gcn_batch.  Set by measurement: 8 was
+# the fastest of 4, 8, 16, 32 and the whole batch, and larger chunks hold
+# more stacked intermediates at once.
+GCN_CHUNK = 8
+
+
 def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
     """BPR through LgcfScorer's score for lgcf and lgcf-emb.  lgcf-emb
     propagates only the batch's rows, and its prefix gradients collect in
     d_refined over those rows for one propagation back.
+
+    The batch is read GCN_CHUNK triplets at a time, and a chunk's graphs of
+    one node count pass through the GCN as one stack, whose slices have the
+    bytes of per-graph calls.  Each logit is its own np.dot (a stacked
+    matrix-vector product rounds differently), the BPR arithmetic runs as
+    arrays in the per-pair order, and np.add.reduce over [acc, pair_0, ...]
+    sums the pairs' gradients in triplet order, as acc += pair did.
     """
     gnn, tables = model.gnn, model.tables
     head = gnn.scoring if model.w_joint is None else model.w_joint
+    split = head.size - gnn.hidden_dim
     refined = d_refined = None
     if tables is not None:
         batch = list(batch)
@@ -565,17 +580,45 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
         d_refined = np.zeros_like(refined)
     grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
     losses = []
-    for u, i_pos, i_neg, pos_inputs, neg_inputs in batch:
-        loss, pair = bpr_pair_grads(gnn, pos_inputs, neg_inputs, head,
-                                    (_prefix(refined, u, i_pos),
-                                     _prefix(refined, u, i_neg)))
-        losses.append(loss)
-        for acc, g in zip(grads, pair.arrays()):
-            acc += g
+    batch = iter(batch)
+    while chunk := list(itertools.islice(batch, GCN_CHUNK)):
+        # Instance 2t is triplet t's positive, 2t + 1 its negative.
+        users = np.repeat([t[0] for t in chunk], 2)
+        items = np.array([t[c] for t in chunk for c in (1, 2)])
+        inputs = [t[c] for t in chunk for c in (3, 4)]
+        features = np.empty((len(inputs), head.size))
         if refined is not None:
-            for item, d_prefix in zip((i_pos, i_neg), pair.prefixes):
-                d_refined[u] += d_prefix * refined[item]
-                d_refined[item] += d_prefix * refined[u]
+            features[:, :split] = refined[users] * refined[items]
+        by_size = {}
+        for idx, (x0, _) in enumerate(inputs):
+            by_size.setdefault(x0.shape[0], []).append(idx)
+        caches = []
+        for idx in by_size.values():
+            x_last, cache = gcn_forward(np.array([inputs[j][0] for j in idx]),
+                                        np.array([inputs[j][1] for j in idx]), gnn)
+            features[idx, split:] = x_last.sum(axis=1)
+            caches.append((idx, cache))
+        s = sigmoid(np.array([np.dot(f, head) for f in features]))
+        z = s[0::2] - s[1::2]
+        losses += [softplus(-x) for x in z.tolist()]
+        d_z = sigmoid(z) - 1.0
+        d_logit = np.stack([d_z, -d_z], axis=1).ravel() * s * (1.0 - s)
+        d_features = d_logit[:, None] * head
+        inst = [np.empty((len(inputs), *w.shape)) for w in gnn.weights]
+        for idx, cache in caches:
+            # Sum pooling broadcasts each pooled gradient to its graph's rows.
+            d_out = np.broadcast_to(d_features[idx, None, split:], cache.zs[-1].shape)
+            for acc, g in zip(inst, gcn_backward(cache, gnn, d_out)):
+                acc[idx] = g
+        inst.append(d_logit[:, None] * features)
+        grads = [np.add.reduce(np.concatenate([acc[None], g[0::2] + g[1::2]]))
+                 for acc, g in zip(grads, inst)]
+        if refined is not None:
+            d_prefix = d_features[:, :split]
+            # d_refined[u] += d_prefix * r_i, then d_refined[i] += d_prefix * r_u
+            np.add.at(d_refined, np.stack([users, items], axis=1).ravel(),
+                      np.stack([d_prefix * refined[items], d_prefix * refined[users]],
+                               axis=1).reshape(-1, split))
     if refined is not None:
         n = tables.user_matrix.shape[0]
         d_e0 = prop.apply(d_refined, in_rows=rows)

@@ -88,18 +88,6 @@ class GnnParameters:
         return [*self.weights, self.scoring]
 
 
-@dataclass
-class GnnGradients:
-    """Layer, head (in scoring) and per-branch prefix gradients."""
-
-    weights: list[np.ndarray]
-    scoring: np.ndarray
-    prefixes: tuple[np.ndarray, ...] = ()
-
-    def arrays(self) -> list[np.ndarray]:
-        return [*self.weights, self.scoring]
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -154,7 +142,8 @@ def _activation_grad(name: str, z: np.ndarray, activated: np.ndarray) -> np.ndar
 
 @dataclass
 class GcnCache:
-    """Intermediates of one forward pass, consumed by the backward pass."""
+    """Intermediates of one forward pass (one graph or a stack), consumed by
+    the backward pass."""
 
     a_norm: np.ndarray
     xs: list[np.ndarray]   # X_0 .. X_L
@@ -164,19 +153,26 @@ class GcnCache:
 
 def gcn_forward(x0: np.ndarray, a_norm: np.ndarray,
                 params: GnnParameters) -> tuple[np.ndarray, GcnCache]:
-    """Stacked graph convolutions; returns final node reps and the cache."""
-    if x0.shape[1] != params.feature_dim:
+    """Stacked graph convolutions; returns final node reps and the cache.
+
+    x0 is (k, F) with a_norm (k, k) for one graph, or (n, k, F) with
+    a_norm (n, k, k) for a stack of n graphs of k nodes.  np.matmul makes
+    one BLAS product per slice of a stack, so each slice has the bytes of
+    its own np.dot call.
+    """
+    if x0.shape[-1] != params.feature_dim:
         raise DomainError(
-            f"feature width {x0.shape[1]} does not match W0 rows {params.feature_dim}")
-    if a_norm.shape != (x0.shape[0], x0.shape[0]):
+            f"feature width {x0.shape[-1]} does not match W0 rows {params.feature_dim}")
+    if a_norm.shape != (*x0.shape[:-1], x0.shape[-2]):
         raise DomainError("a_norm shape must match the node count")
+    product = np.dot if x0.ndim == 2 else np.matmul
     xs = [x0]
     axs = []
     zs = []
     last = params.num_layers - 1
     for l, w in enumerate(params.weights):
-        ax = np.dot(a_norm, xs[l])
-        z = np.dot(ax, w)
+        ax = product(a_norm, xs[l])
+        z = product(ax, w)
         axs.append(ax)
         zs.append(z)
         xs.append(z if l == last else _activate(params.activation, z))
@@ -185,7 +181,8 @@ def gcn_forward(x0: np.ndarray, a_norm: np.ndarray,
 
 def gcn_backward(cache: GcnCache, params: GnnParameters,
                  d_out: np.ndarray) -> list[np.ndarray]:
-    """Layer-weight gradients given the gradient at the final node reps."""
+    """Layer-weight gradients given the gradient at the final node reps;
+    for a stack, one gradient per graph along the leading axis."""
     grads: list[np.ndarray] = [None] * params.num_layers
     last = params.num_layers - 1
     d_x = d_out
@@ -196,9 +193,9 @@ def gcn_backward(cache: GcnCache, params: GnnParameters,
             d_z = d_x * _activation_grad(params.activation, cache.zs[l], cache.xs[l + 1])
         # d_out is a broadcast view: @ runs numpy's own loop on it where
         # np.dot would copy it and call BLAS, which rounds differently.
-        grads[l] = cache.axs[l].T @ d_z
+        grads[l] = np.swapaxes(cache.axs[l], -1, -2) @ d_z
         if l > 0:
-            d_x = cache.a_norm.T @ (d_z @ params.weights[l].T)
+            d_x = np.swapaxes(cache.a_norm, -1, -2) @ (d_z @ params.weights[l].T)
     return grads
 
 
@@ -235,40 +232,6 @@ def forward_instance(x0: np.ndarray, a_norm: np.ndarray, params: GnnParameters,
         features = np.concatenate([prefix, features])
     logit = float(np.dot(features, params.scoring if head is None else head))
     return InstanceCache(cache, features, float(sigmoid(logit)))
-
-
-def backward_instance(inst: InstanceCache, params: GnnParameters, d_score: float,
-                      head: np.ndarray | None = None) -> GnnGradients:
-    """Gradients of d_score * score(instance) for the layers, head and
-    prefix; head must be the one forward_instance scored with."""
-    s = inst.score_value
-    d_logit = d_score * s * (1.0 - s)
-    d_features = d_logit * (params.scoring if head is None else head)
-    split = d_features.size - params.hidden_dim
-    d_pooled = d_features[split:]
-    # Sum pooling broadcasts the pooled gradient to every node row.
-    k = inst.gcn.xs[0].shape[0]
-    d_out = np.broadcast_to(d_pooled, (k, d_pooled.size))
-    return GnnGradients(gcn_backward(inst.gcn, params, d_out),
-                        d_logit * inst.features, (d_features[:split],))
-
-
-def bpr_pair_grads(params: GnnParameters, pos: tuple[np.ndarray, np.ndarray],
-                   neg: tuple[np.ndarray, np.ndarray], head: np.ndarray | None = None,
-                   prefixes: tuple[np.ndarray, np.ndarray] = (NO_PREFIX, NO_PREFIX),
-                   ) -> tuple[float, GnnGradients]:
-    """Loss and analytic gradients for one (positive, negative) instance
-    pair; layer and head gradients sum both branches, prefixes are (pos, neg)."""
-    cp = forward_instance(pos[0], pos[1], params, head, prefixes[0])
-    cn = forward_instance(neg[0], neg[1], params, head, prefixes[1])
-    z = cp.score_value - cn.score_value
-    loss = softplus(-z)
-    d_z = float(sigmoid(z)) - 1.0
-    gp = backward_instance(cp, params, d_z, head)
-    gn = backward_instance(cn, params, -d_z, head)
-    weights = [a + b for a, b in zip(gp.weights, gn.weights)]
-    return loss, GnnGradients(weights, gp.scoring + gn.scoring,
-                              gp.prefixes + gn.prefixes)
 
 
 @dataclass

@@ -420,6 +420,43 @@ class TestTrainBasics:
         train("lgcf-ens", g, split, tiny_tc(epochs=1, lambda_mode=lambda_mode))
         assert seen["lgcf_inputs"] > 0 and seen["sample_negative"] > 0
 
+    @pytest.mark.parametrize("batch_size", [5, 20])
+    def test_one_gcn_forward_per_chunk_and_node_count(self, monkeypatch, batch_size):
+        """An lgcf epoch runs the GCN as one stack per node count in each
+        chunk of GCN_CHUNK triplets, not once per graph."""
+        import lgcf.models as models
+        sizes, stacks = [], []
+        lgcf_inputs, gcn_forward = models.lgcf_inputs, models.gcn_forward
+
+        def inputs(*args):
+            x0, a_norm = lgcf_inputs(*args)
+            sizes.append(x0.shape[0])
+            return x0, a_norm
+
+        def forward(x0, a_norm, params):
+            stacks.append(x0.shape[:-1])
+            return gcn_forward(x0, a_norm, params)
+
+        monkeypatch.setattr(models, "lgcf_inputs", inputs)
+        monkeypatch.setattr(models, "gcn_forward", forward)
+        g = make_synthetic(20, 20, 0.3, 0.05, 3)
+        split = normal_split(g, 0.8, 3)
+        tc = tiny_tc(epochs=1, batch_size=batch_size, negatives_per_positive=2,
+                     walk=WalkConfig(0.2, 8, 12, True), val_negatives=10,
+                     eval_every=2)  # no validation pass inside training
+        train("lgcf", g, split, tc)
+        # Instances 2t and 2t + 1 are triplet t's positive and negative.
+        triplets = [sizes[t:t + 2] for t in range(0, len(sizes), 2)]
+        batches = [triplets[b:b + batch_size]
+                   for b in range(0, len(triplets), batch_size)]
+        chunks = [batch[c:c + models.GCN_CHUNK] for batch in batches
+                  for c in range(0, len(batch), models.GCN_CHUNK)]
+        groups = sum(len({k for pair in chunk for k in pair}) for chunk in chunks)
+        assert len(triplets) == 2 * len(split.train_edges)
+        assert all(len(shape) == 2 for shape in stacks)  # always a stack
+        assert sum(n for n, _ in stacks) == len(sizes)
+        assert len(stacks) == groups < len(sizes) / 2
+
     def test_single_edge_descent(self):
         """One Adam step on one pair lowers the one-pair BPR objective."""
         g = build_graph([(0, 1)], 1, 2)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from lgcf import (AdamState, DomainError, GnnParameters, adam_step, bpr_loss,
-                  forward_instance, gcn_backward, gcn_forward, grad_check,
-                  init_adam, init_gnn_params, normalize_adjacency,
+from lgcf import (AdamState, DomainError, EmbeddingTable, GnnParameters,
+                  Propagation, TrainedModel, WalkConfig, adam_step, bpr_loss,
+                  build_graph, forward_instance, gcn_backward, gcn_forward,
+                  grad_check, init_adam, init_gnn_params, normalize_adjacency,
                   seed_stream, sigmoid, softplus, sum_pool)
-from lgcf.nn import (bpr_pair_grads, glorot_uniform, params_from_dict,
-                     params_to_dict)
+from lgcf.models import _gcn_batch
+from lgcf.nn import glorot_uniform, params_from_dict, params_to_dict
 
 
 def naive_matmul(a, b):
@@ -35,6 +36,19 @@ def random_instance(rng, k=None, feat=6, hidden=4, layers=3, activation="relu"):
     x[np.arange(k), rng.integers(0, feat, size=k)] = 1.0
     params = init_gnn_params(feat, hidden, layers, rng, activation=activation)
     return x, normalize_adjacency(adj), params
+
+
+def bpr_step(params, pos, neg, head=None, tables=None):
+    """Loss and gradients of one triplet (user 0, items 1 and 2) through
+    training's batch step: lgcf, or with tables and head lgcf-emb with the
+    prefix r_u * r_i of unpropagated rows.  The gradients are the layers',
+    the head's, then with tables the user and item tables'."""
+    kind = "lgcf" if tables is None else "lgcf-emb"
+    model = TrainedModel(kind, WalkConfig(), params.feature_dim, 0, 0, gnn=params,
+                         tables=tables, w_joint=head)
+    prop = Propagation(build_graph([(0, 1)], 1, 2), 0)
+    losses, grads = _gcn_batch(model, prop, [(0, 1, 2, pos, neg)])
+    return losses[0], grads
 
 
 class TestScalarOps:
@@ -185,22 +199,23 @@ class TestBackward:
         a = np.array([[1.0]])
         pos = (np.array([[x_val]]), a)
         neg = (np.array([[xn_val]]), a)
-        loss, grads = bpr_pair_grads(params, pos, neg)
+        loss, grads = bpr_step(params, pos, neg)
         s_pos = sigmoid(x_val * w_val)
         s_neg = sigmoid(xn_val * w_val)
         z = s_pos - s_neg
         assert loss == pytest.approx(softplus(-z), abs=1e-15)
         dz = sigmoid(z) - 1.0
         want_dw = dz * (s_pos * (1 - s_pos) * x_val - s_neg * (1 - s_neg) * xn_val)
-        assert grads.scoring[0] == pytest.approx(want_dw, rel=1e-12)
+        assert grads[1][0] == pytest.approx(want_dw, rel=1e-12)
         want_dW0 = dz * (s_pos * (1 - s_pos) * w_val * x_val
                          - s_neg * (1 - s_neg) * w_val * xn_val)
-        assert grads.weights[0][0, 0] == pytest.approx(want_dW0, rel=1e-12)
+        assert grads[0][0, 0] == pytest.approx(want_dW0, rel=1e-12)
 
     def test_matches_central_differences(self):
         """Trials 0-4 score through params.scoring with no prefix; trial 5
-        scores [prefix || pooled] through a separate head and also checks
-        the head and both prefixes."""
+        scores [prefix || pooled] through a separate head, the prefixes
+        r_u * r_i of embedding rows, and also checks the head and the
+        table gradients the prefix gradients reach."""
         rng = np.random.default_rng(48)
         for trial in range(6):
             act = "relu" if trial % 2 else "tanh"
@@ -209,23 +224,27 @@ class TestBackward:
                 rng, feat=params.feature_dim, hidden=params.hidden_dim,
                 layers=params.num_layers, activation=act)
             if trial < 5:
-                _, grads = bpr_pair_grads(params, (x_pos, a_pos), (x_neg, a_neg))
-                pos_extra = neg_extra = {}
+                _, analytic = bpr_step(params, (x_pos, a_pos), (x_neg, a_neg))
+                head = tables = None
                 arrays = params.arrays()
-                analytic = [*grads.weights, grads.scoring]
             else:
                 head = glorot_uniform(rng, 3 + params.hidden_dim, 1).ravel()
-                prefixes = (rng.normal(size=3), rng.normal(size=3))
-                _, grads = bpr_pair_grads(params, (x_pos, a_pos), (x_neg, a_neg),
-                                          head, prefixes)
-                pos_extra = {"head": head, "prefix": prefixes[0]}
-                neg_extra = {"head": head, "prefix": prefixes[1]}
-                arrays = [*params.weights, head, *prefixes]
-                analytic = [*grads.weights, grads.scoring, *grads.prefixes]
+                tables = EmbeddingTable(rng.normal(size=(1, 3)), rng.normal(size=(2, 3)))
+                _, analytic = bpr_step(params, (x_pos, a_pos), (x_neg, a_neg),
+                                       head, tables)
+                arrays = [*params.weights, head, tables.user_matrix,
+                          tables.item_matrix]
+
+            def prefix(item):
+                if tables is None:
+                    return np.zeros(0)
+                return tables.user_matrix[0] * tables.item_matrix[item]
 
             def loss_fn():
-                pos = forward_instance(x_pos, a_pos, params, **pos_extra).score_value
-                neg = forward_instance(x_neg, a_neg, params, **neg_extra).score_value
+                pos = forward_instance(x_pos, a_pos, params, head,
+                                       prefix(0)).score_value
+                neg = forward_instance(x_neg, a_neg, params, head,
+                                       prefix(1)).score_value
                 return bpr_loss(pos, neg)
 
             report = grad_check(loss_fn, arrays, analytic)

@@ -5,20 +5,25 @@ reads through indptr/indices lists, numpy scalar writes for the removed
 target edge, a zeroed one-hot matrix, `a + I` normalization, `@` products,
 an always-concatenated prefix and `default_rng`.  The fast forms must give
 the same bytes on the benchmark's walks over the criterion-9 graph and on
-hand-made edge cases.  The backward pass was not rewritten; its reference
-guards the `@` products it keeps.
+hand-made edge cases.  The backward pass keeps `@`; its reference guards
+those products.  Training's stacked BPR step is checked against the
+per-triplet loop it replaced, and a stacked GCN call slice by slice
+against one call per graph.
 """
 
 import numpy as np
 import pytest
 
-from lgcf import (LabelEncoding, WalkConfig, build_graph, drnl_label,
-                  forward_instance, init_gnn_params, induce_subgraph,
-                  label_graph, make_synthetic, normal_split, normalize_adjacency,
-                  one_hot_features, rwr_trace, seed_stream, sigmoid, union_nodes)
+from lgcf import (DomainError, LabelEncoding, Propagation, TrainConfig,
+                  WalkConfig, build_graph, drnl_label, forward_instance,
+                  init_gnn_params, induce_subgraph, label_graph, lgcf_inputs,
+                  make_synthetic, normal_split, normalize_adjacency,
+                  one_hot_features, rwr_trace, seed_stream, sigmoid, softplus,
+                  union_nodes)
 from lgcf.labeling import _bfs
+from lgcf.models import _batch_rows, _gcn_batch, _init_model, _triplet_batches
 from lgcf.nn import NO_PREFIX, _activate, gcn_backward, gcn_forward
-from lgcf.rng import EVAL_WALK, PARAM_INIT
+from lgcf.rng import EVAL_WALK, PARAM_INIT, WALK as WALK_STREAM
 
 WALK = WalkConfig(0.15, 20, 20, True)  # the benchmark's walks
 
@@ -129,6 +134,65 @@ def ref_backward(axs, zs, xs, a_norm, params, d_out):
     return grads
 
 
+def ref_backward_instance(fwd, a_norm, params, d_score, head):
+    """nn.backward_instance before the stacked step: the layer, head and
+    prefix gradients of d_score * score for one ref_forward result."""
+    axs, zs, xs, features, s = fwd
+    d_logit = d_score * s * (1.0 - s)
+    d_features = d_logit * head
+    split = d_features.size - params.hidden_dim
+    d_pooled = d_features[split:]
+    d_out = np.broadcast_to(d_pooled, (xs[0].shape[0], d_pooled.size))
+    return (ref_backward(axs, zs, xs, a_norm, params, d_out),
+            d_logit * features, d_features[:split])
+
+
+def ref_bpr_pair_grads(params, pos, neg, head, prefixes):
+    """nn.bpr_pair_grads before the stacked step: the loss, the layer and
+    head gradients summed over both branches, and the (pos, neg) prefix
+    gradients."""
+    fp = ref_forward(*pos, params, head, prefixes[0])
+    fn = ref_forward(*neg, params, head, prefixes[1])
+    z = fp[4] - fn[4]
+    loss = softplus(-z)
+    d_z = float(sigmoid(z)) - 1.0
+    gp = ref_backward_instance(fp, pos[1], params, d_z, head)
+    gn = ref_backward_instance(fn, neg[1], params, -d_z, head)
+    pair = [a + b for a, b in zip(gp[0], gn[0])] + [gp[1] + gn[1]]
+    return loss, pair, (gp[2], gn[2])
+
+
+def ref_gcn_batch(model, prop, batch):
+    """models._gcn_batch as the per-triplet loop it was."""
+    gnn, tables = model.gnn, model.tables
+    head = gnn.scoring if model.w_joint is None else model.w_joint
+    refined = d_refined = None
+    if tables is not None:
+        rows, local = _batch_rows(prop.num_nodes, [t[:3] for t in batch])
+        batch = [(*ids, *t[3:]) for ids, t in zip(local.tolist(), batch)]
+        refined = prop.apply(tables.matrix, out_rows=rows)
+        d_refined = np.zeros_like(refined)
+    grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
+    losses = []
+    for u, i_pos, i_neg, pos_inputs, neg_inputs in batch:
+        prefixes = [NO_PREFIX if refined is None else refined[u] * refined[i]
+                    for i in (i_pos, i_neg)]
+        loss, pair, d_prefixes = ref_bpr_pair_grads(gnn, pos_inputs, neg_inputs,
+                                                    head, prefixes)
+        losses.append(loss)
+        for acc, g in zip(grads, pair):
+            acc += g
+        if refined is not None:
+            for item, d_prefix in zip((i_pos, i_neg), d_prefixes):
+                d_refined[u] += d_prefix * refined[item]
+                d_refined[item] += d_prefix * refined[u]
+    if refined is not None:
+        n = tables.user_matrix.shape[0]
+        d_e0 = prop.apply(d_refined, in_rows=rows)
+        grads += [d_e0[:n], d_e0[n:]]
+    return losses, [g / len(losses) for g in grads]
+
+
 def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -191,6 +255,84 @@ def test_seeded_pairs_match_the_reference_stages(criterion_9_graph):
         assert same_bytes(a_norm, ref_normalize(adj))
         assert_forward_matches(x0, a_norm, params["relu" if n % 2 else "tanh"])
     assert truncated > 250  # most subgraphs are cut at max_nodes
+
+
+# Batches of one epoch read per batch size: enough triplets for graphs of
+# several sizes, truncated at max_nodes and not.
+BATCHES_READ = {1: 40, 7: 6, 64: 2}
+
+
+@pytest.mark.parametrize("batch_size", sorted(BATCHES_READ))
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("kind", ["lgcf", "lgcf-emb"])
+def test_gcn_batch_is_the_triplet_loop(criterion_9_graph, kind, activation,
+                                       batch_size):
+    """Training's stacked step against the per-triplet loop: the losses, the
+    layer and head gradients and lgcf-emb's pulled table gradients, on the
+    benchmark's walks with two negatives per positive."""
+    g = criterion_9_graph
+    tc = TrainConfig(batch_size=batch_size, negatives_per_positive=2,
+                     master_seed=42, walk=WALK, gcn_layers=3, hidden_dim=32,
+                     label_cap=32, embed_dim=16, activation=activation)
+    model = _init_model(kind, g, tc)
+    prop = Propagation(g, model.propagation_layers)
+    enc = LabelEncoding(tc.label_cap)
+    epoch = 1
+    sizes = set()
+    for _, triplets in zip(range(BATCHES_READ[batch_size]),
+                           _triplet_batches(g, g.edges(), tc, epoch)):
+        batch = [(u, i, j, *(lgcf_inputs(g, u, x, WALK, seed_stream(
+                     42, WALK_STREAM, u, x, epoch), enc) for x in (i, j)))
+                 for u, i, j in triplets]
+        sizes.update(x0.shape[0] for t in batch for x0, _ in t[3:])
+        want_losses, want = ref_gcn_batch(model, prop, batch)
+        got_losses, got = _gcn_batch(model, prop, iter(batch))
+        assert same_bytes(got_losses, want_losses)
+        assert len(got) == len(want) == len(model.trainable())
+        assert all(map(same_bytes, got, want))
+    assert WALK.max_nodes in sizes and min(sizes) < WALK.max_nodes
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stacked_gcn_slices_are_the_2d_calls(activation):
+    """Each slice of a stacked forward and backward, the upstream gradient
+    a zero-stride broadcast of each graph's pooled gradient as training
+    passes it, has the bytes of the call on that graph alone.  Graphs hold
+    at least two nodes, as every localized graph does."""
+    rng = np.random.default_rng(8)
+    for hidden, layers in ((32, 3), (5, 2), (1, 1), (1, 3)):
+        params = init_gnn_params(8, hidden, layers, seed_stream(hidden, layers),
+                                 activation)
+        for k in (2, 3, 11, 20):
+            for n in (1, 4):
+                x0 = np.stack([one_hot_features(rng.integers(0, 12, k),
+                                                LabelEncoding(8)) for _ in range(n)])
+                a = np.triu((rng.random((n, k, k)) < 0.4).astype(np.float64), 1)
+                a_norm = np.stack([normalize_adjacency(m + m.T) for m in a])
+                d_pooled = rng.normal(size=(n, hidden))
+                x_last, cache = gcn_forward(x0, a_norm, params)
+                d_out = np.broadcast_to(d_pooled[:, None], (n, k, hidden))
+                assert d_out.strides[1] == 0
+                grads = gcn_backward(cache, params, d_out)
+                for t in range(n):
+                    one_last, one = gcn_forward(x0[t], a_norm[t], params)
+                    assert same_bytes(x_last[t], one_last)
+                    for got, want in ((cache.axs, one.axs), (cache.zs, one.zs),
+                                      (cache.xs, one.xs)):
+                        assert all(same_bytes(a[t], b) for a, b in zip(got, want))
+                    one_grads = gcn_backward(
+                        one, params, np.broadcast_to(d_pooled[t], (k, hidden)))
+                    assert all(same_bytes(a[t], b) for a, b in zip(grads, one_grads))
+
+
+def test_stack_shapes_must_agree():
+    params = init_gnn_params(4, 3, 2, seed_stream(1))
+    x0 = np.zeros((3, 5, 4))
+    for shape in ((2, 5, 5), (1, 5, 5), (3, 4, 4), (3, 5, 4), (5, 5), (3, 5, 5, 5)):
+        with pytest.raises(DomainError, match="a_norm shape"):
+            gcn_forward(x0, np.zeros(shape), params)
+    with pytest.raises(DomainError, match="feature width"):
+        gcn_forward(np.zeros((3, 5, 6)), np.zeros((3, 5, 5)), params)
 
 
 def test_target_edge_kept_and_removed(criterion_9_graph):
