@@ -550,9 +550,54 @@ class EnsembleScorer:
 
 
 # Triplets per GCN stack group in _gcn_batch.  Set by measurement: 8 was
-# the fastest of 4, 8, 16, 32 and the whole batch, and larger chunks hold
-# more stacked intermediates at once.
+# the fastest GCN step of 4, 8, 16, 32 and the whole batch, 4 and 16 were
+# no faster on whole training passes, and larger chunks hold more stacked
+# intermediates at once.
 GCN_CHUNK = 8
+
+
+def _gcn_chunks(batch, enc: LabelEncoding):
+    """A batch's triplets GCN_CHUNK at a time, as (users, items, stacks).
+
+    Instance 2t is triplet t's positive and 2t + 1 its negative.  stacks
+    holds one (positions, one-hot (n, k, label_cap), normalized adjacency
+    (n, k, k)) per node count k among the instances' labeled graphs: one
+    one_hot_features call on their labels laid end to end and one
+    normalize_adjacency call per stack, each slice with the bytes of the
+    graph's own call.
+    """
+    batch = iter(batch)
+    while chunk := list(itertools.islice(batch, GCN_CHUNK)):
+        graphs = [t[c] for t in chunk for c in (3, 4)]
+        by_size = {}
+        for idx, lg in enumerate(graphs):
+            by_size.setdefault(lg.num_nodes, []).append(idx)
+        stacks = []
+        for k, idx in by_size.items():
+            x0 = one_hot_features(np.concatenate([graphs[j].labels for j in idx]), enc)
+            a_norm = normalize_adjacency(np.array([graphs[j].adjacency for j in idx]))
+            stacks.append((idx, x0.reshape(len(idx), k, enc.label_cap), a_norm))
+        yield (np.repeat([t[0] for t in chunk], 2),
+               np.array([t[c] for t in chunk for c in (1, 2)]), stacks)
+
+
+def _gcn_scores(gnn: GnnParameters, head: np.ndarray, refined: np.ndarray | None,
+                users: np.ndarray, items: np.ndarray, stacks):
+    """The forward half of _gcn_batch for one chunk: each instance's
+    features (prefix r_u * r_i over refined's rows, then the pooled GCN
+    output), its sigmoid score, and each stack's (positions, cache).  Each
+    logit is its own np.dot: a stacked matrix-vector product rounds
+    differently."""
+    split = head.size - gnn.hidden_dim
+    features = np.empty((users.size, head.size))
+    if refined is not None:
+        features[:, :split] = refined[users] * refined[items]
+    caches = []
+    for idx, x0, a_norm in stacks:
+        x_last, cache = gcn_forward(x0, a_norm, gnn)
+        features[idx, split:] = x_last.sum(axis=1)
+        caches.append((idx, cache))
+    return features, sigmoid(np.array([np.dot(f, head) for f in features])), caches
 
 
 def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
@@ -562,10 +607,9 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
 
     The batch is read GCN_CHUNK triplets at a time, and a chunk's graphs of
     one node count pass through the GCN as one stack, whose slices have the
-    bytes of per-graph calls.  Each logit is its own np.dot (a stacked
-    matrix-vector product rounds differently), the BPR arithmetic runs as
-    arrays in the per-pair order, and np.add.reduce over [acc, pair_0, ...]
-    sums the pairs' gradients in triplet order, as acc += pair did.
+    bytes of per-graph calls.  The BPR arithmetic runs as arrays in the
+    per-pair order, and np.add.reduce over [acc, pair_0, ...] sums the
+    pairs' gradients in triplet order, as acc += pair did.
     """
     gnn, tables = model.gnn, model.tables
     head = gnn.scoring if model.w_joint is None else model.w_joint
@@ -580,31 +624,14 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
         d_refined = np.zeros_like(refined)
     grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
     losses = []
-    batch = iter(batch)
-    while chunk := list(itertools.islice(batch, GCN_CHUNK)):
-        # Instance 2t is triplet t's positive, 2t + 1 its negative.
-        users = np.repeat([t[0] for t in chunk], 2)
-        items = np.array([t[c] for t in chunk for c in (1, 2)])
-        inputs = [t[c] for t in chunk for c in (3, 4)]
-        features = np.empty((len(inputs), head.size))
-        if refined is not None:
-            features[:, :split] = refined[users] * refined[items]
-        by_size = {}
-        for idx, (x0, _) in enumerate(inputs):
-            by_size.setdefault(x0.shape[0], []).append(idx)
-        caches = []
-        for idx in by_size.values():
-            x_last, cache = gcn_forward(np.array([inputs[j][0] for j in idx]),
-                                        np.array([inputs[j][1] for j in idx]), gnn)
-            features[idx, split:] = x_last.sum(axis=1)
-            caches.append((idx, cache))
-        s = sigmoid(np.array([np.dot(f, head) for f in features]))
+    for users, items, stacks in _gcn_chunks(batch, LabelEncoding(gnn.feature_dim)):
+        features, s, caches = _gcn_scores(gnn, head, refined, users, items, stacks)
         z = s[0::2] - s[1::2]
         losses += [softplus(-x) for x in z.tolist()]
         d_z = sigmoid(z) - 1.0
         d_logit = np.stack([d_z, -d_z], axis=1).ravel() * s * (1.0 - s)
         d_features = d_logit[:, None] * head
-        inst = [np.empty((len(inputs), *w.shape)) for w in gnn.weights]
+        inst = [np.empty((s.size, *w.shape)) for w in gnn.weights]
         for idx, cache in caches:
             # Sum pooling broadcasts each pooled gradient to its graph's rows.
             d_out = np.broadcast_to(d_features[idx, None, split:], cache.zs[-1].shape)
@@ -661,9 +688,9 @@ def _batch_rows(num_nodes: int, ids) -> tuple[np.ndarray, np.ndarray]:
 
 # Per trained kind: (model, propagation, batch) -> (per-triplet losses,
 # batch-mean gradients of model.trainable()).  A batch is an iterable of
-# (u, i_pos, i_neg, pos_inputs, neg_inputs), iterated once, so training can
-# build each triplet's subgraph inputs only when it is reached; the inputs
-# are None for kinds without a GCN.
+# (u, i_pos, i_neg, pos_graph, neg_graph), iterated once, so training can
+# extract and label each triplet's subgraphs only when it is reached; the
+# graphs are None for kinds without a GCN.
 _BATCH_GRADS = {"lgcf": _gcn_batch, "mf": _embedding_batch,
                 "lightgcn": _embedding_batch, "lgcf-emb": _gcn_batch}
 
@@ -730,13 +757,12 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     adam = init_adam(arrays, lr=tc.lr)
     prop = Propagation(train_graph, model.propagation_layers)
     batch_grads = _BATCH_GRADS[kind]
-    enc = LabelEncoding(tc.label_cap)
 
-    def inputs(u: int, i: int, epoch: int):
+    def labeled(u: int, i: int, epoch: int):
         if model.gnn is None:
             return None
-        return lgcf_inputs(train_graph, u, i, tc.walk,
-                           seed_stream(tc.master_seed, WALK, u, i, epoch), enc)
+        return label_graph(extract(train_graph, u, i, tc.walk,
+                                   seed_stream(tc.master_seed, WALK, u, i, epoch)))
 
     history: list[EpochRecord] = []
     best_metric = -np.inf
@@ -749,7 +775,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         t0 = time.perf_counter()
         losses = []
         for triplets in _triplet_batches(train_graph, edges, tc, epoch):
-            batch = ((u, i, j, inputs(u, i, epoch), inputs(u, j, epoch))
+            batch = ((u, i, j, labeled(u, i, epoch), labeled(u, j, epoch))
                      for u, i, j in triplets)
             batch_losses, grads = batch_grads(model, prop, batch)
             losses += batch_losses
@@ -886,8 +912,9 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
 
     Builds small random bipartite graphs, extracts real localized graphs for
     random triplets, and checks every trainable coordinate of the batch
-    gradients that training steps with, on one-triplet batches; reports the
-    worst relative error over all instances.
+    gradients that training steps with, on one-triplet batches, against
+    the loss of _gcn_batch's forward half over inputs built once per
+    instance; reports the worst relative error over all instances.
     """
     if kind not in ("lgcf", "lgcf-emb"):
         raise DomainError(f"gradcheck supports lgcf and lgcf-emb, got {kind!r}")
@@ -899,7 +926,6 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
     n = m = 6
     cfg = WalkConfig(restart_prob=0.2, walk_len=12, max_nodes=12)
     enc = LabelEncoding(16)
-    batch_grads = _BATCH_GRADS[kind]
     worst = 0.0
     checked = 0
     for _ in range(instances):
@@ -911,17 +937,28 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
         u = int(rng.integers(n))
         i_pos = n + int(rng.integers(m))
         i_neg = n + int(rng.integers(m))
-        batch = [(u, i_pos, i_neg, lgcf_inputs(graph, u, i_pos, cfg, rng, enc),
-                  lgcf_inputs(graph, u, i_neg, cfg, rng, enc))]
+        batch = [(u, i_pos, i_neg,
+                  *(label_graph(extract(graph, u, i, cfg, rng)) for i in (i_pos, i_neg)))]
         model = TrainedModel(kind, cfg, enc.label_cap, 2, seed,
                              gnn=init_gnn_params(enc.label_cap, 8, 3, rng))
         if kind == "lgcf-emb":
             model.tables = init_embeddings(n, m, 4, rng)
             model.w_joint = glorot_uniform(rng, 4 + 8, 1).ravel()
+        head = model.gnn.scoring if model.w_joint is None else model.w_joint
         prop = Propagation(graph, model.propagation_layers)
-        _, analytic = batch_grads(model, prop, batch)
-        report = grad_check(lambda: batch_grads(model, prop, batch)[0][0],
-                            model.trainable(), analytic, tolerance=tolerance)
+        _, analytic = _gcn_batch(model, prop, batch)
+        # The triplet's ids as _gcn_batch's lgcf-emb rows; lgcf reads none.
+        rows, local = _batch_rows(prop.num_nodes, [batch[0][:3]])
+        (users, items, stacks), = _gcn_chunks([(*local[0].tolist(), *batch[0][3:])], enc)
+
+        def loss_fn():
+            refined = None
+            if model.tables is not None:
+                refined = prop.apply(model.tables.matrix, out_rows=rows)
+            s = _gcn_scores(model.gnn, head, refined, users, items, stacks)[1]
+            return softplus(-(s[0] - s[1]).item())
+
+        report = grad_check(loss_fn, model.trainable(), analytic, tolerance=tolerance)
         worst = max(worst, report.max_rel_err)
         checked += report.num_checked
     return GradCheckReport(worst, checked, tolerance, worst < tolerance)

@@ -7,6 +7,7 @@ linear.  The pooled sum of final node representations, after an optional
 per-pair prefix vector, is scored through a sigmoid dot product with a head.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,26 +106,36 @@ def init_gnn_params(feature_dim: int, hidden_dim: int, num_layers: int,
     return GnnParameters(weights, scoring, activation)
 
 
+@functools.lru_cache(maxsize=64)
+def _self_loops(k: int) -> np.ndarray:
+    """The read-only (k, k) identity; one per node count, for the 64 most
+    recently normalized counts."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     """Symmetric degree-normalized adjacency with self loops.
 
     Returns D~^(-1/2) (A + I) D~^(-1/2) where D~ are the degrees of A + I.
-    Requires a square symmetric 0/1 matrix with zero diagonal.
+    Requires a square symmetric 0/1 matrix with zero diagonal: (k, k) for
+    one graph, or (n, k, k) for a stack of n graphs of k nodes, whose
+    slices each get the checks and the bytes of their own call.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DomainError("adjacency must be square")
-    if a.diagonal().any():
+    if a.diagonal(0, -2, -1).any():
         raise DomainError("adjacency must have a zero diagonal")
-    if (a != a.T).any():
+    if (a != a.mT).any():
         raise DomainError("adjacency must be symmetric")
-    # a + 0.0 turns a -0.0 entry into the +0.0 that a + I gives; a copy
-    # would keep it.
-    a_tilde = a + 0.0
-    a_tilde.flat[::a.shape[0] + 1] = 1.0
-    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    a_tilde *= inv_sqrt[:, None]
+    # a + I turns a -0.0 entry into +0.0, and the degrees are sums of 0/1
+    # entries, so exact in any order.
+    a_tilde = a + _self_loops(a.shape[-1])
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduce(a_tilde, axis=-1, keepdims=True))
     a_tilde *= inv_sqrt
+    a_tilde *= inv_sqrt.mT
     return a_tilde
 
 

@@ -408,37 +408,50 @@ class TestTrainBasics:
 
         def checked(fn, name):
             def call(graph, u, *rest):
-                ids = (u, *rest[:1]) if name == "lgcf_inputs" else (u,)
+                ids = (u, *rest[:1]) if name == "extract" else (u,)
                 assert all(type(x) is int for x in ids), (name, ids)
                 seen[name] += 1
                 return fn(graph, u, *rest)
             return call
 
-        for name in ("lgcf_inputs", "sample_negative"):
+        for name in ("extract", "sample_negative"):
             monkeypatch.setattr(models, name, checked(getattr(models, name), name))
         g, split = star_split()
         train("lgcf-ens", g, split, tiny_tc(epochs=1, lambda_mode=lambda_mode))
-        assert seen["lgcf_inputs"] > 0 and seen["sample_negative"] > 0
+        assert seen["extract"] > 0 and seen["sample_negative"] > 0
 
     @pytest.mark.parametrize("batch_size", [5, 20])
     def test_one_gcn_forward_per_chunk_and_node_count(self, monkeypatch, batch_size):
-        """An lgcf epoch runs the GCN as one stack per node count in each
+        """An lgcf epoch builds the one-hot features and the normalized
+        adjacency, and runs the GCN, as one stack per node count in each
         chunk of GCN_CHUNK triplets, not once per graph."""
         import lgcf.models as models
-        sizes, stacks = [], []
-        lgcf_inputs, gcn_forward = models.lgcf_inputs, models.gcn_forward
+        sizes, stacks, normalized, encoded = [], [], [], []
+        extract, gcn_forward = models.extract, models.gcn_forward
+        normalize_adjacency = models.normalize_adjacency
+        one_hot_features = models.one_hot_features
 
-        def inputs(*args):
-            x0, a_norm = lgcf_inputs(*args)
-            sizes.append(x0.shape[0])
-            return x0, a_norm
+        def extracted(*args):
+            lg = extract(*args)
+            sizes.append(lg.num_nodes)
+            return lg
 
         def forward(x0, a_norm, params):
             stacks.append(x0.shape[:-1])
             return gcn_forward(x0, a_norm, params)
 
-        monkeypatch.setattr(models, "lgcf_inputs", inputs)
+        def normalize(a):
+            normalized.append(a.shape[:-1])
+            return normalize_adjacency(a)
+
+        def one_hot(labels, enc):
+            encoded.append(labels.size)
+            return one_hot_features(labels, enc)
+
+        monkeypatch.setattr(models, "extract", extracted)
         monkeypatch.setattr(models, "gcn_forward", forward)
+        monkeypatch.setattr(models, "normalize_adjacency", normalize)
+        monkeypatch.setattr(models, "one_hot_features", one_hot)
         g = make_synthetic(20, 20, 0.3, 0.05, 3)
         split = normal_split(g, 0.8, 3)
         tc = tiny_tc(epochs=1, batch_size=batch_size, negatives_per_positive=2,
@@ -456,6 +469,9 @@ class TestTrainBasics:
         assert all(len(shape) == 2 for shape in stacks)  # always a stack
         assert sum(n for n, _ in stacks) == len(sizes)
         assert len(stacks) == groups < len(sizes) / 2
+        # each stack's inputs come from one call each, built for that stack
+        assert normalized == stacks
+        assert encoded == [n * k for n, k in stacks]
 
     def test_single_edge_descent(self):
         """One Adam step on one pair lowers the one-pair BPR objective."""

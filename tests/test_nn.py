@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from lgcf import (AdamState, DomainError, EmbeddingTable, GnnParameters,
-                  Propagation, TrainedModel, WalkConfig, adam_step, bpr_loss,
-                  build_graph, forward_instance, gcn_backward, gcn_forward,
-                  grad_check, init_adam, init_gnn_params, normalize_adjacency,
+                  LabelEncoding, LocalizedGraph, Propagation, TrainedModel,
+                  WalkConfig, adam_step, bpr_loss, build_graph, forward_instance,
+                  gcn_backward, gcn_forward, grad_check, init_adam,
+                  init_gnn_params, normalize_adjacency, one_hot_features,
                   seed_stream, sigmoid, softplus, sum_pool)
 from lgcf.models import _gcn_batch
 from lgcf.nn import glorot_uniform, params_from_dict, params_to_dict
@@ -25,24 +26,42 @@ def naive_matmul(a, b):
     return out
 
 
-def random_instance(rng, k=None, feat=6, hidden=4, layers=3, activation="relu"):
+def labeled(adj, labels):
+    """A LocalizedGraph over adjacency adj with the given labels."""
+    k = len(labels)
+    return LocalizedGraph(np.arange(k), adj, np.asarray(labels), (0, 1), True)
+
+
+def random_graph(rng, k=None, feat=6, hidden=4, layers=3, activation="relu"):
+    """A labeled graph of k nodes (1-8 if None) with random edges and
+    labels below feat, and parameters for it."""
     k = k or int(rng.integers(1, 9))
     adj = np.zeros((k, k))
     for a in range(k):
         for b in range(a + 1, k):
             if rng.random() < 0.4:
                 adj[a, b] = adj[b, a] = 1.0
-    x = np.zeros((k, feat))
-    x[np.arange(k), rng.integers(0, feat, size=k)] = 1.0
-    params = init_gnn_params(feat, hidden, layers, rng, activation=activation)
-    return x, normalize_adjacency(adj), params
+    lg = labeled(adj, rng.integers(0, feat, size=k))
+    return lg, init_gnn_params(feat, hidden, layers, rng, activation=activation)
+
+
+def inputs(lg, params):
+    """One graph's network inputs: one-hot labels, normalized adjacency."""
+    return (one_hot_features(lg.labels, LabelEncoding(params.feature_dim)),
+            normalize_adjacency(lg.adjacency))
+
+
+def random_instance(rng, **kwargs):
+    lg, params = random_graph(rng, **kwargs)
+    return *inputs(lg, params), params
 
 
 def bpr_step(params, pos, neg, head=None, tables=None):
-    """Loss and gradients of one triplet (user 0, items 1 and 2) through
-    training's batch step: lgcf, or with tables and head lgcf-emb with the
-    prefix r_u * r_i of unpropagated rows.  The gradients are the layers',
-    the head's, then with tables the user and item tables'."""
+    """Loss and gradients of one triplet (user 0, items 1 and 2), its
+    labeled graphs pos and neg, through training's batch step: lgcf, or
+    with tables and head lgcf-emb with the prefix r_u * r_i of unpropagated
+    rows.  The gradients are the layers', the head's, then with tables the
+    user and item tables'."""
     kind = "lgcf" if tables is None else "lgcf-emb"
     model = TrainedModel(kind, WalkConfig(), params.feature_dim, 0, 0, gnn=params,
                          tables=tables, w_joint=head)
@@ -193,13 +212,14 @@ class TestBackward:
         assert all(not g.any() for g in grads)
 
     def test_single_parameter_net_hand_derivative(self):
-        """d/dw of -ln(sig(sig(x w) - sig(x' w))) on 1-node graphs."""
-        w_val, x_val, xn_val = 0.7, 1.3, -0.4
-        params = GnnParameters([np.array([[1.0]])], np.array([w_val]))
-        a = np.array([[1.0]])
-        pos = (np.array([[x_val]]), a)
-        neg = (np.array([[xn_val]]), a)
-        loss, grads = bpr_step(params, pos, neg)
+        """d/dw of -ln(sig(sig(x w) - sig(x' w))) on edgeless 2-node
+        graphs (A_norm = I), one label per graph: with W0 = [[v], [v']],
+        the pooled x is 2 v and x' is 2 v'."""
+        w_val, v_val, vn_val = 0.7, 0.65, -0.2
+        x_val, xn_val = 2 * v_val, 2 * vn_val
+        params = GnnParameters([np.array([[v_val], [vn_val]])], np.array([w_val]))
+        a = np.zeros((2, 2))
+        loss, grads = bpr_step(params, labeled(a, [0, 0]), labeled(a, [1, 1]))
         s_pos = sigmoid(x_val * w_val)
         s_neg = sigmoid(xn_val * w_val)
         z = s_pos - s_neg
@@ -207,9 +227,11 @@ class TestBackward:
         dz = sigmoid(z) - 1.0
         want_dw = dz * (s_pos * (1 - s_pos) * x_val - s_neg * (1 - s_neg) * xn_val)
         assert grads[1][0] == pytest.approx(want_dw, rel=1e-12)
-        want_dW0 = dz * (s_pos * (1 - s_pos) * w_val * x_val
-                         - s_neg * (1 - s_neg) * w_val * xn_val)
-        assert grads[0][0, 0] == pytest.approx(want_dW0, rel=1e-12)
+        # dx/dv = dx'/dv' = 2, one row of W0 per graph
+        want_dv = dz * s_pos * (1 - s_pos) * w_val * 2
+        want_dvn = -dz * s_neg * (1 - s_neg) * w_val * 2
+        assert grads[0][0, 0] == pytest.approx(want_dv, rel=1e-12)
+        assert grads[0][1, 0] == pytest.approx(want_dvn, rel=1e-12)
 
     def test_matches_central_differences(self):
         """Trials 0-4 score through params.scoring with no prefix; trial 5
@@ -219,19 +241,19 @@ class TestBackward:
         rng = np.random.default_rng(48)
         for trial in range(6):
             act = "relu" if trial % 2 else "tanh"
-            x_pos, a_pos, params = random_instance(rng, activation=act)
-            x_neg, a_neg, _ = random_instance(
+            pos, params = random_graph(rng, activation=act)
+            neg, _ = random_graph(
                 rng, feat=params.feature_dim, hidden=params.hidden_dim,
                 layers=params.num_layers, activation=act)
+            (x_pos, a_pos), (x_neg, a_neg) = inputs(pos, params), inputs(neg, params)
             if trial < 5:
-                _, analytic = bpr_step(params, (x_pos, a_pos), (x_neg, a_neg))
+                _, analytic = bpr_step(params, pos, neg)
                 head = tables = None
                 arrays = params.arrays()
             else:
                 head = glorot_uniform(rng, 3 + params.hidden_dim, 1).ravel()
                 tables = EmbeddingTable(rng.normal(size=(1, 3)), rng.normal(size=(2, 3)))
-                _, analytic = bpr_step(params, (x_pos, a_pos), (x_neg, a_neg),
-                                       head, tables)
+                _, analytic = bpr_step(params, pos, neg, head, tables)
                 arrays = [*params.weights, head, tables.user_matrix,
                           tables.item_matrix]
 

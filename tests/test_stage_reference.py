@@ -7,19 +7,18 @@ an always-concatenated prefix and `default_rng`.  The fast forms must give
 the same bytes on the benchmark's walks over the criterion-9 graph and on
 hand-made edge cases.  The backward pass keeps `@`; its reference guards
 those products.  Training's stacked BPR step is checked against the
-per-triplet loop it replaced, and a stacked GCN call slice by slice
-against one call per graph.
+per-triplet loop it replaced, and stacked one-hot, normalization and GCN
+calls slice by slice against one call per graph.
 """
 
 import numpy as np
 import pytest
 
 from lgcf import (DomainError, LabelEncoding, Propagation, TrainConfig,
-                  WalkConfig, build_graph, drnl_label, forward_instance,
-                  init_gnn_params, induce_subgraph, label_graph, lgcf_inputs,
-                  make_synthetic, normal_split, normalize_adjacency,
-                  one_hot_features, rwr_trace, seed_stream, sigmoid, softplus,
-                  union_nodes)
+                  WalkConfig, build_graph, drnl_label, extract, forward_instance,
+                  init_gnn_params, induce_subgraph, label_graph, make_synthetic,
+                  normal_split, normalize_adjacency, one_hot_features, rwr_trace,
+                  seed_stream, sigmoid, softplus, union_nodes)
 from lgcf.labeling import _bfs
 from lgcf.models import _batch_rows, _gcn_batch, _init_model, _triplet_batches
 from lgcf.nn import NO_PREFIX, _activate, gcn_backward, gcn_forward
@@ -163,8 +162,10 @@ def ref_bpr_pair_grads(params, pos, neg, head, prefixes):
 
 
 def ref_gcn_batch(model, prop, batch):
-    """models._gcn_batch as the per-triplet loop it was."""
+    """models._gcn_batch as the per-triplet loop it was, one one-hot and
+    one normalization per labeled graph."""
     gnn, tables = model.gnn, model.tables
+    enc = LabelEncoding(gnn.feature_dim)
     head = gnn.scoring if model.w_joint is None else model.w_joint
     refined = d_refined = None
     if tables is not None:
@@ -174,11 +175,12 @@ def ref_gcn_batch(model, prop, batch):
         d_refined = np.zeros_like(refined)
     grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
     losses = []
-    for u, i_pos, i_neg, pos_inputs, neg_inputs in batch:
+    for u, i_pos, i_neg, *graphs in batch:
         prefixes = [NO_PREFIX if refined is None else refined[u] * refined[i]
                     for i in (i_pos, i_neg)]
-        loss, pair, d_prefixes = ref_bpr_pair_grads(gnn, pos_inputs, neg_inputs,
-                                                    head, prefixes)
+        pos, neg = [(one_hot_features(lg.labels, enc), normalize_adjacency(lg.adjacency))
+                    for lg in graphs]
+        loss, pair, d_prefixes = ref_bpr_pair_grads(gnn, pos, neg, head, prefixes)
         losses.append(loss)
         for acc, g in zip(grads, pair):
             acc += g
@@ -276,15 +278,14 @@ def test_gcn_batch_is_the_triplet_loop(criterion_9_graph, kind, activation,
                      label_cap=32, embed_dim=16, activation=activation)
     model = _init_model(kind, g, tc)
     prop = Propagation(g, model.propagation_layers)
-    enc = LabelEncoding(tc.label_cap)
     epoch = 1
     sizes = set()
     for _, triplets in zip(range(BATCHES_READ[batch_size]),
                            _triplet_batches(g, g.edges(), tc, epoch)):
-        batch = [(u, i, j, *(lgcf_inputs(g, u, x, WALK, seed_stream(
-                     42, WALK_STREAM, u, x, epoch), enc) for x in (i, j)))
+        batch = [(u, i, j, *(label_graph(extract(g, u, x, WALK, seed_stream(
+                     42, WALK_STREAM, u, x, epoch))) for x in (i, j)))
                  for u, i, j in triplets]
-        sizes.update(x0.shape[0] for t in batch for x0, _ in t[3:])
+        sizes.update(lg.num_nodes for t in batch for lg in t[3:])
         want_losses, want = ref_gcn_batch(model, prop, batch)
         got_losses, got = _gcn_batch(model, prop, iter(batch))
         assert same_bytes(got_losses, want_losses)
@@ -323,6 +324,50 @@ def test_stacked_gcn_slices_are_the_2d_calls(activation):
                     one_grads = gcn_backward(
                         one, params, np.broadcast_to(d_pooled[t], (k, hidden)))
                     assert all(same_bytes(a[t], b) for a, b in zip(grads, one_grads))
+
+
+def test_stacked_inputs_slices_are_the_2d_calls():
+    """Each slice of a stacked normalization, and of the one-hot of a
+    stack's labels laid end to end and reshaped, as training builds them,
+    has the bytes of the call on that graph alone.  -0.0 entries come out
+    as +0.0 in both, and a stack stored with its graphs innermost in
+    memory gives the same bytes."""
+    rng = np.random.default_rng(9)
+    enc = LabelEncoding(8)
+    for k in (2, 3, 11, 20):
+        for n in (1, 4):
+            a = np.triu((rng.random((n, k, k)) < 0.4).astype(np.float64), 1)
+            a = a + a.mT
+            neg = np.triu((a == 0) & (rng.random((n, k, k)) < 0.5), 1)
+            a[neg | neg.mT] = -0.0
+            a[:, 0, 0] = -0.0  # a zero diagonal may hold -0.0 too
+            labels = rng.integers(0, 12, (n, k))
+            x0 = one_hot_features(labels.ravel(), enc).reshape(n, k, enc.label_cap)
+            for stack in (a, np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)):
+                a_norm = normalize_adjacency(stack)
+                assert a_norm.shape == (n, k, k) and not np.signbit(a_norm).any()
+                for t in range(n):
+                    assert same_bytes(a_norm[t], normalize_adjacency(a[t]))
+                    assert same_bytes(a_norm[t], ref_normalize(a[t]))
+            for t in range(n):
+                assert same_bytes(x0[t], one_hot_features(labels[t], enc))
+                assert same_bytes(x0[t], ref_one_hot(labels[t], enc.label_cap))
+
+
+def test_stacked_normalization_checks_every_slice():
+    a = np.zeros((3, 4, 4))
+    a[:, 0, 1] = a[:, 1, 0] = 1.0
+    asym = a.copy()
+    asym[2, 2, 3] = 1.0
+    loop = a.copy()
+    loop[1, 3, 3] = 1.0
+    for bad, message in ((asym, "adjacency must be symmetric"),
+                         (loop, "adjacency must have a zero diagonal"),
+                         (np.zeros((3, 4, 5)), "adjacency must be square"),
+                         (np.zeros((2, 3, 4, 4)), "adjacency must be square")):
+        with pytest.raises(DomainError, match=message):
+            normalize_adjacency(bad)
+    assert same_bytes(normalize_adjacency(a)[1], normalize_adjacency(a[1]))
 
 
 def test_stack_shapes_must_agree():

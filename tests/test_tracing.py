@@ -9,8 +9,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from lgcf import (EvalProtocol, TrainConfig, WalkConfig, build_graph, evaluate,
-                  make_synthetic, normal_split, train)
+                  extract, label_graph, make_synthetic, normal_split, seed_stream,
+                  train)
+from lgcf.models import _triplet_batches
+from lgcf.rng import WALK
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -76,3 +81,30 @@ def test_lgcf_train_and_eval_pass_every_stage_boundary():
     assert not [name for name in EVAL_SPANS if name not in fired[2]]
     # training scored no validation pair, so its own path fired its stages
     assert "models.score" not in fired[1]
+
+
+def test_lgcf_epoch_counters_match_its_labeled_graphs():
+    """Training stacks its one-hot calls; the traced subgraph and label
+    counters still equal the counts over the epoch's labeled graphs, each
+    built again from its (seed, WALK, u, i, epoch) stream."""
+    tracing = load_tracing()
+    g = make_synthetic(10, 10, 0.5, 0.05, 1)
+    split = normal_split(g, 0.75, 2)
+    tc = TrainConfig(epochs=1, batch_size=16, master_seed=3,
+                     walk=WalkConfig(0.2, 8, 10, True), gcn_layers=2,
+                     hidden_dim=4, label_cap=4, val_negatives=10,
+                     eval_every=2)  # no validation pass inside training
+    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    tracer = tracing.Tracer()
+    tracer.run(1, lambda: train("lgcf", g, split, tc))
+    labels = [label_graph(extract(train_graph, u, x, tc.walk,
+                                  seed_stream(3, WALK, u, x, 1))).labels
+              for triplets in _triplet_batches(train_graph,
+                                               split.train_edges.tolist(), tc, 1)
+              for u, i, j in triplets for x in (i, j)]
+    flat = np.concatenate(labels)
+    want = {"subgraphs": len(labels), "labels": flat.size,
+            "unreachable": np.count_nonzero(flat == 0), "encoded": flat.size,
+            "clamped": np.count_nonzero(flat >= tc.label_cap)}
+    assert want["unreachable"] and want["clamped"]
+    assert {key: tracer.counters["pass"][key] for key in want} == want
