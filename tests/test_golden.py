@@ -3,9 +3,10 @@
 Each case runs train -> eval through lgcf.cli.main on one small synthetic
 graph and compares the sha256 of checkpoint.json, report.json and
 history.jsonl (with the timing field wall_ms dropped) against recorded
-values.  The sparse-graph cases pin one epoch of lightgcn and lgcf-emb
-training through the library (checkpoint with Adam state, and history) on a
-graph where a mini-batch touches few rows.  A change that alters a random
+values.  Two cases pin the bytes of 300 lgcf and lgcf-emb scores at the
+benchmark's walks.  The sparse-graph cases pin one epoch of lightgcn and
+lgcf-emb training through the library (checkpoint with Adam state, and
+history) on a graph where a mini-batch touches few rows.  A change that alters a random
 stream or an order of floating-point operations on purpose updates the
 digests here and says why in CHANGES.md; any other digest change is a
 behaviour change.
@@ -18,11 +19,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from lgcf import (TrainConfig, TrainedModel, WalkConfig, build_graph,
-                  init_gnn_params, make_synthetic, normal_split, save_model,
-                  seed_stream, train)
+from lgcf import (EmbeddingTable, TrainConfig, TrainedModel, WalkConfig,
+                  build_graph, init_gnn_params, make_synthetic, normal_split,
+                  save_model, seed_stream, train)
 from lgcf.cli import main
 from lgcf.models import _triplet_batches
+from lgcf.nn import glorot_uniform
 from lgcf.rng import PARAM_INIT
 
 TRAIN_ARGS = ("--epochs", "2", "--batch-size", "16", "--seed", "3",
@@ -99,37 +101,71 @@ def test_artifact_digests(data, tmp_path, case):
     assert got == want
 
 
-# sha256 prefix of the float64 bytes of 300 LgcfScorer scores at the
-# benchmark's walk settings, where most subgraphs are truncated at max_nodes.
+# sha256 prefixes of the float64 bytes of 300 LgcfScorer scores at the
+# benchmark's walk settings, where most subgraphs are truncated at max_nodes:
+# an lgcf model (no prefix, the GCN's scoring vector) and an lgcf-emb model
+# (the prefix r_u * r_i and the w_joint head).
 EVAL_SCORES = "3c8883320ff64b6b"
+EVAL_SCORES_EMB = "fa4ed50ab94c7c28"
+BENCHMARK_WALK = WalkConfig(0.15, 20, 20, True)
 
 
-def test_eval_scores_at_benchmark_walks():
-    """Per-pair extraction, labeling and scoring, pinned without training.
-
-    The CLI cases above walk 8 steps into at most 10 nodes, where
-    truncation is rare; this case uses the benchmark's 0.15/20/20 walks on
-    the criterion-9 graph.  Half the pairs are training edges, so the
-    target-edge removal is exercised, and half are fixed random pairs.
-    """
+@pytest.fixture(scope="module")
+def benchmark_pairs():
+    """The criterion-9 training graph and 300 pairs: half of them training
+    edges, so the target-edge removal is exercised, half fixed random pairs."""
     g = make_synthetic(100, 100, 0.05, 0.005, 42)
     split = normal_split(g, 0.9, 42)
     train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
-    model = TrainedModel(
-        kind="lgcf", walk=WalkConfig(0.15, 20, 20, True), label_cap=32,
-        lightgcn_layers=3, master_seed=42,
-        gnn=init_gnn_params(32, 32, 3, seed_stream(42, PARAM_INIT)))
-    scorer = model.make_scorer(train_graph)
     rng = np.random.default_rng(2021)
     users = rng.integers(0, g.num_users, 150)
     items = g.num_users + rng.integers(0, g.num_items, 150)
     pairs = list(split.train_edges[::6][:150]) + list(zip(users, items))
     assert len(pairs) == 300
-    scores = np.array([scorer.score(int(u), int(i)) for u, i in pairs],
-                      dtype=np.float64)
-    got = sha(scores.tobytes())
+    return train_graph, [(int(u), int(i)) for u, i in pairs]
+
+
+def scores_of(model, train_graph, pairs) -> np.ndarray:
+    scorer = model.make_scorer(train_graph)
+    return np.array([scorer.score(u, i) for u, i in pairs], dtype=np.float64)
+
+
+def test_eval_scores_at_benchmark_walks(benchmark_pairs):
+    """Per-pair extraction, labeling and scoring, pinned without training.
+
+    The CLI cases above walk 8 steps into at most 10 nodes, where
+    truncation is rare; this case uses the benchmark's 0.15/20/20 walks on
+    the criterion-9 graph.
+    """
+    train_graph, pairs = benchmark_pairs
+    model = TrainedModel(
+        kind="lgcf", walk=BENCHMARK_WALK, label_cap=32,
+        lightgcn_layers=3, master_seed=42,
+        gnn=init_gnn_params(32, 32, 3, seed_stream(42, PARAM_INIT)))
+    got = sha(scores_of(model, train_graph, pairs).tobytes())
     print(f"golden eval scores: {got}")
     assert got == EVAL_SCORES
+
+
+def test_lgcf_emb_eval_scores_at_benchmark_walks(benchmark_pairs):
+    """The same pairs scored with the prefix r_u * r_i of propagated tables
+    and the w_joint head, all drawn from one fixed stream.  The prefix moves
+    every score, so the digest pins its bytes too."""
+    train_graph, pairs = benchmark_pairs
+    rng = seed_stream(42, PARAM_INIT)
+    gnn = init_gnn_params(32, 32, 3, rng)
+    n, m = train_graph.num_users, train_graph.num_items
+    tables = EmbeddingTable(rng.normal(size=(n, 16)), rng.normal(size=(m, 16)))
+    w_joint = glorot_uniform(rng, 16 + 32, 1).ravel()
+    model = TrainedModel(kind="lgcf-emb", walk=BENCHMARK_WALK, label_cap=32,
+                         lightgcn_layers=3, master_seed=42, gnn=gnn,
+                         tables=tables, w_joint=w_joint)
+    scores = scores_of(model, train_graph, pairs)
+    model.w_joint = np.concatenate([np.zeros(16), w_joint[16:]])
+    assert (scores_of(model, train_graph, pairs) != scores).all()
+    got = sha(scores.tobytes())
+    print(f"golden lgcf-emb eval scores: {got}")
+    assert got == EVAL_SCORES_EMB
 
 
 # Sparse-graph training, pinned through the library: one epoch of 8-triplet
