@@ -13,13 +13,11 @@ from .labeling import (UNREACHABLE, LabelEncoding, drnl_label, label_graph,
                        min_distances, one_hot_features)
 from .models import (MODEL_KINDS, EmbeddingTable, EpochRecord, Propagation,
                      TrainConfig, TrainedModel, TrainResult, init_embeddings,
-                     lgcf_inputs, load_model, param_count, run_gradcheck,
+                     lgcf_logits, load_model, param_count, run_gradcheck,
                      sample_negative, save_model, sparsity_sweep, train)
-from .nn import (AdamState, GnnParameters, GradCheckReport,
-                 adam_step, bpr_loss, forward_instance,
+from .nn import (AdamState, GnnParameters, GradCheckReport, adam_step, bpr_loss,
                  gcn_backward, gcn_forward, grad_check, init_adam,
-                 init_gnn_params, normalize_adjacency, sigmoid, softplus,
-                 sum_pool)
+                 init_gnn_params, normalize_adjacency, sigmoid, softplus)
 from .subgraph import (LocalizedGraph, WalkConfig, dump_localized_graph,
                        extract, induce_subgraph, parse_localized_graph,
                        rwr_trace, union_nodes)

@@ -23,9 +23,8 @@ from .evaluation import EvalProtocol, EvalReport, _pair_results, _report, evalua
 from .graph import (BipartiteGraph, SplitSpec, _number, build_graph,
                     check_split_fits, read_json, write_json)
 from .labeling import LabelEncoding, label_graph, one_hot_features
-from .nn import (ACTIVATIONS, NO_PREFIX, AdamState, GnnParameters,
-                 GradCheckReport, adam_step, adam_to_dict, float_array,
-                 forward_instance, gcn_backward, gcn_forward, glorot_uniform,
+from .nn import (ACTIVATIONS, AdamState, GnnParameters, GradCheckReport, adam_step,
+                 adam_to_dict, float_array, gcn_backward, gcn_forward, glorot_uniform,
                  grad_check, init_adam, init_gnn_params, normalize_adjacency,
                  params_from_dict, params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
@@ -214,18 +213,6 @@ class Propagation:
         return hops
 
 
-def lgcf_inputs(graph: BipartiteGraph, u: int, i: int, cfg: WalkConfig,
-                rng: np.random.Generator, enc: LabelEncoding):
-    """Network inputs for one pair: one-hot labels and normalized adjacency."""
-    lg = label_graph(extract(graph, u, i, cfg, rng))
-    return one_hot_features(lg.labels, enc), normalize_adjacency(lg.adjacency)
-
-
-def _prefix(refined: np.ndarray | None, u: int, i: int) -> np.ndarray:
-    """The GCN prefix of the pair: r_u * r_i over refined rows, or empty."""
-    return NO_PREFIX if refined is None else refined[u] * refined[i]
-
-
 def sample_negative(graph: BipartiteGraph, u: int,
                     rng: np.random.Generator) -> int:
     """Uniform item with no train edge to u; rejection first, then a scan."""
@@ -354,6 +341,12 @@ class TrainedModel:
     lam: float | None = None
 
     @property
+    def head(self) -> np.ndarray:
+        """The vector lgcf_logits scores through: w_joint for lgcf-emb, the
+        GCN's own scoring vector otherwise."""
+        return self.gnn.scoring if self.w_joint is None else self.w_joint
+
+    @property
     def propagation_layers(self) -> int:
         """Propagation depth applied to the tables (mf is the zero-layer case)."""
         return 0 if self.kind in ("lgcf", "mf") else self.lightgcn_layers
@@ -366,9 +359,7 @@ class TrainedModel:
         """
         arrays = []
         if self.gnn is not None:
-            arrays += self.gnn.weights if self.w_joint is not None else self.gnn.arrays()
-        if self.w_joint is not None:
-            arrays.append(self.w_joint)
+            arrays += [*self.gnn.weights, self.head]
         if self.tables is not None:
             arrays += [self.tables.user_matrix, self.tables.item_matrix]
         return arrays
@@ -498,10 +489,26 @@ def load_model(path) -> TrainedModel:
     return TrainedModel.from_dict(read_json(path))
 
 
+def lgcf_logits(gnn: GnnParameters, head: np.ndarray, x0: np.ndarray,
+                a_norm: np.ndarray, prefix: np.ndarray | None = None):
+    """(features, logit, GCN cache) of head . [prefix || summed node states
+    of GCN(x0, a_norm)] for one graph, x0 (k, F), or a same-size stack,
+    (n, k, F); lgcf-emb's prefix r_u * r_i has one row per graph.  A stack
+    gets one np.dot logit per graph: a stacked product rounds differently.
+    """
+    x_last, cache = gcn_forward(x0, a_norm, gnn)
+    features = x_last.sum(axis=-2)
+    if prefix is not None:
+        features = np.concatenate([prefix, features], axis=-1)
+    if features.ndim == 1:
+        return features, float(np.dot(features, head)), cache
+    return features, np.array([np.dot(f, head) for f in features]), cache
+
+
 class LgcfScorer:
-    """sigmoid(head . [prefix || sum_pool(GCN(G_ui))]), G_ui walked from the
-    stream (seed, EVAL_WALK, u, i).  lgcf-emb passes refined, the propagated
-    rows by global id, for the prefix r_u * r_i and scores through w_joint.
+    """sigmoid of lgcf_logits on G_ui, walked from the stream (seed,
+    EVAL_WALK, u, i).  lgcf-emb passes refined, the propagated rows by
+    global id, for the prefix r_u * r_i.
     """
 
     def __init__(self, graph: BipartiteGraph, model: "TrainedModel",
@@ -509,17 +516,19 @@ class LgcfScorer:
         self.graph = graph
         self.kind = model.kind
         self.params = model.gnn
-        self.head = model.w_joint
+        self.head = model.head
         self.refined = refined
         self.walk = model.walk
         self.seed = int(model.master_seed)
         self.enc = LabelEncoding(model.gnn.feature_dim)
 
     def score(self, u: int, i: int) -> float:
-        rng = seed_stream(self.seed, EVAL_WALK, u, i)
-        x0, a_norm = lgcf_inputs(self.graph, u, i, self.walk, rng, self.enc)
-        return forward_instance(x0, a_norm, self.params, self.head,
-                                _prefix(self.refined, u, i)).score_value
+        lg = label_graph(extract(self.graph, u, i, self.walk,
+                                 seed_stream(self.seed, EVAL_WALK, u, i)))
+        prefix = None if self.refined is None else self.refined[u] * self.refined[i]
+        return sigmoid(lgcf_logits(self.params, self.head,
+                                   one_hot_features(lg.labels, self.enc),
+                                   normalize_adjacency(lg.adjacency), prefix)[1])
 
 
 class DotScorer:
@@ -584,20 +593,15 @@ def _gcn_chunks(batch, enc: LabelEncoding):
 def _gcn_scores(gnn: GnnParameters, head: np.ndarray, refined: np.ndarray | None,
                 users: np.ndarray, items: np.ndarray, stacks):
     """The forward half of _gcn_batch for one chunk: each instance's
-    features (prefix r_u * r_i over refined's rows, then the pooled GCN
-    output), its sigmoid score, and each stack's (positions, cache).  Each
-    logit is its own np.dot: a stacked matrix-vector product rounds
-    differently."""
-    split = head.size - gnn.hidden_dim
+    features and sigmoid score, and each stack's (positions, cache)."""
     features = np.empty((users.size, head.size))
-    if refined is not None:
-        features[:, :split] = refined[users] * refined[items]
+    logits = np.empty(users.size)
     caches = []
     for idx, x0, a_norm in stacks:
-        x_last, cache = gcn_forward(x0, a_norm, gnn)
-        features[idx, split:] = x_last.sum(axis=1)
+        prefix = None if refined is None else refined[users[idx]] * refined[items[idx]]
+        features[idx], logits[idx], cache = lgcf_logits(gnn, head, x0, a_norm, prefix)
         caches.append((idx, cache))
-    return features, sigmoid(np.array([np.dot(f, head) for f in features])), caches
+    return features, sigmoid(logits), caches
 
 
 def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
@@ -611,8 +615,7 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
     per-pair order, and np.add.reduce over [acc, pair_0, ...] sums the
     pairs' gradients in triplet order, as acc += pair did.
     """
-    gnn, tables = model.gnn, model.tables
-    head = gnn.scoring if model.w_joint is None else model.w_joint
+    gnn, tables, head = model.gnn, model.tables, model.head
     split = head.size - gnn.hidden_dim
     refined = d_refined = None
     if tables is not None:
@@ -944,7 +947,6 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
         if kind == "lgcf-emb":
             model.tables = init_embeddings(n, m, 4, rng)
             model.w_joint = glorot_uniform(rng, 4 + 8, 1).ravel()
-        head = model.gnn.scoring if model.w_joint is None else model.w_joint
         prop = Propagation(graph, model.propagation_layers)
         _, analytic = _gcn_batch(model, prop, batch)
         # The triplet's ids as _gcn_batch's lgcf-emb rows; lgcf reads none.
@@ -955,7 +957,7 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
             refined = None
             if model.tables is not None:
                 refined = prop.apply(model.tables.matrix, out_rows=rows)
-            s = _gcn_scores(model.gnn, head, refined, users, items, stacks)[1]
+            s = _gcn_scores(model.gnn, model.head, refined, users, items, stacks)[1]
             return softplus(-(s[0] - s[1]).item())
 
         report = grad_check(loss_fn, model.trainable(), analytic, tolerance=tolerance)

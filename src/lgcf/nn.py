@@ -3,8 +3,8 @@
 Localized graphs are small (tens of nodes), so everything here is plain
 float64 numpy with hand-written analytic gradients.  Layer l computes
 Z_l = A_norm X_l W_l; hidden layers apply the activation, the final layer is
-linear.  The pooled sum of final node representations, after an optional
-per-pair prefix vector, is scored through a sigmoid dot product with a head.
+linear.  models.lgcf_logits pools the final node representations and scores
+them.
 """
 
 import functools
@@ -210,39 +210,9 @@ def gcn_backward(cache: GcnCache, params: GnnParameters,
     return grads
 
 
-def sum_pool(x: np.ndarray) -> np.ndarray:
-    """Sum node representations into one graph-level vector."""
-    return x.sum(axis=0)
-
-
 def bpr_loss(s_pos: float, s_neg: float) -> float:
     """-ln sigmoid(s_pos - s_neg), evaluated stably."""
     return softplus(-(s_pos - s_neg))
-
-
-NO_PREFIX = np.zeros(0)
-
-
-@dataclass
-class InstanceCache:
-    """Forward state of one scored localized graph."""
-
-    gcn: GcnCache
-    features: np.ndarray  # prefix || sum-pooled final node reps
-    score_value: float
-
-
-def forward_instance(x0: np.ndarray, a_norm: np.ndarray, params: GnnParameters,
-                     head: np.ndarray | None = None,
-                     prefix: np.ndarray = NO_PREFIX) -> InstanceCache:
-    """sigmoid(head . [prefix || sum_pool(GCN(x0, a_norm))]); head defaults
-    to params.scoring."""
-    x_last, cache = gcn_forward(x0, a_norm, params)
-    features = sum_pool(x_last)
-    if prefix.size:
-        features = np.concatenate([prefix, features])
-    logit = float(np.dot(features, params.scoring if head is None else head))
-    return InstanceCache(cache, features, float(sigmoid(logit)))
 
 
 @dataclass

@@ -6,6 +6,8 @@ many draws some other component happened to consume.  Purpose tags keep the
 streams of different components disjoint even under equal master seeds.
 """
 
+from operator import index
+
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
@@ -37,7 +39,10 @@ def seed_stream(*keys: int) -> np.random.Generator:
     """
     words = []
     for k in keys:
-        k = int(k)
+        try:
+            k = index(k)
+        except TypeError:
+            raise DomainError(f"seed keys must be integers, got {k!r}") from None
         if k < 0:
             raise DomainError(f"seed keys must be non-negative, got {k}")
         words.append(k & 0xFFFFFFFF)

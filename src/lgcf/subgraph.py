@@ -1,6 +1,7 @@
 """Localized graph extraction around a user-item pair via restart walks."""
 
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
     start is a node id of the graph.
     """
     adj = graph.adjacency_lists
-    start = int(start)
+    start = _node_id(start)
     if not 0 <= start < len(adj):
         raise DomainError(f"start node {start} is not in [0, {len(adj)})")
     walk_len = cfg.walk_len
@@ -106,9 +107,22 @@ def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
     return visited
 
 
+def _node_id(x) -> int:
+    """x as an int, numpy integers included; DomainError for a float or a str."""
+    try:
+        return index(x)
+    except TypeError:
+        raise DomainError(f"node id {x!r} is not an integer") from None
+
+
 def union_nodes(first, second) -> list[int]:
     """Order-preserving union: first-appearance order across both inputs."""
-    return list(dict.fromkeys(map(int, (*first, *second))))
+    try:
+        return list(dict.fromkeys(map(index, (*first, *second))))
+    except TypeError:
+        for x in (*first, *second):
+            _node_id(x)  # raises for the first id that is not an integer
+        raise
 
 
 def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
@@ -118,29 +132,38 @@ def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
 
     The target pair is forced to positions 0 and 1; any truncation to
     max_nodes drops from the tail of the visit order, never the targets.
-    DomainError for a target that is not a (user, item) pair, a node id
-    outside the graph and max_nodes < 2.
+    DomainError for a target that is not a (user, item) pair, an id that is
+    not an integer, a node id outside the graph, a kept node id given twice
+    and max_nodes < 2.
     """
     if max_nodes is not None and max_nodes < 2:
         raise DomainError(f"max_nodes must be >= 2, got {max_nodes}")
     total, n = graph.num_nodes, graph.num_users
-    u, i = int(target[0]), int(target[1])
+    u, i = _node_id(target[0]), _node_id(target[1])
     if not 0 <= u < n <= i < total:
         if not (0 <= u < total and 0 <= i < total):
             raise DomainError(f"target ({u}, {i}) has a node outside [0, {total})")
         raise DomainError(f"target ({u}, {i}) is not a (user, item) pair: "
                           f"users are [0, {n}), items [{n}, {total})")
     ordered = [u, i]
-    for x in nodes:
-        x = int(x)
-        if x != u and x != i:
-            if not 0 <= x < total:
-                raise DomainError(f"node {x} is not in [0, {total})")
-            ordered.append(x)
+    try:
+        for x in map(index, nodes):
+            if x != u and x != i:
+                if not 0 <= x < total:
+                    raise DomainError(f"node {x} is not in [0, {total})")
+                ordered.append(x)
+    except TypeError:
+        for x in nodes:
+            _node_id(x)  # raises for the first id that is not an integer
+        raise
     if max_nodes is not None:
         ordered = ordered[:max_nodes]
     k = len(ordered)
-    pos = dict(zip(ordered, range(k))).get
+    pos = dict(zip(ordered, range(k)))
+    if len(pos) < k:
+        dup = next(x for p, x in enumerate(ordered) if pos[x] != p)
+        raise DomainError(f"node {dup} is given twice")
+    pos = pos.get
     lists = graph.adjacency_lists
     # One pass over the neighbour lists gives both the in-subgraph neighbour
     # positions and the flat indices of the adjacency entries.

@@ -13,11 +13,11 @@ import pytest
 
 from lgcf import (DomainError, EvalProtocol, EvalReport, LabelEncoding,
                   MetricStats, SplitSpec, TrainConfig, TrainedModel, WalkConfig,
-                  build_graph, degree_probe, dump_cases, evaluate,
-                  forward_instance, hr_at_k, init_gnn_params, make_synthetic,
-                  metrics_csv, ndcg_at_k, normal_split, normalize_adjacency,
+                  build_graph, degree_probe, dump_cases, evaluate, hr_at_k,
+                  init_gnn_params, lgcf_logits, make_synthetic, metrics_csv,
+                  ndcg_at_k, normal_split, normalize_adjacency,
                   one_hot_features, parse_localized_graph, seed_stream,
-                  sparsity_levels, sparsity_sweep, train)
+                  sigmoid, sparsity_levels, sparsity_sweep, train)
 from lgcf import evaluation
 from lgcf.evaluation import _pair_results
 from lgcf.graph import write_json
@@ -548,9 +548,9 @@ class TestDumpCases:
         enc = LabelEncoding(model.label_cap)
         for row in rows:
             lg = parse_localized_graph((tmp_path / row["dump_file"]).read_text())
-            rescored = forward_instance(one_hot_features(lg.labels, enc),
-                                        normalize_adjacency(lg.adjacency),
-                                        model.gnn).score_value
+            rescored = sigmoid(lgcf_logits(model.gnn, model.head,
+                                           one_hot_features(lg.labels, enc),
+                                           normalize_adjacency(lg.adjacency))[1])
             assert rescored == row["score_a"], row
 
 

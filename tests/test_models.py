@@ -12,7 +12,7 @@ import pytest
 
 from lgcf import (DomainError, EmbeddingTable, LabelEncoding, ParseError,
                   SplitSpec, TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
-                  forward_instance, init_embeddings, label_graph, load_model,
+                  init_embeddings, label_graph, lgcf_logits, load_model,
                   make_synthetic, normal_split, normalize_adjacency,
                   one_hot_features, param_count, run_gradcheck, sample_negative,
                   save_model, seed_stream, sigmoid, softplus, train)
@@ -553,13 +553,12 @@ class TestLgcfLearning:
             if k < 3:
                 continue
             perm = np.concatenate([[0, 1], 2 + rng.permutation(k - 2)])
-            base = forward_instance(one_hot_features(lg.labels, enc),
-                                    normalize_adjacency(lg.adjacency),
-                                    model.gnn).score_value
-            shuffled = forward_instance(
-                one_hot_features(lg.labels[perm], enc),
-                normalize_adjacency(lg.adjacency[np.ix_(perm, perm)]),
-                model.gnn).score_value
+            base = sigmoid(lgcf_logits(model.gnn, model.head,
+                                       one_hot_features(lg.labels, enc),
+                                       normalize_adjacency(lg.adjacency))[1])
+            shuffled = sigmoid(lgcf_logits(
+                model.gnn, model.head, one_hot_features(lg.labels[perm], enc),
+                normalize_adjacency(lg.adjacency[np.ix_(perm, perm)]))[1])
             worst = max(worst, abs(base - shuffled))
         assert worst <= 1e-12
 

@@ -7,10 +7,10 @@ import pytest
 
 from lgcf import (AdamState, DomainError, EmbeddingTable, GnnParameters,
                   LabelEncoding, LocalizedGraph, Propagation, TrainedModel,
-                  WalkConfig, adam_step, bpr_loss, build_graph, forward_instance,
-                  gcn_backward, gcn_forward, grad_check, init_adam,
-                  init_gnn_params, normalize_adjacency, one_hot_features,
-                  seed_stream, sigmoid, softplus, sum_pool)
+                  WalkConfig, adam_step, bpr_loss, build_graph, gcn_backward,
+                  gcn_forward, grad_check, init_adam, init_gnn_params,
+                  lgcf_logits, normalize_adjacency, one_hot_features,
+                  seed_stream, sigmoid, softplus)
 from lgcf.models import _gcn_batch
 from lgcf.nn import glorot_uniform, params_from_dict, params_to_dict
 
@@ -181,17 +181,6 @@ class TestGcnForward:
 
 
 class TestPoolingAndScoring:
-    def test_sum_pool_values(self):
-        assert np.array_equal(sum_pool(np.array([[1.0, 2.0], [3.0, 4.0]])), [4.0, 6.0])
-        row = np.array([[5.0, -1.0]])
-        assert np.array_equal(sum_pool(row), row[0])
-
-    def test_sum_pool_permutation_invariant(self):
-        rng = np.random.default_rng(46)
-        x = rng.normal(size=(7, 3))
-        perm = rng.permutation(7)
-        assert np.allclose(sum_pool(x), sum_pool(x[perm]))
-
     def test_bpr_closed_forms(self):
         assert bpr_loss(0.3, 0.3) == pytest.approx(math.log(2), abs=1e-12)
         assert bpr_loss(20.0, 0.0) == pytest.approx(0.0, abs=1e-8)
@@ -257,17 +246,15 @@ class TestBackward:
                 arrays = [*params.weights, head, tables.user_matrix,
                           tables.item_matrix]
 
-            def prefix(item):
-                if tables is None:
-                    return np.zeros(0)
-                return tables.user_matrix[0] * tables.item_matrix[item]
+            def score(x0, a_norm, item):
+                prefix = None
+                if tables is not None:
+                    prefix = tables.user_matrix[0] * tables.item_matrix[item]
+                return sigmoid(lgcf_logits(params, params.scoring if head is None
+                                           else head, x0, a_norm, prefix)[1])
 
             def loss_fn():
-                pos = forward_instance(x_pos, a_pos, params, head,
-                                       prefix(0)).score_value
-                neg = forward_instance(x_neg, a_neg, params, head,
-                                       prefix(1)).score_value
-                return bpr_loss(pos, neg)
+                return bpr_loss(score(x_pos, a_pos, 0), score(x_neg, a_neg, 1))
 
             report = grad_check(loss_fn, arrays, analytic)
             assert report.passed, (trial, report.worst)

@@ -15,16 +15,17 @@ import numpy as np
 import pytest
 
 from lgcf import (DomainError, LabelEncoding, Propagation, TrainConfig,
-                  WalkConfig, build_graph, drnl_label, extract, forward_instance,
-                  init_gnn_params, induce_subgraph, label_graph, make_synthetic,
+                  WalkConfig, build_graph, drnl_label, extract, init_gnn_params,
+                  induce_subgraph, label_graph, lgcf_logits, make_synthetic,
                   normal_split, normalize_adjacency, one_hot_features, rwr_trace,
                   seed_stream, sigmoid, softplus, union_nodes)
 from lgcf.labeling import _bfs
 from lgcf.models import _batch_rows, _gcn_batch, _init_model, _triplet_batches
-from lgcf.nn import NO_PREFIX, _activate, gcn_backward, gcn_forward
+from lgcf.nn import _activate, gcn_backward, gcn_forward
 from lgcf.rng import EVAL_WALK, PARAM_INIT, WALK as WALK_STREAM
 
 WALK = WalkConfig(0.15, 20, 20, True)  # the benchmark's walks
+NO_PREFIX = np.zeros(0)  # lgcf's prefix in the references
 
 
 def ref_seed_stream(*keys):
@@ -200,22 +201,29 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_forward_matches(x0, a_norm, params, head=None, prefix=NO_PREFIX):
-    """The forward pass, and the backward pass that reads its cache."""
-    axs, zs, xs, features, score = ref_forward(x0, a_norm, params, head, prefix)
-    inst = forward_instance(x0, a_norm, params, head, prefix)
+def assert_forward_matches(x0, a_norm, params, head=None, prefix=None):
+    """The forward pass and score, of the graph alone and as a stack of one,
+    and the backward pass that reads the forward's cache."""
+    axs, zs, xs, features, score = ref_forward(
+        x0, a_norm, params, head, NO_PREFIX if prefix is None else prefix)
+    head = params.scoring if head is None else head
+    got_features, logit, got_cache = lgcf_logits(params, head, x0, a_norm, prefix)
     x_last, cache = gcn_forward(x0, a_norm, params)
     assert same_bytes(x_last, xs[-1])
-    for got in (cache, inst.gcn):
+    for got in (cache, got_cache):
         assert all(map(same_bytes, got.axs, axs))
         assert all(map(same_bytes, got.zs, zs))
         assert all(map(same_bytes, got.xs, xs))
-    assert same_bytes(inst.features, features)
-    assert inst.score_value == score
+    assert same_bytes(got_features, features)
+    assert sigmoid(logit) == score
+    one = lgcf_logits(params, head, x0[None], a_norm[None],
+                      None if prefix is None else prefix[None])
+    assert same_bytes(one[0][0], features)
+    assert same_bytes(sigmoid(one[1]), [score])
     d_pooled = np.linspace(-1.0, 1.0, params.hidden_dim)
     d_out = np.broadcast_to(d_pooled, (x0.shape[0], d_pooled.size))
     ref = ref_backward(axs, zs, xs, a_norm, params, d_out)
-    assert all(map(same_bytes, gcn_backward(inst.gcn, params, d_out), ref))
+    assert all(map(same_bytes, gcn_backward(got_cache, params, d_out), ref))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Restart walks, trace unions, induced subgraphs, and the dump format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,20 @@ class TestIdsOutsideTheGraph:
         with pytest.raises(DomainError, match=f"node {node} is not in"):
             induce_subgraph(self.GRAPH, [3, node, 25], (0, 20), True, 20)
 
+    @pytest.mark.parametrize("nodes", [[21, 21, 4], [21, 4, 3, 21], [5, 6, 7, 6]],
+                             ids=str)
+    @pytest.mark.parametrize("remove", [True, False])
+    def test_induce_subgraph_repeated_node(self, nodes, remove):
+        """[21, 21, 4] used to give nodes [3, 25, 21, 21, 4] and an
+        asymmetric graph; the targets themselves may repeat."""
+        dup = 21 if 21 in nodes else 6
+        with pytest.raises(DomainError, match=f"node {dup} is given twice"):
+            induce_subgraph(self.GRAPH, nodes, (3, 25), remove, 20)
+
+    def test_induce_subgraph_repeat_past_max_nodes_is_dropped(self):
+        lg = induce_subgraph(self.GRAPH, [21, 4, 21], (3, 25), True, 4)
+        assert lg.nodes.tolist() == [3, 25, 21, 4]
+
     @pytest.mark.parametrize("max_nodes", [1, 0, -1])
     @pytest.mark.parametrize("remove", [True, False])
     def test_induce_subgraph_max_nodes(self, max_nodes, remove):
@@ -159,6 +175,60 @@ class TestIdsOutsideTheGraph:
         nodes = list(range(self.GRAPH.num_nodes))
         with pytest.raises(DomainError, match="max_nodes must be >= 2"):
             induce_subgraph(self.GRAPH, nodes, (u, i), remove, max_nodes)
+
+
+class TestIdsThatAreNotIntegers:
+    """Ids and seed keys are read through operator.index: a float, a numpy
+    float or a string is rejected where int() truncated or parsed it, and
+    numpy integers still pass."""
+
+    GRAPH = make_synthetic(10, 10, .5, .1, 1)  # users [0, 20), items [20, 40)
+    CFG = WalkConfig(0.15, 20, 20)
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"], ids=repr)
+    def test_seed_stream(self, bad):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"seed keys must be integers, got {bad!r}")):
+            seed_stream(bad)
+        with pytest.raises(DomainError, match="seed keys must be integers"):
+            seed_stream(4, 6, bad)
+
+    @pytest.mark.parametrize("bad", [1.7, np.float64(1.0)], ids=repr)
+    def test_rwr_trace_start(self, bad):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"node id {bad!r} is not an integer")):
+            rwr_trace(self.GRAPH, bad, self.CFG, seed_stream(1))
+
+    @pytest.mark.parametrize("pair", [(0.5, 21), (0, 21.0), (np.float64(3), 25)],
+                             ids=str)
+    def test_extract_and_induce_targets(self, pair):
+        with pytest.raises(DomainError, match="is not an integer"):
+            extract(self.GRAPH, *pair, self.CFG, seed_stream(1))
+        with pytest.raises(DomainError, match="is not an integer"):
+            induce_subgraph(self.GRAPH, [4, 30], pair, True, 20)
+
+    def test_induce_subgraph_node(self):
+        with pytest.raises(DomainError, match="node id 4.5 is not an integer"):
+            induce_subgraph(self.GRAPH, [3, 4.5, 25], (3, 25), True, 20)
+
+    @pytest.mark.parametrize("first, second, bad", [([1.9, 2], [3], 1.9),
+                                                    ([1, 2], [np.float64(3)], 3.0)])
+    def test_union_nodes(self, first, second, bad):
+        with pytest.raises(DomainError, match=f"node id .*{bad}.* is not an integer"):
+            union_nodes(first, second)
+
+    def test_numpy_integers_pass(self):
+        ids = np.array([3, 25, 4], dtype=np.int32)
+        assert union_nodes(ids[:2], [np.int64(4), np.uint8(3)]) == [3, 25, 4]
+        assert (seed_stream(np.int64(7), np.uint32(1)).random()
+                == seed_stream(7, 1).random())
+        cfg = self.CFG
+        assert (rwr_trace(self.GRAPH, np.int64(3), cfg, seed_stream(2))
+                == rwr_trace(self.GRAPH, 3, cfg, seed_stream(2)))
+        got = extract(self.GRAPH, np.int32(3), np.int64(25), cfg, seed_stream(2))
+        want = extract(self.GRAPH, 3, 25, cfg, seed_stream(2))
+        assert got.nodes.tolist() == want.nodes.tolist()
+        assert got.target_pair == (3, 25) and type(got.target_pair[0]) is int
 
 
 class TestNeighborLists:

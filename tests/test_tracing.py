@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from lgcf import (EvalProtocol, TrainConfig, WalkConfig, build_graph, evaluate,
-                  extract, label_graph, make_synthetic, normal_split, seed_stream,
-                  train)
-from lgcf.models import _triplet_batches
-from lgcf.rng import WALK
+from lgcf import (EvalProtocol, LabelEncoding, TrainConfig, WalkConfig,
+                  build_graph, evaluate, extract, label_graph, make_synthetic,
+                  normal_split, seed_stream, train)
+from lgcf import models, nn
+from lgcf.models import _gcn_chunks, _gcn_scores, _init_model, _triplet_batches
+from lgcf.rng import EVAL_WALK, WALK
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -108,3 +109,48 @@ def test_lgcf_epoch_counters_match_its_labeled_graphs():
             "clamped": np.count_nonzero(flat >= tc.label_cap)}
     assert want["unreachable"] and want["clamped"]
     assert {key: tracer.counters["pass"][key] for key in want} == want
+
+
+def test_scoring_forwards_one_graph_per_call(monkeypatch):
+    """evaluate's lgcf and lgcf-emb scorers call gcn_forward once per scored
+    candidate with one graph's 2-D inputs, which perfbench's _after_forward
+    counts as k nodes; and a graph scored inside a same-size training stack
+    gets the bytes of LgcfScorer.score on that pair."""
+    g = make_synthetic(20, 20, 0.3, 0.02, 4)
+    split = normal_split(g, 0.9, 4)
+    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    tc = TrainConfig(master_seed=5, walk=WalkConfig(0.15, 20, 20, True),
+                     gcn_layers=2, hidden_dim=8, label_cap=16, embed_dim=4)
+    shapes = []
+    forward = nn.gcn_forward
+
+    def recording(x0, a_norm, params):
+        shapes.append(x0.shape)
+        return forward(x0, a_norm, params)
+
+    for module in (nn, models):
+        monkeypatch.setattr(module, "gcn_forward", recording)
+    for kind in ("lgcf", "lgcf-emb"):
+        model = _init_model(kind, train_graph, tc)
+        scorer = model.make_scorer(train_graph)
+        calls = []
+        monkeypatch.setattr(scorer, "score", lambda u, i, f=scorer.score: (
+            calls.append((u, i)) or f(u, i)))
+        shapes.clear()
+        evaluate(scorer, g, split, EvalProtocol(n_negatives=9, k_values=(5,)))
+        assert len(shapes) == len(calls) > 0
+        assert all(len(shape) == 2 for shape in shapes), kind
+        # the evaluated pairs as triplets of a training step, eval-walked
+        batch = [(u, i, j, *(label_graph(extract(train_graph, u, x, model.walk,
+                                                 seed_stream(5, EVAL_WALK, u, x)))
+                             for x in (i, j)))
+                 for (u, i), (v, j) in zip(calls[0::2], calls[1::2]) if u == v]
+        stacked = 0
+        for users, items, stacks in _gcn_chunks(batch, LabelEncoding(16)):
+            scores = _gcn_scores(model.gnn, model.head, scorer.refined, users,
+                                 items, stacks)[1]
+            stacked += sum(len(idx) for idx, *_ in stacks if len(idx) > 1)
+            want = np.array([scorer.score(u, i) for u, i in
+                             zip(users.tolist(), items.tolist())])
+            assert scores.tobytes() == want.tobytes(), kind
+        assert stacked > len(batch)
