@@ -10,12 +10,12 @@ from .graph import (BipartiteGraph, IngestResult, SplitSpec, build_graph,
                     normal_split, save_graph_dir, save_split, sparse_split,
                     sparsity_levels)
 from .labeling import (UNREACHABLE, LabelEncoding, drnl_label, label_graph,
-                       min_distances, one_hot_features)
+                       one_hot_features)
 from .models import (MODEL_KINDS, EmbeddingTable, EpochRecord, Propagation,
                      TrainConfig, TrainedModel, TrainResult, init_embeddings,
-                     lgcf_logits, load_model, param_count, run_gradcheck,
-                     sample_negative, save_model, sparsity_sweep, train)
-from .nn import (AdamState, GnnParameters, GradCheckReport, adam_step, bpr_loss,
+                     lgcf_logits, load_model, run_gradcheck, sample_negative,
+                     save_model, sparsity_sweep, train)
+from .nn import (AdamState, GnnParameters, GradCheckReport, adam_step,
                  gcn_backward, gcn_forward, grad_check, init_adam,
                  init_gnn_params, normalize_adjacency, sigmoid, softplus)
 from .subgraph import (LocalizedGraph, WalkConfig, dump_localized_graph,

@@ -1,6 +1,6 @@
 """Shared exception types, and the type rule of config fields."""
 
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from numbers import Integral, Real
 
 
@@ -35,8 +35,9 @@ def check_field_types(config) -> None:
 
 def check_type(name: str, value, kind) -> None:
     """DomainError naming name unless value fits kind: an int takes an
-    Integral, a float a Real and a bool a bool, and a bool is no number.
-    Other kinds are not checked here."""
+    Integral, a float a Real and a bool a bool, and a bool is no number; a
+    dataclass takes an instance of itself.  Other kinds are not checked
+    here."""
     if kind is bool:
         if not isinstance(value, bool):
             raise DomainError(f"{name} must be a bool, got {value!r}")
@@ -45,3 +46,5 @@ def check_type(name: str, value, kind) -> None:
             raise DomainError(f"{name} must be a number, got {value!r}")
         if kind is int and not isinstance(value, Integral):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+    elif is_dataclass(kind) and not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")

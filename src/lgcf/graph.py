@@ -146,9 +146,6 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return self.indices.size // 2
 
-    def is_user(self, gid: int) -> bool:
-        return 0 <= gid < self.num_users
-
     @cached_property
     def adjacency_lists(self) -> list[list[int]]:
         """Each node's sorted neighbour list as a Python list, built on first use.

@@ -49,11 +49,6 @@ def _bfs(nbrs: list[list[int]], source_pos: int) -> list[int]:
     return dist
 
 
-def min_distances(lg: LocalizedGraph, source_pos: int) -> np.ndarray:
-    """BFS hop counts from a node position; UNREACHABLE where disconnected."""
-    return np.asarray(_bfs(lg.neighbors, source_pos), dtype=np.int64)
-
-
 def drnl_label(d_u: int, d_i: int) -> int:
     """Hash a distance pair to one label.
 

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy import sparse
@@ -227,27 +227,6 @@ def sample_negative(graph: BipartiteGraph, u: int,
     return int(pool[int(rng.integers(pool.size))])
 
 
-def param_count(kind: str, *, num_users: int = 0, num_items: int = 0,
-                feature_dim: int = 64, hidden_dim: int = 32,
-                gcn_layers: int = 3, embed_dim: int = 32) -> int:
-    """Trainable scalar count per model kind.
-
-    The lgcf count is independent of the graph size; embedding models grow
-    linearly in num_users + num_items.
-    """
-    gnn = feature_dim * hidden_dim + (gcn_layers - 1) * hidden_dim * hidden_dim
-    tables = (num_users + num_items) * embed_dim
-    if kind == "lgcf":
-        return gnn + hidden_dim
-    if kind in ("mf", "lightgcn"):
-        return tables
-    if kind == "lgcf-emb":
-        return gnn + tables + (embed_dim + hidden_dim)
-    if kind == "lgcf-ens":
-        return gnn + hidden_dim + tables + 1
-    raise DomainError(f"unknown model kind {kind!r}")
-
-
 @dataclass
 class TrainConfig:
     """Hyperparameters shared by every model kind.
@@ -393,12 +372,7 @@ class TrainedModel:
             "format_version": CHECKPOINT_VERSION,
             "kind": self.kind,
             "master_seed": self.master_seed,
-            "walk": {
-                "restart_prob": self.walk.restart_prob,
-                "walk_len": self.walk.walk_len,
-                "max_nodes": self.walk.max_nodes,
-                "remove_target_edge": self.walk.remove_target_edge,
-            },
+            "walk": asdict(self.walk),
             "label_cap": self.label_cap,
             "lightgcn_layers": self.lightgcn_layers,
             "gnn": params_to_dict(self.gnn) if self.gnn is not None else None,

@@ -210,11 +210,6 @@ def gcn_backward(cache: GcnCache, params: GnnParameters,
     return grads
 
 
-def bpr_loss(s_pos: float, s_neg: float) -> float:
-    """-ln sigmoid(s_pos - s_neg), evaluated stably."""
-    return softplus(-(s_pos - s_neg))
-
-
 @dataclass
 class AdamState:
     """First/second moment buffers plus the shared step counter."""

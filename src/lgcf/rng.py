@@ -30,7 +30,8 @@ GRADCHECK = 12      # gradient check instance generation
 
 
 def seed_stream(*keys: int) -> np.random.Generator:
-    """Generator seeded by a tuple of non-negative integers.
+    """Generator seeded by a tuple of non-negative integers; DomainError
+    for a key that is a bool, a float, a str or negative.
 
     Each key is split into little-endian 32-bit words, as SeedSequence does
     for a list of ints, and the words go in as one uint32 array: the same
@@ -39,6 +40,8 @@ def seed_stream(*keys: int) -> np.random.Generator:
     """
     words = []
     for k in keys:
+        if isinstance(k, bool):  # index(True) is 1, but a flag is no key
+            raise DomainError(f"seed keys must be integers, got {k!r}")
         try:
             k = index(k)
         except TypeError:

@@ -108,7 +108,10 @@ def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
 
 
 def _node_id(x) -> int:
-    """x as an int, numpy integers included; DomainError for a float or a str."""
+    """x as an int, numpy integers included; DomainError for a bool, a
+    float or a str."""
+    if isinstance(x, bool):  # index(True) is 1, but a flag is no node
+        raise DomainError(f"node id {x!r} is not an integer")
     try:
         return index(x)
     except TypeError:

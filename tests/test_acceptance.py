@@ -15,13 +15,13 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from lgcf import (EvalProtocol, LocalizedGraph, TrainConfig, TrainedModel,
-                  WalkConfig, bpr_loss, build_graph, drnl_label, evaluate,
-                  induce_subgraph, label_graph, make_synthetic,
-                  normal_split, normalize_adjacency, param_count,
-                  run_gradcheck, seed_stream, sigmoid, sparsity_levels,
-                  sparsity_sweep, train)
+from lgcf import (EvalProtocol, LocalizedGraph, Propagation, TrainConfig,
+                  TrainedModel, WalkConfig, build_graph, drnl_label, evaluate,
+                  extract, induce_subgraph, label_graph, make_synthetic,
+                  normal_split, normalize_adjacency, run_gradcheck,
+                  seed_stream, sigmoid, sparsity_levels, sparsity_sweep, train)
 from lgcf.cli import main as cli_main
+from lgcf.models import _embedding_batch, _gcn_batch, _init_model
 
 
 class KeyedScorer:
@@ -185,9 +185,29 @@ def test_criterion_04_gradients_match_finite_differences():
 
 
 def test_criterion_05_closed_forms():
-    """bpr_loss(s,s) = ln 2, sigmoid(0) = 0.5, 2-node normalization = 0.5."""
-    for s in (0.0, 0.37, -4.0, 12.5):
-        assert abs(bpr_loss(s, s) - math.log(2)) < 1e-12
+    """BPR on equal scores is ln 2 in every training step, sigmoid(0) = 0.5,
+    2-node normalization = 0.5."""
+    g = make_synthetic(6, 6, 0.5, 0.1, 5)
+    tc = TrainConfig(walk=WalkConfig(0.2, 8, 10), gcn_layers=2, hidden_dim=8,
+                     label_cap=16, embed_dim=8, lightgcn_layers=2)
+    pairs = g.edges()[:4]
+    for kind in ("lgcf", "lgcf-emb", "mf", "lightgcn"):
+        model = _init_model(kind, g, tc)
+        prop = Propagation(g, model.propagation_layers)
+        if model.gnn is None:
+            # _embedding_batch with the positive item as the negative
+            losses, _ = _embedding_batch(model, prop, [(u, i, i, None, None)
+                                                       for u, i in pairs])
+        else:
+            # _gcn_batch with one labeled graph on both sides
+            batch = []
+            for u, i in pairs:
+                lg = label_graph(extract(g, u, i, tc.walk, seed_stream(5, u, i)))
+                batch.append((u, i, i, lg, lg))
+            losses, _ = _gcn_batch(model, prop, batch)
+        assert len(losses) == len(pairs) == 4
+        for loss in losses:
+            assert abs(loss - math.log(2)) < 1e-12, (kind, loss)
     assert sigmoid(float(np.zeros(16) @ np.ones(16))) == 0.5
     got = normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.abs(got - 0.5).max() < 1e-12
@@ -195,13 +215,16 @@ def test_criterion_05_closed_forms():
 
 
 def test_criterion_06_model_size_claim():
-    """LGCF size is graph-independent; MF grows from 6,400 to 640,000."""
-    small = param_count("lgcf", num_users=100, num_items=100)
-    large = param_count("lgcf", num_users=10000, num_items=10000)
-    assert small == large
-    assert param_count("mf", num_users=100, num_items=100, embed_dim=32) == 6400
-    assert param_count("mf", num_users=10000, num_items=10000,
-                       embed_dim=32) == 640000
+    """LGCF size is graph-independent; MF grows from 6,400 to 640,000.
+    Counts are the sizes of the arrays training updates."""
+    def size(kind, n):
+        model = _init_model(kind, build_graph([], n, n), TrainConfig())
+        return sum(a.size for a in model.trainable())
+
+    small, large = size("lgcf", 100), size("lgcf", 10000)
+    assert small == large == 4128
+    assert size("mf", 100) == 6400
+    assert size("mf", 10000) == 640000
     print(f"criterion 6: lgcf {small} parameters at both scales; "
           f"mf 6400 -> 640000")
 

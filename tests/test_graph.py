@@ -82,7 +82,7 @@ class TestBuildGraph:
 
     def test_sides_are_derivable_from_gid(self):
         g = build_graph([(0, 3), (2, 4)], 3, 2)
-        assert [g.is_user(gid) for gid in range(5)] == [True, True, True, False, False]
+        assert all(u < g.num_users <= i for u, i in g.edges())
         assert g.num_nodes == 5
 
     def test_input_order_does_not_matter(self):

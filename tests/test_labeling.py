@@ -8,7 +8,8 @@ from scipy.sparse.csgraph import shortest_path
 
 from lgcf import (DomainError, LabelEncoding, LocalizedGraph, UNREACHABLE,
                   WalkConfig, build_graph, drnl_label, extract, label_graph,
-                  min_distances, one_hot_features, seed_stream)
+                  one_hot_features, seed_stream)
+from lgcf.labeling import _bfs
 
 
 def path_graph(k):
@@ -55,15 +56,17 @@ def oracle_label(d_u, d_i):
 
 
 class TestMinDistances:
+    """label_graph's BFS hop counts over a graph's neighbour lists."""
+
     def test_path_graph(self):
-        assert list(min_distances(path_graph(4), 0)) == [0, 1, 2, 3]
+        assert _bfs(path_graph(4).neighbors, 0) == [0, 1, 2, 3]
 
     def test_isolated_node_unreachable(self):
         lg = path_graph(3)
         adj = lg.adjacency.copy()
         adj[2, :] = adj[:, 2] = 0
         lg2 = LocalizedGraph(lg.nodes, adj, lg.labels, (0, 1), False)
-        dist = min_distances(lg2, 0)
+        dist = _bfs(lg2.neighbors, 0)
         assert dist[2] == UNREACHABLE
 
     def test_matches_dijkstra_oracle(self):
@@ -72,7 +75,7 @@ class TestMinDistances:
             lg = random_localized(rng)
             want = oracle_distances(lg.adjacency)
             for src in (0, 1):
-                assert np.array_equal(min_distances(lg, src), want[src])
+                assert np.array_equal(_bfs(lg.neighbors, src), want[src])
 
 
 class TestDrnlLabel:
@@ -170,8 +173,8 @@ class TestLabelGraph:
         rng = np.random.default_rng(34)
         for _ in range(40):
             lg = random_localized(rng, max_nodes=30)
-            dist_u = min_distances(lg, 0)
-            dist_i = min_distances(lg, 1)
+            dist_u = _bfs(lg.neighbors, 0)
+            dist_i = _bfs(lg.neighbors, 1)
             for pos in range(2, lg.num_nodes):
                 if dist_u[pos] != UNREACHABLE and dist_i[pos] != UNREACHABLE:
                     assert (dist_u[pos] + dist_i[pos]) % 2 == 1

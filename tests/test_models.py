@@ -14,7 +14,7 @@ from lgcf import (DomainError, EmbeddingTable, LabelEncoding, ParseError,
                   SplitSpec, TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
                   init_embeddings, label_graph, lgcf_logits, load_model,
                   make_synthetic, normal_split, normalize_adjacency,
-                  one_hot_features, param_count, run_gradcheck, sample_negative,
+                  one_hot_features, run_gradcheck, sample_negative,
                   save_model, seed_stream, sigmoid, softplus, train)
 from lgcf.graph import _json_pieces
 from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
@@ -44,34 +44,38 @@ def star_split():
     return graph, SplitSpec(train, val, (), 0, "normal", 5, 6)
 
 
+def trainable_size(kind, num_users, num_items, tc=None):
+    """Scalars training updates in the model train builds for kind."""
+    model = _init_model(kind, build_graph([], num_users, num_items),
+                        tc or TrainConfig())
+    return sum(a.size for a in model.trainable())
+
+
 class TestParamCount:
     def test_lgcf_closed_form(self):
-        got = param_count("lgcf", feature_dim=64, hidden_dim=32, gcn_layers=3)
-        assert got == 64 * 32 + 2 * 32 * 32 + 32 == 4128
+        assert trainable_size("lgcf", 1, 1) == 64 * 32 + 2 * 32 * 32 + 32 == 4128
 
     def test_lgcf_ignores_graph_size(self):
-        small = param_count("lgcf", num_users=1, num_items=1)
-        huge = param_count("lgcf", num_users=10 ** 6, num_items=10 ** 6)
-        assert small == huge
+        assert trainable_size("lgcf", 1, 1) == trainable_size("lgcf", 10 ** 5, 10 ** 5)
 
     def test_embedding_kinds_grow_linearly(self):
-        assert param_count("mf", num_users=100, num_items=100, embed_dim=32) == 6400
-        assert param_count("mf", num_users=10000, num_items=100,
-                           embed_dim=32) == 323200
-        assert param_count("lightgcn", num_users=19900, num_items=100,
-                           embed_dim=32) == 640000
+        assert trainable_size("mf", 100, 100) == 6400
+        assert trainable_size("mf", 10000, 100) == 323200
+        assert trainable_size("lightgcn", 19900, 100) == 640000
 
     def test_composite_kinds(self):
+        """lgcf-emb trains the GCN weights, w_joint and the tables, but not
+        the GCN's scoring vector; lgcf-ens trains an lgcf and a lightgcn
+        model and then fits lambda."""
         gnn = 64 * 32 + 2 * 32 * 32
         tables = 200 * 32
-        emb = param_count("lgcf-emb", num_users=100, num_items=100)
-        assert emb == gnn + tables + (32 + 32)
-        ens = param_count("lgcf-ens", num_users=100, num_items=100)
-        assert ens == gnn + 32 + tables + 1
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            param_count("gbdt")
+        assert trainable_size("lgcf-emb", 100, 100) == gnn + (32 + 32) + tables == 10560
+        graph, split = star_split()
+        tc = tiny_tc(epochs=1)
+        ens = train("lgcf-ens", graph, split, tc).model
+        parts = (trainable_size(kind, 5, 6, tc) for kind in ("lgcf", "lightgcn"))
+        assert sum(a.size for a in ens.trainable()) == sum(parts)
+        assert isinstance(ens.lam, float)
 
 
 class TestPropagation:
@@ -382,6 +386,12 @@ class TestTrainConfig:
     def test_rejects_bools_and_other_types_naming_the_field(self, name, value):
         with pytest.raises(DomainError, match=f"^{name} must be "):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [None, {"walk_len": 8}], ids=repr)
+    def test_walk_must_be_a_walk_config(self, value):
+        with pytest.raises(DomainError, match=re.escape(
+                f"walk must be a WalkConfig, got {value!r}")):
+            TrainConfig(walk=value)
 
 
 class TestTrainBasics:

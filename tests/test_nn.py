@@ -7,7 +7,7 @@ import pytest
 
 from lgcf import (AdamState, DomainError, EmbeddingTable, GnnParameters,
                   LabelEncoding, LocalizedGraph, Propagation, TrainedModel,
-                  WalkConfig, adam_step, bpr_loss, build_graph, gcn_backward,
+                  WalkConfig, adam_step, build_graph, gcn_backward,
                   gcn_forward, grad_check, init_adam, init_gnn_params,
                   lgcf_logits, normalize_adjacency, one_hot_features,
                   seed_stream, sigmoid, softplus)
@@ -182,13 +182,14 @@ class TestGcnForward:
 
 class TestPoolingAndScoring:
     def test_bpr_closed_forms(self):
-        assert bpr_loss(0.3, 0.3) == pytest.approx(math.log(2), abs=1e-12)
-        assert bpr_loss(20.0, 0.0) == pytest.approx(0.0, abs=1e-8)
-        assert bpr_loss(0.0, math.log(3)) == pytest.approx(math.log(4), abs=1e-12)
+        """BPR's -ln sigmoid(a - b), as training computes it."""
+        assert softplus(-(0.3 - 0.3)) == pytest.approx(math.log(2), abs=1e-12)
+        assert softplus(-(20.0 - 0.0)) == pytest.approx(0.0, abs=1e-8)
+        assert softplus(-(0.0 - math.log(3))) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_bpr_strictly_decreasing_in_margin(self):
         margins = np.linspace(-4, 4, 33)
-        losses = [bpr_loss(m, 0.0) for m in margins]
+        losses = [softplus(-m) for m in margins]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
@@ -254,7 +255,7 @@ class TestBackward:
                                            else head, x0, a_norm, prefix)[1])
 
             def loss_fn():
-                return bpr_loss(score(x_pos, a_pos, 0), score(x_neg, a_neg, 1))
+                return softplus(-(score(x_pos, a_pos, 0) - score(x_neg, a_neg, 1)))
 
             report = grad_check(loss_fn, arrays, analytic)
             assert report.passed, (trial, report.worst)

@@ -100,8 +100,8 @@ class TestInduceSubgraph:
             assert lg.nodes[TARGET_ITEM_POS] == 7
             for p in range(k):
                 for q in range(k):
-                    expected = g.has_edge(*sorted((lg.nodes[p], lg.nodes[q]))) \
-                        if g.is_user(lg.nodes[p]) != g.is_user(lg.nodes[q]) else False
+                    a, b = sorted((lg.nodes[p], lg.nodes[q]))
+                    expected = a < g.num_users <= b and g.has_edge(a, b)
                     if remove and {lg.nodes[p], lg.nodes[q]} == {0, 7}:
                         expected = False
                     assert lg.adjacency[p, q] == int(expected)
@@ -180,12 +180,13 @@ class TestIdsOutsideTheGraph:
 class TestIdsThatAreNotIntegers:
     """Ids and seed keys are read through operator.index: a float, a numpy
     float or a string is rejected where int() truncated or parsed it, and
-    numpy integers still pass."""
+    numpy integers still pass.  A bool, which operator.index reads as 0 or
+    1, is rejected as a seed key, a walk's start and a target."""
 
     GRAPH = make_synthetic(10, 10, .5, .1, 1)  # users [0, 20), items [20, 40)
     CFG = WalkConfig(0.15, 20, 20)
 
-    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"], ids=repr)
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", True, False], ids=repr)
     def test_seed_stream(self, bad):
         with pytest.raises(DomainError,
                            match=re.escape(f"seed keys must be integers, got {bad!r}")):
@@ -193,14 +194,14 @@ class TestIdsThatAreNotIntegers:
         with pytest.raises(DomainError, match="seed keys must be integers"):
             seed_stream(4, 6, bad)
 
-    @pytest.mark.parametrize("bad", [1.7, np.float64(1.0)], ids=repr)
+    @pytest.mark.parametrize("bad", [1.7, np.float64(1.0), True], ids=repr)
     def test_rwr_trace_start(self, bad):
         with pytest.raises(DomainError,
                            match=re.escape(f"node id {bad!r} is not an integer")):
             rwr_trace(self.GRAPH, bad, self.CFG, seed_stream(1))
 
-    @pytest.mark.parametrize("pair", [(0.5, 21), (0, 21.0), (np.float64(3), 25)],
-                             ids=str)
+    @pytest.mark.parametrize("pair", [(0.5, 21), (0, 21.0), (np.float64(3), 25),
+                                      (True, 21)], ids=str)
     def test_extract_and_induce_targets(self, pair):
         with pytest.raises(DomainError, match="is not an integer"):
             extract(self.GRAPH, *pair, self.CFG, seed_stream(1))
