@@ -111,7 +111,7 @@ _TRAIN = [
     Opt("embed-dim", "int", 32, "embedding width for mf/lightgcn/hybrids"),
     Opt("lightgcn-layers", "int", 3, "propagation depth for lightgcn/hybrids"),
     Opt("lambda", "float", 1.0, "ensemble fusion weight (lambda-mode fixed)"),
-    Opt("lambda-mode", "str", "grid", "grid | fixed | learnable"),
+    Opt("lambda-mode", "str", "learnable", "learnable | fixed"),
     Opt("val-negatives", "int", 99,
         "sampled negatives per validation pair (>= 10)"),
 ]

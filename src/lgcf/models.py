@@ -8,7 +8,6 @@ representation and a joint head vector, and "lgcf-ens" sums a trained lgcf
 score and a scaled embedding dot product.
 """
 
-import functools
 import itertools
 import math
 import time
@@ -19,7 +18,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .errors import DomainError, check_field_types
-from .evaluation import EvalProtocol, EvalReport, _pair_results, _report, evaluate
+from .evaluation import EvalProtocol, EvalReport, evaluate
 from .graph import (BipartiteGraph, SplitSpec, _number, build_graph,
                     check_split_fits, read_json, write_json)
 from .labeling import LabelEncoding, label_graph, one_hot_features
@@ -39,7 +38,6 @@ MODEL_KINDS = tuple(CHECKPOINT_SECTIONS)
 CHECKPOINT_VERSION = 1
 CHECKPOINT_ENTRIES = ("kind", "master_seed", "walk", "label_cap", "lightgcn_layers",
                       "gnn", "tables", "w_joint", "lambda")
-LAMBDA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)  # lgcf-ens fusion weights tried in grid mode
 
 
 @dataclass
@@ -252,7 +250,7 @@ class TrainConfig:
     lightgcn_layers: int = 3
     lr: float = 1e-3
     lambda_ens: float = 1.0
-    lambda_mode: str = "grid"
+    lambda_mode: str = "learnable"
     val_negatives: int = 99
 
     def __post_init__(self):
@@ -284,7 +282,7 @@ class TrainConfig:
             raise DomainError(f"lambda_ens must be finite, got {self.lambda_ens}")
         if self.activation not in ACTIVATIONS:
             raise DomainError(f"unsupported activation {self.activation!r}")
-        if self.lambda_mode not in ("grid", "fixed", "learnable"):
+        if self.lambda_mode not in ("learnable", "fixed"):
             raise DomainError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.val_negatives < 10:
             raise DomainError(
@@ -831,19 +829,25 @@ def _fit_lambda(lgcf: LgcfScorer, dot: DotScorer, train_graph: BipartiteGraph,
 
     The lgcf and embedding score differences are fixed, so the objective is
     convex in lambda and a scalar minimizer settles it deterministically.
+    A score that is not finite raises DomainError naming the pair and item.
     """
     from scipy.optimize import minimize_scalar
 
     rng = seed_stream(seed, TRAIN_NEGATIVE)
-    s_diffs = []
-    dot_diffs = []
+    diffs = {"lgcf": [], "dot": []}
     for u, i in split.val_edges.tolist():
         j = sample_negative(train_graph, u, rng)
-        s_diffs.append(lgcf.score(u, i) - lgcf.score(u, j))
-        dot_diffs.append(dot.score(u, i) - dot.score(u, j))
+        for name, scorer in (("lgcf", lgcf), ("dot", dot)):
+            pos, neg = scorer.score(u, i), scorer.score(u, j)
+            for item, value in ((i, pos), (j, neg)):
+                if not math.isfinite(value):
+                    raise DomainError(f"pair ({u}, {i}): item {item} has {name} "
+                                      f"score {float(value)!r}, which is not finite")
+            diffs[name].append(pos - neg)
 
     def objective(lam: float) -> float:
-        return sum(softplus(-(ds + lam * dd)) for ds, dd in zip(s_diffs, dot_diffs))
+        return sum(softplus(-(ds + lam * dd))
+                   for ds, dd in zip(diffs["lgcf"], diffs["dot"]))
 
     return float(minimize_scalar(objective).x)
 
@@ -860,20 +864,7 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     # lambda is chosen with the parts of the scorer the saved model uses, so
     # it is tuned on the subgraph samples it is later applied to.
     saved = model.make_scorer(train_graph)
-    if tc.lambda_mode == "grid" and len(split.val_edges):
-        # One candidate draw per validation pair, ranked by s + lam * d for
-        # each lam in the grid; each candidate's lgcf part is scored once.
-        lgcf, dot = functools.cache(saved.lgcf.score), saved.dot.score
-        fused = [lambda u, i, lam=lam: lgcf(u, i) + lam * dot(u, i)
-                 for lam in LAMBDA_GRID]
-        protocol = EvalProtocol(n_negatives=tc.val_negatives, k_values=(10,),
-                                seed=int(seeds[2]))
-        per_pair = (tuple(r.rank for r in results) for results in _pair_results(
-            fused, train_graph, split, protocol, split.val_edges))
-        hrs = [_report(ranks, saved, protocol, "val").metrics[10].hr_mean
-               for ranks in zip(*per_pair)]
-        model.lam = LAMBDA_GRID[hrs.index(max(hrs))]
-    elif tc.lambda_mode == "learnable" and len(split.val_edges):
+    if tc.lambda_mode == "learnable" and len(split.val_edges):
         model.lam = _fit_lambda(saved.lgcf, saved.dot, train_graph, split,
                                 int(seeds[2]))
     offset = len(res_lgcf.history)

@@ -229,14 +229,22 @@ def dump_localized_graph(lg: LocalizedGraph, num_users: int) -> str:
 
 
 def parse_localized_graph(text: str) -> LocalizedGraph:
-    """Inverse of dump_localized_graph (side letters are format-checked only)."""
+    """Inverse of dump_localized_graph (side letters are format-checked only).
+    ParseError names the first line that does not parse."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty localized graph dump", 1)
+    def ints(fields, no):  # no: the 1-based number of the line holding fields
+        try:
+            return [int(x) for x in fields]
+        except ValueError:
+            raise ParseError(f"non-integer field in {lines[no - 1]!r}", no) from None
     head = lines[0].split()
     if len(head) != 4:
         raise ParseError(f"expected 'k u i removed_flag', got {lines[0]!r}", 1)
-    k, u, i, removed = (int(x) for x in head)
+    k, u, i, removed = ints(head, 1)
+    if k < 0:
+        raise ParseError(f"negative node count in {lines[0]!r}", 1)
     if len(lines) < 1 + k:
         raise ParseError(f"expected {k} node lines, got {len(lines) - 1}", len(lines))
     nodes = np.zeros(k, dtype=np.int64)
@@ -245,16 +253,15 @@ def parse_localized_graph(text: str) -> LocalizedGraph:
         parts = lines[1 + p].split()
         if len(parts) != 4 or parts[2] not in ("u", "i"):
             raise ParseError(f"bad node line {lines[1 + p]!r}", 2 + p)
-        if int(parts[0]) != p:
+        pos, nodes[p], labels[p] = ints(parts[:2] + parts[3:], 2 + p)
+        if pos != p:
             raise ParseError(f"node lines out of order at {lines[1 + p]!r}", 2 + p)
-        nodes[p] = int(parts[1])
-        labels[p] = int(parts[3])
     adj = np.zeros((k, k), dtype=np.float64)
     for off, ln in enumerate(lines[1 + k:]):
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad edge line {ln!r}", 2 + k + off)
-        p, q = int(parts[0]), int(parts[1])
+        p, q = ints(parts, 2 + k + off)
         if not (0 <= p < k and 0 <= q < k and p != q):
             raise ParseError(f"edge endpoints out of range in {ln!r}", 2 + k + off)
         adj[p, q] = adj[q, p] = 1.0

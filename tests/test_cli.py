@@ -408,6 +408,7 @@ class TestReturnCodes:
 
     @pytest.mark.parametrize("command, flag, bad, good", [
         ("train", "--patience", -1, 1),
+        ("train", "--lambda-mode", "grid", "fixed"),
         ("eval", "--k-values", "10,10", "10"),
         ("synth", "--users", 5, 4),
         ("synth", "--users", 0, 4),

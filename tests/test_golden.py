@@ -32,7 +32,6 @@ TRAIN_ARGS = ("--epochs", "2", "--batch-size", "16", "--seed", "3",
               "--gcn-layers", "2", "--hidden-dim", "4", "--label-cap", "8",
               "--embed-dim", "4", "--lightgcn-layers", "2", "--lr", "0.01")
 NEG2 = ("--negatives", "2", "--batch-size", "7")
-LEARNABLE = ("--lambda-mode", "learnable")
 
 # case id -> (kind, extra train flags, sha256 prefixes of checkpoint.json,
 # report.json and history.jsonl without wall_ms)
@@ -46,7 +45,7 @@ GOLDEN = {
     "lgcf-emb": ("lgcf-emb", (),
         ("05f84391a27b1e21", "f8fefa64f42b1aff", "3870c54e6460896f")),
     "lgcf-ens": ("lgcf-ens", (),
-        ("847dc4c3159e2f23", "954b3bbc6b70414c", "4e90b7eb6b3fe75a")),
+        ("00833457034be5c6", "7bd696ce15e2703c", "4e90b7eb6b3fe75a")),
     "lgcf-neg2": ("lgcf", NEG2,
         ("a7ea6cbcdd222e1f", "2a539a647d1f68aa", "61d80d4db2eec905")),
     "mf-neg2": ("mf", NEG2,
@@ -56,9 +55,7 @@ GOLDEN = {
     "lgcf-emb-neg2": ("lgcf-emb", NEG2,
         ("cf0fdeb78c55ba02", "8e069da0cec4369a", "111f30ea925e0279")),
     "lgcf-ens-neg2": ("lgcf-ens", NEG2,
-        ("b6c7edcde89b397f", "7569a39a61496a5f", "fa41b4c3f4f2264e")),
-    "lgcf-ens-learnable": ("lgcf-ens", LEARNABLE,
-        ("00833457034be5c6", "7bd696ce15e2703c", "4e90b7eb6b3fe75a")),
+        ("73044ed69983d11a", "b8b9d4f8a984389f", "fa41b4c3f4f2264e")),
 }
 
 

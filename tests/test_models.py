@@ -17,11 +17,10 @@ from lgcf import (DomainError, EmbeddingTable, LabelEncoding, ParseError,
                   one_hot_features, run_gradcheck, sample_negative,
                   save_model, seed_stream, sigmoid, softplus, train)
 from lgcf.graph import _json_pieces
-from lgcf.models import (LAMBDA_GRID, MODEL_KINDS, DotScorer, EnsembleScorer,
-                         LgcfScorer, Propagation, _embedding_batch, _fit_lambda,
-                         _init_model)
+from lgcf.models import (MODEL_KINDS, DotScorer, EnsembleScorer, LgcfScorer,
+                         Propagation, _embedding_batch, _fit_lambda, _init_model)
 from lgcf.nn import AdamState, adam_to_dict
-from lgcf.rng import ENSEMBLE, EVAL_NEGATIVE
+from lgcf.rng import ENSEMBLE
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
 
@@ -373,6 +372,7 @@ class TestTrainConfig:
         dict(label_cap=1), dict(lr=-1.0), dict(lr=0.0), dict(lr=float("nan")),
         dict(lr=float("inf")), dict(lambda_ens=float("nan")),
         dict(activation="gelu"), dict(early_stop_patience=-1),
+        dict(lambda_mode="grid"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
@@ -410,7 +410,7 @@ class TestTrainBasics:
         with pytest.raises(DomainError):
             train("mf", g, replace(split, train_edges=()), tiny_tc())
 
-    @pytest.mark.parametrize("lambda_mode", ["grid", "learnable"])
+    @pytest.mark.parametrize("lambda_mode", ["learnable"])
     def test_per_pair_calls_get_python_ints(self, monkeypatch, lambda_mode):
         """Triplets, validation and the lambda fit pass ids as Python ints."""
         import lgcf.models as models
@@ -580,48 +580,25 @@ class TestEnsembleLambda:
         model = train("lgcf-ens", g, split, tc).model
         assert model.lam == 2.5
 
-    def test_grid_mode_picks_from_grid(self):
-        g, split = star_split()
-        tc = tiny_tc(lambda_mode="grid")
-        model = train("lgcf-ens", g, split, tc).model
-        assert model.lam in LAMBDA_GRID
-
-    def test_grid_scores_each_lgcf_candidate_once(self, monkeypatch):
-        calls = Counter()
-        score = LgcfScorer.score
-
-        def counted(self, u, i):
-            calls[(u, i)] += 1
-            return score(self, u, i)
-
-        monkeypatch.setattr(LgcfScorer, "score", counted)
+    @pytest.mark.parametrize("name", ["lgcf", "dot"])
+    def test_fit_rejects_a_non_finite_score(self, monkeypatch, name):
+        """The fit raises on a NaN score, naming the pair and the item."""
+        scorer = {"lgcf": LgcfScorer, "dot": DotScorer}[name]
         g = make_synthetic(10, 10, 0.5, 0.05, 1)
         split = normal_split(g, 0.75, 2)
-        # eval_every > epochs: the sub-models never validate, so every lgcf
-        # score comes from the lambda search.
-        tc = tiny_tc(epochs=1, eval_every=2, master_seed=3, val_negatives=20)
-        train("lgcf-ens", g, split, tc)
-        assert len(calls) > 100
-        assert max(calls.values()) == 1
+        u, i = split.val_edges[0].tolist()
+        score = scorer.score
 
-    def test_grid_draws_each_validation_pair_once(self, monkeypatch):
-        """Every lambda ranks the same candidate draw of a validation pair."""
-        import lgcf.evaluation as evaluation
-        draws = Counter()
+        def nan_at_item(self, user, item):
+            return math.nan if item == i else score(self, user, item)
 
-        def counted(*key):
-            if key[1] == EVAL_NEGATIVE:
-                draws[key[2:]] += 1
-            return seed_stream(*key)
-
-        monkeypatch.setattr(evaluation, "seed_stream", counted)
-        g = make_synthetic(10, 10, 0.5, 0.05, 1)
-        split = normal_split(g, 0.75, 2)
-        # eval_every > epochs: the sub-models never validate, so every draw
-        # comes from the lambda search.
-        tc = tiny_tc(epochs=1, eval_every=2, master_seed=3, val_negatives=20)
-        train("lgcf-ens", g, split, tc)
-        assert draws == Counter(map(tuple, split.val_edges.tolist()))
+        monkeypatch.setattr(scorer, "score", nan_at_item)
+        # eval_every > epochs: the sub-models never validate, so every score
+        # comes from the lambda fit.
+        tc = tiny_tc(epochs=1, eval_every=2, master_seed=3)
+        with pytest.raises(DomainError, match=re.escape(
+                f"pair ({u}, {i}): item {i} has {name} score nan, which is not finite")):
+            train("lgcf-ens", g, split, tc)
 
     def test_learnable_mode_is_finite(self):
         g, split = star_split()

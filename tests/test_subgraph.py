@@ -369,3 +369,9 @@ class TestDumpFormat:
         bad = text + f"0 {lg.num_nodes + 3}\n"
         with pytest.raises(ParseError):
             parse_localized_graph(bad)
+        # a non-integer header, node or edge field, and a negative node count
+        for bad, line_no in (("2 0 x 1\n", 1), ("-1 0 2 1\n", 1),
+                             ("2 0 2 1\n0 0 u 0\n1 2 i 1.5\n", 3),
+                             ("2 0 2 1\n0 0 u 0\n1 2 i 1\n0 one\n", 4)):
+            with pytest.raises(ParseError, match=f"^line {line_no}: "):
+                parse_localized_graph(bad)
