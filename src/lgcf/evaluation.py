@@ -117,8 +117,10 @@ def _pair_results(score_fns, graph: BipartiteGraph, split: SplitSpec,
 
     They rank one draw from u's pool: each item, ascending, that u has no
     edge to in the split (the caller runs check_split_fits), drawn by position.
-    DomainError naming the pair and candidate if a score is not finite, since
-    NaN has no rank.
+    Each score function is called once per pair, as score(u, cands) with the
+    candidates as an int64 array, positive first, and returns one score per
+    candidate.  DomainError naming the pair and candidate if a score is not
+    finite, since NaN has no rank.
     """
     n, total = graph.num_users, graph.num_nodes
     # Every split edge as u * total + i, sorted: a user's interacted items
@@ -141,7 +143,10 @@ def _pair_results(score_fns, graph: BipartiteGraph, split: SplitSpec,
         cands = np.concatenate([np.array([i], dtype=np.int64), negatives])
         results = []
         for score in score_fns:
-            scores = np.array([score(u, c) for c in cands.tolist()], dtype=np.float64)
+            scores = np.asarray(score(u, cands), dtype=np.float64)
+            if scores.shape != cands.shape:
+                raise DomainError(f"pair ({u}, {i}): {cands.size} candidates got "
+                                  f"scores of shape {scores.shape}")
             bad = ~np.isfinite(scores)
             if bad.any():
                 j = int(bad.argmax())
@@ -281,8 +286,9 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
         ordered_b = rb.cands[rb.order]
         top_neg = int(ordered_b[0]) if int(ordered_b[0]) != i else int(ordered_b[1])
         for pair_kind, item in (("positive", i), ("negative", top_neg)):
-            rng = seed_stream(scorer_a.seed, EVAL_WALK, u, item)
-            lg = label_graph(extract(train_graph, u, item, walk_cfg, rng))
+            walks = seed_stream(scorer_a.seed, EVAL_WALK, u, item).random(
+                4 * walk_cfg.walk_len).tolist()
+            lg = label_graph(extract(train_graph, u, item, walk_cfg, walks))
             fname = f"case{case:04d}_{pair_kind}_u{u}_i{item}.sg"
             dumps.append((fname, dump_localized_graph(lg, graph.num_users)))
             idx = int(np.nonzero(ra.cands == item)[0][0])

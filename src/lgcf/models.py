@@ -27,8 +27,8 @@ from .nn import (ACTIVATIONS, AdamState, GnnParameters, GradCheckReport, adam_st
                  grad_check, init_adam, init_gnn_params, normalize_adjacency,
                  params_from_dict, params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
-                  TRAIN_NEGATIVE, WALK, seed_stream)
-from .subgraph import WalkConfig, extract
+                  TRAIN_NEGATIVE, WALK, seed_stream, stream_uniforms)
+from .subgraph import WalkConfig, _node_id, extract
 
 # The parameter sections each kind's checkpoint carries; the others are null.
 CHECKPOINT_SECTIONS = {"lgcf": ("gnn",), "mf": ("tables",), "lightgcn": ("tables",),
@@ -477,10 +477,37 @@ def lgcf_logits(gnn: GnnParameters, head: np.ndarray, x0: np.ndarray,
     return features, np.array([np.dot(f, head) for f in features]), cache
 
 
+# Candidates per stream_uniforms draw in LgcfScorer.score: a sampled pair's
+# 100 candidates are one block, and a full ranking holds this many
+# candidates' graphs at a time.
+SCORE_BLOCK = 128
+
+
+def _item_block(items) -> tuple[np.ndarray, bool]:
+    """items as a 1-D int64 array of ids, and whether it was one id.
+
+    DomainError for a bool, a float or a negative id, an array of them, and
+    an array of more than one dimension.
+    """
+    try:
+        block = np.asarray(items)
+    except (ValueError, OverflowError):
+        raise DomainError(f"item ids must be integers, got {items!r}") from None
+    if block.size == 0 and not isinstance(items, np.ndarray):
+        block = block.astype(np.int64)  # numpy reads [] as float64
+    if block.ndim > 1 or block.dtype.kind not in "iu":
+        raise DomainError(f"items must be an integer id or a 1-D integer array, "
+                          f"got {block.dtype} with shape {block.shape}")
+    ids = block.astype(np.int64).reshape(-1)
+    if (ids < 0).any():
+        raise DomainError(f"item ids must be non-negative, got {int(ids.min())}")
+    return ids, block.ndim == 0
+
+
 class LgcfScorer:
-    """sigmoid of lgcf_logits on G_ui, walked from the stream (seed,
-    EVAL_WALK, u, i).  lgcf-emb passes refined, the propagated rows by
-    global id, for the prefix r_u * r_i.
+    """sigmoid of lgcf_logits on G_ui, walked from the uniforms of the
+    stream (seed, EVAL_WALK, u, i).  lgcf-emb passes refined, the propagated
+    rows by global id, for the prefix r_u * r_i.
     """
 
     def __init__(self, graph: BipartiteGraph, model: "TrainedModel",
@@ -494,13 +521,37 @@ class LgcfScorer:
         self.seed = int(model.master_seed)
         self.enc = LabelEncoding(model.gnn.feature_dim)
 
-    def score(self, u: int, i: int) -> float:
-        lg = label_graph(extract(self.graph, u, i, self.walk,
-                                 seed_stream(self.seed, EVAL_WALK, u, i)))
-        prefix = None if self.refined is None else self.refined[u] * self.refined[i]
-        return sigmoid(lgcf_logits(self.params, self.head,
-                                   one_hot_features(lg.labels, self.enc),
-                                   normalize_adjacency(lg.adjacency), prefix)[1])
+    def score(self, u: int, items):
+        """Score of (u, i) for an item id i, a float; for a 1-D integer
+        array of item ids, their scores as a float64 array.
+
+        Each SCORE_BLOCK candidates draw their walk uniforms in one
+        stream_uniforms call and get one one_hot_features and one
+        normalize_adjacency call per node count; the forward pass runs once
+        per graph, on 2-D slices with the bytes of a graph's own inputs.
+        """
+        u = _node_id(u)
+        block, single = _item_block(items)
+        logits = np.empty(block.size)
+        for lo in range(0, block.size, SCORE_BLOCK):
+            logits[lo:lo + SCORE_BLOCK] = self._logits(u, block[lo:lo + SCORE_BLOCK])
+        scores = sigmoid(logits)
+        return float(scores[0]) if single else scores
+
+    def _logits(self, u: int, block: np.ndarray) -> np.ndarray:
+        """The logits of (u, i) for each item i of a block."""
+        walk, ids = self.walk, block.tolist()
+        draws = stream_uniforms([(self.seed, EVAL_WALK, u, i) for i in ids],
+                                4 * walk.walk_len).tolist()
+        graphs = [label_graph(extract(self.graph, u, i, walk, row))
+                  for i, row in zip(ids, draws)]
+        prefix = None if self.refined is None else self.refined[u] * self.refined[block]
+        logits = np.empty(len(graphs))
+        for idx, x0, a_norm in _label_stacks(graphs, self.enc):
+            for j, x, a in zip(idx, x0, a_norm):
+                logits[j] = lgcf_logits(self.params, self.head, x, a,
+                                        None if prefix is None else prefix[j])[1]
+        return logits
 
 
 class DotScorer:
@@ -511,8 +562,19 @@ class DotScorer:
         self.kind = kind
         self.seed = int(seed)
 
-    def score(self, u: int, i: int) -> float:
-        return float(self.refined[u] @ self.refined[i])
+    def score(self, u: int, items):
+        """As LgcfScorer.score: a float for an item id, a float64 array for
+        a 1-D integer array.  np.vecdot gives each item the bytes of
+        refined[u] @ refined[i]; refined[items] @ refined[u] rounds
+        differently."""
+        u = _node_id(u)
+        block, single = _item_block(items)
+        rows = self.refined.shape[0]
+        if not 0 <= u < rows or (block.size and block.max() >= rows):
+            raise DomainError(f"ids must be in [0, {rows}), got user {u} and "
+                              f"items up to {block.max(initial=0)}")
+        scores = np.vecdot(self.refined[u], self.refined[block])
+        return float(scores[0]) if single else scores
 
 
 class EnsembleScorer:
@@ -526,8 +588,9 @@ class EnsembleScorer:
         self.lam = float(lam)
         self.seed = lgcf.seed
 
-    def score(self, u: int, i: int) -> float:
-        return self.lgcf.score(u, i) + self.lam * self.dot.score(u, i)
+    def score(self, u: int, items):
+        """As LgcfScorer.score, elementwise over a block."""
+        return self.lgcf.score(u, items) + self.lam * self.dot.score(u, items)
 
 
 # Triplets per GCN stack group in _gcn_batch.  Set by measurement: 8 was
@@ -537,27 +600,32 @@ class EnsembleScorer:
 GCN_CHUNK = 8
 
 
+def _label_stacks(graphs, enc: LabelEncoding):
+    """One (positions, one-hot (n, k, label_cap), normalized adjacency
+    (n, k, k)) per node count k among the labeled graphs: one
+    one_hot_features call on their labels laid end to end and one
+    normalize_adjacency call per stack, each slice with the bytes of the
+    graph's own call."""
+    by_size = {}
+    for idx, lg in enumerate(graphs):
+        by_size.setdefault(lg.num_nodes, []).append(idx)
+    stacks = []
+    for k, idx in by_size.items():
+        x0 = one_hot_features(np.concatenate([graphs[j].labels for j in idx]), enc)
+        a_norm = normalize_adjacency(np.array([graphs[j].adjacency for j in idx]))
+        stacks.append((idx, x0.reshape(len(idx), k, enc.label_cap), a_norm))
+    return stacks
+
+
 def _gcn_chunks(batch, enc: LabelEncoding):
     """A batch's triplets GCN_CHUNK at a time, as (users, items, stacks).
 
-    Instance 2t is triplet t's positive and 2t + 1 its negative.  stacks
-    holds one (positions, one-hot (n, k, label_cap), normalized adjacency
-    (n, k, k)) per node count k among the instances' labeled graphs: one
-    one_hot_features call on their labels laid end to end and one
-    normalize_adjacency call per stack, each slice with the bytes of the
-    graph's own call.
+    Instance 2t is triplet t's positive and 2t + 1 its negative; stacks
+    are _label_stacks of the instances' labeled graphs.
     """
     batch = iter(batch)
     while chunk := list(itertools.islice(batch, GCN_CHUNK)):
-        graphs = [t[c] for t in chunk for c in (3, 4)]
-        by_size = {}
-        for idx, lg in enumerate(graphs):
-            by_size.setdefault(lg.num_nodes, []).append(idx)
-        stacks = []
-        for k, idx in by_size.items():
-            x0 = one_hot_features(np.concatenate([graphs[j].labels for j in idx]), enc)
-            a_norm = normalize_adjacency(np.array([graphs[j].adjacency for j in idx]))
-            stacks.append((idx, x0.reshape(len(idx), k, enc.label_cap), a_norm))
+        stacks = _label_stacks([t[c] for t in chunk for c in (3, 4)], enc)
         yield (np.repeat([t[0] for t in chunk], 2),
                np.array([t[c] for t in chunk for c in (1, 2)]), stacks)
 
@@ -733,11 +801,18 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     prop = Propagation(train_graph, model.propagation_layers)
     batch_grads = _BATCH_GRADS[kind]
 
-    def labeled(u: int, i: int, epoch: int):
+    def with_graphs(triplets, epoch: int):
+        """The triplets with their positive's and negative's labeled graphs,
+        walked from one stream_uniforms draw for the streams (seed, WALK,
+        u, x, epoch); the graphs are None for kinds without a GCN."""
         if model.gnn is None:
-            return None
-        return label_graph(extract(train_graph, u, i, tc.walk,
-                                   seed_stream(tc.master_seed, WALK, u, i, epoch)))
+            return ((u, i, j, None, None) for u, i, j in triplets)
+        draws = iter(stream_uniforms(
+            [(tc.master_seed, WALK, u, x, epoch) for u, i, j in triplets for x in (i, j)],
+            4 * tc.walk.walk_len).tolist())
+        return ((u, i, j, *(label_graph(extract(train_graph, u, x, tc.walk, next(draws)))
+                            for x in (i, j)))
+                for u, i, j in triplets)
 
     history: list[EpochRecord] = []
     best_metric = -np.inf
@@ -750,9 +825,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         t0 = time.perf_counter()
         losses = []
         for triplets in _triplet_batches(train_graph, edges, tc, epoch):
-            batch = ((u, i, j, labeled(u, i, epoch), labeled(u, j, epoch))
-                     for u, i, j in triplets)
-            batch_losses, grads = batch_grads(model, prop, batch)
+            batch_losses, grads = batch_grads(model, prop, with_graphs(triplets, epoch))
             losses += batch_losses
             adam_step(arrays, grads, adam)
         val_hr = val_ndcg = None
@@ -838,7 +911,7 @@ def _fit_lambda(lgcf: LgcfScorer, dot: DotScorer, train_graph: BipartiteGraph,
     for u, i in split.val_edges.tolist():
         j = sample_negative(train_graph, u, rng)
         for name, scorer in (("lgcf", lgcf), ("dot", dot)):
-            pos, neg = scorer.score(u, i), scorer.score(u, j)
+            pos, neg = scorer.score(u, [i, j]).tolist()
             for item, value in ((i, pos), (j, neg)):
                 if not math.isfinite(value):
                     raise DomainError(f"pair ({u}, {i}): item {item} has {name} "
@@ -905,8 +978,9 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
         u = int(rng.integers(n))
         i_pos = n + int(rng.integers(m))
         i_neg = n + int(rng.integers(m))
-        batch = [(u, i_pos, i_neg,
-                  *(label_graph(extract(graph, u, i, cfg, rng)) for i in (i_pos, i_neg)))]
+        walks = [rng.random(4 * cfg.walk_len).tolist() for _ in range(2)]
+        batch = [(u, i_pos, i_neg, *(label_graph(extract(graph, u, i, cfg, w))
+                                     for i, w in zip((i_pos, i_neg), walks)))]
         model = TrainedModel(kind, cfg, enc.label_cap, 2, seed,
                              gnn=init_gnn_params(enc.label_cap, 8, 3, rng))
         if kind == "lgcf-emb":

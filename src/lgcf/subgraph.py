@@ -71,23 +71,25 @@ def _neighbor_lists(adjacency: np.ndarray) -> list[list[int]]:
 
 
 def rwr_trace(graph: BipartiteGraph, start: int, cfg: WalkConfig,
-              rng: np.random.Generator) -> list[int]:
+              uniforms) -> list[int]:
     """First-visit order of a restart walk from start.
 
     Each of the walk_len steps restarts at the start node with probability
     cfg.restart_prob and otherwise moves to a uniformly random neighbor.
-    Exactly 2 * walk_len draws are consumed regardless of the path taken (the
-    first walk_len gate the restarts, the rest pick the moves), so the trace
-    depends only on the generator state and the graph.  DomainError unless
-    start is a node id of the graph.
+    uniforms holds 2 * walk_len floats in [0, 1): the first walk_len gate
+    the restarts, the rest pick the moves, whatever path is taken, so the
+    trace depends only on them and the graph.  DomainError unless start is
+    a node id of the graph and there are 2 * walk_len uniforms.
     """
     adj = graph.adjacency_lists
     start = _node_id(start)
     if not 0 <= start < len(adj):
         raise DomainError(f"start node {start} is not in [0, {len(adj)})")
     walk_len = cfg.walk_len
-    draws = rng.random(2 * walk_len).tolist()
-    restarts, moves = draws[:walk_len], draws[walk_len:]
+    if len(uniforms) != 2 * walk_len:
+        raise DomainError(f"a walk of {walk_len} steps takes {2 * walk_len} "
+                          f"uniforms, got {len(uniforms)}")
+    restarts, moves = uniforms[:walk_len], uniforms[walk_len:]
     restart_prob = cfg.restart_prob
     visited = [start]
     seen = {start}
@@ -201,10 +203,15 @@ def induce_subgraph(graph: BipartiteGraph, nodes, target: tuple[int, int],
 
 
 def extract(graph: BipartiteGraph, u: int, i: int, cfg: WalkConfig,
-            rng: np.random.Generator) -> LocalizedGraph:
-    """Localized graph for the pair (u, i): walk from both, union, induce."""
-    trace_u = rwr_trace(graph, u, cfg, rng)
-    trace_i = rwr_trace(graph, i, cfg, rng)
+            uniforms) -> LocalizedGraph:
+    """Localized graph for the pair (u, i): walk from both, union, induce.
+
+    uniforms holds 4 * walk_len floats, the user's walk first: a row of
+    rng.stream_uniforms, or seed_stream(...).random(4 * walk_len).
+    """
+    half = 2 * cfg.walk_len
+    trace_u = rwr_trace(graph, u, cfg, uniforms[:half])
+    trace_i = rwr_trace(graph, i, cfg, uniforms[half:])
     return induce_subgraph(graph, union_nodes(trace_u, trace_i), (u, i),
                            cfg.remove_target_edge, cfg.max_nodes)
 
@@ -230,39 +237,54 @@ def dump_localized_graph(lg: LocalizedGraph, num_users: int) -> str:
 
 def parse_localized_graph(text: str) -> LocalizedGraph:
     """Inverse of dump_localized_graph (side letters are format-checked only).
-    ParseError names the first line that does not parse."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+
+    ParseError names the first line that does not parse, counting blank
+    lines: a field that is not an integer, a negative node count, a
+    removed_flag other than 0 or 1, a node id outside [0, 2^63) and a
+    negative label among them.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ParseError("empty localized graph dump", 1)
-    def ints(fields, no):  # no: the 1-based number of the line holding fields
+
+    def ints(fields, no, ln):
         try:
             return [int(x) for x in fields]
         except ValueError:
-            raise ParseError(f"non-integer field in {lines[no - 1]!r}", no) from None
-    head = lines[0].split()
+            raise ParseError(f"non-integer field in {ln!r}", no) from None
+
+    no, ln = lines[0]
+    head = ln.split()
     if len(head) != 4:
-        raise ParseError(f"expected 'k u i removed_flag', got {lines[0]!r}", 1)
-    k, u, i, removed = ints(head, 1)
+        raise ParseError(f"expected 'k u i removed_flag', got {ln!r}", no)
+    k, u, i, removed = ints(head, no, ln)
     if k < 0:
-        raise ParseError(f"negative node count in {lines[0]!r}", 1)
+        raise ParseError(f"negative node count in {ln!r}", no)
+    if removed not in (0, 1):
+        raise ParseError(f"removed_flag must be 0 or 1 in {ln!r}", no)
     if len(lines) < 1 + k:
-        raise ParseError(f"expected {k} node lines, got {len(lines) - 1}", len(lines))
+        raise ParseError(f"expected {k} node lines, got {len(lines) - 1}", lines[-1][0])
     nodes = np.zeros(k, dtype=np.int64)
     labels = np.zeros(k, dtype=np.int64)
-    for p in range(k):
-        parts = lines[1 + p].split()
+    for p, (no, ln) in enumerate(lines[1:1 + k]):
+        parts = ln.split()
         if len(parts) != 4 or parts[2] not in ("u", "i"):
-            raise ParseError(f"bad node line {lines[1 + p]!r}", 2 + p)
-        pos, nodes[p], labels[p] = ints(parts[:2] + parts[3:], 2 + p)
+            raise ParseError(f"bad node line {ln!r}", no)
+        pos, gid, label = ints(parts[:2] + parts[3:], no, ln)
         if pos != p:
-            raise ParseError(f"node lines out of order at {lines[1 + p]!r}", 2 + p)
+            raise ParseError(f"node lines out of order at {ln!r}", no)
+        if not 0 <= gid < 1 << 63:
+            raise ParseError(f"node id out of range in {ln!r}", no)
+        if label < 0:
+            raise ParseError(f"negative label in {ln!r}", no)
+        nodes[p], labels[p] = gid, label
     adj = np.zeros((k, k), dtype=np.float64)
-    for off, ln in enumerate(lines[1 + k:]):
+    for no, ln in lines[1 + k:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise ParseError(f"bad edge line {ln!r}", 2 + k + off)
-        p, q = ints(parts, 2 + k + off)
+            raise ParseError(f"bad edge line {ln!r}", no)
+        p, q = ints(parts, no, ln)
         if not (0 <= p < k and 0 <= q < k and p != q):
-            raise ParseError(f"edge endpoints out of range in {ln!r}", 2 + k + off)
+            raise ParseError(f"edge endpoints out of range in {ln!r}", no)
         adj[p, q] = adj[q, p] = 1.0
     return LocalizedGraph(nodes, adj, labels, (u, i), bool(removed))

@@ -32,8 +32,8 @@ class KeyedScorer:
     def __init__(self, seed: int):
         self.seed = seed
 
-    def score(self, u: int, i: int) -> float:
-        return float(seed_stream(self.seed, u, i).random())
+    def score(self, u: int, items: np.ndarray) -> np.ndarray:
+        return np.array([seed_stream(self.seed, u, i).random() for i in items.tolist()])
 
 
 class OracleScorer:
@@ -43,8 +43,8 @@ class OracleScorer:
     def __init__(self, positives):
         self.positives = {tuple(e) for e in positives.tolist()}
 
-    def score(self, u: int, i: int) -> float:
-        return 1.0 if (u, i) in self.positives else 0.0
+    def score(self, u: int, items: np.ndarray) -> np.ndarray:
+        return np.array([float((u, i) in self.positives) for i in items.tolist()])
 
 
 class CachingScorer:
@@ -54,10 +54,11 @@ class CachingScorer:
         self.inner = inner
         self.scores: dict[tuple[int, int], float] = {}
 
-    def score(self, u: int, i: int) -> float:
-        if (u, i) not in self.scores:
-            self.scores[(u, i)] = self.inner.score(u, i)
-        return self.scores[(u, i)]
+    def score(self, u: int, items: np.ndarray) -> np.ndarray:
+        scores = self.inner.score(u, items)
+        for i, s in zip(items.tolist(), scores.tolist()):
+            self.scores.setdefault((u, i), s)
+        return scores
 
 
 def random_localized(rng, max_nodes=200) -> LocalizedGraph:
@@ -202,7 +203,8 @@ def test_criterion_05_closed_forms():
             # _gcn_batch with one labeled graph on both sides
             batch = []
             for u, i in pairs:
-                lg = label_graph(extract(g, u, i, tc.walk, seed_stream(5, u, i)))
+                lg = label_graph(extract(g, u, i, tc.walk, seed_stream(5, u, i).random(
+                    4 * tc.walk.walk_len)))
                 batch.append((u, i, i, lg, lg))
             losses, _ = _gcn_batch(model, prop, batch)
         assert len(losses) == len(pairs) == 4

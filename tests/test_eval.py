@@ -24,7 +24,16 @@ from lgcf.graph import write_json
 from lgcf.rng import EVAL_NEGATIVE, SYNTH
 
 
-class KeyedScorer:
+class PairScorer:
+    """A test scorer: score(u, items) scores a 1-D integer array of items,
+    one score_pair(u, i) per item."""
+
+    def score(self, u: int, items: np.ndarray) -> np.ndarray:
+        return np.array([self.score_pair(u, i) for i in items.tolist()],
+                        dtype=np.float64)
+
+
+class KeyedScorer(PairScorer):
     """Deterministic pseudo-random scores keyed per pair."""
 
     kind = "random"
@@ -32,19 +41,22 @@ class KeyedScorer:
     def __init__(self, seed: int):
         self.seed = seed
 
-    def score(self, u: int, i: int) -> float:
+    def score_pair(self, u: int, i: int) -> float:
         return float(seed_stream(self.seed, u, i).random())
 
 
 class IntCheckingScorer(KeyedScorer):
-    """KeyedScorer that fails unless both ids are Python ints."""
+    """KeyedScorer that fails unless the user is a Python int and the items
+    an int64 array."""
 
     calls = 0
 
-    def score(self, u: int, i: int) -> float:
-        assert type(u) is int and type(i) is int, (type(u), type(i))
+    def score(self, u: int, items: np.ndarray) -> np.ndarray:
+        assert type(u) is int, type(u)
+        assert type(items) is np.ndarray and items.dtype == np.int64, type(items)
+        assert items.ndim == 1 and items.size > 0, items.shape
         self.calls += 1
-        return super().score(u, i)
+        return super().score(u, items)
 
 
 class HashScorer:
@@ -54,25 +66,25 @@ class HashScorer:
     kind = "hash"
     seed = 0
 
-    def score(self, u: int, i: int) -> float:
-        return float((u * 7919 + i * 104729) % 1009)
+    def score(self, u: int, items: np.ndarray) -> np.ndarray:
+        return ((u * 7919 + items * 104729) % 1009).astype(np.float64)
 
 
-class OracleScorer:
+class OracleScorer(PairScorer):
     kind = "oracle"
     seed = 0
 
     def __init__(self, positives):
         self.positives = {tuple(e) for e in positives.tolist()}
 
-    def score(self, u: int, i: int) -> float:
+    def score_pair(self, u: int, i: int) -> float:
         return 1.0 if (u, i) in self.positives else 0.0
 
 
 class AntiOracleScorer(OracleScorer):
     kind = "anti-oracle"
 
-    def score(self, u: int, i: int) -> float:
+    def score_pair(self, u: int, i: int) -> float:
         return 0.0 if (u, i) in self.positives else 1.0
 
 
@@ -240,7 +252,7 @@ class TestEvaluate:
         report = evaluate(scorer, g, split, PROTOCOL, collect_rankings=True)
         hr10, ndcg10 = [], []
         for u, i, cands in report.rankings:
-            scored = sorted(cands, key=lambda c: (-scorer.score(u, c), c))
+            scored = sorted(cands, key=lambda c: (-scorer.score_pair(u, c), c))
             rank = scored.index(i) + 1
             assert list(cands) == scored
             hr10.append(1.0 if rank <= 10 else 0.0)
@@ -294,8 +306,8 @@ class BadPairScorer(KeyedScorer):
         super().__init__(seed)
         self.pair, self.bad = pair, bad
 
-    def score(self, u: int, i: int) -> float:
-        return self.bad if (u, i) == self.pair else super().score(u, i)
+    def score_pair(self, u: int, i: int) -> float:
+        return self.bad if (u, i) == self.pair else super().score_pair(u, i)
 
 
 class TestNonFiniteScores:
@@ -324,8 +336,8 @@ class TestNonFiniteScores:
         late = tuple(split.test_edges[5].tolist())
 
         class LateNan(AntiOracleScorer):
-            def score(self, u, i):
-                return math.nan if (u, i) == late else super().score(u, i)
+            def score_pair(self, u, i):
+                return math.nan if (u, i) == late else super().score_pair(u, i)
 
         with pytest.raises(DomainError, match="scored nan"):
             dump_cases(OracleScorer(split.test_edges), LateNan(split.test_edges),

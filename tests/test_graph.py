@@ -15,6 +15,7 @@ from lgcf import (BipartiteGraph, DomainError, ParseError, SplitSpec,
                   load_split, normal_split, save_graph_dir, save_split,
                   seed_stream, sparse_split, sparsity_levels)
 from lgcf.graph import _number, _read_edge_file, read_utf8
+from lgcf.rng import stream_uniforms
 
 
 def random_bipartite(rng, max_users=12, max_items=12, p=0.3):
@@ -756,3 +757,63 @@ class TestSeedStream:
     def test_negative_key_rejected(self, keys):
         with pytest.raises(ValueError):
             seed_stream(*keys)
+
+
+class TestStreamUniforms:
+    """stream_uniforms draws a block of walk streams at once; row b has the
+    bytes of seed_stream(*keys[b]).random(n), and of numpy's own
+    default_rng(SeedSequence(keys[b])).random(n)."""
+
+    @staticmethod
+    def want(keys, n):
+        return np.array([np.random.default_rng(np.random.SeedSequence(
+            [int(k) for k in key])).random(n) for key in keys]).reshape(len(keys), n)
+
+    def test_random_keys_of_one_to_six_entries(self):
+        rng = np.random.default_rng(28)
+        for entries in range(1, 7):
+            keys = [tuple(int(rng.integers(0, 2**62)) >> int(rng.integers(0, 62))
+                          for _ in range(entries)) for _ in range(60)]
+            got = stream_uniforms(keys, 80)
+            assert got.shape == (60, 80) and got.dtype == np.float64
+            assert got.tobytes() == self.want(keys, 80).tobytes()
+            assert got[7].tobytes() == seed_stream(*keys[7]).random(80).tobytes()
+
+    def test_mixed_word_counts_in_one_block(self):
+        """Keys of 2^32 and more split into more words; such rows are drawn
+        apart from the others and land in their own places."""
+        keys = [(2**32, 6, 3, 25), (42, 6, 3, 25), (2**64 + 5, 1), (7,),
+                (2**40, 6, 2**33, 25, 1), (0, 0, 0, 0), (), (42, 6, 3, 25)]
+        got = stream_uniforms(keys, 33)
+        assert got.tobytes() == self.want(keys, 33).tobytes()
+        assert got[1].tobytes() == got[7].tobytes()
+
+    def test_master_seed_past_32_bits(self):
+        keys = [(2**32 + 9, 6, u, 200 + u) for u in range(20)]
+        assert stream_uniforms(keys, 40).tobytes() == self.want(keys, 40).tobytes()
+
+    def test_numpy_integer_keys(self):
+        keys = [(np.int64(42), np.uint32(6), np.int32(3), 25)]
+        assert stream_uniforms(keys, 8).tobytes() == self.want(keys, 8).tobytes()
+
+    def test_no_draws_and_no_rows(self):
+        assert stream_uniforms([(1, 2), (3,)], 0).shape == (2, 0)
+        empty = stream_uniforms([], 12)
+        assert empty.shape == (0, 12) and empty.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, np.float64(2.0), "3"], ids=repr)
+    def test_rejects_what_seed_stream_rejects(self, bad):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"seed keys must be integers, got {bad!r}")):
+            stream_uniforms([(4, 6, 1, 2), (4, 6, bad, 2)], 8)
+        with pytest.raises(DomainError, match="seed keys must be integers"):
+            seed_stream(4, 6, bad, 2)
+
+    @pytest.mark.parametrize("keys", [(-1,), (3, -2**40)])
+    def test_negative_key_rejected(self, keys):
+        with pytest.raises(DomainError, match="seed keys must be non-negative"):
+            stream_uniforms([(1,), keys], 4)
+
+    def test_negative_draw_count_rejected(self):
+        with pytest.raises(DomainError, match="draw count must be >= 0"):
+            stream_uniforms([(1,)], -1)

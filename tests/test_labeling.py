@@ -150,7 +150,8 @@ class TestLabelGraph:
 
     def test_four_cycle_with_target_removed(self):
         g = build_graph([(0, 2), (0, 3), (1, 2), (1, 3)], 2, 2)
-        lg = extract(g, 0, 2, WalkConfig(0.1, 40, 10), seed_stream(32))
+        cfg = WalkConfig(0.1, 40, 10)
+        lg = extract(g, 0, 2, cfg, seed_stream(32).random(4 * cfg.walk_len))
         lg = label_graph(lg)
         by_gid = dict(zip(lg.nodes.tolist(), lg.labels.tolist()))
         assert by_gid[0] == 1 and by_gid[2] == 1

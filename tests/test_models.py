@@ -20,7 +20,7 @@ from lgcf.graph import _json_pieces
 from lgcf.models import (MODEL_KINDS, DotScorer, EnsembleScorer, LgcfScorer,
                          Propagation, _embedding_batch, _fit_lambda, _init_model)
 from lgcf.nn import AdamState, adam_to_dict
-from lgcf.rng import ENSEMBLE
+from lgcf.rng import ENSEMBLE, EVAL_WALK
 
 CHI2_CRIT_DF19 = 43.82  # alpha = 0.001
 
@@ -325,6 +325,108 @@ class TestScores:
         assert ens.score(0, 1) == pytest.approx(2.3, abs=1e-15)
 
 
+def five_scorers(train_graph, walk):
+    """A scorer of each kind, untrained; lgcf-ens joins lgcf's GCN and
+    lightgcn's tables."""
+    tc = tiny_tc(walk=walk, master_seed=11)
+    models = {kind: _init_model(kind, train_graph, tc)
+              for kind in ("lgcf", "lgcf-emb", "mf", "lightgcn")}
+    models["lgcf-ens"] = TrainedModel("lgcf-ens", walk, tc.label_cap, tc.lightgcn_layers,
+                                      11, gnn=models["lgcf"].gnn,
+                                      tables=models["lightgcn"].tables, lam=0.7)
+    return {kind: model.make_scorer(train_graph) for kind, model in models.items()}
+
+
+class TestScoreBlocks:
+    """score(u, items) scores a 1-D integer array of items in one call,
+    with the bytes of one call per item."""
+
+    GRAPH = make_synthetic(30, 80, 0.08, 0.02, 3)  # 60 users, 160 items
+    WALK = WalkConfig(0.3, 6, 12)  # graphs of several node counts
+
+    @pytest.fixture(scope="class")
+    def scorers(self):
+        return five_scorers(self.GRAPH, self.WALK)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_block_is_the_per_item_calls(self, scorers, kind):
+        scorer = scorers[kind]
+        g = self.GRAPH
+        rng = np.random.default_rng(40)
+        u = 17
+        # repeated items, over two SCORE_BLOCK chunks
+        items = rng.integers(g.num_users, g.num_nodes, 300)
+        assert len(np.unique(items)) < items.size
+        got = scorer.score(u, items)
+        assert got.dtype == np.float64 and got.shape == items.shape
+        want = np.array([scorer.score(u, i) for i in items.tolist()])
+        assert got.tobytes() == want.tobytes()
+        assert all(type(scorer.score(u, i)) is float for i in (items[0], int(items[1])))
+        assert scorer.score(u, items.tolist()).tobytes() == want.tobytes()
+        sizes = {extract(g, u, i, self.WALK, seed_stream(11, EVAL_WALK, u, i).random(
+            4 * self.WALK.walk_len)).num_nodes for i in items.tolist()}
+        assert len(sizes) > 2, sizes
+
+    def test_block_is_the_one_pair_expression(self, scorers):
+        """Each item's score has the bytes of the per-pair form: lgcf's
+        sigmoid of one graph's logit from its own seed_stream walks, and
+        the dot product refined[u] @ refined[i]."""
+        g = self.GRAPH
+        u = 23
+        items = np.random.default_rng(41).integers(g.num_users, g.num_nodes, 150)
+        lgcf = {}
+        for kind in ("lgcf", "lgcf-emb"):
+            scorer = scorers[kind]
+            want = []
+            for i in items.tolist():
+                lg = label_graph(extract(g, u, i, self.WALK, seed_stream(
+                    11, EVAL_WALK, u, i).random(4 * self.WALK.walk_len)))
+                prefix = (None if scorer.refined is None
+                          else scorer.refined[u] * scorer.refined[i])
+                want.append(sigmoid(lgcf_logits(
+                    scorer.params, scorer.head, one_hot_features(lg.labels, scorer.enc),
+                    normalize_adjacency(lg.adjacency), prefix)[1]))
+            lgcf[kind] = want
+            assert scorer.score(u, items).tobytes() == np.array(want).tobytes(), kind
+        for kind in ("mf", "lightgcn"):
+            refined = scorers[kind].refined
+            want = np.array([float(refined[u] @ refined[i]) for i in items.tolist()])
+            assert scorers[kind].score(u, items).tobytes() == want.tobytes(), kind
+        ens = scorers["lgcf-ens"]
+        refined = ens.dot.refined
+        want = np.array([s + ens.lam * float(refined[u] @ refined[i])
+                         for s, i in zip(lgcf["lgcf"], items.tolist())])
+        assert ens.score(u, items).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_empty_block(self, scorers, kind):
+        for empty in (np.array([], dtype=np.int64), []):
+            got = scorers[kind].score(3, empty)
+            assert got.dtype == np.float64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("bad", [np.array([70, 71.0]), np.array([True, False]),
+                                     np.array([[70, 71]]), 70.0, np.float64(71), True,
+                                     "70", [70, "71"], [70, -3], -1], ids=repr)
+    def test_item_ids_that_are_not_ids_are_rejected(self, scorers, kind, bad):
+        with pytest.raises(DomainError, match="item"):
+            scorers[kind].score(3, bad)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("user", [True, 2.0, "2"], ids=repr)
+    def test_user_that_is_not_an_id_is_rejected(self, scorers, kind, user):
+        with pytest.raises(DomainError, match="is not an integer"):
+            scorers[kind].score(user, np.array([70]))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("user, items", [(-1, [70]), (220, [70]), (3, [70, 220]),
+                                             (3, 10**6)], ids=str)
+    def test_ids_outside_the_graph_are_rejected(self, scorers, kind, user, items):
+        """Not read through negative indexing or numpy's IndexError."""
+        with pytest.raises(DomainError):
+            scorers[kind].score(user, items)
+
+
 class TestSampleNegative:
     def test_single_free_item_always_chosen(self):
         g = build_graph([(0, 1), (0, 2)], 1, 3)
@@ -556,9 +658,9 @@ class TestLgcfLearning:
         enc = LabelEncoding(model.gnn.feature_dim)
         worst = 0.0
         for trial in range(25):
-            lg = label_graph(extract(g, int(rng.integers(5)),
-                                     5 + int(rng.integers(6)),
-                                     WalkConfig(0.1, 30, 10), seed_stream(trial)))
+            cfg = WalkConfig(0.1, 30, 10)
+            lg = label_graph(extract(g, int(rng.integers(5)), 5 + int(rng.integers(6)),
+                                     cfg, seed_stream(trial).random(4 * cfg.walk_len)))
             k = len(lg.nodes)
             if k < 3:
                 continue
@@ -589,8 +691,10 @@ class TestEnsembleLambda:
         u, i = split.val_edges[0].tolist()
         score = scorer.score
 
-        def nan_at_item(self, user, item):
-            return math.nan if item == i else score(self, user, item)
+        def nan_at_item(self, user, items):
+            scores = score(self, user, items)
+            scores[np.asarray(items) == i] = math.nan
+            return scores
 
         monkeypatch.setattr(scorer, "score", nan_at_item)
         # eval_every > epochs: the sub-models never validate, so every score

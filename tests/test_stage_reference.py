@@ -22,7 +22,7 @@ from lgcf import (DomainError, LabelEncoding, Propagation, TrainConfig,
 from lgcf.labeling import _bfs
 from lgcf.models import _batch_rows, _gcn_batch, _init_model, _triplet_batches
 from lgcf.nn import _activate, gcn_backward, gcn_forward
-from lgcf.rng import EVAL_WALK, PARAM_INIT, WALK as WALK_STREAM
+from lgcf.rng import EVAL_WALK, PARAM_INIT, WALK as WALK_STREAM, stream_uniforms
 
 WALK = WalkConfig(0.15, 20, 20, True)  # the benchmark's walks
 NO_PREFIX = np.zeros(0)  # lgcf's prefix in the references
@@ -244,11 +244,15 @@ def test_seeded_pairs_match_the_reference_stages(criterion_9_graph):
     params = {act: init_gnn_params(32, 32, 3, seed_stream(42, PARAM_INIT), act)
               for act in ("relu", "tanh")}
     truncated = 0
+    half = 2 * WALK.walk_len
+    draws = stream_uniforms([(42, EVAL_WALK, u, i) for u, i in zip(users, items)],
+                            2 * half).tolist()
     for n, (u, i) in enumerate(zip(users, items)):
         keys = (42, EVAL_WALK, u, i)
         stream, ref_stream = seed_stream(*keys), ref_seed_stream(*keys)
         assert stream.bit_generator.state == ref_stream.bit_generator.state
-        traces = [rwr_trace(g, x, WALK, stream) for x in (u, i)]
+        traces = [rwr_trace(g, u, WALK, draws[n][:half]),
+                  rwr_trace(g, i, WALK, draws[n][half:])]
         assert traces == [ref_rwr_trace(g, x, WALK, ref_stream) for x in (u, i)]
         nodes = union_nodes(*traces)
         truncated += len(nodes) > WALK.max_nodes
@@ -291,7 +295,8 @@ def test_gcn_batch_is_the_triplet_loop(criterion_9_graph, kind, activation,
     for _, triplets in zip(range(BATCHES_READ[batch_size]),
                            _triplet_batches(g, g.edges(), tc, epoch)):
         batch = [(u, i, j, *(label_graph(extract(g, u, x, WALK, seed_stream(
-                     42, WALK_STREAM, u, x, epoch))) for x in (i, j)))
+                     42, WALK_STREAM, u, x, epoch).random(4 * WALK.walk_len)))
+                             for x in (i, j)))
                  for u, i, j in triplets]
         sizes.update(lg.num_nodes for t in batch for lg in t[3:])
         want_losses, want = ref_gcn_batch(model, prop, batch)
@@ -393,8 +398,8 @@ def test_target_edge_kept_and_removed(criterion_9_graph):
     g = criterion_9_graph
     for u in range(0, g.num_users, 7):
         for i in g.neighbors(u).tolist()[:2]:
-            nodes = union_nodes(*(rwr_trace(g, x, WALK, seed_stream(3, u, i, x))
-                                  for x in (u, i)))
+            nodes = union_nodes(*(rwr_trace(g, x, WALK, seed_stream(3, u, i, x).random(
+                2 * WALK.walk_len)) for x in (u, i)))
             for remove in (True, False):
                 lg = induce_subgraph(g, nodes, (u, i), remove, WALK.max_nodes)
                 ordered, adj, nbrs = ref_induce(g, nodes, (u, i), remove,
@@ -450,7 +455,8 @@ def test_isolated_nodes():
     cfg = WalkConfig(0.1, 30, 10, True)
     for start in range(g.num_nodes):
         for seed in range(5):
-            assert (rwr_trace(g, start, cfg, seed_stream(seed, start))
+            assert (rwr_trace(g, start, cfg,
+                              seed_stream(seed, start).random(2 * cfg.walk_len))
                     == ref_rwr_trace(g, start, cfg, seed_stream(seed, start)))
     for u, i in ((1, 5), (0, 6), (1, 6), (0, 5)):
         nodes = list(range(g.num_nodes))

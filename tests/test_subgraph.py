@@ -12,6 +12,16 @@ from lgcf import (DomainError, LocalizedGraph, ParseError, WalkConfig, build_gra
 from lgcf.subgraph import TARGET_ITEM_POS, TARGET_USER_POS
 
 
+def walk(cfg, *keys):
+    """The uniforms one restart walk of cfg takes, from seed_stream(*keys)."""
+    return seed_stream(*keys).random(2 * cfg.walk_len)
+
+
+def walks(cfg, *keys):
+    """The uniforms extract takes for cfg's two walks, from seed_stream(*keys)."""
+    return seed_stream(*keys).random(4 * cfg.walk_len)
+
+
 def random_graph(rng, n=8, m=8, p=0.35):
     edges = {(u, n + i) for u in range(n) for i in range(m) if rng.random() < p}
     edges.add((0, n))  # pin a target edge
@@ -22,24 +32,24 @@ class TestRwrTrace:
     def test_restart_prob_one_stays_home(self):
         g = random_graph(np.random.default_rng(0))
         cfg = WalkConfig(restart_prob=1.0, walk_len=20, max_nodes=10)
-        assert rwr_trace(g, 3, cfg, seed_stream(1)) == [3]
+        assert rwr_trace(g, 3, cfg, walk(cfg, 1)) == [3]
 
     def test_degree_one_chain_oscillates(self):
         g = build_graph([(0, 1)], 1, 1)
         cfg = WalkConfig(restart_prob=0.0, walk_len=2, max_nodes=10)
-        assert rwr_trace(g, 0, cfg, seed_stream(2)) == [0, 1]
+        assert rwr_trace(g, 0, cfg, walk(cfg, 2)) == [0, 1]
 
     def test_deterministic_given_seed(self):
         g = random_graph(np.random.default_rng(3), n=5, m=5)
         cfg = WalkConfig(0.15, 30, 50)
-        a = rwr_trace(g, 0, cfg, seed_stream(4, 0))
-        b = rwr_trace(g, 0, cfg, seed_stream(4, 0))
+        a = rwr_trace(g, 0, cfg, walk(cfg, 4, 0))
+        b = rwr_trace(g, 0, cfg, walk(cfg, 4, 0))
         assert a == b
 
     def test_first_visit_order_properties(self):
         g = random_graph(np.random.default_rng(5))
         cfg = WalkConfig(0.2, 40, 50)
-        trace = rwr_trace(g, 2, cfg, seed_stream(6))
+        trace = rwr_trace(g, 2, cfg, walk(cfg, 6))
         assert trace[0] == 2
         assert len(set(trace)) == len(trace)
         # every visited node is on some walkable path: its degree is positive
@@ -48,19 +58,28 @@ class TestRwrTrace:
     def test_isolated_start_is_singleton(self):
         g = build_graph([(0, 2)], 2, 2)  # user 1, item 3 isolated
         cfg = WalkConfig(0.0, 10, 10)
-        assert rwr_trace(g, 1, cfg, seed_stream(7)) == [1]
+        assert rwr_trace(g, 1, cfg, walk(cfg, 7)) == [1]
 
     def test_consumes_fixed_draw_budget(self):
         # one uniform per step for the restart gate and one for the move,
-        # regardless of graph shape, so downstream draws stay aligned
+        # regardless of graph shape, so downstream draws stay aligned: a
+        # walk takes exactly 2 * walk_len of them, and extract gives the
+        # user's walk the first half of its 4 * walk_len
         g = random_graph(np.random.default_rng(8))
         cfg = WalkConfig(0.3, 17, 50)
-        used = seed_stream(9)
-        rwr_trace(g, 0, cfg, used)
-        mirror = seed_stream(9)
-        mirror.random(cfg.walk_len)
-        mirror.random(cfg.walk_len)
-        assert used.random() == mirror.random()
+        draws = walks(cfg, 9)
+        half = 2 * cfg.walk_len
+        for count in (half - 1, half + 1, 0):
+            with pytest.raises(DomainError, match=f"takes {half} uniforms"):
+                rwr_trace(g, 0, cfg, draws[:count])
+        with pytest.raises(DomainError, match=f"takes {half} uniforms"):
+            extract(g, 0, 8, cfg, draws[:-1])
+        nodes = union_nodes(rwr_trace(g, 0, cfg, draws[:half]),
+                            rwr_trace(g, 8, cfg, draws[half:]))
+        want = induce_subgraph(g, nodes, (0, 8), True, cfg.max_nodes)
+        assert extract(g, 0, 8, cfg, draws).nodes.tolist() == want.nodes.tolist()
+        assert (rwr_trace(g, 0, cfg, draws[:half].tolist())
+                == rwr_trace(g, 0, cfg, draws[:half]))
 
     def test_walk_config_validation(self):
         with pytest.raises(DomainError):
@@ -127,7 +146,7 @@ class TestIdsOutsideTheGraph:
     @pytest.mark.parametrize("start", [-1, -40, 40, 99])
     def test_rwr_trace_start(self, start):
         with pytest.raises(DomainError, match=f"start node {start} is not in"):
-            rwr_trace(self.GRAPH, start, self.CFG, seed_stream(1))
+            rwr_trace(self.GRAPH, start, self.CFG, walk(self.CFG, 1))
 
     @pytest.mark.parametrize("target", [(0, -5), (0, 40), (0, 99), (-1, 20),
                                         (40, 20)], ids=str)
@@ -146,7 +165,7 @@ class TestIdsOutsideTheGraph:
             induce_subgraph(self.GRAPH, [3, 25, 4], target, remove, 20)
         with pytest.raises(DomainError, match=r"is not a \(user, item\) pair"):
             extract(self.GRAPH, *target, WalkConfig(0.15, 20, 20, remove),
-                    seed_stream(1))
+                    walks(self.CFG, 1))
 
     @pytest.mark.parametrize("node", [-1, -39, 40, 1000])
     def test_induce_subgraph_node(self, node):
@@ -198,13 +217,13 @@ class TestIdsThatAreNotIntegers:
     def test_rwr_trace_start(self, bad):
         with pytest.raises(DomainError,
                            match=re.escape(f"node id {bad!r} is not an integer")):
-            rwr_trace(self.GRAPH, bad, self.CFG, seed_stream(1))
+            rwr_trace(self.GRAPH, bad, self.CFG, walk(self.CFG, 1))
 
     @pytest.mark.parametrize("pair", [(0.5, 21), (0, 21.0), (np.float64(3), 25),
                                       (True, 21)], ids=str)
     def test_extract_and_induce_targets(self, pair):
         with pytest.raises(DomainError, match="is not an integer"):
-            extract(self.GRAPH, *pair, self.CFG, seed_stream(1))
+            extract(self.GRAPH, *pair, self.CFG, walks(self.CFG, 1))
         with pytest.raises(DomainError, match="is not an integer"):
             induce_subgraph(self.GRAPH, [4, 30], pair, True, 20)
 
@@ -224,10 +243,10 @@ class TestIdsThatAreNotIntegers:
         assert (seed_stream(np.int64(7), np.uint32(1)).random()
                 == seed_stream(7, 1).random())
         cfg = self.CFG
-        assert (rwr_trace(self.GRAPH, np.int64(3), cfg, seed_stream(2))
-                == rwr_trace(self.GRAPH, 3, cfg, seed_stream(2)))
-        got = extract(self.GRAPH, np.int32(3), np.int64(25), cfg, seed_stream(2))
-        want = extract(self.GRAPH, 3, 25, cfg, seed_stream(2))
+        assert (rwr_trace(self.GRAPH, np.int64(3), cfg, walk(cfg, 2))
+                == rwr_trace(self.GRAPH, 3, cfg, walk(cfg, 2)))
+        got = extract(self.GRAPH, np.int32(3), np.int64(25), cfg, walks(cfg, 2))
+        want = extract(self.GRAPH, 3, 25, cfg, walks(cfg, 2))
         assert got.nodes.tolist() == want.nodes.tolist()
         assert got.target_pair == (3, 25) and type(got.target_pair[0]) is int
 
@@ -251,7 +270,7 @@ class TestNeighborLists:
                              int(rng.integers(2, 12)), bool(trial % 2))
             u = int(rng.integers(g.num_users))
             i = g.num_users + int(rng.integers(g.num_items))
-            yield g, cfg, extract(g, u, i, cfg, seed_stream(24, trial))
+            yield g, cfg, extract(g, u, i, cfg, walks(cfg, 24, trial))
             # every node in id order, so that max_nodes truncates
             yield g, cfg, induce_subgraph(g, range(g.num_nodes), (0, g.num_users),
                                           cfg.remove_target_edge, cfg.max_nodes)
@@ -260,7 +279,7 @@ class TestNeighborLists:
         for remove in (True, False):
             cfg = WalkConfig(0.1, 20, 10, remove)
             for u, i in ((1, 3), (0, 4), (1, 4)):
-                yield g, cfg, extract(g, u, i, cfg, seed_stream(25, u, i))
+                yield g, cfg, extract(g, u, i, cfg, walks(cfg, 25, u, i))
 
     def test_lists_match_adjacency(self):
         kinds = set()
@@ -302,7 +321,7 @@ class TestExtract:
         cfg = WalkConfig(0.2, 25, 20)
         for trial in range(30):
             g = random_graph(rng)
-            lg = extract(g, 0, 8, cfg, seed_stream(14, trial))
+            lg = extract(g, 0, 8, cfg, walks(cfg, 14, trial))
             assert lg.nodes[0] == 0 and lg.nodes[1] == 8
             assert lg.num_nodes <= cfg.max_nodes
             for p, q in zip(*np.nonzero(lg.adjacency)):
@@ -313,16 +332,16 @@ class TestExtract:
     def test_keep_target_edge_mode(self):
         g = random_graph(np.random.default_rng(15))
         cfg = WalkConfig(0.2, 25, 20, remove_target_edge=False)
-        lg = extract(g, 0, 8, cfg, seed_stream(16))
+        lg = extract(g, 0, 8, cfg, walks(cfg, 16))
         assert lg.adjacency[0, 1] == 1
         assert not lg.target_edge_removed
 
     def test_side_validation(self):
         g = random_graph(np.random.default_rng(17))
         with pytest.raises(DomainError):
-            extract(g, 9, 8, WalkConfig(), seed_stream(18))
+            extract(g, 9, 8, WalkConfig(), walks(WalkConfig(), 18))
         with pytest.raises(DomainError):
-            extract(g, 0, 3, WalkConfig(), seed_stream(18))
+            extract(g, 0, 3, WalkConfig(), walks(WalkConfig(), 18))
 
 
 class TestDumpFormat:
@@ -341,12 +360,13 @@ class TestDumpFormat:
         cfg = WalkConfig(0.2, 20, 15)
         for trial in range(25):
             g = random_graph(rng)
-            lg = extract(g, 0, 8, cfg, seed_stream(20, trial))
+            lg = extract(g, 0, 8, cfg, walks(cfg, 20, trial))
             self.roundtrip(lg, 8)
 
     def test_dump_is_line_oriented_and_sorted(self):
         g = build_graph([(0, 2), (0, 3), (1, 2)], 2, 2)
-        lg = extract(g, 0, 2, WalkConfig(0.0, 10, 10, False), seed_stream(21))
+        cfg = WalkConfig(0.0, 10, 10, False)
+        lg = extract(g, 0, 2, cfg, walks(cfg, 21))
         text = dump_localized_graph(lg, 2)
         lines = text.strip().splitlines()
         k = lg.num_nodes
@@ -357,7 +377,8 @@ class TestDumpFormat:
 
     def test_parse_rejects_garbage(self):
         g = build_graph([(0, 2), (1, 3), (0, 3)], 2, 2)
-        lg = extract(g, 0, 2, WalkConfig(0.0, 10, 10, False), seed_stream(22))
+        cfg = WalkConfig(0.0, 10, 10, False)
+        lg = extract(g, 0, 2, cfg, walks(cfg, 22))
         text = dump_localized_graph(lg, 2)
         with pytest.raises(ParseError):
             parse_localized_graph("not a dump\n")
@@ -375,3 +396,31 @@ class TestDumpFormat:
                              ("2 0 2 1\n0 0 u 0\n1 2 i 1\n0 one\n", 4)):
             with pytest.raises(ParseError, match=f"^line {line_no}: "):
                 parse_localized_graph(bad)
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("2 0 2 1\n\n0 0 u 0\n1 2 i 1.5\n", 4, "non-integer field"),
+        ("\n\n2 0 2 1\n0 0 u 0\n\n1 2 i 1\n0 x\n", 7, "non-integer field"),
+        ("2 0 2 1\n0 0 u 0\n\n\n", 2, "expected 2 node lines"),
+        ("2 0 2 7\n0 0 u 0\n1 2 i 1\n", 1, "removed_flag must be 0 or 1"),
+        ("2 0 2 -1\n0 0 u 0\n1 2 i 1\n", 1, "removed_flag must be 0 or 1"),
+        ("2 0 2 1\n0 0 u -1\n1 2 i 1\n", 2, "negative label"),
+        ("2 0 2 1\n0 0 u 0\n1 2 i -3\n", 3, "negative label"),
+        (f"2 0 2 1\n0 {2**63} u 0\n1 2 i 1\n", 2, "node id out of range"),
+        ("2 0 2 1\n0 0 u 0\n1 -2 i 1\n", 3, "node id out of range"),
+    ], ids=["blank-line-counted", "blank-lines-everywhere", "missing-node-line",
+            "flag-7", "flag-negative", "negative-label", "negative-label-2",
+            "id-past-int64", "negative-id"])
+    def test_parse_names_the_file_line(self, text, line_no, message):
+        """Blank lines count toward the named line; removed_flag is 0 or 1;
+        labels are non-negative and node ids fit a signed 64-bit int."""
+        with pytest.raises(ParseError, match=f"^line {line_no}: {message}"):
+            parse_localized_graph(text)
+
+    def test_parse_accepts_blank_lines_and_both_flags(self):
+        for flag in (0, 1):
+            lg = parse_localized_graph(f"\n2 0 2 {flag}\n\n0 0 u 0\n1 2 i 1\n\n0 1\n")
+            assert lg.target_edge_removed is bool(flag)
+            assert lg.labels.tolist() == [0, 1] and lg.neighbors == [[1], [0]]
+        big = 2**63 - 1
+        lg = parse_localized_graph(f"2 0 {big} 1\n0 0 u 0\n1 {big} i 1\n")
+        assert lg.nodes.tolist() == [0, big]

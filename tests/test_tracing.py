@@ -11,18 +11,21 @@ from pathlib import Path
 
 import numpy as np
 
-from lgcf import (EvalProtocol, LabelEncoding, TrainConfig, WalkConfig,
+from lgcf import (EvalProtocol, LabelEncoding, TrainConfig, TrainedModel, WalkConfig,
                   build_graph, evaluate, extract, label_graph, make_synthetic,
                   normal_split, seed_stream, train)
 from lgcf import models, nn
-from lgcf.models import _gcn_chunks, _gcn_scores, _init_model, _triplet_batches
+from lgcf.models import (MODEL_KINDS, _gcn_chunks, _gcn_scores, _init_model,
+                         _triplet_batches)
 from lgcf.rng import EVAL_WALK, WALK
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache files under perfbench/
@@ -31,6 +34,23 @@ def load_tracing():
     finally:
         sys.dont_write_bytecode = write_bytecode
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
+
+
+def load_workloads():
+    """perfbench/workloads.py, given perfbench/env.py as the `env` it imports."""
+    saved = sys.modules.get("env")
+    sys.modules["env"] = load_perfbench("env")
+    try:
+        return load_perfbench("workloads")
+    finally:
+        if saved is None:
+            del sys.modules["env"]
+        else:
+            sys.modules["env"] = saved
 
 
 def owner_of(module_name: str, cls_name: str | None):
@@ -98,8 +118,8 @@ def test_lgcf_epoch_counters_match_its_labeled_graphs():
     train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
     tracer = tracing.Tracer()
     tracer.run(1, lambda: train("lgcf", g, split, tc))
-    labels = [label_graph(extract(train_graph, u, x, tc.walk,
-                                  seed_stream(3, WALK, u, x, 1))).labels
+    labels = [label_graph(extract(train_graph, u, x, tc.walk, seed_stream(
+                  3, WALK, u, x, 1).random(4 * tc.walk.walk_len))).labels
               for triplets in _triplet_batches(train_graph,
                                                split.train_edges.tolist(), tc, 1)
               for u, i, j in triplets for x in (i, j)]
@@ -112,10 +132,11 @@ def test_lgcf_epoch_counters_match_its_labeled_graphs():
 
 
 def test_scoring_forwards_one_graph_per_call(monkeypatch):
-    """evaluate's lgcf and lgcf-emb scorers call gcn_forward once per scored
-    candidate with one graph's 2-D inputs, which perfbench's _after_forward
-    counts as k nodes; and a graph scored inside a same-size training stack
-    gets the bytes of LgcfScorer.score on that pair."""
+    """evaluate's lgcf and lgcf-emb scorers, called once per pair with its
+    candidates, call gcn_forward once per scored candidate with one graph's
+    2-D inputs, which perfbench's _after_forward counts as k nodes; and a
+    graph scored inside a same-size training stack gets the bytes of
+    LgcfScorer.score on that pair."""
     g = make_synthetic(20, 20, 0.3, 0.02, 4)
     split = normal_split(g, 0.9, 4)
     train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
@@ -133,16 +154,19 @@ def test_scoring_forwards_one_graph_per_call(monkeypatch):
     for kind in ("lgcf", "lgcf-emb"):
         model = _init_model(kind, train_graph, tc)
         scorer = model.make_scorer(train_graph)
-        calls = []
-        monkeypatch.setattr(scorer, "score", lambda u, i, f=scorer.score: (
-            calls.append((u, i)) or f(u, i)))
+        calls, blocks = [], []
+        monkeypatch.setattr(scorer, "score", lambda u, items, f=scorer.score: (
+            blocks.append(len(items)) or calls.extend((u, i) for i in items.tolist())
+            or f(u, items)))
         shapes.clear()
-        evaluate(scorer, g, split, EvalProtocol(n_negatives=9, k_values=(5,)))
+        report = evaluate(scorer, g, split, EvalProtocol(n_negatives=9, k_values=(5,)))
+        assert len(blocks) == report.num_pairs and set(blocks) == {10}
         assert len(shapes) == len(calls) > 0
         assert all(len(shape) == 2 for shape in shapes), kind
         # the evaluated pairs as triplets of a training step, eval-walked
         batch = [(u, i, j, *(label_graph(extract(train_graph, u, x, model.walk,
-                                                 seed_stream(5, EVAL_WALK, u, x)))
+                                                 seed_stream(5, EVAL_WALK, u, x).random(
+                                                     4 * model.walk.walk_len)))
                              for x in (i, j)))
                  for (u, i), (v, j) in zip(calls[0::2], calls[1::2]) if u == v]
         stacked = 0
@@ -150,7 +174,43 @@ def test_scoring_forwards_one_graph_per_call(monkeypatch):
             scores = _gcn_scores(model.gnn, model.head, scorer.refined, users,
                                  items, stacks)[1]
             stacked += sum(len(idx) for idx, *_ in stacks if len(idx) > 1)
-            want = np.array([scorer.score(u, i) for u, i in
+            want = np.array([scorer.score(u, np.array([i]))[0] for u, i in
                              zip(users.tolist(), items.tolist())])
             assert scores.tobytes() == want.tobytes(), kind
         assert stacked > len(batch)
+
+
+def test_checked_scorer_records_every_ranked_candidate():
+    """perfbench's CheckedScorer wraps only score and keeps whatever it
+    returns.  evaluate scores each pair's candidates in one call, so the
+    lgcf-eval and embed-large checks, np.asarray(scores).size against the
+    rankings, still count one finite score per ranked candidate, for every
+    model kind."""
+    workloads = load_workloads()
+    g = make_synthetic(20, 20, 0.3, 0.02, 4)
+    split = normal_split(g, 0.9, 4)
+    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    tc = TrainConfig(master_seed=5, walk=WalkConfig(0.15, 20, 20, True),
+                     gcn_layers=2, hidden_dim=8, label_cap=16, embed_dim=4)
+    models_by_kind = {kind: _init_model(kind, train_graph, tc)
+                      for kind in ("lgcf", "lgcf-emb", "mf", "lightgcn")}
+    models_by_kind["lgcf-ens"] = TrainedModel(
+        "lgcf-ens", tc.walk, tc.label_cap, tc.lightgcn_layers, 5,
+        gnn=models_by_kind["lgcf"].gnn, tables=models_by_kind["lightgcn"].tables,
+        lam=0.5)
+    assert set(models_by_kind) == set(MODEL_KINDS)
+    protocol = EvalProtocol(n_negatives=9, k_values=(5,))
+    for kind, model in models_by_kind.items():
+        scorer = model.make_scorer(train_graph)
+        checked = workloads.CheckedScorer(scorer)
+        report = evaluate(checked, g, split, protocol, collect_rankings=True)
+        scores = np.asarray(checked.scores, dtype=np.float64)
+        expected = sum(len(r[2]) for r in report.rankings)
+        assert scores.size == expected == 10 * report.num_pairs > 0, kind
+        assert np.isfinite(scores).all(), kind
+        assert len(checked.scores) == len(report.rankings), kind
+        # each pair's recorded scores are the ones its ranking sorted
+        for row, (u, i, ranked) in zip(checked.scores, report.rankings):
+            again = scorer.score(u, np.array(ranked))
+            assert np.array_equal(np.sort(row), np.sort(again)), kind
+            assert (np.diff(again) <= 0).all(), kind
