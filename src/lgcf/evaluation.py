@@ -8,9 +8,9 @@ import numpy as np
 
 from .errors import DomainError, check_field_types, check_type
 from .graph import BipartiteGraph, SplitSpec, build_graph, check_split_fits
-from .labeling import label_graph
+from .labeling import extract_block
 from .rng import EVAL_NEGATIVE, EVAL_WALK, SYNTH, seed_stream
-from .subgraph import WalkConfig, dump_localized_graph, extract
+from .subgraph import WalkConfig, dump_localized_graph
 
 # Uniforms per draw in make_synthetic, rounded to whole block rows.
 SYNTH_CHUNK = 1 << 14
@@ -267,8 +267,9 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
     for each qualifying pair the positive plus scorer_b's top-ranked
     negative are extracted from the train graph, labeled, and written next
     to a manifest.csv that pairs the two scorers' scores.
-    Extraction uses walk_cfg and scorer_a's walk stream (scorer_a.seed,
-    EVAL_WALK, u, i), so an lgcf scorer_a's dumps are the subgraphs it scored.
+    Extraction is LgcfScorer's extract_block with walk_cfg and scorer_a's
+    walk streams (scorer_a.seed, EVAL_WALK, u, i), so an lgcf scorer_a's
+    dumps are the subgraphs it scored.
     """
     if top_k < 1:
         raise DomainError(f"top_k must be >= 1, got {top_k}")
@@ -285,10 +286,9 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
         u, i = ra.u, ra.i
         ordered_b = rb.cands[rb.order]
         top_neg = int(ordered_b[0]) if int(ordered_b[0]) != i else int(ordered_b[1])
-        for pair_kind, item in (("positive", i), ("negative", top_neg)):
-            walks = seed_stream(scorer_a.seed, EVAL_WALK, u, item).random(
-                4 * walk_cfg.walk_len).tolist()
-            lg = label_graph(extract(train_graph, u, item, walk_cfg, walks))
+        pairs = [(u, i), (u, top_neg)]
+        graphs = extract_block(train_graph, pairs, walk_cfg, scorer_a.seed, EVAL_WALK)
+        for pair_kind, (_, item), lg in zip(("positive", "negative"), pairs, graphs):
             fname = f"case{case:04d}_{pair_kind}_u{u}_i{item}.sg"
             dumps.append((fname, dump_localized_graph(lg, graph.num_users)))
             idx = int(np.nonzero(ra.cands == item)[0][0])

@@ -8,7 +8,9 @@ Nodes that cannot reach both targets share the catch-all label 0.
 import numpy as np
 
 from .errors import DomainError
-from .subgraph import LocalizedGraph
+from .graph import BipartiteGraph
+from .rng import stream_uniforms
+from .subgraph import LocalizedGraph, WalkConfig, extract
 
 UNREACHABLE = -1
 
@@ -70,6 +72,19 @@ def label_graph(lg: LocalizedGraph) -> LocalizedGraph:
     di = _bfs(lg.neighbors, 1)
     lg.labels[:] = list(map(drnl_label, du, di))
     return lg
+
+
+def extract_block(graph: BipartiteGraph, pairs, cfg: WalkConfig, seed: int,
+                  purpose: int, *context: int) -> list[LocalizedGraph]:
+    """The labeled localized graph of each (u, i) of pairs, in order: one
+    rng.stream_uniforms call gives pair (u, i) the 4 * walk_len uniforms of
+    the stream (seed, purpose, u, i, *context), the user's walk first, and
+    extraction and labeling run once per pair."""
+    pairs = list(pairs)
+    draws = stream_uniforms([(seed, purpose, u, i, *context) for u, i in pairs],
+                            4 * cfg.walk_len).tolist()
+    return [label_graph(extract(graph, u, i, cfg, row))
+            for (u, i), row in zip(pairs, draws)]
 
 
 def one_hot_features(labels, enc: LabelEncoding) -> np.ndarray:

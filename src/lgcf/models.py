@@ -8,7 +8,6 @@ representation and a joint head vector, and "lgcf-ens" sums a trained lgcf
 score and a scaled embedding dot product.
 """
 
-import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -21,13 +20,13 @@ from .errors import DomainError, check_field_types
 from .evaluation import EvalProtocol, EvalReport, evaluate
 from .graph import (BipartiteGraph, SplitSpec, _number, build_graph,
                     check_split_fits, read_json, write_json)
-from .labeling import LabelEncoding, label_graph, one_hot_features
+from .labeling import LabelEncoding, extract_block, label_graph, one_hot_features
 from .nn import (ACTIVATIONS, AdamState, GnnParameters, GradCheckReport, adam_step,
                  adam_to_dict, float_array, gcn_backward, gcn_forward, glorot_uniform,
                  grad_check, init_adam, init_gnn_params, normalize_adjacency,
                  params_from_dict, params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
-                  TRAIN_NEGATIVE, WALK, seed_stream, stream_uniforms)
+                  TRAIN_NEGATIVE, WALK, seed_stream)
 from .subgraph import WalkConfig, _node_id, extract
 
 # The parameter sections each kind's checkpoint carries; the others are null.
@@ -477,7 +476,7 @@ def lgcf_logits(gnn: GnnParameters, head: np.ndarray, x0: np.ndarray,
     return features, np.array([np.dot(f, head) for f in features]), cache
 
 
-# Candidates per stream_uniforms draw in LgcfScorer.score: a sampled pair's
+# Candidates per extract_block call in LgcfScorer.score: a sampled pair's
 # 100 candidates are one block, and a full ranking holds this many
 # candidates' graphs at a time.
 SCORE_BLOCK = 128
@@ -525,10 +524,10 @@ class LgcfScorer:
         """Score of (u, i) for an item id i, a float; for a 1-D integer
         array of item ids, their scores as a float64 array.
 
-        Each SCORE_BLOCK candidates draw their walk uniforms in one
-        stream_uniforms call and get one one_hot_features and one
-        normalize_adjacency call per node count; the forward pass runs once
-        per graph, on 2-D slices with the bytes of a graph's own inputs.
+        Each SCORE_BLOCK candidates are one extract_block and get one
+        one_hot_features and one normalize_adjacency call per node count;
+        the forward pass runs once per graph, on 2-D slices with the bytes
+        of a graph's own inputs.
         """
         u = _node_id(u)
         block, single = _item_block(items)
@@ -540,11 +539,8 @@ class LgcfScorer:
 
     def _logits(self, u: int, block: np.ndarray) -> np.ndarray:
         """The logits of (u, i) for each item i of a block."""
-        walk, ids = self.walk, block.tolist()
-        draws = stream_uniforms([(self.seed, EVAL_WALK, u, i) for i in ids],
-                                4 * walk.walk_len).tolist()
-        graphs = [label_graph(extract(self.graph, u, i, walk, row))
-                  for i, row in zip(ids, draws)]
+        graphs = extract_block(self.graph, [(u, i) for i in block.tolist()],
+                               self.walk, self.seed, EVAL_WALK)
         prefix = None if self.refined is None else self.refined[u] * self.refined[block]
         logits = np.empty(len(graphs))
         for idx, x0, a_norm in _label_stacks(graphs, self.enc):
@@ -617,17 +613,16 @@ def _label_stacks(graphs, enc: LabelEncoding):
     return stacks
 
 
-def _gcn_chunks(batch, enc: LabelEncoding):
+def _gcn_chunks(triplets: np.ndarray, graphs, enc: LabelEncoding):
     """A batch's triplets GCN_CHUNK at a time, as (users, items, stacks).
 
     Instance 2t is triplet t's positive and 2t + 1 its negative; stacks
     are _label_stacks of the instances' labeled graphs.
     """
-    batch = iter(batch)
-    while chunk := list(itertools.islice(batch, GCN_CHUNK)):
-        stacks = _label_stacks([t[c] for t in chunk for c in (3, 4)], enc)
-        yield (np.repeat([t[0] for t in chunk], 2),
-               np.array([t[c] for t in chunk for c in (1, 2)]), stacks)
+    for lo in range(0, len(triplets), GCN_CHUNK):
+        chunk = triplets[lo:lo + GCN_CHUNK]
+        yield (np.repeat(chunk[:, 0], 2), chunk[:, 1:].ravel(),
+               _label_stacks(graphs[2 * lo:2 * (lo + GCN_CHUNK)], enc))
 
 
 def _gcn_scores(gnn: GnnParameters, head: np.ndarray, refined: np.ndarray | None,
@@ -644,7 +639,8 @@ def _gcn_scores(gnn: GnnParameters, head: np.ndarray, refined: np.ndarray | None
     return features, sigmoid(logits), caches
 
 
-def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
+def _gcn_batch(model: TrainedModel, prop: Propagation, triplets: np.ndarray,
+               graphs):
     """BPR through LgcfScorer's score for lgcf and lgcf-emb.  lgcf-emb
     propagates only the batch's rows, and its prefix gradients collect in
     d_refined over those rows for one propagation back.
@@ -659,15 +655,14 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
     split = head.size - gnn.hidden_dim
     refined = d_refined = None
     if tables is not None:
-        batch = list(batch)
-        rows, local = _batch_rows(prop.num_nodes, [t[:3] for t in batch])
-        # From here on u, i_pos and i_neg index rows, the batch's rows.
-        batch = [(*ids, *t[3:]) for ids, t in zip(local.tolist(), batch)]
+        # From here on the triplets index rows, the batch's rows.
+        rows, triplets = _batch_rows(prop.num_nodes, triplets)
         refined = prop.apply(tables.matrix, out_rows=rows)
         d_refined = np.zeros_like(refined)
     grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
     losses = []
-    for users, items, stacks in _gcn_chunks(batch, LabelEncoding(gnn.feature_dim)):
+    for users, items, stacks in _gcn_chunks(triplets, graphs,
+                                            LabelEncoding(gnn.feature_dim)):
         features, s, caches = _gcn_scores(gnn, head, refined, users, items, stacks)
         z = s[0::2] - s[1::2]
         losses += [softplus(-x) for x in z.tolist()]
@@ -696,7 +691,8 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, batch):
     return losses, [g / len(losses) for g in grads]
 
 
-def _embedding_batch(model: TrainedModel, prop: Propagation, batch):
+def _embedding_batch(model: TrainedModel, prop: Propagation, triplets: np.ndarray,
+                     graphs: None):
     """BPR over propagated dot products; gradients pulled back to the tables.
 
     Only the batch's rows of the refined table are propagated, and the
@@ -705,7 +701,7 @@ def _embedding_batch(model: TrainedModel, prop: Propagation, batch):
     triplet's u, i and j in turn.
     """
     n = model.tables.user_matrix.shape[0]
-    rows, local = _batch_rows(prop.num_nodes, [t[:3] for t in batch])
+    rows, local = _batch_rows(prop.num_nodes, triplets)
     refined = prop.apply(model.tables.matrix, out_rows=rows)
     r_u, r_i, r_j = refined[local[:, 0]], refined[local[:, 1]], refined[local[:, 2]]
     z = (r_u[:, None] @ r_i[:, :, None] - r_u[:, None] @ r_j[:, :, None]).ravel()
@@ -729,11 +725,11 @@ def _batch_rows(num_nodes: int, ids) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.searchsorted(rows, ids)
 
 
-# Per trained kind: (model, propagation, batch) -> (per-triplet losses,
-# batch-mean gradients of model.trainable()).  A batch is an iterable of
-# (u, i_pos, i_neg, pos_graph, neg_graph), iterated once, so training can
-# extract and label each triplet's subgraphs only when it is reached; the
-# graphs are None for kinds without a GCN.
+# Per trained kind: (model, propagation, triplets, graphs) -> (per-triplet
+# losses, batch-mean gradients of model.trainable()).  triplets is a (B, 3)
+# int64 array of (u, i_pos, i_neg) rows; graphs[2t] and graphs[2t + 1] are
+# triplet t's positive and negative labeled graphs, and graphs is None for
+# kinds without a GCN.
 _BATCH_GRADS = {"lgcf": _gcn_batch, "mf": _embedding_batch,
                 "lightgcn": _embedding_batch, "lgcf-emb": _gcn_batch}
 
@@ -801,19 +797,6 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     prop = Propagation(train_graph, model.propagation_layers)
     batch_grads = _BATCH_GRADS[kind]
 
-    def with_graphs(triplets, epoch: int):
-        """The triplets with their positive's and negative's labeled graphs,
-        walked from one stream_uniforms draw for the streams (seed, WALK,
-        u, x, epoch); the graphs are None for kinds without a GCN."""
-        if model.gnn is None:
-            return ((u, i, j, None, None) for u, i, j in triplets)
-        draws = iter(stream_uniforms(
-            [(tc.master_seed, WALK, u, x, epoch) for u, i, j in triplets for x in (i, j)],
-            4 * tc.walk.walk_len).tolist())
-        return ((u, i, j, *(label_graph(extract(train_graph, u, x, tc.walk, next(draws)))
-                            for x in (i, j)))
-                for u, i, j in triplets)
-
     history: list[EpochRecord] = []
     best_metric = -np.inf
     best_snap = None
@@ -825,7 +808,11 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         t0 = time.perf_counter()
         losses = []
         for triplets in _triplet_batches(train_graph, edges, tc, epoch):
-            batch_losses, grads = batch_grads(model, prop, with_graphs(triplets, epoch))
+            graphs = None if model.gnn is None else extract_block(
+                train_graph, [(u, x) for u, i, j in triplets for x in (i, j)],
+                tc.walk, tc.master_seed, WALK, epoch)
+            batch_losses, grads = batch_grads(
+                model, prop, np.array(triplets, dtype=np.int64), graphs)
             losses += batch_losses
             adam_step(arrays, grads, adam)
         val_hr = val_ndcg = None
@@ -979,18 +966,19 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
         i_pos = n + int(rng.integers(m))
         i_neg = n + int(rng.integers(m))
         walks = [rng.random(4 * cfg.walk_len).tolist() for _ in range(2)]
-        batch = [(u, i_pos, i_neg, *(label_graph(extract(graph, u, i, cfg, w))
-                                     for i, w in zip((i_pos, i_neg), walks)))]
+        triplets = np.array([[u, i_pos, i_neg]])
+        graphs = [label_graph(extract(graph, u, i, cfg, w))
+                  for i, w in zip((i_pos, i_neg), walks)]
         model = TrainedModel(kind, cfg, enc.label_cap, 2, seed,
                              gnn=init_gnn_params(enc.label_cap, 8, 3, rng))
         if kind == "lgcf-emb":
             model.tables = init_embeddings(n, m, 4, rng)
             model.w_joint = glorot_uniform(rng, 4 + 8, 1).ravel()
         prop = Propagation(graph, model.propagation_layers)
-        _, analytic = _gcn_batch(model, prop, batch)
+        _, analytic = _gcn_batch(model, prop, triplets, graphs)
         # The triplet's ids as _gcn_batch's lgcf-emb rows; lgcf reads none.
-        rows, local = _batch_rows(prop.num_nodes, [batch[0][:3]])
-        (users, items, stacks), = _gcn_chunks([(*local[0].tolist(), *batch[0][3:])], enc)
+        rows, local = _batch_rows(prop.num_nodes, triplets)
+        (users, items, stacks), = _gcn_chunks(local, graphs, enc)
 
         def loss_fn():
             refined = None

@@ -20,16 +20,10 @@ ACTIVATIONS = ("relu", "tanh")  # hidden-layer activations
 
 
 def sigmoid(x):
-    """Numerically stable logistic function for scalars or arrays.
-
-    A float takes the array path's expressions without building arrays;
-    both use np.exp (math.exp rounds differently on some hosts).
+    """Numerically stable logistic function for scalars or arrays; a
+    scalar gives a float.  Both branches use np.exp (math.exp rounds
+    differently on some hosts).
     """
-    if isinstance(x, float):
-        if x >= 0:
-            return float(1.0 / (1.0 + np.exp(-x)))
-        ex = np.exp(x)
-        return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0

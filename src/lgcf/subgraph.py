@@ -206,8 +206,9 @@ def extract(graph: BipartiteGraph, u: int, i: int, cfg: WalkConfig,
             uniforms) -> LocalizedGraph:
     """Localized graph for the pair (u, i): walk from both, union, induce.
 
-    uniforms holds 4 * walk_len floats, the user's walk first: a row of
-    rng.stream_uniforms, or seed_stream(...).random(4 * walk_len).
+    uniforms holds 4 * walk_len floats, the user's walk first.
+    labeling.extract_block draws them for scoring, training and case dumps;
+    only gradcheck passes its own.
     """
     half = 2 * cfg.walk_len
     trace_u = rwr_trace(graph, u, cfg, uniforms[:half])

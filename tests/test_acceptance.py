@@ -195,18 +195,18 @@ def test_criterion_05_closed_forms():
     for kind in ("lgcf", "lgcf-emb", "mf", "lightgcn"):
         model = _init_model(kind, g, tc)
         prop = Propagation(g, model.propagation_layers)
+        # the positive item as the negative
+        triplets = np.array([(u, i, i) for u, i in pairs], dtype=np.int64)
         if model.gnn is None:
-            # _embedding_batch with the positive item as the negative
-            losses, _ = _embedding_batch(model, prop, [(u, i, i, None, None)
-                                                       for u, i in pairs])
+            losses, _ = _embedding_batch(model, prop, triplets, None)
         else:
             # _gcn_batch with one labeled graph on both sides
-            batch = []
+            graphs = []
             for u, i in pairs:
                 lg = label_graph(extract(g, u, i, tc.walk, seed_stream(5, u, i).random(
                     4 * tc.walk.walk_len)))
-                batch.append((u, i, i, lg, lg))
-            losses, _ = _gcn_batch(model, prop, batch)
+                graphs += [lg, lg]
+            losses, _ = _gcn_batch(model, prop, triplets, graphs)
         assert len(losses) == len(pairs) == 4
         for loss in losses:
             assert abs(loss - math.log(2)) < 1e-12, (kind, loss)

@@ -249,7 +249,7 @@ def loop_embedding_batch(model, prop, batch):
     refined = prop.apply(np.vstack([model.tables.user_matrix, model.tables.item_matrix]))
     d_refined = np.zeros_like(refined)
     losses = []
-    for u, i, j, _, _ in batch:
+    for u, i, j in batch.tolist():
         r_u, r_i, r_j = refined[u], refined[i], refined[j]
         z = float(r_u @ r_i - r_u @ r_j)
         losses.append(softplus(-z))
@@ -269,9 +269,9 @@ def test_embedding_batch_is_the_triplet_loop(layers):
     prop = Propagation(g, layers)
     # User 3 repeats; item 70 is one triplet's positive and another's negative.
     triplets = [(3, 70, 101), (5, 64, 70), (3, 88, 64), (59, 119, 60), (3, 70, 77)]
-    batch = [(u, i, j, None, None) for u, i, j in triplets]
+    batch = np.array(triplets, dtype=np.int64)
     want_losses, want = loop_embedding_batch(model, prop, batch)
-    got_losses, got = _embedding_batch(model, prop, batch)
+    got_losses, got = _embedding_batch(model, prop, batch, None)
     assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes()
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -515,6 +515,7 @@ class TestTrainBasics:
     @pytest.mark.parametrize("lambda_mode", ["learnable"])
     def test_per_pair_calls_get_python_ints(self, monkeypatch, lambda_mode):
         """Triplets, validation and the lambda fit pass ids as Python ints."""
+        import lgcf.labeling as labeling
         import lgcf.models as models
         seen = Counter()
 
@@ -526,8 +527,8 @@ class TestTrainBasics:
                 return fn(graph, u, *rest)
             return call
 
-        for name in ("extract", "sample_negative"):
-            monkeypatch.setattr(models, name, checked(getattr(models, name), name))
+        for module, name in ((labeling, "extract"), (models, "sample_negative")):
+            monkeypatch.setattr(module, name, checked(getattr(module, name), name))
         g, split = star_split()
         train("lgcf-ens", g, split, tiny_tc(epochs=1, lambda_mode=lambda_mode))
         assert seen["extract"] > 0 and seen["sample_negative"] > 0
@@ -537,9 +538,10 @@ class TestTrainBasics:
         """An lgcf epoch builds the one-hot features and the normalized
         adjacency, and runs the GCN, as one stack per node count in each
         chunk of GCN_CHUNK triplets, not once per graph."""
+        import lgcf.labeling as labeling
         import lgcf.models as models
         sizes, stacks, normalized, encoded = [], [], [], []
-        extract, gcn_forward = models.extract, models.gcn_forward
+        extract, gcn_forward = labeling.extract, models.gcn_forward
         normalize_adjacency = models.normalize_adjacency
         one_hot_features = models.one_hot_features
 
@@ -560,7 +562,7 @@ class TestTrainBasics:
             encoded.append(labels.size)
             return one_hot_features(labels, enc)
 
-        monkeypatch.setattr(models, "extract", extracted)
+        monkeypatch.setattr(labeling, "extract", extracted)
         monkeypatch.setattr(models, "gcn_forward", forward)
         monkeypatch.setattr(models, "normalize_adjacency", normalize)
         monkeypatch.setattr(models, "one_hot_features", one_hot)

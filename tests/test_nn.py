@@ -66,7 +66,7 @@ def bpr_step(params, pos, neg, head=None, tables=None):
     model = TrainedModel(kind, WalkConfig(), params.feature_dim, 0, 0, gnn=params,
                          tables=tables, w_joint=head)
     prop = Propagation(build_graph([(0, 1)], 1, 2), 0)
-    losses, grads = _gcn_batch(model, prop, [(0, 1, 2, pos, neg)])
+    losses, grads = _gcn_batch(model, prop, np.array([[0, 1, 2]]), [pos, neg])
     return losses[0], grads
 
 

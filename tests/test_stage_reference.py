@@ -7,18 +7,20 @@ an always-concatenated prefix and `default_rng`.  The fast forms must give
 the same bytes on the benchmark's walks over the criterion-9 graph and on
 hand-made edge cases.  The backward pass keeps `@`; its reference guards
 those products.  Training's stacked BPR step is checked against the
-per-triplet loop it replaced, and stacked one-hot, normalization and GCN
-calls slice by slice against one call per graph.
+per-triplet loop it replaced, stacked one-hot, normalization and GCN
+calls slice by slice against one call per graph, and `extract_block`'s
+graphs against per-pair extraction on each pair's own `seed_stream`.
 """
 
 import numpy as np
 import pytest
 
 from lgcf import (DomainError, LabelEncoding, Propagation, TrainConfig,
-                  WalkConfig, build_graph, drnl_label, extract, init_gnn_params,
-                  induce_subgraph, label_graph, lgcf_logits, make_synthetic,
-                  normal_split, normalize_adjacency, one_hot_features, rwr_trace,
-                  seed_stream, sigmoid, softplus, union_nodes)
+                  WalkConfig, build_graph, drnl_label, extract, extract_block,
+                  init_gnn_params, induce_subgraph, label_graph, lgcf_logits,
+                  make_synthetic, normal_split, normalize_adjacency,
+                  one_hot_features, rwr_trace, seed_stream, sigmoid, softplus,
+                  union_nodes)
 from lgcf.labeling import _bfs
 from lgcf.models import _batch_rows, _gcn_batch, _init_model, _triplet_batches
 from lgcf.nn import _activate, gcn_backward, gcn_forward
@@ -162,9 +164,10 @@ def ref_bpr_pair_grads(params, pos, neg, head, prefixes):
     return loss, pair, (gp[2], gn[2])
 
 
-def ref_gcn_batch(model, prop, batch):
+def ref_gcn_batch(model, prop, triplets, graphs):
     """models._gcn_batch as the per-triplet loop it was, one one-hot and
     one normalization per labeled graph."""
+    batch = [(*t, *graphs[2 * n:2 * n + 2]) for n, t in enumerate(triplets.tolist())]
     gnn, tables = model.gnn, model.tables
     enc = LabelEncoding(gnn.feature_dim)
     head = gnn.scoring if model.w_joint is None else model.w_joint
@@ -294,17 +297,46 @@ def test_gcn_batch_is_the_triplet_loop(criterion_9_graph, kind, activation,
     sizes = set()
     for _, triplets in zip(range(BATCHES_READ[batch_size]),
                            _triplet_batches(g, g.edges(), tc, epoch)):
-        batch = [(u, i, j, *(label_graph(extract(g, u, x, WALK, seed_stream(
-                     42, WALK_STREAM, u, x, epoch).random(4 * WALK.walk_len)))
-                             for x in (i, j)))
-                 for u, i, j in triplets]
-        sizes.update(lg.num_nodes for t in batch for lg in t[3:])
-        want_losses, want = ref_gcn_batch(model, prop, batch)
-        got_losses, got = _gcn_batch(model, prop, iter(batch))
+        graphs = [label_graph(extract(g, u, x, WALK, seed_stream(
+                      42, WALK_STREAM, u, x, epoch).random(4 * WALK.walk_len)))
+                  for u, i, j in triplets for x in (i, j)]
+        sizes.update(lg.num_nodes for lg in graphs)
+        triplets = np.array(triplets, dtype=np.int64)
+        want_losses, want = ref_gcn_batch(model, prop, triplets, graphs)
+        got_losses, got = _gcn_batch(model, prop, triplets, graphs)
         assert same_bytes(got_losses, want_losses)
         assert len(got) == len(want) == len(model.trainable())
         assert all(map(same_bytes, got, want))
     assert WALK.max_nodes in sizes and min(sizes) < WALK.max_nodes
+
+
+@pytest.mark.parametrize("seed, purpose, context", [
+    (42, EVAL_WALK, ()), (42, WALK_STREAM, (3,)),
+    (2 ** 32 + 9, EVAL_WALK, ()), (2 ** 32 + 9, WALK_STREAM, (1,))])
+def test_extract_block_is_the_per_pair_stream(criterion_9_graph, seed, purpose,
+                                              context):
+    """Each of extract_block's graphs is the pair's label_graph(extract(...))
+    on its own seed_stream draw, in order, with repeated pairs and train
+    edges among the pairs; an empty block gives no graphs."""
+    g = criterion_9_graph
+    rng = np.random.default_rng(29)
+    pairs = list(zip(rng.integers(0, g.num_users, 60).tolist(),
+                     (g.num_users + rng.integers(0, g.num_items, 60)).tolist()))
+    pairs += g.edges()[:20] + pairs[:3]
+    got = extract_block(g, pairs, WALK, seed, purpose, *context)
+    assert len(got) == len(pairs)
+    for (u, i), lg in zip(pairs, got):
+        want = label_graph(extract(g, u, i, WALK, seed_stream(
+            seed, purpose, u, i, *context).random(4 * WALK.walk_len)))
+        assert lg.target_pair == want.target_pair == (u, i)
+        assert lg.target_edge_removed == want.target_edge_removed
+        assert same_bytes(lg.nodes, want.nodes)
+        assert lg.neighbors == want.neighbors
+        assert same_bytes(lg.adjacency, want.adjacency)
+        assert same_bytes(lg.labels, want.labels)
+    assert {lg.num_nodes for lg in got} > {WALK.max_nodes}
+    assert any(lg.target_edge_removed for lg in got)
+    assert extract_block(g, [], WALK, seed, purpose, *context) == []
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])

@@ -164,20 +164,22 @@ def test_scoring_forwards_one_graph_per_call(monkeypatch):
         assert len(shapes) == len(calls) > 0
         assert all(len(shape) == 2 for shape in shapes), kind
         # the evaluated pairs as triplets of a training step, eval-walked
-        batch = [(u, i, j, *(label_graph(extract(train_graph, u, x, model.walk,
-                                                 seed_stream(5, EVAL_WALK, u, x).random(
-                                                     4 * model.walk.walk_len)))
-                             for x in (i, j)))
-                 for (u, i), (v, j) in zip(calls[0::2], calls[1::2]) if u == v]
+        triplets = [(u, i, j) for (u, i), (v, j) in zip(calls[0::2], calls[1::2])
+                    if u == v]
+        graphs = [label_graph(extract(train_graph, u, x, model.walk,
+                                      seed_stream(5, EVAL_WALK, u, x).random(
+                                          4 * model.walk.walk_len)))
+                  for u, i, j in triplets for x in (i, j)]
         stacked = 0
-        for users, items, stacks in _gcn_chunks(batch, LabelEncoding(16)):
+        for users, items, stacks in _gcn_chunks(np.array(triplets, dtype=np.int64),
+                                                graphs, LabelEncoding(16)):
             scores = _gcn_scores(model.gnn, model.head, scorer.refined, users,
                                  items, stacks)[1]
             stacked += sum(len(idx) for idx, *_ in stacks if len(idx) > 1)
             want = np.array([scorer.score(u, np.array([i]))[0] for u, i in
                              zip(users.tolist(), items.tolist())])
             assert scores.tobytes() == want.tobytes(), kind
-        assert stacked > len(batch)
+        assert stacked > len(triplets)
 
 
 def test_checked_scorer_records_every_ranked_candidate():
