@@ -466,6 +466,7 @@ def lgcf_logits(gnn: GnnParameters, head: np.ndarray, x0: np.ndarray,
     of GCN(x0, a_norm)] for one graph, x0 (k, F), or a same-size stack,
     (n, k, F); lgcf-emb's prefix r_u * r_i has one row per graph.  A stack
     gets one np.dot logit per graph: a stacked product rounds differently.
+    Scoring and training pass stacks, each slice with one graph's bytes.
     """
     x_last, cache = gcn_forward(x0, a_norm, gnn)
     features = x_last.sum(axis=-2)
@@ -476,9 +477,9 @@ def lgcf_logits(gnn: GnnParameters, head: np.ndarray, x0: np.ndarray,
     return features, np.array([np.dot(f, head) for f in features]), cache
 
 
-# Candidates per extract_block call in LgcfScorer.score: a sampled pair's
-# 100 candidates are one block, and a full ranking holds this many
-# candidates' graphs at a time.
+# Candidates per extract_block call (one stream_uniforms draw) in
+# LgcfScorer.score: a sampled pair's 100 candidates are one block, and a
+# full ranking holds this many candidates' graphs at a time.
 SCORE_BLOCK = 128
 
 
@@ -524,30 +525,24 @@ class LgcfScorer:
         """Score of (u, i) for an item id i, a float; for a 1-D integer
         array of item ids, their scores as a float64 array.
 
-        Each SCORE_BLOCK candidates are one extract_block and get one
-        one_hot_features and one normalize_adjacency call per node count;
-        the forward pass runs once per graph, on 2-D slices with the bytes
-        of a graph's own inputs.
+        Each SCORE_BLOCK candidates are one extract_block, whose graphs run
+        2 * GCN_CHUNK at a time through _label_stacks and _gcn_scores, the
+        layout of a training chunk: one forward per node count in a chunk,
+        each graph with the bytes of its own 2-D lgcf_logits call.
         """
         u = _node_id(u)
         block, single = _item_block(items)
-        logits = np.empty(block.size)
+        scores = np.empty(block.size)
         for lo in range(0, block.size, SCORE_BLOCK):
-            logits[lo:lo + SCORE_BLOCK] = self._logits(u, block[lo:lo + SCORE_BLOCK])
-        scores = sigmoid(logits)
+            part = block[lo:lo + SCORE_BLOCK]
+            graphs = extract_block(self.graph, [(u, i) for i in part.tolist()],
+                                   self.walk, self.seed, EVAL_WALK)
+            for c in range(0, part.size, 2 * GCN_CHUNK):
+                chunk = part[c:c + 2 * GCN_CHUNK]
+                scores[lo + c:lo + c + chunk.size] = _gcn_scores(
+                    self.params, self.head, self.refined, np.full(chunk.size, u),
+                    chunk, _label_stacks(graphs[c:c + 2 * GCN_CHUNK], self.enc))[1]
         return float(scores[0]) if single else scores
-
-    def _logits(self, u: int, block: np.ndarray) -> np.ndarray:
-        """The logits of (u, i) for each item i of a block."""
-        graphs = extract_block(self.graph, [(u, i) for i in block.tolist()],
-                               self.walk, self.seed, EVAL_WALK)
-        prefix = None if self.refined is None else self.refined[u] * self.refined[block]
-        logits = np.empty(len(graphs))
-        for idx, x0, a_norm in _label_stacks(graphs, self.enc):
-            for j, x, a in zip(idx, x0, a_norm):
-                logits[j] = lgcf_logits(self.params, self.head, x, a,
-                                        None if prefix is None else prefix[j])[1]
-        return logits
 
 
 class DotScorer:
@@ -589,10 +584,12 @@ class EnsembleScorer:
         return self.lgcf.score(u, items) + self.lam * self.dot.score(u, items)
 
 
-# Triplets per GCN stack group in _gcn_batch.  Set by measurement: 8 was
-# the fastest GCN step of 4, 8, 16, 32 and the whole batch, 4 and 16 were
-# no faster on whole training passes, and larger chunks hold more stacked
-# intermediates at once.
+# Triplets per GCN stack group in _gcn_batch, whose 2 * GCN_CHUNK graphs
+# are also LgcfScorer.score's stack group.  8 was the fastest GCN step of
+# 4, 8, 16, 32 and the whole batch; 4 and 16 were no faster on whole
+# training passes.  Scored 16 a stack, a 20-node graph took 16 us against
+# 26 one at a time and 32 in stacks of 32: larger stacks hold enough
+# intermediates that glibc grows and trims its heap top for each one.
 GCN_CHUNK = 8
 
 

@@ -16,6 +16,7 @@ from lgcf import (DomainError, EmbeddingTable, LabelEncoding, ParseError,
                   make_synthetic, normal_split, normalize_adjacency,
                   one_hot_features, run_gradcheck, sample_negative,
                   save_model, seed_stream, sigmoid, softplus, train)
+from lgcf import models
 from lgcf.graph import _json_pieces
 from lgcf.models import (MODEL_KINDS, DotScorer, EnsembleScorer, LgcfScorer,
                          Propagation, _embedding_batch, _fit_lambda, _init_model)
@@ -367,6 +368,20 @@ class TestScoreBlocks:
             4 * self.WALK.walk_len)).num_nodes for i in items.tolist()}
         assert len(sizes) > 2, sizes
 
+    def one_pair_scores(self, scorer: LgcfScorer, u: int, items) -> list[float]:
+        """lgcf's per-pair form: sigmoid of one graph's logit from its 2-D
+        inputs, walked from its own seed_stream."""
+        want = []
+        for i in items:
+            lg = label_graph(extract(self.GRAPH, u, i, self.WALK, seed_stream(
+                11, EVAL_WALK, u, i).random(4 * self.WALK.walk_len)))
+            prefix = (None if scorer.refined is None
+                      else scorer.refined[u] * scorer.refined[i])
+            want.append(sigmoid(lgcf_logits(
+                scorer.params, scorer.head, one_hot_features(lg.labels, scorer.enc),
+                normalize_adjacency(lg.adjacency), prefix)[1]))
+        return want
+
     def test_block_is_the_one_pair_expression(self, scorers):
         """Each item's score has the bytes of the per-pair form: lgcf's
         sigmoid of one graph's logit from its own seed_stream walks, and
@@ -376,18 +391,9 @@ class TestScoreBlocks:
         items = np.random.default_rng(41).integers(g.num_users, g.num_nodes, 150)
         lgcf = {}
         for kind in ("lgcf", "lgcf-emb"):
-            scorer = scorers[kind]
-            want = []
-            for i in items.tolist():
-                lg = label_graph(extract(g, u, i, self.WALK, seed_stream(
-                    11, EVAL_WALK, u, i).random(4 * self.WALK.walk_len)))
-                prefix = (None if scorer.refined is None
-                          else scorer.refined[u] * scorer.refined[i])
-                want.append(sigmoid(lgcf_logits(
-                    scorer.params, scorer.head, one_hot_features(lg.labels, scorer.enc),
-                    normalize_adjacency(lg.adjacency), prefix)[1]))
-            lgcf[kind] = want
-            assert scorer.score(u, items).tobytes() == np.array(want).tobytes(), kind
+            want = lgcf[kind] = self.one_pair_scores(scorers[kind], u, items.tolist())
+            got = scorers[kind].score(u, items)
+            assert got.tobytes() == np.array(want).tobytes(), kind
         for kind in ("mf", "lightgcn"):
             refined = scorers[kind].refined
             want = np.array([float(refined[u] @ refined[i]) for i in items.tolist()])
@@ -397,6 +403,28 @@ class TestScoreBlocks:
         want = np.array([s + ens.lam * float(refined[u] @ refined[i])
                          for s, i in zip(lgcf["lgcf"], items.tolist())])
         assert ens.score(u, items).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["lgcf", "lgcf-emb"])
+    @pytest.mark.parametrize("size", [1, 15, 16, 17, 33, 128, 129, 145])
+    def test_chunk_stacks_are_the_one_pair_expression(self, scorers, kind, size,
+                                                       monkeypatch):
+        """Blocks around the 2 * GCN_CHUNK stack chunk and the SCORE_BLOCK
+        extraction block: each score has the bytes of the per-pair form, the
+        forward pass sees stacks of at most 2 * GCN_CHUNK graphs, and some
+        chunk stacks graphs of several node counts."""
+        g = self.GRAPH
+        u = 31
+        items = np.random.default_rng(size).integers(g.num_users, g.num_nodes, size)
+        want = self.one_pair_scores(scorers[kind], u, items.tolist())
+        stacks = []
+        forward = models.gcn_forward
+        monkeypatch.setattr(models, "gcn_forward", lambda x0, a_norm, params: (
+            stacks.append(x0.shape[0]) or forward(x0, a_norm, params)))
+        assert scorers[kind].score(u, items).tobytes() == np.array(want).tobytes()
+        chunk = 2 * models.GCN_CHUNK
+        assert sum(stacks) == size and max(stacks) <= chunk, stacks
+        # more stacks than chunks: some chunk holds several node counts
+        assert size == 1 or len(stacks) > -(-size // chunk), stacks
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_empty_block(self, scorers, kind):

@@ -131,11 +131,12 @@ def test_lgcf_epoch_counters_match_its_labeled_graphs():
     assert {key: tracer.counters["pass"][key] for key in want} == want
 
 
-def test_scoring_forwards_one_graph_per_call(monkeypatch):
+def test_scoring_forwards_chunk_stacks(monkeypatch):
     """evaluate's lgcf and lgcf-emb scorers, called once per pair with its
-    candidates, call gcn_forward once per scored candidate with one graph's
-    2-D inputs, which perfbench's _after_forward counts as k nodes; and a
-    graph scored inside a same-size training stack gets the bytes of
+    candidates, call gcn_forward only with 3-D stacks of 1 to 2 * GCN_CHUNK
+    graphs of one node count, one stack per node count of a pair's 10
+    candidates, whose lengths add up to those candidates; and a graph
+    scored inside a same-size training stack gets the bytes of
     LgcfScorer.score on that pair."""
     g = make_synthetic(20, 20, 0.3, 0.02, 4)
     split = normal_split(g, 0.9, 4)
@@ -146,7 +147,7 @@ def test_scoring_forwards_one_graph_per_call(monkeypatch):
     forward = nn.gcn_forward
 
     def recording(x0, a_norm, params):
-        shapes.append(x0.shape)
+        shapes.append((x0.shape, a_norm.shape))
         return forward(x0, a_norm, params)
 
     for module in (nn, models):
@@ -155,14 +156,28 @@ def test_scoring_forwards_one_graph_per_call(monkeypatch):
         model = _init_model(kind, train_graph, tc)
         scorer = model.make_scorer(train_graph)
         calls, blocks = [], []
-        monkeypatch.setattr(scorer, "score", lambda u, items, f=scorer.score: (
-            blocks.append(len(items)) or calls.extend((u, i) for i in items.tolist())
-            or f(u, items)))
+
+        def scoring(u, items, f=scorer.score):
+            before = len(shapes)
+            scores = f(u, items)
+            blocks.append((len(items), shapes[before:]))
+            calls.extend((u, i) for i in items.tolist())
+            return scores
+
+        monkeypatch.setattr(scorer, "score", scoring)
         shapes.clear()
         report = evaluate(scorer, g, split, EvalProtocol(n_negatives=9, k_values=(5,)))
-        assert len(blocks) == report.num_pairs and set(blocks) == {10}
-        assert len(shapes) == len(calls) > 0
-        assert all(len(shape) == 2 for shape in shapes), kind
+        assert len(blocks) == report.num_pairs > 0
+        assert sum(len(stacks) for _, stacks in blocks) == len(shapes)
+        for size, stacks in blocks:
+            assert size == 10 and sum(x0[0] for x0, _ in stacks) == size, kind
+            for x0, a_norm in stacks:
+                n, k, width = x0
+                assert 1 <= n <= 2 * models.GCN_CHUNK and width == 16, kind
+                assert a_norm == (n, k, k), kind
+            assert len({x0[1] for x0, _ in stacks}) == len(stacks), kind
+        assert any(len(stacks) > 1 for _, stacks in blocks), kind
+        assert any(x0[0] > 1 for x0, _ in shapes), kind
         # the evaluated pairs as triplets of a training step, eval-walked
         triplets = [(u, i, j) for (u, i), (v, j) in zip(calls[0::2], calls[1::2])
                     if u == v]
