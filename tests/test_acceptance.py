@@ -5,10 +5,12 @@ Each test is independent and prints a one-line measurement summary, so
 The heavier fixtures (criteria 8-11) take a few minutes combined.
 """
 
+import importlib.util
 import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,12 @@ from lgcf import (EvalProtocol, LocalizedGraph, Propagation, TrainConfig,
                   seed_stream, sigmoid, sparsity_levels, sparsity_sweep, train)
 from lgcf.cli import main as cli_main
 from lgcf.models import _embedding_batch, _gcn_batch, _init_model
+
+# quality/run.py holds criterion 9's block arithmetic, shared with the ledger.
+_QUALITY = Path(__file__).resolve().parents[1] / "quality" / "run.py"
+_SPEC = importlib.util.spec_from_file_location("quality_run", _QUALITY)
+quality = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(quality)
 
 
 class KeyedScorer:
@@ -45,20 +53,6 @@ class OracleScorer:
 
     def score(self, u: int, items: np.ndarray) -> np.ndarray:
         return np.array([float((u, i) in self.positives) for i in items.tolist()])
-
-
-class CachingScorer:
-    """Passes an inner scorer through and keeps every score per (u, i)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.scores: dict[tuple[int, int], float] = {}
-
-    def score(self, u: int, items: np.ndarray) -> np.ndarray:
-        scores = self.inner.score(u, items)
-        for i, s in zip(items.tolist(), scores.tolist()):
-            self.scores.setdefault((u, i), s)
-        return scores
 
 
 def random_localized(rng, max_nodes=200) -> LocalizedGraph:
@@ -303,45 +297,24 @@ def test_criterion_09_synthetic_learning_signal():
                      hidden_dim=32, label_cap=32)
     result = train("lgcf", g, split, tc)
     train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
-    scorer = CachingScorer(result.model.make_scorer(train_graph))
+    scorer = quality.CachingScorer(result.model.make_scorer(train_graph))
     k = 10
     report = evaluate(scorer, g, split,
                       EvalProtocol(n_negatives=99, k_values=(k,), seed=42),
                       collect_rankings=True)
     hr = report.metrics[k].hr_mean
-
-    def block(node: int) -> int:
-        # make_synthetic puts the first 100 users and items in block 0.
-        return int((node if node < g.num_users else node - g.num_users) >= 100)
-
-    seps, oracle_hits, random_hits, within, cross = [], [], [], [], []
-    for u, i, ranked in report.rankings:
-        negs = [c for c in ranked if c != i]
-        same = np.array([block(c) == block(u) for c in negs])
-        s = np.array([scorer.scores[(u, c)] for c in negs])
-        a, b = s[same], s[~same]
-        within.extend(a)
-        cross.extend(b)
-        if a.size and b.size:
-            seps.append(np.mean(a[:, None] > b[None, :])
-                        + 0.5 * np.mean(a[:, None] == b[None, :]))
-        # Block oracle: 1 inside the user's block, 0 outside, ties uniform.
-        pos_in = block(i) == block(u)
-        above = 0 if pos_in else int(same.sum())
-        tied = int((same if pos_in else ~same).sum()) + 1
-        oracle_hits.append(min(1.0, max(0.0, (k - above) / tied)))
-        random_hits.append(min(1.0, k / len(ranked)))
-    separation = float(np.mean(seps))
-    oracle_hr = float(np.mean(oracle_hits))
-    bound = oracle_hr + 3 * math.sqrt(oracle_hr * (1 - oracle_hr)
-                                      / report.num_pairs)
+    # make_synthetic puts the first 100 users and items in block 0.
+    signal = quality.block_signal(report.rankings, scorer.scores, g.num_users, 100, k)
+    separation = signal["separation"]
+    oracle_hr = signal["oracle_hr"]
+    bound = signal["leak_bound"]
     elapsed = time.perf_counter() - t0
-    summary = (f"random expected HR@10 {np.mean(random_hits):.4f}, block-oracle "
+    summary = (f"random expected HR@10 {signal['random_hr']:.4f}, block-oracle "
                f"HR@10 {oracle_hr:.4f} (leak bound {bound:.4f}), trained HR@10 "
                f"{hr:.4f}, NDCG@10 {report.metrics[k].ndcg_mean:.4f}, block "
-               f"separation {separation:.4f} over {len(seps)} pairs (mean "
-               f"within/cross-block score {np.mean(within):.3f}/"
-               f"{np.mean(cross):.3f})")
+               f"separation {separation:.4f} over {signal['separated_pairs']} pairs "
+               f"(mean within/cross-block score {signal['within']:.3f}/"
+               f"{signal['cross']:.3f})")
     assert elapsed < 600.0, f"took {elapsed:.0f}s; {summary}"
     print(f"criterion 9: {summary}, {len(result.history)} epochs, "
           f"{elapsed:.0f}s")
