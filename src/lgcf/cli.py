@@ -150,7 +150,7 @@ COMMANDS: dict[str, tuple[str, list[Opt]]] = {
     "train": ("train one model on a split", _common() + [
         Opt("graph", "path", None, "graph directory", required=True),
         Opt("split", "path", None, "split directory", required=True),
-        Opt("model", "str", "lgcf", "lgcf | mf | lightgcn | lgcf-emb | lgcf-ens"),
+        Opt("model", "str", "lgcf", "lgcf | mf | lightgcn | lgcf-ens"),
     ] + _TRAIN),
     "eval": ("rank held-out pairs with a trained checkpoint", _common() + [
         Opt("graph", "path", None, "graph directory", required=True),
@@ -177,9 +177,8 @@ COMMANDS: dict[str, tuple[str, list[Opt]]] = {
         Opt("checkpoint-b", "path", None, "second checkpoint", required=True),
         Opt("top-k", "int", 10, "rank cutoff defining success"),
     ] + _PROTOCOL),
-    "gradcheck": ("verify analytic gradients with finite differences",
+    "gradcheck": ("verify lgcf's analytic gradients with finite differences",
                   _common(with_out=False) + [
-        Opt("model", "str", "lgcf", "lgcf | lgcf-emb"),
         Opt("seed", "int", 7, "instance generation seed"),
         Opt("instances", "int", 5, "random instances to check"),
         Opt("tolerance", "float", 1e-4, "maximum allowed relative error"),
@@ -439,11 +438,10 @@ def cmd_dump_cases(values: dict, out: Path) -> int:
 
 
 def cmd_gradcheck(values: dict, out: None) -> int:
-    report = run_gradcheck(kind=values["model"], seed=values["seed"],
-                           instances=values["instances"],
+    report = run_gradcheck(seed=values["seed"], instances=values["instances"],
                            tolerance=values["tolerance"])
     status = "PASS" if report.passed else "FAIL"
-    print(f"gradcheck {values['model']}: max relative error "
+    print("gradcheck lgcf: max relative error "
           f"{report.max_rel_err:.3e} over {report.num_checked} coordinates: {status}")
     return 0 if report.passed else 1
 

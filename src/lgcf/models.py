@@ -1,11 +1,9 @@
 """Model kinds, BPR training, the sparsity sweep, scorers, and checkpoints.
 
-Five kinds share one training entry point: "lgcf" scores localized graphs
+Four kinds share one training entry point: "lgcf" scores localized graphs
 with the hand-written GCN, "mf" and "lightgcn" are embedding baselines (mf is
-the zero-layer special case of the propagation), "lgcf-emb" is lgcf with the
-refined embedding product r_u * r_i placed in front of the pooled subgraph
-representation and a joint head vector, and "lgcf-ens" sums a trained lgcf
-score and a scaled embedding dot product.
+the zero-layer special case of the propagation), and "lgcf-ens" sums a
+trained lgcf score and a scaled embedding dot product, the paper's fusion.
 """
 
 import math
@@ -22,8 +20,8 @@ from .graph import (BipartiteGraph, SplitSpec, _number, build_graph,
                     check_split_fits, read_json, write_json)
 from .labeling import LabelEncoding, extract_block, label_graph, one_hot_features
 from .nn import (ACTIVATIONS, AdamState, GnnParameters, GradCheckReport, adam_step,
-                 adam_to_dict, float_array, gcn_backward, gcn_forward, glorot_uniform,
-                 grad_check, init_adam, init_gnn_params, normalize_adjacency,
+                 adam_to_dict, float_array, gcn_backward, gcn_forward, grad_check,
+                 init_adam, init_gnn_params, normalize_adjacency,
                  params_from_dict, params_to_dict, sigmoid, softplus)
 from .rng import (ENSEMBLE, EPOCH_SHUFFLE, EVAL_WALK, GRADCHECK, PARAM_INIT,
                   TRAIN_NEGATIVE, WALK, seed_stream)
@@ -31,10 +29,10 @@ from .subgraph import WalkConfig, _node_id, extract
 
 # The parameter sections each kind's checkpoint carries; the others are null.
 CHECKPOINT_SECTIONS = {"lgcf": ("gnn",), "mf": ("tables",), "lightgcn": ("tables",),
-                       "lgcf-emb": ("gnn", "tables", "w_joint"),
                        "lgcf-ens": ("gnn", "tables", "lambda")}
 MODEL_KINDS = tuple(CHECKPOINT_SECTIONS)
 CHECKPOINT_VERSION = 1
+# w_joint is written null and must be null: no kind has that section.
 CHECKPOINT_ENTRIES = ("kind", "master_seed", "walk", "label_cap", "lightgcn_layers",
                       "gnn", "tables", "w_joint", "lambda")
 
@@ -302,8 +300,8 @@ class EpochRecord:
 class TrainedModel:
     """Everything needed to score pairs after training.
 
-    Optional sections are populated per kind: gnn for lgcf/lgcf-emb/lgcf-ens,
-    tables for the embedding kinds, w_joint for lgcf-emb, lam for lgcf-ens.
+    Optional sections are populated per kind: gnn for lgcf and lgcf-ens,
+    tables for mf, lightgcn and lgcf-ens, lam for lgcf-ens.
     """
 
     kind: str
@@ -313,14 +311,7 @@ class TrainedModel:
     master_seed: int
     gnn: GnnParameters | None = None
     tables: EmbeddingTable | None = None
-    w_joint: np.ndarray | None = None
     lam: float | None = None
-
-    @property
-    def head(self) -> np.ndarray:
-        """The vector lgcf_logits scores through: w_joint for lgcf-emb, the
-        GCN's own scoring vector otherwise."""
-        return self.gnn.scoring if self.w_joint is None else self.w_joint
 
     @property
     def propagation_layers(self) -> int:
@@ -328,14 +319,11 @@ class TrainedModel:
         return 0 if self.kind in ("lgcf", "mf") else self.lightgcn_layers
 
     def trainable(self) -> list[np.ndarray]:
-        """Live arrays that BPR training updates, in optimizer-state order.
-
-        lgcf-emb scores through w_joint, so its GCN scoring vector is not
-        trained.
-        """
+        """Live arrays that BPR training updates, in optimizer-state order:
+        the GCN weights and scoring vector, then the user and item tables."""
         arrays = []
         if self.gnn is not None:
-            arrays += [*self.gnn.weights, self.head]
+            arrays += [*self.gnn.weights, self.gnn.scoring]
         if self.tables is not None:
             arrays += [self.tables.user_matrix, self.tables.item_matrix]
         return arrays
@@ -356,8 +344,6 @@ class TrainedModel:
             return LgcfScorer(train_graph, self)
         if self.kind in ("mf", "lightgcn"):
             return DotScorer(refined, self.kind, self.master_seed)
-        if self.kind == "lgcf-emb":
-            return LgcfScorer(train_graph, self, refined)
         if self.kind == "lgcf-ens":
             return EnsembleScorer(LgcfScorer(train_graph, self),
                                   DotScorer(refined, "lightgcn", self.master_seed),
@@ -377,7 +363,7 @@ class TrainedModel:
                 "user": self.tables.user_matrix.tolist(),
                 "item": self.tables.item_matrix.tolist(),
             },
-            "w_joint": None if self.w_joint is None else self.w_joint.tolist(),
+            "w_joint": None,
             "lambda": self.lam,
         }
 
@@ -422,11 +408,6 @@ class TrainedModel:
         if gnn is not None and gnn.feature_dim != label_cap:
             raise DomainError(f"label_cap {label_cap} does not match the "
                               f"{gnn.feature_dim} rows of the first GCN weight")
-        w_joint = None
-        if payload["w_joint"] is not None:
-            w_joint = float_array(payload["w_joint"], "w_joint")
-            if w_joint.shape != (tables.dim + gnn.hidden_dim,):
-                raise DomainError("w_joint length must be embed_dim + hidden_dim")
         lam = payload["lambda"]
         return TrainedModel(
             kind=kind,
@@ -438,7 +419,6 @@ class TrainedModel:
                                 minimum=0),
             gnn=gnn,
             tables=tables,
-            w_joint=w_joint,
             lam=None if lam is None else _number(lam, "checkpoint lambda", float),
         )
 
@@ -460,21 +440,18 @@ def load_model(path) -> TrainedModel:
     return TrainedModel.from_dict(read_json(path))
 
 
-def lgcf_logits(gnn: GnnParameters, head: np.ndarray, x0: np.ndarray,
-                a_norm: np.ndarray, prefix: np.ndarray | None = None):
-    """(features, logit, GCN cache) of head . [prefix || summed node states
-    of GCN(x0, a_norm)] for one graph, x0 (k, F), or a same-size stack,
-    (n, k, F); lgcf-emb's prefix r_u * r_i has one row per graph.  A stack
-    gets one np.dot logit per graph: a stacked product rounds differently.
-    Scoring and training pass stacks, each slice with one graph's bytes.
+def lgcf_logits(gnn: GnnParameters, x0: np.ndarray, a_norm: np.ndarray):
+    """(features, logit, GCN cache) of gnn.scoring . the summed node states
+    of GCN(x0, a_norm), for one graph, x0 (k, F), or a same-size stack,
+    (n, k, F).  A stack gets one np.dot logit per graph: a stacked product
+    rounds differently.  Scoring and training pass stacks, each slice with
+    one graph's bytes.
     """
     x_last, cache = gcn_forward(x0, a_norm, gnn)
     features = x_last.sum(axis=-2)
-    if prefix is not None:
-        features = np.concatenate([prefix, features], axis=-1)
     if features.ndim == 1:
-        return features, float(np.dot(features, head)), cache
-    return features, np.array([np.dot(f, head) for f in features]), cache
+        return features, float(np.dot(features, gnn.scoring)), cache
+    return features, np.array([np.dot(f, gnn.scoring) for f in features]), cache
 
 
 # Candidates per extract_block call (one stream_uniforms draw) in
@@ -506,17 +483,12 @@ def _item_block(items) -> tuple[np.ndarray, bool]:
 
 class LgcfScorer:
     """sigmoid of lgcf_logits on G_ui, walked from the uniforms of the
-    stream (seed, EVAL_WALK, u, i).  lgcf-emb passes refined, the propagated
-    rows by global id, for the prefix r_u * r_i.
-    """
+    stream (seed, EVAL_WALK, u, i)."""
 
-    def __init__(self, graph: BipartiteGraph, model: "TrainedModel",
-                 refined: np.ndarray | None = None):
+    def __init__(self, graph: BipartiteGraph, model: "TrainedModel"):
         self.graph = graph
         self.kind = model.kind
         self.params = model.gnn
-        self.head = model.head
-        self.refined = refined
         self.walk = model.walk
         self.seed = int(model.master_seed)
         self.enc = LabelEncoding(model.gnn.feature_dim)
@@ -526,9 +498,9 @@ class LgcfScorer:
         array of item ids, their scores as a float64 array.
 
         Each SCORE_BLOCK candidates are one extract_block, whose graphs run
-        2 * GCN_CHUNK at a time through _label_stacks and _gcn_scores, the
-        layout of a training chunk: one forward per node count in a chunk,
-        each graph with the bytes of its own 2-D lgcf_logits call.
+        through _gcn_chunks and _gcn_scores as a training batch's do: one
+        forward per node count in 2 * GCN_CHUNK graphs, each graph with the
+        bytes of its own 2-D lgcf_logits call.
         """
         u = _node_id(u)
         block, single = _item_block(items)
@@ -537,11 +509,9 @@ class LgcfScorer:
             part = block[lo:lo + SCORE_BLOCK]
             graphs = extract_block(self.graph, [(u, i) for i in part.tolist()],
                                    self.walk, self.seed, EVAL_WALK)
-            for c in range(0, part.size, 2 * GCN_CHUNK):
-                chunk = part[c:c + 2 * GCN_CHUNK]
-                scores[lo + c:lo + c + chunk.size] = _gcn_scores(
-                    self.params, self.head, self.refined, np.full(chunk.size, u),
-                    chunk, _label_stacks(graphs[c:c + 2 * GCN_CHUNK], self.enc))[1]
+            scores[lo:lo + part.size] = np.concatenate(
+                [_gcn_scores(self.params, stacks)[1]
+                 for stacks in _gcn_chunks(graphs, self.enc)])
         return float(scores[0]) if single else scores
 
 
@@ -610,37 +580,30 @@ def _label_stacks(graphs, enc: LabelEncoding):
     return stacks
 
 
-def _gcn_chunks(triplets: np.ndarray, graphs, enc: LabelEncoding):
-    """A batch's triplets GCN_CHUNK at a time, as (users, items, stacks).
-
-    Instance 2t is triplet t's positive and 2t + 1 its negative; stacks
-    are _label_stacks of the instances' labeled graphs.
-    """
-    for lo in range(0, len(triplets), GCN_CHUNK):
-        chunk = triplets[lo:lo + GCN_CHUNK]
-        yield (np.repeat(chunk[:, 0], 2), chunk[:, 1:].ravel(),
-               _label_stacks(graphs[2 * lo:2 * (lo + GCN_CHUNK)], enc))
+def _gcn_chunks(graphs, enc: LabelEncoding):
+    """_label_stacks of the labeled graphs, 2 * GCN_CHUNK at a time: in a
+    training batch, GCN_CHUNK triplets' positive and negative graphs."""
+    for lo in range(0, len(graphs), 2 * GCN_CHUNK):
+        yield _label_stacks(graphs[lo:lo + 2 * GCN_CHUNK], enc)
 
 
-def _gcn_scores(gnn: GnnParameters, head: np.ndarray, refined: np.ndarray | None,
-                users: np.ndarray, items: np.ndarray, stacks):
-    """The forward half of _gcn_batch for one chunk: each instance's
+def _gcn_scores(gnn: GnnParameters, stacks):
+    """The forward half of _gcn_batch for one chunk's stacks: each graph's
     features and sigmoid score, and each stack's (positions, cache)."""
-    features = np.empty((users.size, head.size))
-    logits = np.empty(users.size)
+    count = sum(len(idx) for idx, _, _ in stacks)
+    features = np.empty((count, gnn.hidden_dim))
+    logits = np.empty(count)
     caches = []
     for idx, x0, a_norm in stacks:
-        prefix = None if refined is None else refined[users[idx]] * refined[items[idx]]
-        features[idx], logits[idx], cache = lgcf_logits(gnn, head, x0, a_norm, prefix)
+        features[idx], logits[idx], cache = lgcf_logits(gnn, x0, a_norm)
         caches.append((idx, cache))
     return features, sigmoid(logits), caches
 
 
 def _gcn_batch(model: TrainedModel, prop: Propagation, triplets: np.ndarray,
                graphs):
-    """BPR through LgcfScorer's score for lgcf and lgcf-emb.  lgcf-emb
-    propagates only the batch's rows, and its prefix gradients collect in
-    d_refined over those rows for one propagation back.
+    """BPR through LgcfScorer's score for lgcf.  Graph 2t is triplet t's
+    positive and 2t + 1 its negative, so prop and the triplets are unread.
 
     The batch is read GCN_CHUNK triplets at a time, and a chunk's graphs of
     one node count pass through the GCN as one stack, whose slices have the
@@ -648,43 +611,25 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, triplets: np.ndarray,
     per-pair order, and np.add.reduce over [acc, pair_0, ...] sums the
     pairs' gradients in triplet order, as acc += pair did.
     """
-    gnn, tables, head = model.gnn, model.tables, model.head
-    split = head.size - gnn.hidden_dim
-    refined = d_refined = None
-    if tables is not None:
-        # From here on the triplets index rows, the batch's rows.
-        rows, triplets = _batch_rows(prop.num_nodes, triplets)
-        refined = prop.apply(tables.matrix, out_rows=rows)
-        d_refined = np.zeros_like(refined)
-    grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
+    gnn = model.gnn
+    grads = [np.zeros_like(a) for a in (*gnn.weights, gnn.scoring)]
     losses = []
-    for users, items, stacks in _gcn_chunks(triplets, graphs,
-                                            LabelEncoding(gnn.feature_dim)):
-        features, s, caches = _gcn_scores(gnn, head, refined, users, items, stacks)
+    for stacks in _gcn_chunks(graphs, LabelEncoding(gnn.feature_dim)):
+        features, s, caches = _gcn_scores(gnn, stacks)
         z = s[0::2] - s[1::2]
         losses += [softplus(-x) for x in z.tolist()]
         d_z = sigmoid(z) - 1.0
         d_logit = np.stack([d_z, -d_z], axis=1).ravel() * s * (1.0 - s)
-        d_features = d_logit[:, None] * head
+        d_features = d_logit[:, None] * gnn.scoring
         inst = [np.empty((s.size, *w.shape)) for w in gnn.weights]
         for idx, cache in caches:
             # Sum pooling broadcasts each pooled gradient to its graph's rows.
-            d_out = np.broadcast_to(d_features[idx, None, split:], cache.zs[-1].shape)
+            d_out = np.broadcast_to(d_features[idx, None], cache.zs[-1].shape)
             for acc, g in zip(inst, gcn_backward(cache, gnn, d_out)):
                 acc[idx] = g
         inst.append(d_logit[:, None] * features)
         grads = [np.add.reduce(np.concatenate([acc[None], g[0::2] + g[1::2]]))
                  for acc, g in zip(grads, inst)]
-        if refined is not None:
-            d_prefix = d_features[:, :split]
-            # d_refined[u] += d_prefix * r_i, then d_refined[i] += d_prefix * r_u
-            np.add.at(d_refined, np.stack([users, items], axis=1).ravel(),
-                      np.stack([d_prefix * refined[items], d_prefix * refined[users]],
-                               axis=1).reshape(-1, split))
-    if refined is not None:
-        n = tables.user_matrix.shape[0]
-        d_e0 = prop.apply(d_refined, in_rows=rows)
-        grads += [d_e0[:n], d_e0[n:]]
     return losses, [g / len(losses) for g in grads]
 
 
@@ -728,21 +673,19 @@ def _batch_rows(num_nodes: int, ids) -> tuple[np.ndarray, np.ndarray]:
 # triplet t's positive and negative labeled graphs, and graphs is None for
 # kinds without a GCN.
 _BATCH_GRADS = {"lgcf": _gcn_batch, "mf": _embedding_batch,
-                "lightgcn": _embedding_batch, "lgcf-emb": _gcn_batch}
+                "lightgcn": _embedding_batch}
 
 
 def _init_model(kind: str, graph: BipartiteGraph, tc: TrainConfig) -> TrainedModel:
     rng = seed_stream(tc.master_seed, PARAM_INIT)
-    gnn = tables = w_joint = None
-    if kind in ("lgcf", "lgcf-emb"):
+    gnn = tables = None
+    if kind == "lgcf":
         gnn = init_gnn_params(tc.label_cap, tc.hidden_dim, tc.gcn_layers, rng,
                               tc.activation)
-    if kind != "lgcf":
+    else:
         tables = init_embeddings(graph.num_users, graph.num_items, tc.embed_dim, rng)
-    if kind == "lgcf-emb":
-        w_joint = glorot_uniform(rng, tc.embed_dim + tc.hidden_dim, 1).ravel()
     return TrainedModel(kind, tc.walk, tc.label_cap, tc.lightgcn_layers,
-                        tc.master_seed, gnn=gnn, tables=tables, w_joint=w_joint)
+                        tc.master_seed, gnn=gnn, tables=tables)
 
 
 def _triplet_batches(graph: BipartiteGraph, edges, tc: TrainConfig, epoch: int):
@@ -931,9 +874,10 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     return TrainResult(model, history, res_lgcf.best_epoch, adam)
 
 
-def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
+def run_gradcheck(seed: int = 7, instances: int = 5,
                   tolerance: float = 1e-4) -> GradCheckReport:
-    """Finite-difference verification on freshly sampled random instances.
+    """Finite-difference verification of lgcf's gradients on freshly
+    sampled random instances.
 
     Builds small random bipartite graphs, extracts real localized graphs for
     random triplets, and checks every trainable coordinate of the batch
@@ -941,8 +885,6 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
     the loss of _gcn_batch's forward half over inputs built once per
     instance; reports the worst relative error over all instances.
     """
-    if kind not in ("lgcf", "lgcf-emb"):
-        raise DomainError(f"gradcheck supports lgcf and lgcf-emb, got {kind!r}")
     if instances < 1:
         raise DomainError(f"instances must be >= 1, got {instances}")
     if not (math.isfinite(tolerance) and tolerance > 0):
@@ -966,22 +908,13 @@ def run_gradcheck(kind: str = "lgcf", seed: int = 7, instances: int = 5,
         triplets = np.array([[u, i_pos, i_neg]])
         graphs = [label_graph(extract(graph, u, i, cfg, w))
                   for i, w in zip((i_pos, i_neg), walks)]
-        model = TrainedModel(kind, cfg, enc.label_cap, 2, seed,
+        model = TrainedModel("lgcf", cfg, enc.label_cap, 2, seed,
                              gnn=init_gnn_params(enc.label_cap, 8, 3, rng))
-        if kind == "lgcf-emb":
-            model.tables = init_embeddings(n, m, 4, rng)
-            model.w_joint = glorot_uniform(rng, 4 + 8, 1).ravel()
-        prop = Propagation(graph, model.propagation_layers)
-        _, analytic = _gcn_batch(model, prop, triplets, graphs)
-        # The triplet's ids as _gcn_batch's lgcf-emb rows; lgcf reads none.
-        rows, local = _batch_rows(prop.num_nodes, triplets)
-        (users, items, stacks), = _gcn_chunks(local, graphs, enc)
+        _, analytic = _gcn_batch(model, Propagation(graph, 0), triplets, graphs)
+        stacks, = _gcn_chunks(graphs, enc)
 
         def loss_fn():
-            refined = None
-            if model.tables is not None:
-                refined = prop.apply(model.tables.matrix, out_rows=rows)
-            s = _gcn_scores(model.gnn, model.head, refined, users, items, stacks)[1]
+            s = _gcn_scores(model.gnn, stacks)[1]
             return softplus(-(s[0] - s[1]).item())
 
         report = grad_check(loss_fn, model.trainable(), analytic, tolerance=tolerance)

@@ -167,16 +167,12 @@ def test_criterion_03_induced_subgraph_matches_membership_oracle():
 def test_criterion_04_gradients_match_finite_differences():
     """Analytic BPR gradients within 1e-4 of central differences, 100 instances."""
     t0 = time.perf_counter()
-    plain = run_gradcheck("lgcf", seed=123, instances=100)
-    joint = run_gradcheck("lgcf-emb", seed=321, instances=100)
-    for name, report in (("lgcf", plain), ("lgcf-emb", joint)):
-        assert report.passed, (f"{name}: max relative error "
-                               f"{report.max_rel_err:.3e} over "
-                               f"{report.num_checked} coordinates")
-        assert report.max_rel_err < 1e-4
-    print(f"criterion 4: lgcf {plain.max_rel_err:.3e} "
-          f"({plain.num_checked} coords), lgcf-emb {joint.max_rel_err:.3e} "
-          f"({joint.num_checked} coords), {time.perf_counter() - t0:.1f}s")
+    report = run_gradcheck(seed=123, instances=100)
+    assert report.passed, (f"lgcf: max relative error {report.max_rel_err:.3e} "
+                           f"over {report.num_checked} coordinates")
+    assert report.max_rel_err < 1e-4
+    print(f"criterion 4: lgcf {report.max_rel_err:.3e} "
+          f"({report.num_checked} coords), {time.perf_counter() - t0:.1f}s")
 
 
 def test_criterion_05_closed_forms():
@@ -186,7 +182,7 @@ def test_criterion_05_closed_forms():
     tc = TrainConfig(walk=WalkConfig(0.2, 8, 10), gcn_layers=2, hidden_dim=8,
                      label_cap=16, embed_dim=8, lightgcn_layers=2)
     pairs = g.edges()[:4]
-    for kind in ("lgcf", "lgcf-emb", "mf", "lightgcn"):
+    for kind in ("lgcf", "mf", "lightgcn"):
         model = _init_model(kind, g, tc)
         prop = Propagation(g, model.propagation_layers)
         # the positive item as the negative

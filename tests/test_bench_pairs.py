@@ -85,3 +85,37 @@ def test_needs_two_pairs_of_equal_length():
         summarize([1.0], [1.0], "lower", 0.25)
     with pytest.raises(ValueError):
         summarize([1.0, 2.0, 3.0], [1.0, 2.0], "lower", 0.25)
+
+
+def checkout(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("edit, first", [
+    ({"BENCHMARK.json": '{"run_seconds": 1}'}, "BENCHMARK.json"),
+    ({"perfbench/run.py": "# faster\n"}, "perfbench/run.py"),
+    ({"perfbench/workloads.py": "# fewer\n", "perfbench/run.py": "# both\n"},
+     "perfbench/run.py"),
+    ({"perfbench/extra.py": ""}, "perfbench/extra.py"),
+])
+def test_refuses_checkouts_whose_benchmark_differs(tmp_path, capsys, edit, first):
+    """Exit 2 naming the first differing file, before any run starts;
+    files outside BENCHMARK.json and perfbench/*.py may differ."""
+    same = {"BENCHMARK.json": '{"run_seconds": 25}',
+            "perfbench/run.py": "# run\n", "perfbench/workloads.py": "# workloads\n",
+            "perfbench/README.md": "parent\n", "src/lgcf/models.py": "parent\n"}
+    parent = checkout(tmp_path / "parent", same)
+    change = checkout(tmp_path / "change", {**same, "perfbench/README.md": "change\n",
+                                            "src/lgcf/models.py": "change\n"})
+    assert bench_pairs.benchmark_difference(parent, change) is None
+    checkout(change, edit)
+    argv = ["--parent", str(parent), "--change", str(change),
+            "--workload", "lgcf-eval", "--seeds", "1-2"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"differ in {first};" in err

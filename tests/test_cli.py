@@ -266,6 +266,8 @@ class TestReturnCodes:
         no_walk = {key: value for key, value in payload.items() if key != "walk"}
         for name, bad, message in (("relabelled", dict(payload, kind="lgcf"),
                                     "lgcf checkpoint needs a gnn section"),
+                                   ("deleted-kind", dict(payload, kind="lgcf-emb"),
+                                    "unknown model kind 'lgcf-emb'"),
                                    ("no-walk", no_walk, "no walk entry")):
             checkpoint = tmp_path / f"{name}.json"
             checkpoint.write_text(json.dumps(bad))
@@ -409,6 +411,7 @@ class TestReturnCodes:
     @pytest.mark.parametrize("command, flag, bad, good", [
         ("train", "--patience", -1, 1),
         ("train", "--lambda-mode", "grid", "fixed"),
+        ("train", "--model", "lgcf-emb", "mf"),
         ("eval", "--k-values", "10,10", "10"),
         ("synth", "--users", 5, 4),
         ("synth", "--users", 0, 4),
@@ -712,14 +715,15 @@ class TestIngest:
 
 class TestGradcheckCommand:
     def test_pass_exit_zero(self, capsys):
-        assert run("gradcheck", "--model", "lgcf", "--seed", 5,
-                   "--instances", 2) == 0
+        assert run("gradcheck", "--seed", 5, "--instances", 2) == 0
         out = capsys.readouterr().out
         assert "gradcheck lgcf" in out and "PASS" in out
 
     def test_bad_kind_rejected(self, capsys):
-        assert run("gradcheck", "--model", "mf") == 1
-        capsys.readouterr()
+        """gradcheck checks lgcf's gradients and takes no --model."""
+        for kind in ("lgcf", "mf"):
+            assert run("gradcheck", "--model", kind) == 2
+            assert "unrecognized arguments: --model" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("instances", 0, "instances must be >= 1, got 0"),

@@ -560,8 +560,7 @@ class TestDumpCases:
         enc = LabelEncoding(model.label_cap)
         for row in rows:
             lg = parse_localized_graph((tmp_path / row["dump_file"]).read_text())
-            rescored = sigmoid(lgcf_logits(model.gnn, model.head,
-                                           one_hot_features(lg.labels, enc),
+            rescored = sigmoid(lgcf_logits(model.gnn, one_hot_features(lg.labels, enc),
                                            normalize_adjacency(lg.adjacency))[1])
             assert rescored == row["score_a"], row
 

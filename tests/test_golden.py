@@ -3,10 +3,10 @@
 Each case runs train -> eval through lgcf.cli.main on one small synthetic
 graph and compares the sha256 of checkpoint.json, report.json and
 history.jsonl (with the timing field wall_ms dropped) against recorded
-values.  Two cases pin the bytes of 300 lgcf and lgcf-emb scores at the
-benchmark's walks.  The sparse-graph cases pin one epoch of lightgcn and
-lgcf-emb training through the library (checkpoint with Adam state, and
-history) on a graph where a mini-batch touches few rows.  A change that alters a random
+values.  One case pins the bytes of 300 lgcf scores at the benchmark's
+walks.  The sparse-graph case pins one epoch of lightgcn training through
+the library (checkpoint with Adam state, and history) on a graph where a
+mini-batch touches few rows.  A change that alters a random
 stream or an order of floating-point operations on purpose updates the
 digests here and says why in CHANGES.md; any other digest change is a
 behaviour change.
@@ -19,12 +19,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from lgcf import (EmbeddingTable, TrainConfig, TrainedModel, WalkConfig,
-                  build_graph, init_gnn_params, make_synthetic, normal_split,
-                  save_model, seed_stream, train)
+from lgcf import (TrainConfig, TrainedModel, WalkConfig, build_graph,
+                  init_gnn_params, make_synthetic, normal_split, save_model,
+                  seed_stream, train)
 from lgcf.cli import main
 from lgcf.models import _triplet_batches
-from lgcf.nn import glorot_uniform
 from lgcf.rng import PARAM_INIT
 
 TRAIN_ARGS = ("--epochs", "2", "--batch-size", "16", "--seed", "3",
@@ -42,8 +41,6 @@ GOLDEN = {
         ("cab12bbff014b5ff", "132fd0953a7311ef", "6f3c345a14465312")),
     "lightgcn": ("lightgcn", (),
         ("6849f2fb3c9cf12d", "2da32dac65786408", "b825801be9952876")),
-    "lgcf-emb": ("lgcf-emb", (),
-        ("05f84391a27b1e21", "f8fefa64f42b1aff", "3870c54e6460896f")),
     "lgcf-ens": ("lgcf-ens", (),
         ("00833457034be5c6", "7bd696ce15e2703c", "4e90b7eb6b3fe75a")),
     "lgcf-neg2": ("lgcf", NEG2,
@@ -52,8 +49,6 @@ GOLDEN = {
         ("e2251a2f79dd2a12", "8b610570bd59d7dd", "e08cc6a57ea2e064")),
     "lightgcn-neg2": ("lightgcn", NEG2,
         ("50da99d764fb30f8", "9492614541efc9b3", "b41d37032ca881a4")),
-    "lgcf-emb-neg2": ("lgcf-emb", NEG2,
-        ("cf0fdeb78c55ba02", "8e069da0cec4369a", "111f30ea925e0279")),
     "lgcf-ens-neg2": ("lgcf-ens", NEG2,
         ("73044ed69983d11a", "b8b9d4f8a984389f", "fa41b4c3f4f2264e")),
 }
@@ -99,11 +94,8 @@ def test_artifact_digests(data, tmp_path, case):
 
 
 # sha256 prefixes of the float64 bytes of 300 LgcfScorer scores at the
-# benchmark's walk settings, where most subgraphs are truncated at max_nodes:
-# an lgcf model (no prefix, the GCN's scoring vector) and an lgcf-emb model
-# (the prefix r_u * r_i and the w_joint head).
+# benchmark's walk settings, where most subgraphs are truncated at max_nodes.
 EVAL_SCORES = "3c8883320ff64b6b"
-EVAL_SCORES_EMB = "fa4ed50ab94c7c28"
 BENCHMARK_WALK = WalkConfig(0.15, 20, 20, True)
 
 
@@ -144,27 +136,6 @@ def test_eval_scores_at_benchmark_walks(benchmark_pairs):
     assert got == EVAL_SCORES
 
 
-def test_lgcf_emb_eval_scores_at_benchmark_walks(benchmark_pairs):
-    """The same pairs scored with the prefix r_u * r_i of propagated tables
-    and the w_joint head, all drawn from one fixed stream.  The prefix moves
-    every score, so the digest pins its bytes too."""
-    train_graph, pairs = benchmark_pairs
-    rng = seed_stream(42, PARAM_INIT)
-    gnn = init_gnn_params(32, 32, 3, rng)
-    n, m = train_graph.num_users, train_graph.num_items
-    tables = EmbeddingTable(rng.normal(size=(n, 16)), rng.normal(size=(m, 16)))
-    w_joint = glorot_uniform(rng, 16 + 32, 1).ravel()
-    model = TrainedModel(kind="lgcf-emb", walk=BENCHMARK_WALK, label_cap=32,
-                         lightgcn_layers=3, master_seed=42, gnn=gnn,
-                         tables=tables, w_joint=w_joint)
-    scores = scores_of(model, train_graph, pairs)
-    model.w_joint = np.concatenate([np.zeros(16), w_joint[16:]])
-    assert (scores_of(model, train_graph, pairs) != scores).all()
-    got = sha(scores.tobytes())
-    print(f"golden lgcf-emb eval scores: {got}")
-    assert got == EVAL_SCORES_EMB
-
-
 # Sparse-graph training, pinned through the library: one epoch of 8-triplet
 # batches on make_synthetic(200, 200, .01, .001, 1) with 3 propagation layers,
 # where a batch's rows and their 3-hop neighbourhood are a minority of the
@@ -177,7 +148,6 @@ SPARSE_CONFIG = dict(epochs=1, batch_size=8, master_seed=5, eval_every=1,
                      lightgcn_layers=3, lr=0.01)
 SPARSE_GOLDEN = {
     "lightgcn": ("97eaa243c3cd351d", "6dd9a7d10b6cc638"),
-    "lgcf-emb": ("bc736ac20f467623", "32e5d827730d35e6"),
 }
 
 

@@ -64,12 +64,7 @@ class TestParamCount:
         assert trainable_size("lightgcn", 19900, 100) == 640000
 
     def test_composite_kinds(self):
-        """lgcf-emb trains the GCN weights, w_joint and the tables, but not
-        the GCN's scoring vector; lgcf-ens trains an lgcf and a lightgcn
-        model and then fits lambda."""
-        gnn = 64 * 32 + 2 * 32 * 32
-        tables = 200 * 32
-        assert trainable_size("lgcf-emb", 100, 100) == gnn + (32 + 32) + tables == 10560
+        """lgcf-ens trains an lgcf and a lightgcn model and then fits lambda."""
         graph, split = star_split()
         tc = tiny_tc(epochs=1)
         ens = train("lgcf-ens", graph, split, tc).model
@@ -326,12 +321,12 @@ class TestScores:
         assert ens.score(0, 1) == pytest.approx(2.3, abs=1e-15)
 
 
-def five_scorers(train_graph, walk):
+def four_scorers(train_graph, walk):
     """A scorer of each kind, untrained; lgcf-ens joins lgcf's GCN and
     lightgcn's tables."""
     tc = tiny_tc(walk=walk, master_seed=11)
     models = {kind: _init_model(kind, train_graph, tc)
-              for kind in ("lgcf", "lgcf-emb", "mf", "lightgcn")}
+              for kind in ("lgcf", "mf", "lightgcn")}
     models["lgcf-ens"] = TrainedModel("lgcf-ens", walk, tc.label_cap, tc.lightgcn_layers,
                                       11, gnn=models["lgcf"].gnn,
                                       tables=models["lightgcn"].tables, lam=0.7)
@@ -347,7 +342,7 @@ class TestScoreBlocks:
 
     @pytest.fixture(scope="class")
     def scorers(self):
-        return five_scorers(self.GRAPH, self.WALK)
+        return four_scorers(self.GRAPH, self.WALK)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_block_is_the_per_item_calls(self, scorers, kind):
@@ -375,11 +370,9 @@ class TestScoreBlocks:
         for i in items:
             lg = label_graph(extract(self.GRAPH, u, i, self.WALK, seed_stream(
                 11, EVAL_WALK, u, i).random(4 * self.WALK.walk_len)))
-            prefix = (None if scorer.refined is None
-                      else scorer.refined[u] * scorer.refined[i])
             want.append(sigmoid(lgcf_logits(
-                scorer.params, scorer.head, one_hot_features(lg.labels, scorer.enc),
-                normalize_adjacency(lg.adjacency), prefix)[1]))
+                scorer.params, one_hot_features(lg.labels, scorer.enc),
+                normalize_adjacency(lg.adjacency))[1]))
         return want
 
     def test_block_is_the_one_pair_expression(self, scorers):
@@ -389,11 +382,8 @@ class TestScoreBlocks:
         g = self.GRAPH
         u = 23
         items = np.random.default_rng(41).integers(g.num_users, g.num_nodes, 150)
-        lgcf = {}
-        for kind in ("lgcf", "lgcf-emb"):
-            want = lgcf[kind] = self.one_pair_scores(scorers[kind], u, items.tolist())
-            got = scorers[kind].score(u, items)
-            assert got.tobytes() == np.array(want).tobytes(), kind
+        lgcf = self.one_pair_scores(scorers["lgcf"], u, items.tolist())
+        assert scorers["lgcf"].score(u, items).tobytes() == np.array(lgcf).tobytes()
         for kind in ("mf", "lightgcn"):
             refined = scorers[kind].refined
             want = np.array([float(refined[u] @ refined[i]) for i in items.tolist()])
@@ -401,10 +391,10 @@ class TestScoreBlocks:
         ens = scorers["lgcf-ens"]
         refined = ens.dot.refined
         want = np.array([s + ens.lam * float(refined[u] @ refined[i])
-                         for s, i in zip(lgcf["lgcf"], items.tolist())])
+                         for s, i in zip(lgcf, items.tolist())])
         assert ens.score(u, items).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("kind", ["lgcf", "lgcf-emb"])
+    @pytest.mark.parametrize("kind", ["lgcf"])
     @pytest.mark.parametrize("size", [1, 15, 16, 17, 33, 128, 129, 145])
     def test_chunk_stacks_are_the_one_pair_expression(self, scorers, kind, size,
                                                        monkeypatch):
@@ -695,11 +685,10 @@ class TestLgcfLearning:
             if k < 3:
                 continue
             perm = np.concatenate([[0, 1], 2 + rng.permutation(k - 2)])
-            base = sigmoid(lgcf_logits(model.gnn, model.head,
-                                       one_hot_features(lg.labels, enc),
+            base = sigmoid(lgcf_logits(model.gnn, one_hot_features(lg.labels, enc),
                                        normalize_adjacency(lg.adjacency))[1])
             shuffled = sigmoid(lgcf_logits(
-                model.gnn, model.head, one_hot_features(lg.labels[perm], enc),
+                model.gnn, one_hot_features(lg.labels[perm], enc),
                 normalize_adjacency(lg.adjacency[np.ix_(perm, perm)]))[1])
             worst = max(worst, abs(base - shuffled))
         assert worst <= 1e-12
@@ -849,14 +838,6 @@ class TestCheckpoints:
         with pytest.raises(DomainError, match="label_cap"):
             TrainedModel.from_dict(payload)
 
-    def test_w_joint_must_fit_tables_and_gnn(self):
-        g, split = star_split()
-        payload = train("lgcf-emb", g, split, tiny_tc(epochs=1)).model.to_dict()
-        TrainedModel.from_dict(payload)
-        payload["w_joint"] = payload["w_joint"][:-1]
-        with pytest.raises(DomainError, match="w_joint"):
-            TrainedModel.from_dict(payload)
-
     def test_kind_must_match_sections(self):
         g, split = star_split()
         good = train("mf", g, split, tiny_tc(epochs=1)).model.to_dict()
@@ -865,7 +846,8 @@ class TestCheckpoints:
         for payload, match in ((dict(good, kind="gbdt"), "unknown model kind"),
                                (no_walk, "no walk entry"),
                                (dict(good, kind="lgcf"), "lgcf checkpoint needs a gnn"),
-                               (dict(good, kind="lgcf-emb"), "needs a gnn"),
+                               (dict(good, kind="lgcf-emb"),
+                                "unknown model kind 'lgcf-emb'"),
                                (dict(good, w_joint=[0.0]), "must not have a w_joint"),
                                (dict(good, **{"lambda": 1.0}), "must not have a lambda")):
             with pytest.raises(DomainError, match=match):
@@ -889,13 +871,5 @@ class TestCheckpoints:
 
 class TestGradcheckEntry:
     def test_lgcf_small(self):
-        report = run_gradcheck("lgcf", seed=5, instances=2)
+        report = run_gradcheck(seed=5, instances=2)
         assert report.passed, report.max_rel_err
-
-    def test_lgcf_emb_small(self):
-        report = run_gradcheck("lgcf-emb", seed=6, instances=2)
-        assert report.passed, report.max_rel_err
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            run_gradcheck("mf")

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from lgcf import (AdamState, DomainError, EmbeddingTable, GnnParameters,
-                  LabelEncoding, LocalizedGraph, Propagation, TrainedModel,
-                  WalkConfig, adam_step, build_graph, gcn_backward,
-                  gcn_forward, grad_check, init_adam, init_gnn_params,
-                  lgcf_logits, normalize_adjacency, one_hot_features,
-                  seed_stream, sigmoid, softplus)
+from lgcf import (AdamState, DomainError, GnnParameters, LabelEncoding,
+                  LocalizedGraph, Propagation, TrainedModel, WalkConfig,
+                  adam_step, build_graph, gcn_backward, gcn_forward,
+                  grad_check, init_adam, init_gnn_params, lgcf_logits,
+                  normalize_adjacency, one_hot_features, seed_stream, sigmoid,
+                  softplus)
 from lgcf.models import _gcn_batch
 from lgcf.nn import glorot_uniform, params_from_dict, params_to_dict
 
@@ -56,15 +56,11 @@ def random_instance(rng, **kwargs):
     return *inputs(lg, params), params
 
 
-def bpr_step(params, pos, neg, head=None, tables=None):
+def bpr_step(params, pos, neg):
     """Loss and gradients of one triplet (user 0, items 1 and 2), its
-    labeled graphs pos and neg, through training's batch step: lgcf, or
-    with tables and head lgcf-emb with the prefix r_u * r_i of unpropagated
-    rows.  The gradients are the layers', the head's, then with tables the
-    user and item tables'."""
-    kind = "lgcf" if tables is None else "lgcf-emb"
-    model = TrainedModel(kind, WalkConfig(), params.feature_dim, 0, 0, gnn=params,
-                         tables=tables, w_joint=head)
+    labeled graphs pos and neg, through lgcf's batch step.  The gradients
+    are the layers', then the scoring vector's."""
+    model = TrainedModel("lgcf", WalkConfig(), params.feature_dim, 0, 0, gnn=params)
     prop = Propagation(build_graph([(0, 1)], 1, 2), 0)
     losses, grads = _gcn_batch(model, prop, np.array([[0, 1, 2]]), [pos, neg])
     return losses[0], grads
@@ -224,40 +220,23 @@ class TestBackward:
         assert grads[0][1, 0] == pytest.approx(want_dvn, rel=1e-12)
 
     def test_matches_central_differences(self):
-        """Trials 0-4 score through params.scoring with no prefix; trial 5
-        scores [prefix || pooled] through a separate head, the prefixes
-        r_u * r_i of embedding rows, and also checks the head and the
-        table gradients the prefix gradients reach."""
         rng = np.random.default_rng(48)
-        for trial in range(6):
+        for trial in range(5):
             act = "relu" if trial % 2 else "tanh"
             pos, params = random_graph(rng, activation=act)
             neg, _ = random_graph(
                 rng, feat=params.feature_dim, hidden=params.hidden_dim,
                 layers=params.num_layers, activation=act)
             (x_pos, a_pos), (x_neg, a_neg) = inputs(pos, params), inputs(neg, params)
-            if trial < 5:
-                _, analytic = bpr_step(params, pos, neg)
-                head = tables = None
-                arrays = params.arrays()
-            else:
-                head = glorot_uniform(rng, 3 + params.hidden_dim, 1).ravel()
-                tables = EmbeddingTable(rng.normal(size=(1, 3)), rng.normal(size=(2, 3)))
-                _, analytic = bpr_step(params, pos, neg, head, tables)
-                arrays = [*params.weights, head, tables.user_matrix,
-                          tables.item_matrix]
+            _, analytic = bpr_step(params, pos, neg)
 
-            def score(x0, a_norm, item):
-                prefix = None
-                if tables is not None:
-                    prefix = tables.user_matrix[0] * tables.item_matrix[item]
-                return sigmoid(lgcf_logits(params, params.scoring if head is None
-                                           else head, x0, a_norm, prefix)[1])
+            def score(x0, a_norm):
+                return sigmoid(lgcf_logits(params, x0, a_norm)[1])
 
             def loss_fn():
-                return softplus(-(score(x_pos, a_pos, 0) - score(x_neg, a_neg, 1)))
+                return softplus(-(score(x_pos, a_pos) - score(x_neg, a_neg)))
 
-            report = grad_check(loss_fn, arrays, analytic)
+            report = grad_check(loss_fn, params.arrays(), analytic)
             assert report.passed, (trial, report.worst)
 
 

@@ -2,8 +2,8 @@
 
 The reference functions below are the earlier forms of the stages: CSR
 reads through indptr/indices lists, numpy scalar writes for the removed
-target edge, a zeroed one-hot matrix, `a + I` normalization, `@` products,
-an always-concatenated prefix and `default_rng`.  The fast forms must give
+target edge, a zeroed one-hot matrix, `a + I` normalization, `@` products
+and `default_rng`.  The fast forms must give
 the same bytes on the benchmark's walks over the criterion-9 graph and on
 hand-made edge cases.  The backward pass keeps `@`; its reference guards
 those products.  Training's stacked BPR step is checked against the
@@ -22,12 +22,11 @@ from lgcf import (DomainError, LabelEncoding, Propagation, TrainConfig,
                   one_hot_features, rwr_trace, seed_stream, sigmoid, softplus,
                   union_nodes)
 from lgcf.labeling import _bfs
-from lgcf.models import _batch_rows, _gcn_batch, _init_model, _triplet_batches
+from lgcf.models import _gcn_batch, _init_model, _triplet_batches
 from lgcf.nn import _activate, gcn_backward, gcn_forward
 from lgcf.rng import EVAL_WALK, PARAM_INIT, WALK as WALK_STREAM, stream_uniforms
 
 WALK = WalkConfig(0.15, 20, 20, True)  # the benchmark's walks
-NO_PREFIX = np.zeros(0)  # lgcf's prefix in the references
 
 
 def ref_seed_stream(*keys):
@@ -104,7 +103,7 @@ def ref_normalize(a):
     return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def ref_forward(x0, a_norm, params, head=None, prefix=NO_PREFIX):
+def ref_forward(x0, a_norm, params):
     """(every layer's A X, Z and X, pooled features, score)."""
     xs, axs, zs = [x0], [], []
     last = params.num_layers - 1
@@ -114,8 +113,8 @@ def ref_forward(x0, a_norm, params, head=None, prefix=NO_PREFIX):
         axs.append(ax)
         zs.append(z)
         xs.append(z if l == last else _activate(params.activation, z))
-    features = np.concatenate([prefix, xs[-1].sum(axis=0)])
-    logit = float(features @ (params.scoring if head is None else head))
+    features = xs[-1].sum(axis=0)
+    logit = float(features @ params.scoring)
     return axs, zs, xs, features, float(sigmoid(logit))
 
 
@@ -136,66 +135,43 @@ def ref_backward(axs, zs, xs, a_norm, params, d_out):
     return grads
 
 
-def ref_backward_instance(fwd, a_norm, params, d_score, head):
-    """nn.backward_instance before the stacked step: the layer, head and
-    prefix gradients of d_score * score for one ref_forward result."""
+def ref_backward_instance(fwd, a_norm, params, d_score):
+    """nn.backward_instance before the stacked step: the layer and scoring
+    vector gradients of d_score * score for one ref_forward result."""
     axs, zs, xs, features, s = fwd
     d_logit = d_score * s * (1.0 - s)
-    d_features = d_logit * head
-    split = d_features.size - params.hidden_dim
-    d_pooled = d_features[split:]
+    d_pooled = d_logit * params.scoring
     d_out = np.broadcast_to(d_pooled, (xs[0].shape[0], d_pooled.size))
-    return (ref_backward(axs, zs, xs, a_norm, params, d_out),
-            d_logit * features, d_features[:split])
+    return ref_backward(axs, zs, xs, a_norm, params, d_out), d_logit * features
 
 
-def ref_bpr_pair_grads(params, pos, neg, head, prefixes):
-    """nn.bpr_pair_grads before the stacked step: the loss, the layer and
-    head gradients summed over both branches, and the (pos, neg) prefix
-    gradients."""
-    fp = ref_forward(*pos, params, head, prefixes[0])
-    fn = ref_forward(*neg, params, head, prefixes[1])
+def ref_bpr_pair_grads(params, pos, neg):
+    """nn.bpr_pair_grads before the stacked step: the loss, and the layer
+    and scoring vector gradients summed over both branches."""
+    fp = ref_forward(*pos, params)
+    fn = ref_forward(*neg, params)
     z = fp[4] - fn[4]
     loss = softplus(-z)
     d_z = float(sigmoid(z)) - 1.0
-    gp = ref_backward_instance(fp, pos[1], params, d_z, head)
-    gn = ref_backward_instance(fn, neg[1], params, -d_z, head)
-    pair = [a + b for a, b in zip(gp[0], gn[0])] + [gp[1] + gn[1]]
-    return loss, pair, (gp[2], gn[2])
+    gp = ref_backward_instance(fp, pos[1], params, d_z)
+    gn = ref_backward_instance(fn, neg[1], params, -d_z)
+    return loss, [a + b for a, b in zip(gp[0], gn[0])] + [gp[1] + gn[1]]
 
 
-def ref_gcn_batch(model, prop, triplets, graphs):
+def ref_gcn_batch(model, triplets, graphs):
     """models._gcn_batch as the per-triplet loop it was, one one-hot and
     one normalization per labeled graph."""
-    batch = [(*t, *graphs[2 * n:2 * n + 2]) for n, t in enumerate(triplets.tolist())]
-    gnn, tables = model.gnn, model.tables
+    gnn = model.gnn
     enc = LabelEncoding(gnn.feature_dim)
-    head = gnn.scoring if model.w_joint is None else model.w_joint
-    refined = d_refined = None
-    if tables is not None:
-        rows, local = _batch_rows(prop.num_nodes, [t[:3] for t in batch])
-        batch = [(*ids, *t[3:]) for ids, t in zip(local.tolist(), batch)]
-        refined = prop.apply(tables.matrix, out_rows=rows)
-        d_refined = np.zeros_like(refined)
-    grads = [np.zeros_like(a) for a in (*gnn.weights, head)]
+    grads = [np.zeros_like(a) for a in (*gnn.weights, gnn.scoring)]
     losses = []
-    for u, i_pos, i_neg, *graphs in batch:
-        prefixes = [NO_PREFIX if refined is None else refined[u] * refined[i]
-                    for i in (i_pos, i_neg)]
+    for n in range(len(triplets)):
         pos, neg = [(one_hot_features(lg.labels, enc), normalize_adjacency(lg.adjacency))
-                    for lg in graphs]
-        loss, pair, d_prefixes = ref_bpr_pair_grads(gnn, pos, neg, head, prefixes)
+                    for lg in graphs[2 * n:2 * n + 2]]
+        loss, pair = ref_bpr_pair_grads(gnn, pos, neg)
         losses.append(loss)
         for acc, g in zip(grads, pair):
             acc += g
-        if refined is not None:
-            for item, d_prefix in zip((i_pos, i_neg), d_prefixes):
-                d_refined[u] += d_prefix * refined[item]
-                d_refined[item] += d_prefix * refined[u]
-    if refined is not None:
-        n = tables.user_matrix.shape[0]
-        d_e0 = prop.apply(d_refined, in_rows=rows)
-        grads += [d_e0[:n], d_e0[n:]]
     return losses, [g / len(losses) for g in grads]
 
 
@@ -204,13 +180,11 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_forward_matches(x0, a_norm, params, head=None, prefix=None):
+def assert_forward_matches(x0, a_norm, params):
     """The forward pass and score, of the graph alone and as a stack of one,
     and the backward pass that reads the forward's cache."""
-    axs, zs, xs, features, score = ref_forward(
-        x0, a_norm, params, head, NO_PREFIX if prefix is None else prefix)
-    head = params.scoring if head is None else head
-    got_features, logit, got_cache = lgcf_logits(params, head, x0, a_norm, prefix)
+    axs, zs, xs, features, score = ref_forward(x0, a_norm, params)
+    got_features, logit, got_cache = lgcf_logits(params, x0, a_norm)
     x_last, cache = gcn_forward(x0, a_norm, params)
     assert same_bytes(x_last, xs[-1])
     for got in (cache, got_cache):
@@ -219,8 +193,7 @@ def assert_forward_matches(x0, a_norm, params, head=None, prefix=None):
         assert all(map(same_bytes, got.xs, xs))
     assert same_bytes(got_features, features)
     assert sigmoid(logit) == score
-    one = lgcf_logits(params, head, x0[None], a_norm[None],
-                      None if prefix is None else prefix[None])
+    one = lgcf_logits(params, x0[None], a_norm[None])
     assert same_bytes(one[0][0], features)
     assert same_bytes(sigmoid(one[1]), [score])
     d_pooled = np.linspace(-1.0, 1.0, params.hidden_dim)
@@ -281,12 +254,12 @@ BATCHES_READ = {1: 40, 7: 6, 64: 2}
 
 @pytest.mark.parametrize("batch_size", sorted(BATCHES_READ))
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-@pytest.mark.parametrize("kind", ["lgcf", "lgcf-emb"])
+@pytest.mark.parametrize("kind", ["lgcf"])
 def test_gcn_batch_is_the_triplet_loop(criterion_9_graph, kind, activation,
                                        batch_size):
-    """Training's stacked step against the per-triplet loop: the losses, the
-    layer and head gradients and lgcf-emb's pulled table gradients, on the
-    benchmark's walks with two negatives per positive."""
+    """Training's stacked step against the per-triplet loop: the losses and
+    the layer and scoring vector gradients, on the benchmark's walks with
+    two negatives per positive."""
     g = criterion_9_graph
     tc = TrainConfig(batch_size=batch_size, negatives_per_positive=2,
                      master_seed=42, walk=WALK, gcn_layers=3, hidden_dim=32,
@@ -302,7 +275,7 @@ def test_gcn_batch_is_the_triplet_loop(criterion_9_graph, kind, activation,
                   for u, i, j in triplets for x in (i, j)]
         sizes.update(lg.num_nodes for lg in graphs)
         triplets = np.array(triplets, dtype=np.int64)
-        want_losses, want = ref_gcn_batch(model, prop, triplets, graphs)
+        want_losses, want = ref_gcn_batch(model, triplets, graphs)
         got_losses, got = _gcn_batch(model, prop, triplets, graphs)
         assert same_bytes(got_losses, want_losses)
         assert len(got) == len(want) == len(model.trainable())
@@ -456,7 +429,7 @@ def test_normalize_negative_zero_entries():
             assert not np.signbit(got).any()
 
 
-def test_forward_with_and_without_prefix():
+def test_forward_on_small_graphs():
     rng = np.random.default_rng(6)
     params = init_gnn_params(8, 5, 2, seed_stream(6))
     for k in (1, 2, 7, 20):
@@ -465,9 +438,6 @@ def test_forward_with_and_without_prefix():
         a = np.triu((rng.random((k, k)) < 0.4).astype(np.float64), 1)
         a_norm = normalize_adjacency(a + a.T)
         assert_forward_matches(x0, a_norm, params)
-        assert_forward_matches(x0, a_norm, params, params.scoring, NO_PREFIX)
-        head = rng.normal(size=8)
-        assert_forward_matches(x0, a_norm, params, head, rng.normal(size=3))
 
 
 def test_one_hot_clamps_like_the_reference():

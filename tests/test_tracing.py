@@ -132,12 +132,12 @@ def test_lgcf_epoch_counters_match_its_labeled_graphs():
 
 
 def test_scoring_forwards_chunk_stacks(monkeypatch):
-    """evaluate's lgcf and lgcf-emb scorers, called once per pair with its
-    candidates, call gcn_forward only with 3-D stacks of 1 to 2 * GCN_CHUNK
-    graphs of one node count, one stack per node count of a pair's 10
-    candidates, whose lengths add up to those candidates; and a graph
-    scored inside a same-size training stack gets the bytes of
-    LgcfScorer.score on that pair."""
+    """evaluate's lgcf scorer, called once per pair with its candidates,
+    calls gcn_forward only with 3-D stacks of 1 to 2 * GCN_CHUNK graphs of
+    one node count, one stack per node count of a pair's 10 candidates,
+    whose lengths add up to those candidates; and a graph scored inside a
+    same-size training stack gets the bytes of LgcfScorer.score on that
+    pair."""
     g = make_synthetic(20, 20, 0.3, 0.02, 4)
     split = normal_split(g, 0.9, 4)
     train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
@@ -152,49 +152,48 @@ def test_scoring_forwards_chunk_stacks(monkeypatch):
 
     for module in (nn, models):
         monkeypatch.setattr(module, "gcn_forward", recording)
-    for kind in ("lgcf", "lgcf-emb"):
-        model = _init_model(kind, train_graph, tc)
-        scorer = model.make_scorer(train_graph)
-        calls, blocks = [], []
+    model = _init_model("lgcf", train_graph, tc)
+    scorer = model.make_scorer(train_graph)
+    calls, blocks = [], []
 
-        def scoring(u, items, f=scorer.score):
-            before = len(shapes)
-            scores = f(u, items)
-            blocks.append((len(items), shapes[before:]))
-            calls.extend((u, i) for i in items.tolist())
-            return scores
+    def scoring(u, items, f=scorer.score):
+        before = len(shapes)
+        scores = f(u, items)
+        blocks.append((len(items), shapes[before:]))
+        calls.extend((u, i) for i in items.tolist())
+        return scores
 
-        monkeypatch.setattr(scorer, "score", scoring)
-        shapes.clear()
-        report = evaluate(scorer, g, split, EvalProtocol(n_negatives=9, k_values=(5,)))
-        assert len(blocks) == report.num_pairs > 0
-        assert sum(len(stacks) for _, stacks in blocks) == len(shapes)
-        for size, stacks in blocks:
-            assert size == 10 and sum(x0[0] for x0, _ in stacks) == size, kind
-            for x0, a_norm in stacks:
-                n, k, width = x0
-                assert 1 <= n <= 2 * models.GCN_CHUNK and width == 16, kind
-                assert a_norm == (n, k, k), kind
-            assert len({x0[1] for x0, _ in stacks}) == len(stacks), kind
-        assert any(len(stacks) > 1 for _, stacks in blocks), kind
-        assert any(x0[0] > 1 for x0, _ in shapes), kind
-        # the evaluated pairs as triplets of a training step, eval-walked
-        triplets = [(u, i, j) for (u, i), (v, j) in zip(calls[0::2], calls[1::2])
-                    if u == v]
-        graphs = [label_graph(extract(train_graph, u, x, model.walk,
-                                      seed_stream(5, EVAL_WALK, u, x).random(
-                                          4 * model.walk.walk_len)))
-                  for u, i, j in triplets for x in (i, j)]
-        stacked = 0
-        for users, items, stacks in _gcn_chunks(np.array(triplets, dtype=np.int64),
-                                                graphs, LabelEncoding(16)):
-            scores = _gcn_scores(model.gnn, model.head, scorer.refined, users,
-                                 items, stacks)[1]
-            stacked += sum(len(idx) for idx, *_ in stacks if len(idx) > 1)
-            want = np.array([scorer.score(u, np.array([i]))[0] for u, i in
-                             zip(users.tolist(), items.tolist())])
-            assert scores.tobytes() == want.tobytes(), kind
-        assert stacked > len(triplets)
+    monkeypatch.setattr(scorer, "score", scoring)
+    report = evaluate(scorer, g, split, EvalProtocol(n_negatives=9, k_values=(5,)))
+    assert len(blocks) == report.num_pairs > 0
+    assert sum(len(stacks) for _, stacks in blocks) == len(shapes)
+    for size, stacks in blocks:
+        assert size == 10 and sum(x0[0] for x0, _ in stacks) == size
+        for x0, a_norm in stacks:
+            n, k, width = x0
+            assert 1 <= n <= 2 * models.GCN_CHUNK and width == 16
+            assert a_norm == (n, k, k)
+        assert len({x0[1] for x0, _ in stacks}) == len(stacks)
+    assert any(len(stacks) > 1 for _, stacks in blocks)
+    assert any(x0[0] > 1 for x0, _ in shapes)
+    # the evaluated pairs as triplets of a training step, eval-walked
+    triplets = [(u, i, j) for (u, i), (v, j) in zip(calls[0::2], calls[1::2])
+                if u == v]
+    pairs = [(u, x) for u, i, j in triplets for x in (i, j)]
+    graphs = [label_graph(extract(train_graph, u, x, model.walk,
+                                  seed_stream(5, EVAL_WALK, u, x).random(
+                                      4 * model.walk.walk_len)))
+              for u, x in pairs]
+    chunk = 2 * models.GCN_CHUNK
+    stacked = 0
+    for lo, stacks in zip(range(0, len(pairs), chunk),
+                          _gcn_chunks(graphs, LabelEncoding(16))):
+        scores = _gcn_scores(model.gnn, stacks)[1]
+        stacked += sum(len(idx) for idx, *_ in stacks if len(idx) > 1)
+        want = np.array([scorer.score(u, np.array([i]))[0]
+                         for u, i in pairs[lo:lo + chunk]])
+        assert scores.tobytes() == want.tobytes()
+    assert stacked > len(triplets)
 
 
 def test_checked_scorer_records_every_ranked_candidate():
@@ -210,7 +209,7 @@ def test_checked_scorer_records_every_ranked_candidate():
     tc = TrainConfig(master_seed=5, walk=WalkConfig(0.15, 20, 20, True),
                      gcn_layers=2, hidden_dim=8, label_cap=16, embed_dim=4)
     models_by_kind = {kind: _init_model(kind, train_graph, tc)
-                      for kind in ("lgcf", "lgcf-emb", "mf", "lightgcn")}
+                      for kind in ("lgcf", "mf", "lightgcn")}
     models_by_kind["lgcf-ens"] = TrainedModel(
         "lgcf-ens", tc.walk, tc.label_cap, tc.lightgcn_layers, 5,
         gnn=models_by_kind["lgcf"].gnn, tables=models_by_kind["lightgcn"].tables,

@@ -18,7 +18,10 @@ for neither) and a verdict:
   bound, unless every change run is better than every parent run;
 - within bound: otherwise.
 
-The exit status is 1 if any run is not `correct`.
+The exit status is 1 if any run is not `correct`.  A change that claims a
+gain may not edit the benchmark, so the pairs are refused (exit status 2,
+naming the first differing file) when the two checkouts differ in
+BENCHMARK.json or in any perfbench/*.py.
 """
 
 import argparse
@@ -72,6 +75,20 @@ def summarize(parent: list[float], change: list[float], better: str,
             "verdict": verdict}
 
 
+def benchmark_difference(parent: Path, change: Path) -> str | None:
+    """The first of BENCHMARK.json and perfbench/*.py, in name order, whose
+    bytes differ between the checkouts or that only one of them has."""
+    names = ["BENCHMARK.json"] + sorted(
+        {f"perfbench/{path.name}" for root in (parent, change)
+         for path in (root / "perfbench").glob("*.py")})
+    for name in names:
+        files = [root / name for root in (parent, change)]
+        if [f.is_file() for f in files] != [True, True] or (
+                files[0].read_bytes() != files[1].read_bytes()):
+            return name
+    return None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """perfbench's final JSON line for one untraced run in checkout."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -97,6 +114,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("--seeds needs at least two seeds for quartiles")
+    differing = benchmark_difference(args.parent, args.change)
+    if differing is not None:
+        parser.error(f"--parent and --change differ in {differing}; the "
+                     "benchmark must be the same on both sides")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
