@@ -498,9 +498,10 @@ class LgcfScorer:
         array of item ids, their scores as a float64 array.
 
         Each SCORE_BLOCK candidates are one extract_block, whose graphs run
-        through _gcn_chunks and _gcn_scores as a training batch's do: one
-        forward per node count in 2 * GCN_CHUNK graphs, each graph with the
-        bytes of its own 2-D lgcf_logits call.
+        2 * GCN_CHUNK at a time through _label_stacks and _gcn_scores, the
+        layout of a training chunk: one forward per node count in a chunk,
+        each graph with the bytes of its own 2-D lgcf_logits call.  A
+        chunk's stacks are freed before the next chunk is labeled.
         """
         u = _node_id(u)
         block, single = _item_block(items)
@@ -509,9 +510,10 @@ class LgcfScorer:
             part = block[lo:lo + SCORE_BLOCK]
             graphs = extract_block(self.graph, [(u, i) for i in part.tolist()],
                                    self.walk, self.seed, EVAL_WALK)
-            scores[lo:lo + part.size] = np.concatenate(
-                [_gcn_scores(self.params, stacks)[1]
-                 for stacks in _gcn_chunks(graphs, self.enc)])
+            for c in range(0, part.size, 2 * GCN_CHUNK):
+                chunk = graphs[c:c + 2 * GCN_CHUNK]
+                scores[lo + c:lo + c + len(chunk)] = _gcn_scores(
+                    self.params, _label_stacks(chunk, self.enc))[1]
         return float(scores[0]) if single else scores
 
 
@@ -581,8 +583,8 @@ def _label_stacks(graphs, enc: LabelEncoding):
 
 
 def _gcn_chunks(graphs, enc: LabelEncoding):
-    """_label_stacks of the labeled graphs, 2 * GCN_CHUNK at a time: in a
-    training batch, GCN_CHUNK triplets' positive and negative graphs."""
+    """A batch's labeled graphs GCN_CHUNK triplets at a time, as
+    _label_stacks of the triplets' positive and negative graphs."""
     for lo in range(0, len(graphs), 2 * GCN_CHUNK):
         yield _label_stacks(graphs[lo:lo + 2 * GCN_CHUNK], enc)
 

@@ -3,13 +3,13 @@
 The reference functions below are the earlier forms of the stages: CSR
 reads through indptr/indices lists, numpy scalar writes for the removed
 target edge, a zeroed one-hot matrix, `a + I` normalization, `@` products
-and `default_rng`.  The fast forms must give
-the same bytes on the benchmark's walks over the criterion-9 graph and on
-hand-made edge cases.  The backward pass keeps `@`; its reference guards
-those products.  Training's stacked BPR step is checked against the
-per-triplet loop it replaced, stacked one-hot, normalization and GCN
-calls slice by slice against one call per graph, and `extract_block`'s
-graphs against per-pair extraction on each pair's own `seed_stream`.
+and `default_rng`.  The fast forms must give the same bytes on the
+benchmark's walks over the criterion-9 graph and on hand-made edge cases.
+The backward pass keeps `@`; its reference guards those products.
+Training's stacked BPR step is checked against the per-triplet loop it
+replaced, stacked one-hot, normalization and GCN calls slice by slice
+against one call per graph, and `extract_block`'s graphs against
+per-pair extraction on each pair's own `seed_stream`.
 """
 
 import numpy as np
