@@ -56,10 +56,6 @@ class EmbeddingTable:
         self.matrix = np.vstack([self.user_matrix, self.item_matrix])
         self.user_matrix, self.item_matrix = self.matrix[:n], self.matrix[n:]
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
 
 def init_embeddings(num_users: int, num_items: int, dim: int,
                     rng: np.random.Generator) -> EmbeddingTable:
