@@ -13,6 +13,12 @@ loss and the wall time of training plus evaluation.  lgcf-ens's history
 is its lgcf stage followed by its lightgcn stage, so its first loss is
 lgcf's and its last lightgcn's.
 
+Two more separations are ranked the same way, outside the wall time:
+separation_init, of the untrained model at the row's master seed (null
+for lgcf-ens, which starts from two trained stages), and for lgcf-ens
+separation_lgcf_part and separation_dot_part, of the trained ensemble's
+lgcf and dot scorers alone (null for the other kinds).
+
 block_signal is criterion 9's arithmetic; the test loads this file and
 calls it, so the ledger and the test cannot disagree.
 """
@@ -32,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import lgcf  # noqa: E402
+from lgcf.models import _init_model  # noqa: E402
 
 # Criterion 9's graph, split, TrainConfig and protocol.
 GRAPH = dict(block_users=100, block_items=100, p_in=0.05, p_out=0.005, seed=42)
@@ -108,22 +115,40 @@ def block_signal(rankings, scores, num_users: int, block_users: int,
     }
 
 
+def ranked(scorer, graph, split) -> tuple:
+    """evaluate's report for scorer under criterion 9's protocol, and
+    block_signal over its rankings."""
+    cache = CachingScorer(scorer)
+    report = lgcf.evaluate(cache, graph, split, PROTOCOL, collect_rankings=True)
+    return report, block_signal(report.rankings, cache.scores, graph.num_users,
+                                GRAPH["block_users"], PROTOCOL.k_values[0])
+
+
 def measure(kind: str, seed: int, graph, split, train_graph) -> dict:
     """One ledger row: train kind at master seed `seed` and rank the test pairs."""
+    config = replace(CONFIG, master_seed=seed)
     t0 = time.perf_counter()
-    result = lgcf.train(kind, graph, split, replace(CONFIG, master_seed=seed))
-    scorer = CachingScorer(result.model.make_scorer(train_graph))
-    report = lgcf.evaluate(scorer, graph, split, PROTOCOL, collect_rankings=True)
+    result = lgcf.train(kind, graph, split, config)
+    scorer = result.model.make_scorer(train_graph)
+    report, signal = ranked(scorer, graph, split)
     wall_s = time.perf_counter() - t0
     k = PROTOCOL.k_values[0]
-    signal = block_signal(report.rankings, scorer.scores, graph.num_users,
-                          GRAPH["block_users"], k)
+    init_sep = lgcf_part = dot_part = None
+    if kind == "lgcf-ens":
+        lgcf_part = ranked(scorer.lgcf, graph, split)[1]["separation"]
+        dot_part = ranked(scorer.dot, graph, split)[1]["separation"]
+    else:
+        untrained = _init_model(kind, train_graph, config).make_scorer(train_graph)
+        init_sep = ranked(untrained, graph, split)[1]["separation"]
     return {
         "kind": kind,
         "master_seed": seed,
         "hr10": report.metrics[k].hr_mean,
         "ndcg10": report.metrics[k].ndcg_mean,
         "separation": signal["separation"],
+        "separation_init": init_sep,
+        "separation_lgcf_part": lgcf_part,
+        "separation_dot_part": dot_part,
         "oracle_hr10": signal["oracle_hr"],
         "leak_bound": signal["leak_bound"],
         "pairs": report.num_pairs,

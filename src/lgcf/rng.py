@@ -11,6 +11,7 @@ from operator import index
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 
@@ -30,14 +31,13 @@ ENSEMBLE = 10       # sub-model seed derivation for the ensemble
 GRADCHECK = 12      # gradient check instance generation
 
 
-# numpy's SeedSequence hash constants (pool of four 32-bit words) and
-# PCG64's 128-bit multiplier, for stream_uniforms.
+# numpy's SeedSequence hash constants (pool of four 32-bit words), for
+# stream_uniforms.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+_M32 = (1 << 32) - 1
 
 
 def _key_words(keys) -> list[int]:
@@ -78,11 +78,10 @@ def stream_uniforms(keys, n: int) -> np.ndarray:
     seed_stream(*keys[b]).random(n); DomainError for a key seed_stream
     rejects and for a negative n.
 
-    Rows whose keys split into the same number of words are seeded and
-    drawn together as arrays: SeedSequence's hashing on uint32 columns (its
-    hash constants depend only on the word count), then each PCG64 draw by
-    a jump from the seeded state, state_j = A_j * s + C_j * inc mod 2^128,
-    on uint64 halves.
+    Rows whose keys split into the same number of words are seeded
+    together: SeedSequence's hashing runs on uint32 columns, its hash
+    constants depending only on the word count.  numpy's own PCG64 then
+    draws each row from its hashed state.
     """
     n = index(n)
     if n < 0:
@@ -94,13 +93,26 @@ def stream_uniforms(keys, n: int) -> np.ndarray:
     out = np.empty((len(rows), n))
     for idx in by_len.values():
         entropy = np.array([rows[b] for b in idx], dtype=np.uint32)  # (rows, words)
-        out[idx] = _pcg64_uniforms(_seed_state(entropy), n)
+        for b, state in zip(idx, _seed_state(entropy)):
+            Generator(PCG64(_Seeded(state))).random(out=out[b])
     return out
+
+
+class _Seeded(ISeedSequence):
+    """A seed sequence whose generate_state(4, np.uint64) is known: PCG64
+    seeds from the four words as from SeedSequence's."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 def _seed_state(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(row).generate_state(4, np.uint64) for each row of a
-    (B, L) uint32 entropy array, as a (B, 4) uint64 array.
+    (B, L) uint32 entropy array, as a C-contiguous (B, 4) uint64 array:
+    PCG64 reads a row through its data pointer.
 
     Each hashmix takes the next two links of a fixed chain of hash
     constants, so every step for a run of pool words is one array step.
@@ -133,7 +145,7 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
     words *= mul
     words ^= words >> 16
     words = words.astype(np.uint64)
-    return words[:, 0::2] | (words[:, 1::2] << 32)
+    return np.ascontiguousarray(words[:, 0::2] | (words[:, 1::2] << 32))
 
 
 def _chain(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,48 +168,3 @@ def _hash_chain(length: int) -> tuple[np.ndarray, np.ndarray]:
 
 # generate_state's chain: eight 32-bit words, two per uint64.
 _STATE_CHAIN = _chain(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-@functools.lru_cache(maxsize=8)
-def _jumps(n: int) -> tuple[np.ndarray, ...]:
-    """Halves (A_hi, A_lo, C_hi, C_lo) of the jumps to draws 1..n from the
-    seed: PCG64 seeds with s = 0, s = s * M + inc, s += initstate,
-    s = s * M + inc, and each draw steps once more, so draw j reads state
-    M^(j+1) * initstate + (1 + M + ... + M^(j+1)) * inc mod 2^128."""
-    mod = 1 << 128
-    a, c = [], []
-    power, total = _PCG_MULT, 1 + _PCG_MULT
-    for _ in range(n):
-        power = power * _PCG_MULT % mod
-        total = (total + power) % mod
-        a.append(power)
-        c.append(total)
-    return tuple(np.array([x >> 64 if hi else x & _M64 for x in seq], dtype=np.uint64)
-                 for seq in (a, c) for hi in (True, False))
-
-
-def _mul128(x_hi, x_lo, c_hi, c_lo):
-    """(x_hi, x_lo) * (c_hi, c_lo) mod 2^128 as uint64 halves, broadcast."""
-    a0, a1 = x_lo & _M32, x_lo >> 32
-    b0, b1 = c_lo & _M32, c_lo >> 32
-    # The high word of x_lo * c_lo from 32-bit halves; no sum exceeds 2^64.
-    t = a1 * b0 + (a0 * b0 >> 32)
-    w = a0 * b1 + (t & _M32)
-    hi = a1 * b1 + (t >> 32) + (w >> 32) + x_lo * c_hi + x_hi * c_lo
-    return hi, x_lo * c_lo
-
-
-def _pcg64_uniforms(seed: np.ndarray, n: int) -> np.ndarray:
-    """Generator(PCG64).random(n) per row of generate_state's (B, 4) words
-    (s0, s1, s2, s3): initstate = (s0, s1) and inc = (s2, s3) << 1 | 1 as
-    (hi, lo)."""
-    s0, s1, s2, s3 = (col[:, None] for col in seed.T)
-    a_hi, a_lo, c_hi, c_lo = _jumps(n)
-    x_hi, x_lo = _mul128(s0, s1, a_hi, a_lo)
-    y_hi, y_lo = _mul128((s2 << 1) | (s3 >> 63), (s3 << 1) | 1, c_hi, c_lo)
-    lo = x_lo + y_lo
-    hi = x_hi + y_hi + (lo < x_lo)
-    # XSL RR: the halves' xor rotated right by the state's top six bits.
-    x, rot = hi ^ lo, hi >> 58
-    out = (x >> rot) | (x << ((64 - rot) & 63))
-    return (out >> 11) * (1.0 / 9007199254740992.0)

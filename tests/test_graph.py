@@ -15,7 +15,7 @@ from lgcf import (BipartiteGraph, DomainError, ParseError, SplitSpec,
                   load_split, normal_split, save_graph_dir, save_split,
                   seed_stream, sparse_split, sparsity_levels)
 from lgcf.graph import _number, _read_edge_file, read_utf8
-from lgcf.rng import stream_uniforms
+from lgcf.rng import _seed_state, stream_uniforms
 
 
 def random_bipartite(rng, max_users=12, max_items=12, p=0.3):
@@ -795,6 +795,18 @@ class TestStreamUniforms:
     def test_numpy_integer_keys(self):
         keys = [(np.int64(42), np.uint32(6), np.int32(3), 25)]
         assert stream_uniforms(keys, 8).tobytes() == self.want(keys, 8).tobytes()
+
+    @pytest.mark.parametrize("words", [0, 1, 4, 5, 9])
+    def test_seed_state_is_seed_sequences_state(self, words):
+        """The one emulated piece: SeedSequence's hash over a block, in
+        C-contiguous rows, as PCG64 reads them through their data pointer."""
+        entropy = np.random.default_rng(words).integers(
+            0, 2**32, size=(5, words), dtype=np.uint32)
+        got = _seed_state(entropy)
+        assert got.flags.c_contiguous and got.shape == (5, 4)
+        for row, state in zip(entropy, got):
+            want = np.random.SeedSequence(row).generate_state(4, np.uint64)
+            assert state.tobytes() == want.tobytes()
 
     def test_no_draws_and_no_rows(self):
         assert stream_uniforms([(1, 2), (3,)], 0).shape == (2, 0)
