@@ -2,6 +2,7 @@
 
     python3 quality/run.py                   # writes QUALITY.json at the repo root
     python3 quality/run.py --out other.json
+    python3 quality/run.py --check           # recomputes and compares, writes nothing
 
 Each kind is trained on the criterion-9 graph and split of
 tests/test_acceptance.py with criterion 9's TrainConfig, at master seeds 42
@@ -21,9 +22,16 @@ lgcf and dot scorers alone (null for the other kinds).
 
 block_signal is criterion 9's arithmetic; the test loads this file and
 calls it, so the ledger and the test cannot disagree.
+
+--check recomputes the ledger and compares it with the --out file field by
+field, except the top-level and per-row wall_s.  It exits 1 naming the
+first differing (master_seed, kind, field), with "-" for the seed and kind
+of a top-level field, so a change meant to keep every score can show that
+the ledger holds.
 """
 
 import argparse
+import itertools
 import json
 import math
 import platform
@@ -159,10 +167,32 @@ def measure(kind: str, seed: int, graph, split, train_graph) -> dict:
     }
 
 
+def first_difference(committed: dict, ledger: dict) -> str | None:
+    """The first field, wall_s aside, where the recomputed ledger differs
+    from the committed one, as "(master_seed, kind, field): both values";
+    None when they agree.  The ledger is compared as its JSON text reads."""
+    ledger = json.loads(json.dumps(ledger))
+    for key in sorted((committed.keys() | ledger.keys()) - {"rows", "wall_s"}):
+        if committed.get(key) != ledger.get(key):
+            return (f"(-, -, {key}): committed {committed.get(key)!r}, "
+                    f"now {ledger.get(key)!r}")
+    for old, new in itertools.zip_longest(committed.get("rows", []), ledger["rows"],
+                                          fillvalue={}):
+        seed, kind = (new or old).get("master_seed"), (new or old).get("kind")
+        for key in sorted((old.keys() | new.keys()) - {"wall_s"}):
+            if old.get(key) != new.get(key):
+                return (f"({seed}, {kind}, {key}): committed {old.get(key)!r}, "
+                        f"now {new.get(key)!r}")
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=ROOT / "QUALITY.json",
                         help="ledger file to write (default: QUALITY.json)")
+    parser.add_argument("--check", action="store_true",
+                        help="compare the recomputed ledger with --out instead of "
+                             "writing it; exit 1 at the first difference")
     args = parser.parse_args(argv)
     graph = lgcf.make_synthetic(**GRAPH)
     split = lgcf.normal_split(graph, TRAIN_FRAC, SPLIT_SEED)
@@ -186,6 +216,13 @@ def main(argv=None) -> int:
         "wall_s": round(time.perf_counter() - t0, 1),
         "rows": rows,
     }
+    if args.check:
+        diff = first_difference(json.loads(args.out.read_text(encoding="utf-8")), ledger)
+        if diff is not None:
+            print(f"{args.out} differs at {diff}")
+            return 1
+        print(f"{args.out} holds: {len(rows)} rows equal in every field but wall_s")
+        return 0
     args.out.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
     print(f"wrote {args.out}")

@@ -339,10 +339,11 @@ class TrainedModel:
         if self.kind == "lgcf":
             return LgcfScorer(train_graph, self)
         if self.kind in ("mf", "lightgcn"):
-            return DotScorer(refined, self.kind, self.master_seed)
+            return DotScorer(refined, train_graph.num_users, self.kind, self.master_seed)
         if self.kind == "lgcf-ens":
             return EnsembleScorer(LgcfScorer(train_graph, self),
-                                  DotScorer(refined, "lightgcn", self.master_seed),
+                                  DotScorer(refined, train_graph.num_users, "lightgcn",
+                                            self.master_seed),
                                   self.lam)
         raise DomainError(f"unknown model kind {self.kind!r}")
 
@@ -514,10 +515,12 @@ class LgcfScorer:
 
 
 class DotScorer:
-    """Dot product of the refined rows of u and i, both global ids."""
+    """Dot product of the refined rows of u and i, both global ids; the
+    first num_users rows are the users'."""
 
-    def __init__(self, refined: np.ndarray, kind: str, seed: int = 0):
+    def __init__(self, refined: np.ndarray, num_users: int, kind: str, seed: int = 0):
         self.refined = refined
+        self.num_users = int(num_users)
         self.kind = kind
         self.seed = int(seed)
 
@@ -528,10 +531,14 @@ class DotScorer:
         differently."""
         u = _node_id(u)
         block, single = _item_block(items)
-        rows = self.refined.shape[0]
+        n, rows = self.num_users, self.refined.shape[0]
         if not 0 <= u < rows or (block.size and block.max() >= rows):
             raise DomainError(f"ids must be in [0, {rows}), got user {u} and "
                               f"items up to {block.max(initial=0)}")
+        stray = block if u >= n else block[block < n]
+        if stray.size:
+            raise DomainError(f"target ({u}, {int(stray[0])}) is not a (user, item) "
+                              f"pair: users are [0, {n}), items [{n}, {rows})")
         scores = np.vecdot(self.refined[u], self.refined[block])
         return float(scores[0]) if single else scores
 
@@ -578,16 +585,9 @@ def _label_stacks(graphs, enc: LabelEncoding):
     return stacks
 
 
-def _gcn_chunks(graphs, enc: LabelEncoding):
-    """A batch's labeled graphs GCN_CHUNK triplets at a time, as
-    _label_stacks of the triplets' positive and negative graphs."""
-    for lo in range(0, len(graphs), 2 * GCN_CHUNK):
-        yield _label_stacks(graphs[lo:lo + 2 * GCN_CHUNK], enc)
-
-
 def _gcn_scores(gnn: GnnParameters, stacks):
-    """The forward half of _gcn_batch for one chunk's stacks: each graph's
-    features and sigmoid score, and each stack's (positions, cache)."""
+    """The GCN forward of one chunk's stacks: each graph's features and
+    sigmoid score, and each stack's (positions, cache)."""
     count = sum(len(idx) for idx, _, _ in stacks)
     features = np.empty((count, gnn.hidden_dim))
     logits = np.empty(count)
@@ -598,10 +598,19 @@ def _gcn_scores(gnn: GnnParameters, stacks):
     return features, sigmoid(logits), caches
 
 
-def _gcn_batch(model: TrainedModel, prop: Propagation, triplets: np.ndarray,
-               graphs):
-    """BPR through LgcfScorer's score for lgcf.  Graph 2t is triplet t's
-    positive and 2t + 1 its negative, so prop and the triplets are unread.
+def _bpr_forward(gnn: GnnParameters, stacks):
+    """The BPR loss of one chunk's stacks, whose graphs 2t and 2t + 1 are
+    triplet t's positive and negative: _gcn_scores's features, scores and
+    caches, each triplet's score difference z, and its loss softplus(-z)."""
+    features, s, caches = _gcn_scores(gnn, stacks)
+    z = s[0::2] - s[1::2]
+    return features, s, caches, z, [softplus(-x) for x in z.tolist()]
+
+
+def _gcn_batch(gnn: GnnParameters, graphs):
+    """BPR through LgcfScorer's score: (per-triplet losses, batch-mean
+    gradients of gnn.arrays()).  Graph 2t is triplet t's positive and
+    2t + 1 its negative.
 
     The batch is read GCN_CHUNK triplets at a time, and a chunk's graphs of
     one node count pass through the GCN as one stack, whose slices have the
@@ -609,13 +618,13 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, triplets: np.ndarray,
     per-pair order, and np.add.reduce over [acc, pair_0, ...] sums the
     pairs' gradients in triplet order, as acc += pair did.
     """
-    gnn = model.gnn
-    grads = [np.zeros_like(a) for a in (*gnn.weights, gnn.scoring)]
+    enc = LabelEncoding(gnn.feature_dim)
+    grads = [np.zeros_like(a) for a in gnn.arrays()]
     losses = []
-    for stacks in _gcn_chunks(graphs, LabelEncoding(gnn.feature_dim)):
-        features, s, caches = _gcn_scores(gnn, stacks)
-        z = s[0::2] - s[1::2]
-        losses += [softplus(-x) for x in z.tolist()]
+    for lo in range(0, len(graphs), 2 * GCN_CHUNK):
+        features, s, caches, z, chunk_losses = _bpr_forward(
+            gnn, _label_stacks(graphs[lo:lo + 2 * GCN_CHUNK], enc))
+        losses += chunk_losses
         d_z = sigmoid(z) - 1.0
         d_logit = np.stack([d_z, -d_z], axis=1).ravel() * s * (1.0 - s)
         d_features = d_logit[:, None] * gnn.scoring
@@ -631,18 +640,19 @@ def _gcn_batch(model: TrainedModel, prop: Propagation, triplets: np.ndarray,
     return losses, [g / len(losses) for g in grads]
 
 
-def _embedding_batch(model: TrainedModel, prop: Propagation, triplets: np.ndarray,
-                     graphs: None):
-    """BPR over propagated dot products; gradients pulled back to the tables.
+def _embedding_batch(tables: EmbeddingTable, prop: Propagation, triplets: np.ndarray):
+    """BPR over propagated dot products of the (B, 3) int64 (u, i_pos, i_neg)
+    triplets: (per-triplet losses, batch-mean gradients of the user and item
+    tables), pulled back through prop.
 
     Only the batch's rows of the refined table are propagated, and the
     triplets are array operations with a per-triplet loop's bytes: dots by
     stacked matmul, and the row updates by one np.add.at over each
     triplet's u, i and j in turn.
     """
-    n = model.tables.user_matrix.shape[0]
+    n = tables.user_matrix.shape[0]
     rows, local = _batch_rows(prop.num_nodes, triplets)
-    refined = prop.apply(model.tables.matrix, out_rows=rows)
+    refined = prop.apply(tables.matrix, out_rows=rows)
     r_u, r_i, r_j = refined[local[:, 0]], refined[local[:, 1]], refined[local[:, 2]]
     z = (r_u[:, None] @ r_i[:, :, None] - r_u[:, None] @ r_j[:, :, None]).ravel()
     losses = [softplus(-x) for x in z.tolist()]
@@ -663,15 +673,6 @@ def _batch_rows(num_nodes: int, ids) -> tuple[np.ndarray, np.ndarray]:
     mark[ids] = True
     rows = np.flatnonzero(mark)
     return rows, np.searchsorted(rows, ids)
-
-
-# Per trained kind: (model, propagation, triplets, graphs) -> (per-triplet
-# losses, batch-mean gradients of model.trainable()).  triplets is a (B, 3)
-# int64 array of (u, i_pos, i_neg) rows; graphs[2t] and graphs[2t + 1] are
-# triplet t's positive and negative labeled graphs, and graphs is None for
-# kinds without a GCN.
-_BATCH_GRADS = {"lgcf": _gcn_batch, "mf": _embedding_batch,
-                "lightgcn": _embedding_batch}
 
 
 def _init_model(kind: str, graph: BipartiteGraph, tc: TrainConfig) -> TrainedModel:
@@ -732,8 +733,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
     model = _init_model(kind, train_graph, tc)
     arrays = model.trainable()
     adam = init_adam(arrays, lr=tc.lr)
-    prop = Propagation(train_graph, model.propagation_layers)
-    batch_grads = _BATCH_GRADS[kind]
+    prop = None if kind == "lgcf" else Propagation(train_graph, model.propagation_layers)
 
     history: list[EpochRecord] = []
     best_metric = -np.inf
@@ -746,11 +746,13 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         t0 = time.perf_counter()
         losses = []
         for triplets in _triplet_batches(train_graph, edges, tc, epoch):
-            graphs = None if model.gnn is None else extract_block(
-                train_graph, [(u, x) for u, i, j in triplets for x in (i, j)],
-                tc.walk, tc.master_seed, WALK, epoch)
-            batch_losses, grads = batch_grads(
-                model, prop, np.array(triplets, dtype=np.int64), graphs)
+            if prop is None:
+                batch_losses, grads = _gcn_batch(model.gnn, extract_block(
+                    train_graph, [(u, x) for u, i, j in triplets for x in (i, j)],
+                    tc.walk, tc.master_seed, WALK, epoch))
+            else:
+                batch_losses, grads = _embedding_batch(
+                    model.tables, prop, np.array(triplets, dtype=np.int64))
             losses += batch_losses
             adam_step(arrays, grads, adam)
         val_hr = val_ndcg = None
@@ -880,8 +882,8 @@ def run_gradcheck(seed: int = 7, instances: int = 5,
     Builds small random bipartite graphs, extracts real localized graphs for
     random triplets, and checks every trainable coordinate of the batch
     gradients that training steps with, on one-triplet batches, against
-    the loss of _gcn_batch's forward half over inputs built once per
-    instance; reports the worst relative error over all instances.
+    _bpr_forward's loss, the one _gcn_batch trains on, over stacks built
+    once per instance; reports the worst relative error over all instances.
     """
     if instances < 1:
         raise DomainError(f"instances must be >= 1, got {instances}")
@@ -903,19 +905,16 @@ def run_gradcheck(seed: int = 7, instances: int = 5,
         i_pos = n + int(rng.integers(m))
         i_neg = n + int(rng.integers(m))
         walks = [rng.random(4 * cfg.walk_len).tolist() for _ in range(2)]
-        triplets = np.array([[u, i_pos, i_neg]])
         graphs = [label_graph(extract(graph, u, i, cfg, w))
                   for i, w in zip((i_pos, i_neg), walks)]
-        model = TrainedModel("lgcf", cfg, enc.label_cap, 2, seed,
-                             gnn=init_gnn_params(enc.label_cap, 8, 3, rng))
-        _, analytic = _gcn_batch(model, Propagation(graph, 0), triplets, graphs)
-        stacks, = _gcn_chunks(graphs, enc)
+        gnn = init_gnn_params(enc.label_cap, 8, 3, rng)
+        _, analytic = _gcn_batch(gnn, graphs)
+        stacks = _label_stacks(graphs, enc)
 
         def loss_fn():
-            s = _gcn_scores(model.gnn, stacks)[1]
-            return softplus(-(s[0] - s[1]).item())
+            return _bpr_forward(gnn, stacks)[-1][0]
 
-        report = grad_check(loss_fn, model.trainable(), analytic, tolerance=tolerance)
+        report = grad_check(loss_fn, gnn.arrays(), analytic, tolerance=tolerance)
         worst = max(worst, report.max_rel_err)
         checked += report.num_checked
     return GradCheckReport(worst, checked, tolerance, worst < tolerance)

@@ -184,11 +184,11 @@ def test_criterion_05_closed_forms():
     pairs = g.edges()[:4]
     for kind in ("lgcf", "mf", "lightgcn"):
         model = _init_model(kind, g, tc)
-        prop = Propagation(g, model.propagation_layers)
-        # the positive item as the negative
-        triplets = np.array([(u, i, i) for u, i in pairs], dtype=np.int64)
         if model.gnn is None:
-            losses, _ = _embedding_batch(model, prop, triplets, None)
+            # the positive item as the negative
+            triplets = np.array([(u, i, i) for u, i in pairs], dtype=np.int64)
+            prop = Propagation(g, model.propagation_layers)
+            losses, _ = _embedding_batch(model.tables, prop, triplets)
         else:
             # _gcn_batch with one labeled graph on both sides
             graphs = []
@@ -196,7 +196,7 @@ def test_criterion_05_closed_forms():
                 lg = label_graph(extract(g, u, i, tc.walk, seed_stream(5, u, i).random(
                     4 * tc.walk.walk_len)))
                 graphs += [lg, lg]
-            losses, _ = _gcn_batch(model, prop, triplets, graphs)
+            losses, _ = _gcn_batch(model.gnn, graphs)
         assert len(losses) == len(pairs) == 4
         for loss in losses:
             assert abs(loss - math.log(2)) < 1e-12, (kind, loss)

@@ -6,7 +6,8 @@ history.jsonl (with the timing field wall_ms dropped) against recorded
 values.  One case pins the bytes of 300 lgcf scores at the benchmark's
 walks.  The sparse-graph case pins one epoch of lightgcn training through
 the library (checkpoint with Adam state, and history) on a graph where a
-mini-batch touches few rows.  A change that alters a random
+mini-batch touches few rows.  The default gradcheck's worst relative error
+and coordinate count are pinned as numbers.  A change that alters a random
 stream or an order of floating-point operations on purpose updates the
 digests here and says why in CHANGES.md; any other digest change is a
 behaviour change.
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 
 from lgcf import (TrainConfig, TrainedModel, WalkConfig, build_graph,
-                  init_gnn_params, make_synthetic, normal_split, save_model,
-                  seed_stream, train)
+                  init_gnn_params, make_synthetic, normal_split, run_gradcheck,
+                  save_model, seed_stream, train)
 from lgcf.cli import main
 from lgcf.models import _triplet_batches
 from lgcf.rng import PARAM_INIT
@@ -230,3 +231,11 @@ def test_full_ranking_digest(data, checkpoints, tmp_path):
     got = sha((tmp_path / "report.json").read_bytes())
     print(f"golden full ranking: {got}")
     assert got == FULL_RANKING
+
+
+def test_default_gradcheck_figures():
+    """`lgcf gradcheck`'s defaults: the worst relative error, exactly, over
+    the 1320 coordinates of five instances."""
+    report = run_gradcheck()
+    assert (report.max_rel_err, report.num_checked) == (7.63969053458062e-08, 1320)
+    assert report.passed

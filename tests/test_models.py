@@ -267,7 +267,7 @@ def test_embedding_batch_is_the_triplet_loop(layers):
     triplets = [(3, 70, 101), (5, 64, 70), (3, 88, 64), (59, 119, 60), (3, 70, 77)]
     batch = np.array(triplets, dtype=np.int64)
     want_losses, want = loop_embedding_batch(model, prop, batch)
-    got_losses, got = _embedding_batch(model, prop, batch, None)
+    got_losses, got = _embedding_batch(model.tables, prop, batch)
     assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes()
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -307,7 +307,7 @@ class TestEmbeddingTable:
 class TestScores:
     def test_mf_score_hand_dot(self):
         tables = EmbeddingTable(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-        assert DotScorer(tables.matrix, "mf").score(0, 1) == 1.0
+        assert DotScorer(tables.matrix, 1, "mf").score(0, 1) == 1.0
 
     def test_ens_score_late_fusion(self):
         class FixedScorer:
@@ -317,7 +317,7 @@ class TestScores:
                 return 0.3
 
         tables = EmbeddingTable(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-        ens = EnsembleScorer(FixedScorer(), DotScorer(tables.matrix, "lightgcn"), 2.0)
+        ens = EnsembleScorer(FixedScorer(), DotScorer(tables.matrix, 1, "lightgcn"), 2.0)
         assert ens.score(0, 1) == pytest.approx(2.3, abs=1e-15)
 
 
@@ -442,6 +442,15 @@ class TestScoreBlocks:
     def test_ids_outside_the_graph_are_rejected(self, scorers, kind, user, items):
         """Not read through negative indexing or numpy's IndexError."""
         with pytest.raises(DomainError):
+            scorers[kind].score(user, items)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("user, items", [(3, [5]), (70, [75]), (3, [70, 5]),
+                                             (70, np.array([75, 80]))], ids=str)
+    def test_pairs_that_are_not_user_item_are_rejected(self, scorers, kind, user,
+                                                       items):
+        """Two users or two items are not a pair any kind scores (60 users)."""
+        with pytest.raises(DomainError, match=r"is not a \(user, item\) pair"):
             scorers[kind].score(user, items)
 
 
@@ -614,7 +623,7 @@ class TestTrainBasics:
         assert len(result.history) == 1
         assert result.best_epoch is None
         recorded = result.history[0].train_loss
-        dot = DotScorer(result.model.tables.matrix, "mf")
+        dot = DotScorer(result.model.tables.matrix, 1, "mf")
         # The only possible negative for user 0 is item 2.
         post = math.log(1 + math.exp(-(dot.score(0, 1) - dot.score(0, 2))))
         assert post < recorded < math.log(2)
@@ -873,3 +882,16 @@ class TestGradcheckEntry:
     def test_lgcf_small(self):
         report = run_gradcheck(seed=5, instances=2)
         assert report.passed, report.max_rel_err
+
+    def test_checks_the_loss_training_minimizes(self, monkeypatch):
+        """gradcheck differentiates _bpr_forward's loss, the one _gcn_batch's
+        backward is derived for: a loss of softplus(-2z) there, with the
+        backward left for softplus(-z), fails it."""
+        forward = models._bpr_forward
+
+        def doubled(gnn, stacks):
+            *rest, z, _ = forward(gnn, stacks)
+            return (*rest, z, [softplus(-2.0 * x) for x in z.tolist()])
+
+        monkeypatch.setattr(models, "_bpr_forward", doubled)
+        assert not run_gradcheck(seed=5, instances=2).passed

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from lgcf import (AdamState, DomainError, GnnParameters, LabelEncoding,
-                  LocalizedGraph, Propagation, TrainedModel, WalkConfig,
-                  adam_step, build_graph, gcn_backward, gcn_forward,
+                  LocalizedGraph, adam_step, gcn_backward, gcn_forward,
                   grad_check, init_adam, init_gnn_params, lgcf_logits,
                   normalize_adjacency, one_hot_features, seed_stream, sigmoid,
                   softplus)
@@ -57,12 +56,10 @@ def random_instance(rng, **kwargs):
 
 
 def bpr_step(params, pos, neg):
-    """Loss and gradients of one triplet (user 0, items 1 and 2), its
-    labeled graphs pos and neg, through lgcf's batch step.  The gradients
-    are the layers', then the scoring vector's."""
-    model = TrainedModel("lgcf", WalkConfig(), params.feature_dim, 0, 0, gnn=params)
-    prop = Propagation(build_graph([(0, 1)], 1, 2), 0)
-    losses, grads = _gcn_batch(model, prop, np.array([[0, 1, 2]]), [pos, neg])
+    """Loss and gradients of one triplet, its labeled graphs pos and neg,
+    through lgcf's batch step.  The gradients are the layers', then the
+    scoring vector's."""
+    losses, grads = _gcn_batch(params, [pos, neg])
     return losses[0], grads
 
 

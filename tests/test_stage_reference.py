@@ -15,8 +15,8 @@ per-pair extraction on each pair's own `seed_stream`.
 import numpy as np
 import pytest
 
-from lgcf import (DomainError, LabelEncoding, Propagation, TrainConfig,
-                  WalkConfig, build_graph, drnl_label, extract, extract_block,
+from lgcf import (DomainError, LabelEncoding, TrainConfig, WalkConfig,
+                  build_graph, drnl_label, extract, extract_block,
                   init_gnn_params, induce_subgraph, label_graph, lgcf_logits,
                   make_synthetic, normal_split, normalize_adjacency,
                   one_hot_features, rwr_trace, seed_stream, sigmoid, softplus,
@@ -265,7 +265,6 @@ def test_gcn_batch_is_the_triplet_loop(criterion_9_graph, kind, activation,
                      master_seed=42, walk=WALK, gcn_layers=3, hidden_dim=32,
                      label_cap=32, embed_dim=16, activation=activation)
     model = _init_model(kind, g, tc)
-    prop = Propagation(g, model.propagation_layers)
     epoch = 1
     sizes = set()
     for _, triplets in zip(range(BATCHES_READ[batch_size]),
@@ -276,7 +275,7 @@ def test_gcn_batch_is_the_triplet_loop(criterion_9_graph, kind, activation,
         sizes.update(lg.num_nodes for lg in graphs)
         triplets = np.array(triplets, dtype=np.int64)
         want_losses, want = ref_gcn_batch(model, triplets, graphs)
-        got_losses, got = _gcn_batch(model, prop, triplets, graphs)
+        got_losses, got = _gcn_batch(model.gnn, graphs)
         assert same_bytes(got_losses, want_losses)
         assert len(got) == len(want) == len(model.trainable())
         assert all(map(same_bytes, got, want))

@@ -15,7 +15,7 @@ from lgcf import (EvalProtocol, LabelEncoding, TrainConfig, TrainedModel, WalkCo
                   build_graph, evaluate, extract, label_graph, make_synthetic,
                   normal_split, seed_stream, train)
 from lgcf import models, nn
-from lgcf.models import (MODEL_KINDS, _gcn_chunks, _gcn_scores, _init_model,
+from lgcf.models import (MODEL_KINDS, _gcn_scores, _init_model, _label_stacks,
                          _triplet_batches)
 from lgcf.rng import EVAL_WALK, WALK
 
@@ -186,8 +186,8 @@ def test_scoring_forwards_chunk_stacks(monkeypatch):
               for u, x in pairs]
     chunk = 2 * models.GCN_CHUNK
     stacked = 0
-    for lo, stacks in zip(range(0, len(pairs), chunk),
-                          _gcn_chunks(graphs, LabelEncoding(16))):
+    for lo in range(0, len(pairs), chunk):
+        stacks = _label_stacks(graphs[lo:lo + chunk], LabelEncoding(16))
         scores = _gcn_scores(model.gnn, stacks)[1]
         stacked += sum(len(idx) for idx, *_ in stacks if len(idx) > 1)
         want = np.array([scorer.score(u, np.array([i]))[0]
