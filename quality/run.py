@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     graph = lgcf.make_synthetic(**GRAPH)
     split = lgcf.normal_split(graph, TRAIN_FRAC, SPLIT_SEED)
-    train_graph = lgcf.build_graph(split.train_edges, graph.num_users, graph.num_items)
+    train_graph = split.train_graph()
     t0 = time.perf_counter()
     rows = []
     for seed in SEEDS:

@@ -9,8 +9,8 @@ from .graph import (BipartiteGraph, IngestResult, SplitSpec, build_graph,
                     ingest_interactions, load_graph_dir, load_split,
                     normal_split, save_graph_dir, save_split, sparse_split,
                     sparsity_levels)
-from .labeling import (UNREACHABLE, LabelEncoding, drnl_label, extract_block,
-                       label_graph, one_hot_features)
+from .labeling import (UNREACHABLE, drnl_label, extract_block, label_graph,
+                       one_hot_features)
 from .models import (MODEL_KINDS, EmbeddingTable, EpochRecord, Propagation,
                      TrainConfig, TrainedModel, TrainResult, init_embeddings,
                      lgcf_logits, load_model, run_gradcheck, sample_negative,

@@ -16,15 +16,17 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import DomainError, LgcfError
 from .evaluation import (EvalProtocol, degree_probe, dump_cases, evaluate,
                          make_synthetic, metrics_csv)
-from .graph import (build_graph, ingest_interactions, load_graph_dir,
-                    load_split, normal_split, save_graph_dir, save_split,
-                    sparse_split, sparsity_levels, text_lines, write_json)
+from .graph import (build_graph, check_split_fits, ingest_interactions,
+                    load_graph_dir, load_split, normal_split, save_graph_dir,
+                    save_split, sparse_split, sparsity_levels, text_lines,
+                    write_json)
 from .models import (TrainConfig, load_model, run_gradcheck, save_model,
                      sparsity_sweep, train)
 from .subgraph import WalkConfig
@@ -37,6 +39,13 @@ class Opt:
     default: object
     help: str
     required: bool = False
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    opts: list[Opt]
+    handler: Callable[[dict, Path | None], int]
 
 
 def _parse_bool(raw: str) -> bool:
@@ -123,77 +132,14 @@ _PROTOCOL = [
     Opt("full-ranking", "bool", False, "rank against every non-interacted item"),
 ]
 
-COMMANDS: dict[str, tuple[str, list[Opt]]] = {
-    "ingest": ("re-index a raw interaction file into a graph directory", _common() + [
-        Opt("input", "path", None, "delimited interaction file", required=True),
-        Opt("delimiter", "str", "auto", "auto | comma | tab"),
-        Opt("user-col", "int", 0, "user key column"),
-        Opt("item-col", "int", 1, "item key column"),
-        Opt("rating-col", "opt_int", None, "rating column (none to disable)"),
-        Opt("rating-threshold", "opt_float", None,
-            "keep edges with rating >= threshold"),
-    ]),
-    "synth": ("generate a two-block synthetic bipartite graph", _common() + [
-        Opt("users", "int", 200, "total users (two equal blocks)"),
-        Opt("items", "int", 200, "total items (two equal blocks)"),
-        Opt("p-in", "float", 0.05, "within-block edge probability"),
-        Opt("p-out", "float", 0.005, "cross-block edge probability"),
-        Opt("seed", "int", 0, "generation seed"),
-    ]),
-    "split": ("split a graph directory into train/val/test", _common() + [
-        Opt("graph", "path", None, "graph directory (edges.tsv + graph.json)",
-            required=True),
-        Opt("kind", "str", "normal", "normal | sparse"),
-        Opt("train-frac", "float", 0.9, "train share for kind=normal"),
-        Opt("seed", "int", 0, "split seed"),
-    ]),
-    "train": ("train one model on a split", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
-        Opt("model", "str", "lgcf", "lgcf | mf | lightgcn | lgcf-ens"),
-    ] + _TRAIN),
-    "eval": ("rank held-out pairs with a trained checkpoint", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
-        Opt("checkpoint", "path", None, "checkpoint.json from train", required=True),
-    ] + _PROTOCOL),
-    "sweep": ("train and evaluate models across sparsity levels", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
-        Opt("models", "strs", ("lgcf", "mf", "lightgcn"), "model kinds"),
-        Opt("fractions", "floats", (0.0, 0.2, 0.4, 0.6, 0.8),
-            "additional-edge removal fractions"),
-    ] + _TRAIN + _PROTOCOL),
-    "probe-degree": ("evaluate test pairs grouped by train degree", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
-        Opt("checkpoint", "path", None, "checkpoint.json from train", required=True),
-        Opt("groups", "int", 5, "number of contiguous degree groups"),
-    ] + _PROTOCOL),
-    "dump-cases": ("dump subgraphs where checkpoint A beats checkpoint B", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
-        Opt("checkpoint-a", "path", None, "first checkpoint", required=True),
-        Opt("checkpoint-b", "path", None, "second checkpoint", required=True),
-        Opt("top-k", "int", 10, "rank cutoff defining success"),
-    ] + _PROTOCOL),
-    "gradcheck": ("verify lgcf's analytic gradients with finite differences",
-                  _common(with_out=False) + [
-        Opt("seed", "int", 7, "instance generation seed"),
-        Opt("instances", "int", 5, "random instances to check"),
-        Opt("tolerance", "float", 1e-4, "maximum allowed relative error"),
-    ]),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgcf",
         description="Localized-graph collaborative filtering experiment pipeline.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for command, (help_text, opts) in COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text, description=help_text)
-        for opt in opts:
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help, description=command.help)
+        for opt in command.opts:
             sp.add_argument(f"--{opt.name}", dest=opt.name.replace("-", "_"),
                             default=None, metavar=opt.type.upper(),
                             help=f"{opt.help} (default: {_canonical(opt.default)})")
@@ -217,7 +163,7 @@ def _read_config_file(path: Path, opts: dict[str, Opt]) -> dict:
 
 
 def resolve_options(command: str, args: argparse.Namespace) -> dict:
-    opts = {o.name: o for o in COMMANDS[command][1]}
+    opts = {o.name: o for o in COMMANDS[command].opts}
     values = {name: o.default for name, o in opts.items()}
     config_raw = getattr(args, "config", None)
     if config_raw is not None:
@@ -236,7 +182,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
 def _config_hash(command: str, values: dict) -> str:
     # Path-valued options and --force stay out of the hash so a rerun in a
     # different directory reports the same configuration identity.
-    opts = {o.name: o for o in COMMANDS[command][1]}
+    opts = {o.name: o for o in COMMANDS[command].opts}
     payload = [command]
     for name in sorted(values):
         if opts[name].type == "path" or name == "force":
@@ -276,6 +222,17 @@ def _load_graph_split(values: dict, out: Path):
     """The --graph and --split inputs."""
     return (load_graph_dir(_in_path(values, "graph", out)),
             load_split(_in_path(values, "split", out)))
+
+
+def _load_scorers(values: dict, out: Path, *keys: str):
+    """The --graph and --split inputs, and a (model, scorer on the split's
+    training graph) for each checkpoint option in keys.  The split is
+    checked against the graph before any scorer is built."""
+    graph, split = _load_graph_split(values, out)
+    models = [load_model(_in_path(values, key, out)) for key in keys]
+    check_split_fits(graph, split)
+    train_graph = split.train_graph()
+    return graph, split, [(model, model.make_scorer(train_graph)) for model in models]
 
 
 def _protocol(values: dict) -> EvalProtocol:
@@ -353,10 +310,7 @@ def cmd_train(values: dict, out: Path) -> int:
     save_model(out / "checkpoint.json", result.model)
     with open(out / "history.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for rec in result.history:
-            fh.write(json.dumps({
-                "epoch": rec.epoch, "train_loss": rec.train_loss,
-                "val_hr10": rec.val_hr10, "val_ndcg10": rec.val_ndcg10,
-                "wall_ms": rec.wall_ms}, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
     last = result.history[-1]
     print(f"trained {values['model']} for {len(result.history)} epochs "
           f"(final loss {last.train_loss:.4f}, best epoch {result.best_epoch})")
@@ -365,10 +319,8 @@ def cmd_train(values: dict, out: Path) -> int:
 
 def cmd_eval(values: dict, out: Path) -> int:
     protocol = _protocol(values)
-    graph, split = _load_graph_split(values, out)
-    model = load_model(_in_path(values, "checkpoint", out))
-    train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    report = evaluate(model.make_scorer(train_graph), graph, split, protocol,
+    graph, split, [(model, scorer)] = _load_scorers(values, out, "checkpoint")
+    report = evaluate(scorer, graph, split, protocol,
                       extra_metadata={"model": model.kind,
                                       "config_hash": _config_hash("eval", values)})
     write_json(out / "report.json", report.to_dict())
@@ -407,10 +359,8 @@ def cmd_sweep(values: dict, out: Path) -> int:
 
 def cmd_probe_degree(values: dict, out: Path) -> int:
     protocol = _protocol(values)
-    graph, split = _load_graph_split(values, out)
-    model = load_model(_in_path(values, "checkpoint", out))
-    train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    report = degree_probe(model.make_scorer(train_graph), graph, split, protocol,
+    graph, split, [(model, scorer)] = _load_scorers(values, out, "checkpoint")
+    report = degree_probe(scorer, graph, split, protocol,
                           n_groups=values["groups"],
                           extra_metadata={"model": model.kind,
                                           "config_hash": _config_hash(
@@ -425,13 +375,9 @@ def cmd_probe_degree(values: dict, out: Path) -> int:
 
 def cmd_dump_cases(values: dict, out: Path) -> int:
     protocol = _protocol(values)
-    graph, split = _load_graph_split(values, out)
-    model_a = load_model(_in_path(values, "checkpoint-a", out))
-    model_b = load_model(_in_path(values, "checkpoint-b", out))
-    train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
-    rows = dump_cases(model_a.make_scorer(train_graph),
-                      model_b.make_scorer(train_graph), graph, split,
-                      model_a.walk, out, protocol,
+    graph, split, [(model_a, scorer_a), (_, scorer_b)] = _load_scorers(
+        values, out, "checkpoint-a", "checkpoint-b")
+    rows = dump_cases(scorer_a, scorer_b, graph, split, model_a.walk, out, protocol,
                       top_k=values["top-k"])
     print(f"dumped {len(rows) // 2} disagreement cases")
     return 0
@@ -446,16 +392,68 @@ def cmd_gradcheck(values: dict, out: None) -> int:
     return 0 if report.passed else 1
 
 
-HANDLERS = {
-    "ingest": cmd_ingest,
-    "synth": cmd_synth,
-    "split": cmd_split,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "probe-degree": cmd_probe_degree,
-    "dump-cases": cmd_dump_cases,
-    "gradcheck": cmd_gradcheck,
+COMMANDS: dict[str, Command] = {
+    "ingest": Command("re-index a raw interaction file into a graph directory",
+                      _common() + [
+        Opt("input", "path", None, "delimited interaction file", required=True),
+        Opt("delimiter", "str", "auto", "auto | comma | tab"),
+        Opt("user-col", "int", 0, "user key column"),
+        Opt("item-col", "int", 1, "item key column"),
+        Opt("rating-col", "opt_int", None, "rating column (none to disable)"),
+        Opt("rating-threshold", "opt_float", None,
+            "keep edges with rating >= threshold"),
+    ], cmd_ingest),
+    "synth": Command("generate a two-block synthetic bipartite graph", _common() + [
+        Opt("users", "int", 200, "total users (two equal blocks)"),
+        Opt("items", "int", 200, "total items (two equal blocks)"),
+        Opt("p-in", "float", 0.05, "within-block edge probability"),
+        Opt("p-out", "float", 0.005, "cross-block edge probability"),
+        Opt("seed", "int", 0, "generation seed"),
+    ], cmd_synth),
+    "split": Command("split a graph directory into train/val/test", _common() + [
+        Opt("graph", "path", None, "graph directory (edges.tsv + graph.json)",
+            required=True),
+        Opt("kind", "str", "normal", "normal | sparse"),
+        Opt("train-frac", "float", 0.9, "train share for kind=normal"),
+        Opt("seed", "int", 0, "split seed"),
+    ], cmd_split),
+    "train": Command("train one model on a split", _common() + [
+        Opt("graph", "path", None, "graph directory", required=True),
+        Opt("split", "path", None, "split directory", required=True),
+        Opt("model", "str", "lgcf", "lgcf | mf | lightgcn | lgcf-ens"),
+    ] + _TRAIN, cmd_train),
+    "eval": Command("rank held-out pairs with a trained checkpoint", _common() + [
+        Opt("graph", "path", None, "graph directory", required=True),
+        Opt("split", "path", None, "split directory", required=True),
+        Opt("checkpoint", "path", None, "checkpoint.json from train", required=True),
+    ] + _PROTOCOL, cmd_eval),
+    "sweep": Command("train and evaluate models across sparsity levels", _common() + [
+        Opt("graph", "path", None, "graph directory", required=True),
+        Opt("split", "path", None, "split directory", required=True),
+        Opt("models", "strs", ("lgcf", "mf", "lightgcn"), "model kinds"),
+        Opt("fractions", "floats", (0.0, 0.2, 0.4, 0.6, 0.8),
+            "additional-edge removal fractions"),
+    ] + _TRAIN + _PROTOCOL, cmd_sweep),
+    "probe-degree": Command("evaluate test pairs grouped by train degree", _common() + [
+        Opt("graph", "path", None, "graph directory", required=True),
+        Opt("split", "path", None, "split directory", required=True),
+        Opt("checkpoint", "path", None, "checkpoint.json from train", required=True),
+        Opt("groups", "int", 5, "number of contiguous degree groups"),
+    ] + _PROTOCOL, cmd_probe_degree),
+    "dump-cases": Command("dump subgraphs where checkpoint A beats checkpoint B",
+                          _common() + [
+        Opt("graph", "path", None, "graph directory", required=True),
+        Opt("split", "path", None, "split directory", required=True),
+        Opt("checkpoint-a", "path", None, "first checkpoint", required=True),
+        Opt("checkpoint-b", "path", None, "second checkpoint", required=True),
+        Opt("top-k", "int", 10, "rank cutoff defining success"),
+    ] + _PROTOCOL, cmd_dump_cases),
+    "gradcheck": Command("verify lgcf's analytic gradients with finite differences",
+                         _common(with_out=False) + [
+        Opt("seed", "int", 7, "instance generation seed"),
+        Opt("instances", "int", 5, "random instances to check"),
+        Opt("tolerance", "float", 1e-4, "maximum allowed relative error"),
+    ], cmd_gradcheck),
 }
 
 
@@ -467,7 +465,7 @@ def main(argv=None) -> int:
     try:
         values = resolve_options(args.command, args)
         out = _prepare_out(values) if "out" in values else None
-        code = HANDLERS[args.command](values, out)
+        code = COMMANDS[args.command].handler(values, out)
         if out is not None:
             _write_resolved_config(args.command, values, out)
         return code

@@ -276,7 +276,7 @@ def dump_cases(scorer_a, scorer_b, graph: BipartiteGraph, split: SplitSpec,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     check_split_fits(graph, split)
-    train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
+    train_graph = split.train_graph()
     rows, dumps = [], []
     case = 0
     for ra, rb in _pair_results([scorer_a.score, scorer_b.score], graph, split,

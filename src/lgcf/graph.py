@@ -361,6 +361,10 @@ class SplitSpec:
             pairs.flags.writeable = False
             object.__setattr__(self, name, pairs)
 
+    def train_graph(self) -> BipartiteGraph:
+        """The graph of the training edges over the split's users and items."""
+        return build_graph(self.train_edges, self.num_users, self.num_items)
+
     def __eq__(self, other):
         if not isinstance(other, SplitSpec):
             return NotImplemented

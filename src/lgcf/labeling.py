@@ -9,25 +9,11 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import BipartiteGraph
+from .nn import identity
 from .rng import stream_uniforms
 from .subgraph import LocalizedGraph, WalkConfig, extract
 
 UNREACHABLE = -1
-
-
-class LabelEncoding:
-    """One-hot width for hashed labels; values >= label_cap share the top row.
-
-    identity is the read-only (label_cap, label_cap) identity whose rows
-    one_hot_features returns.
-    """
-
-    def __init__(self, label_cap: int = 64):
-        if label_cap < 2:
-            raise DomainError(f"label_cap must be >= 2, got {label_cap}")
-        self.label_cap = int(label_cap)
-        self.identity = np.eye(self.label_cap)
-        self.identity.flags.writeable = False
 
 
 def _bfs(nbrs: list[list[int]], source_pos: int) -> list[int]:
@@ -87,11 +73,14 @@ def extract_block(graph: BipartiteGraph, pairs, cfg: WalkConfig, seed: int,
             for (u, i), row in zip(pairs, draws)]
 
 
-def one_hot_features(labels, enc: LabelEncoding) -> np.ndarray:
-    """(k, label_cap) one-hot rows; labels past the cap clamp to the last row."""
+def one_hot_features(labels, width: int) -> np.ndarray:
+    """(k, width) one-hot rows of nn.identity(width), width being the GCN's
+    feature_dim; labels past the last row clamp to it."""
+    if width < 2:
+        raise DomainError(f"one-hot width must be >= 2, got {width}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise DomainError("labels must be one-dimensional")
     if (labels < 0).any():
         raise DomainError("labels must be non-negative")
-    return enc.identity[np.minimum(labels, enc.label_cap - 1)]
+    return identity(width)[np.minimum(labels, width - 1)]

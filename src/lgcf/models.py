@@ -18,7 +18,7 @@ from .errors import DomainError, check_field_types
 from .evaluation import EvalProtocol, EvalReport, evaluate
 from .graph import (BipartiteGraph, SplitSpec, _number, build_graph,
                     check_split_fits, read_json, write_json)
-from .labeling import LabelEncoding, extract_block, label_graph, one_hot_features
+from .labeling import extract_block, label_graph, one_hot_features
 from .nn import (ACTIVATIONS, AdamState, GnnParameters, GradCheckReport, adam_step,
                  adam_to_dict, float_array, gcn_backward, gcn_forward, grad_check,
                  init_adam, init_gnn_params, normalize_adjacency,
@@ -488,7 +488,6 @@ class LgcfScorer:
         self.params = model.gnn
         self.walk = model.walk
         self.seed = int(model.master_seed)
-        self.enc = LabelEncoding(model.gnn.feature_dim)
 
     def score(self, u: int, items):
         """Score of (u, i) for an item id i, a float; for a 1-D integer
@@ -510,7 +509,7 @@ class LgcfScorer:
             for c in range(0, part.size, 2 * GCN_CHUNK):
                 chunk = graphs[c:c + 2 * GCN_CHUNK]
                 scores[lo + c:lo + c + len(chunk)] = _gcn_scores(
-                    self.params, _label_stacks(chunk, self.enc))[1]
+                    self.params, _label_stacks(chunk, self.params.feature_dim))[1]
         return float(scores[0]) if single else scores
 
 
@@ -568,8 +567,8 @@ class EnsembleScorer:
 GCN_CHUNK = 8
 
 
-def _label_stacks(graphs, enc: LabelEncoding):
-    """One (positions, one-hot (n, k, label_cap), normalized adjacency
+def _label_stacks(graphs, width: int):
+    """One (positions, one-hot (n, k, width), normalized adjacency
     (n, k, k)) per node count k among the labeled graphs: one
     one_hot_features call on their labels laid end to end and one
     normalize_adjacency call per stack, each slice with the bytes of the
@@ -579,9 +578,9 @@ def _label_stacks(graphs, enc: LabelEncoding):
         by_size.setdefault(lg.num_nodes, []).append(idx)
     stacks = []
     for k, idx in by_size.items():
-        x0 = one_hot_features(np.concatenate([graphs[j].labels for j in idx]), enc)
+        x0 = one_hot_features(np.concatenate([graphs[j].labels for j in idx]), width)
         a_norm = normalize_adjacency(np.array([graphs[j].adjacency for j in idx]))
-        stacks.append((idx, x0.reshape(len(idx), k, enc.label_cap), a_norm))
+        stacks.append((idx, x0.reshape(len(idx), k, width), a_norm))
     return stacks
 
 
@@ -618,12 +617,11 @@ def _gcn_batch(gnn: GnnParameters, graphs):
     per-pair order, and np.add.reduce over [acc, pair_0, ...] sums the
     pairs' gradients in triplet order, as acc += pair did.
     """
-    enc = LabelEncoding(gnn.feature_dim)
     grads = [np.zeros_like(a) for a in gnn.arrays()]
     losses = []
     for lo in range(0, len(graphs), 2 * GCN_CHUNK):
         features, s, caches, z, chunk_losses = _bpr_forward(
-            gnn, _label_stacks(graphs[lo:lo + 2 * GCN_CHUNK], enc))
+            gnn, _label_stacks(graphs[lo:lo + 2 * GCN_CHUNK], gnn.feature_dim))
         losses += chunk_losses
         d_z = sigmoid(z) - 1.0
         d_logit = np.stack([d_z, -d_z], axis=1).ravel() * s * (1.0 - s)
@@ -728,7 +726,7 @@ def train(kind: str, graph: BipartiteGraph, split: SplitSpec,
         raise DomainError("split has no training edges")
     if kind == "lgcf-ens":
         return _train_ensemble(graph, split, tc)
-    train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
+    train_graph = split.train_graph()
     edges = split.train_edges.tolist()
     model = _init_model(kind, train_graph, tc)
     arrays = model.trainable()
@@ -788,7 +786,8 @@ def sparsity_sweep(models, graph: BipartiteGraph, split: SplitSpec, levels,
     (train_graph, level_split, tc) -> scorer.  Validation, test, and the
     candidate exclusion set stay fixed at the original split across levels,
     so the series isolates the effect of train sparsity.  The model and
-    level lists are checked before anything is trained.
+    level lists, and the split against the graph, are checked before
+    anything is trained.
     """
     names = [model if isinstance(model, str) else getattr(model, "__name__", "custom")
              for model in models]
@@ -801,6 +800,7 @@ def sparsity_sweep(models, graph: BipartiteGraph, split: SplitSpec, levels,
     for model in models:
         if isinstance(model, str) and model not in MODEL_KINDS:
             raise DomainError(f"unknown model kind {model!r}")
+    check_split_fits(graph, split)
     out: dict[str, list[EvalReport]] = {}
     for name, model in zip(names, models):
         reports = []
@@ -808,8 +808,7 @@ def sparsity_sweep(models, graph: BipartiteGraph, split: SplitSpec, levels,
             level_split = SplitSpec(level_edges, split.val_edges, split.test_edges,
                                     split.seed, f"{split.kind}-level{level_index}",
                                     split.num_users, split.num_items)
-            train_graph = build_graph(level_split.train_edges,
-                                      graph.num_users, graph.num_items)
+            train_graph = level_split.train_graph()
             if isinstance(model, str):
                 result = train(model, graph, level_split, tc)
                 scorer = result.model.make_scorer(train_graph)
@@ -857,7 +856,7 @@ def _train_ensemble(graph: BipartiteGraph, split: SplitSpec,
     seeds = seed_stream(tc.master_seed, ENSEMBLE).integers(0, 2 ** 31 - 1, size=3)
     res_lgcf = train("lgcf", graph, split, replace(tc, master_seed=int(seeds[0])))
     res_emb = train("lightgcn", graph, split, replace(tc, master_seed=int(seeds[1])))
-    train_graph = build_graph(split.train_edges, graph.num_users, graph.num_items)
+    train_graph = split.train_graph()
     model = TrainedModel("lgcf-ens", tc.walk, tc.label_cap, tc.lightgcn_layers,
                          tc.master_seed, gnn=res_lgcf.model.gnn,
                          tables=res_emb.model.tables, lam=float(tc.lambda_ens))
@@ -892,7 +891,6 @@ def run_gradcheck(seed: int = 7, instances: int = 5,
     rng = seed_stream(seed, GRADCHECK)
     n = m = 6
     cfg = WalkConfig(restart_prob=0.2, walk_len=12, max_nodes=12)
-    enc = LabelEncoding(16)
     worst = 0.0
     checked = 0
     for _ in range(instances):
@@ -907,9 +905,9 @@ def run_gradcheck(seed: int = 7, instances: int = 5,
         walks = [rng.random(4 * cfg.walk_len).tolist() for _ in range(2)]
         graphs = [label_graph(extract(graph, u, i, cfg, w))
                   for i, w in zip((i_pos, i_neg), walks)]
-        gnn = init_gnn_params(enc.label_cap, 8, 3, rng)
+        gnn = init_gnn_params(16, 8, 3, rng)
         _, analytic = _gcn_batch(gnn, graphs)
-        stacks = _label_stacks(graphs, enc)
+        stacks = _label_stacks(graphs, gnn.feature_dim)
 
         def loss_fn():
             return _bpr_forward(gnn, stacks)[-1][0]

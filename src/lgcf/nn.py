@@ -101,9 +101,9 @@ def init_gnn_params(feature_dim: int, hidden_dim: int, num_layers: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _self_loops(k: int) -> np.ndarray:
-    """The read-only (k, k) identity; one per node count, for the 64 most
-    recently normalized counts."""
+def identity(k: int) -> np.ndarray:
+    """The read-only (k, k) identity, kept for the 64 most recently used k:
+    normalize_adjacency's self loops and one_hot_features' rows."""
     eye = np.eye(k)
     eye.flags.writeable = False
     return eye
@@ -126,7 +126,7 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
         raise DomainError("adjacency must be symmetric")
     # a + I turns a -0.0 entry into +0.0, and the degrees are sums of 0/1
     # entries, so exact in any order.
-    a_tilde = a + _self_loops(a.shape[-1])
+    a_tilde = a + identity(a.shape[-1])
     inv_sqrt = 1.0 / np.sqrt(np.add.reduce(a_tilde, axis=-1, keepdims=True))
     a_tilde *= inv_sqrt
     a_tilde *= inv_sqrt.mT

@@ -394,6 +394,26 @@ class TestReturnCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
 
+    @pytest.mark.parametrize("command", ["probe-degree", "dump-cases"])
+    def test_split_for_another_graph_exits_one(self, pipeline, tmp_path, capsys,
+                                               command):
+        """The checkpoint readers other than eval check the split against the
+        graph before they build a scorer, as eval does."""
+        split = tmp_path / "split"
+        shutil.copytree(pipeline / "split", split)
+        split_meta = json.loads((split / "meta.json").read_text())
+        split_meta["num_items"] += 5
+        (split / "meta.json").write_text(json.dumps(split_meta))
+        checkpoint = pipeline / "run" / "checkpoint.json"
+        checkpoints = (["--checkpoint", checkpoint] if command == "probe-degree" else
+                       ["--checkpoint-a", checkpoint, "--checkpoint-b", checkpoint])
+        assert run(command, "--out", tmp_path / "out", "--graph", pipeline / "graph",
+                   "--split", split, *checkpoints) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "split metadata does not match the graph" in err
+        assert not any((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_dump_cases_top_k_below_one_exits_one(self, pipeline, tmp_path, capsys,
                                                   top_k):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lgcf import (DomainError, EvalProtocol, EvalReport, LabelEncoding,
+from lgcf import (DomainError, EvalProtocol, EvalReport,
                   MetricStats, SplitSpec, TrainConfig, TrainedModel, WalkConfig,
                   build_graph, degree_probe, dump_cases, evaluate, hr_at_k,
                   init_gnn_params, lgcf_logits, make_synthetic, metrics_csv,
@@ -472,7 +472,8 @@ class TestSparsitySweep:
 
 
     @pytest.mark.parametrize("case", ["no-models", "no-levels", "repeated-kind",
-                                      "repeated-callable", "unknown-kind"])
+                                      "repeated-callable", "unknown-kind",
+                                      "split-for-another-graph"])
     def test_rejects_before_training(self, sbm_split, case):
         g, split = sbm_split
         calls = []
@@ -484,7 +485,10 @@ class TestSparsitySweep:
         models = {"no-models": [], "no-levels": [factory],
                   "repeated-kind": ["mf", "mf"],
                   "repeated-callable": [factory, factory],
-                  "unknown-kind": [factory, "bogus"]}[case]
+                  "unknown-kind": [factory, "bogus"],
+                  "split-for-another-graph": [factory]}[case]
+        if case == "split-for-another-graph":
+            split = replace(split, num_items=split.num_items + 5)
         levels = [] if case == "no-levels" else [split.train_edges]
         with pytest.raises(DomainError):
             sparsity_sweep(models, g, split, levels, TrainConfig(), PROTOCOL)
@@ -557,10 +561,10 @@ class TestDumpCases:
                           AntiOracleScorer(split.test_edges), g, split,
                           model.walk, tmp_path, PROTOCOL)
         assert rows
-        enc = LabelEncoding(model.label_cap)
+        width = model.label_cap
         for row in rows:
             lg = parse_localized_graph((tmp_path / row["dump_file"]).read_text())
-            rescored = sigmoid(lgcf_logits(model.gnn, one_hot_features(lg.labels, enc),
+            rescored = sigmoid(lgcf_logits(model.gnn, one_hot_features(lg.labels, width),
                                            normalize_adjacency(lg.adjacency))[1])
             assert rescored == row["score_a"], row
 

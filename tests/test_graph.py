@@ -12,8 +12,8 @@ import pytest
 
 from lgcf import (BipartiteGraph, DomainError, ParseError, SplitSpec,
                   build_graph, ingest_interactions, load_graph_dir,
-                  load_split, normal_split, save_graph_dir, save_split,
-                  seed_stream, sparse_split, sparsity_levels)
+                  load_split, make_synthetic, normal_split, save_graph_dir,
+                  save_split, seed_stream, sparse_split, sparsity_levels)
 from lgcf.graph import _number, _read_edge_file, read_utf8
 from lgcf.rng import _seed_state, stream_uniforms
 
@@ -408,6 +408,23 @@ class TestSplitSpec:
         assert split != replace(split, seed=6)
         assert split != replace(split, kind="sparse")
         assert split != "split"
+
+    @pytest.mark.parametrize("kind", ["normal", "sparse", "level"])
+    def test_train_graph_is_the_graph_of_the_train_edges(self, kind):
+        g = make_synthetic(10, 10, 0.5, 0.1, 3)
+        n, m = g.num_users, g.num_items
+        split = sparse_split(g, 3) if kind == "sparse" else normal_split(g, 0.7, 3)
+        if kind == "level":  # as sparsity_sweep builds a level's split
+            level_edges = sparsity_levels(split.train_edges, (0.0, 0.5), 3)[-1]
+            assert len(level_edges) < len(split.train_edges)
+            split = SplitSpec(level_edges, split.val_edges, split.test_edges,
+                              split.seed, f"{split.kind}-level1", n, m)
+        want = build_graph(split.train_edges, g.num_users, g.num_items)
+        got = split.train_graph()
+        assert (got.num_users, got.num_items) == (n, m)
+        for name in ("indptr", "indices"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_save_of_load_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(113)

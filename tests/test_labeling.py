@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from lgcf import (DomainError, LabelEncoding, LocalizedGraph, UNREACHABLE,
+from lgcf import (DomainError, LocalizedGraph, UNREACHABLE,
                   WalkConfig, build_graph, drnl_label, extract, label_graph,
                   one_hot_features, seed_stream)
 from lgcf.labeling import _bfs
@@ -183,22 +183,27 @@ class TestLabelGraph:
 
 class TestOneHot:
     def test_rows_sum_to_one(self):
-        feats = one_hot_features(np.array([0, 1, 5, 63, 999]), LabelEncoding(64))
+        feats = one_hot_features(np.array([0, 1, 5, 63, 999]), 64)
         assert feats.shape == (5, 64)
         assert np.array_equal(feats.sum(axis=1), np.ones(5))
 
     def test_spec_rows(self):
-        feats = one_hot_features(np.array([1, 1]), LabelEncoding(4))
+        feats = one_hot_features(np.array([1, 1]), 4)
         assert np.array_equal(feats, [[0, 1, 0, 0], [0, 1, 0, 0]])
-        assert one_hot_features(np.array([0]), LabelEncoding(4))[0, 0] == 1
-        clamped = one_hot_features(np.array([999]), LabelEncoding(64))
+        assert one_hot_features(np.array([0]), 4)[0, 0] == 1
+        clamped = one_hot_features(np.array([999]), 64)
         assert clamped[0, 63] == 1
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            one_hot_features(np.array([-2]), LabelEncoding(4))
+            one_hot_features(np.array([-2]), 4)
         with pytest.raises(DomainError):
-            LabelEncoding(1)
+            one_hot_features(np.array([0]), 1)
+
+    @pytest.mark.parametrize("width", [1, 0, -3])
+    def test_width_below_two_is_rejected(self, width):
+        with pytest.raises(DomainError, match=rf"one-hot width must be >= 2, got {width}$"):
+            one_hot_features(np.array([0]), width)
 
 
 def test_unreachable_constant_is_negative():

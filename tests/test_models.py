@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lgcf import (DomainError, EmbeddingTable, LabelEncoding, ParseError,
+from lgcf import (DomainError, EmbeddingTable, ParseError,
                   SplitSpec, TrainConfig, TrainedModel, WalkConfig, build_graph, extract,
                   init_embeddings, label_graph, lgcf_logits, load_model,
                   make_synthetic, normal_split, normalize_adjacency,
@@ -371,7 +371,7 @@ class TestScoreBlocks:
             lg = label_graph(extract(self.GRAPH, u, i, self.WALK, seed_stream(
                 11, EVAL_WALK, u, i).random(4 * self.WALK.walk_len)))
             want.append(sigmoid(lgcf_logits(
-                scorer.params, one_hot_features(lg.labels, scorer.enc),
+                scorer.params, one_hot_features(lg.labels, scorer.params.feature_dim),
                 normalize_adjacency(lg.adjacency))[1]))
         return want
 
@@ -585,9 +585,9 @@ class TestTrainBasics:
             normalized.append(a.shape[:-1])
             return normalize_adjacency(a)
 
-        def one_hot(labels, enc):
+        def one_hot(labels, width):
             encoded.append(labels.size)
-            return one_hot_features(labels, enc)
+            return one_hot_features(labels, width)
 
         monkeypatch.setattr(labeling, "extract", extracted)
         monkeypatch.setattr(models, "gcn_forward", forward)
@@ -684,7 +684,7 @@ class TestLgcfLearning:
         rng = np.random.default_rng(65)
         g, _ = star_split()
         model = train("lgcf", g, star_split()[1], tiny_tc(epochs=1)).model
-        enc = LabelEncoding(model.gnn.feature_dim)
+        width = model.gnn.feature_dim
         worst = 0.0
         for trial in range(25):
             cfg = WalkConfig(0.1, 30, 10)
@@ -694,10 +694,10 @@ class TestLgcfLearning:
             if k < 3:
                 continue
             perm = np.concatenate([[0, 1], 2 + rng.permutation(k - 2)])
-            base = sigmoid(lgcf_logits(model.gnn, one_hot_features(lg.labels, enc),
+            base = sigmoid(lgcf_logits(model.gnn, one_hot_features(lg.labels, width),
                                        normalize_adjacency(lg.adjacency))[1])
             shuffled = sigmoid(lgcf_logits(
-                model.gnn, one_hot_features(lg.labels[perm], enc),
+                model.gnn, one_hot_features(lg.labels[perm], width),
                 normalize_adjacency(lg.adjacency[np.ix_(perm, perm)]))[1])
             worst = max(worst, abs(base - shuffled))
         assert worst <= 1e-12

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lgcf import (AdamState, DomainError, GnnParameters, LabelEncoding,
+from lgcf import (AdamState, DomainError, GnnParameters,
                   LocalizedGraph, adam_step, gcn_backward, gcn_forward,
                   grad_check, init_adam, init_gnn_params, lgcf_logits,
                   normalize_adjacency, one_hot_features, seed_stream, sigmoid,
@@ -46,7 +46,7 @@ def random_graph(rng, k=None, feat=6, hidden=4, layers=3, activation="relu"):
 
 def inputs(lg, params):
     """One graph's network inputs: one-hot labels, normalized adjacency."""
-    return (one_hot_features(lg.labels, LabelEncoding(params.feature_dim)),
+    return (one_hot_features(lg.labels, params.feature_dim),
             normalize_adjacency(lg.adjacency))
 
 

@@ -15,7 +15,7 @@ per-pair extraction on each pair's own `seed_stream`.
 import numpy as np
 import pytest
 
-from lgcf import (DomainError, LabelEncoding, TrainConfig, WalkConfig,
+from lgcf import (DomainError, TrainConfig, WalkConfig,
                   build_graph, drnl_label, extract, extract_block,
                   init_gnn_params, induce_subgraph, label_graph, lgcf_logits,
                   make_synthetic, normal_split, normalize_adjacency,
@@ -162,11 +162,11 @@ def ref_gcn_batch(model, triplets, graphs):
     """models._gcn_batch as the per-triplet loop it was, one one-hot and
     one normalization per labeled graph."""
     gnn = model.gnn
-    enc = LabelEncoding(gnn.feature_dim)
+    width = gnn.feature_dim
     grads = [np.zeros_like(a) for a in (*gnn.weights, gnn.scoring)]
     losses = []
     for n in range(len(triplets)):
-        pos, neg = [(one_hot_features(lg.labels, enc), normalize_adjacency(lg.adjacency))
+        pos, neg = [(one_hot_features(lg.labels, width), normalize_adjacency(lg.adjacency))
                     for lg in graphs[2 * n:2 * n + 2]]
         loss, pair = ref_bpr_pair_grads(gnn, pos, neg)
         losses.append(loss)
@@ -216,7 +216,7 @@ def test_seeded_pairs_match_the_reference_stages(criterion_9_graph):
     rng = np.random.default_rng(2021)
     users = rng.integers(0, g.num_users, 500).tolist()
     items = (g.num_users + rng.integers(0, g.num_items, 500)).tolist()
-    enc = LabelEncoding(32)
+    width = 32
     params = {act: init_gnn_params(32, 32, 3, seed_stream(42, PARAM_INIT), act)
               for act in ("relu", "tanh")}
     truncated = 0
@@ -239,8 +239,8 @@ def test_seeded_pairs_match_the_reference_stages(criterion_9_graph):
         assert same_bytes(lg.adjacency, adj)
         assert lg.neighbors == nbrs
         assert label_graph(lg).labels.tolist() == ref_labels(nbrs)
-        x0 = one_hot_features(lg.labels, enc)
-        assert same_bytes(x0, ref_one_hot(lg.labels, enc.label_cap))
+        x0 = one_hot_features(lg.labels, width)
+        assert same_bytes(x0, ref_one_hot(lg.labels, width))
         a_norm = normalize_adjacency(adj)
         assert same_bytes(a_norm, ref_normalize(adj))
         assert_forward_matches(x0, a_norm, params["relu" if n % 2 else "tanh"])
@@ -323,8 +323,8 @@ def test_stacked_gcn_slices_are_the_2d_calls(activation):
                                  activation)
         for k in (2, 3, 11, 20):
             for n in (1, 4):
-                x0 = np.stack([one_hot_features(rng.integers(0, 12, k),
-                                                LabelEncoding(8)) for _ in range(n)])
+                x0 = np.stack([one_hot_features(rng.integers(0, 12, k), 8)
+                               for _ in range(n)])
                 a = np.triu((rng.random((n, k, k)) < 0.4).astype(np.float64), 1)
                 a_norm = np.stack([normalize_adjacency(m + m.T) for m in a])
                 d_pooled = rng.normal(size=(n, hidden))
@@ -350,7 +350,7 @@ def test_stacked_inputs_slices_are_the_2d_calls():
     as +0.0 in both, and a stack stored with its graphs innermost in
     memory gives the same bytes."""
     rng = np.random.default_rng(9)
-    enc = LabelEncoding(8)
+    width = 8
     for k in (2, 3, 11, 20):
         for n in (1, 4):
             a = np.triu((rng.random((n, k, k)) < 0.4).astype(np.float64), 1)
@@ -359,7 +359,7 @@ def test_stacked_inputs_slices_are_the_2d_calls():
             a[neg | neg.mT] = -0.0
             a[:, 0, 0] = -0.0  # a zero diagonal may hold -0.0 too
             labels = rng.integers(0, 12, (n, k))
-            x0 = one_hot_features(labels.ravel(), enc).reshape(n, k, enc.label_cap)
+            x0 = one_hot_features(labels.ravel(), width).reshape(n, k, width)
             for stack in (a, np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)):
                 a_norm = normalize_adjacency(stack)
                 assert a_norm.shape == (n, k, k) and not np.signbit(a_norm).any()
@@ -367,8 +367,8 @@ def test_stacked_inputs_slices_are_the_2d_calls():
                     assert same_bytes(a_norm[t], normalize_adjacency(a[t]))
                     assert same_bytes(a_norm[t], ref_normalize(a[t]))
             for t in range(n):
-                assert same_bytes(x0[t], one_hot_features(labels[t], enc))
-                assert same_bytes(x0[t], ref_one_hot(labels[t], enc.label_cap))
+                assert same_bytes(x0[t], one_hot_features(labels[t], width))
+                assert same_bytes(x0[t], ref_one_hot(labels[t], width))
 
 
 def test_stacked_normalization_checks_every_slice():
@@ -433,17 +433,17 @@ def test_forward_on_small_graphs():
     params = init_gnn_params(8, 5, 2, seed_stream(6))
     for k in (1, 2, 7, 20):
         labels = rng.integers(0, 12, k)
-        x0 = one_hot_features(labels, LabelEncoding(8))
+        x0 = one_hot_features(labels, 8)
         a = np.triu((rng.random((k, k)) < 0.4).astype(np.float64), 1)
         a_norm = normalize_adjacency(a + a.T)
         assert_forward_matches(x0, a_norm, params)
 
 
 def test_one_hot_clamps_like_the_reference():
-    enc = LabelEncoding(4)
+    width = 4
     labels = np.array([0, 1, 3, 4, 9, 2])
-    assert same_bytes(one_hot_features(labels, enc), ref_one_hot(labels, 4))
-    assert same_bytes(one_hot_features([], enc), ref_one_hot([], 4))
+    assert same_bytes(one_hot_features(labels, width), ref_one_hot(labels, 4))
+    assert same_bytes(one_hot_features([], width), ref_one_hot([], 4))
 
 
 def test_isolated_nodes():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lgcf import (EvalProtocol, LabelEncoding, TrainConfig, TrainedModel, WalkConfig,
+from lgcf import (EvalProtocol, TrainConfig, TrainedModel, WalkConfig,
                   build_graph, evaluate, extract, label_graph, make_synthetic,
                   normal_split, seed_stream, train)
 from lgcf import models, nn
@@ -187,7 +187,7 @@ def test_scoring_forwards_chunk_stacks(monkeypatch):
     chunk = 2 * models.GCN_CHUNK
     stacked = 0
     for lo in range(0, len(pairs), chunk):
-        stacks = _label_stacks(graphs[lo:lo + chunk], LabelEncoding(16))
+        stacks = _label_stacks(graphs[lo:lo + chunk], 16)
         scores = _gcn_scores(model.gnn, stacks)[1]
         stacked += sum(len(idx) for idx, *_ in stacks if len(idx) > 1)
         want = np.array([scorer.score(u, np.array([i]))[0]
