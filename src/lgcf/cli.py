@@ -27,8 +27,9 @@ from .graph import (build_graph, check_split_fits, ingest_interactions,
                     load_graph_dir, load_split, normal_split, save_graph_dir,
                     save_split, sparse_split, sparsity_levels, text_lines,
                     write_json)
-from .models import (TrainConfig, load_model, run_gradcheck, save_model,
-                     sparsity_sweep, train)
+from .models import (LAMBDA_MODES, MODEL_KINDS, TrainConfig, load_model,
+                     run_gradcheck, save_model, sparsity_sweep, train)
+from .nn import ACTIVATIONS
 from .subgraph import WalkConfig
 
 
@@ -100,6 +101,12 @@ def _common(with_out: bool = True) -> list[Opt]:
     return opts
 
 
+_INPUTS = [
+    Opt("graph", "path", None, "graph directory", required=True),
+    Opt("split", "path", None, "split directory", required=True),
+]
+_CHECKPOINT = Opt("checkpoint", "path", None, "checkpoint.json from train", required=True)
+
 _TRAIN = [
     Opt("epochs", "int", 30, "training epochs"),
     Opt("batch-size", "int", 64, "triplets per Adam step"),
@@ -116,11 +123,11 @@ _TRAIN = [
     Opt("gcn-layers", "int", 3, "graph convolution layers"),
     Opt("hidden-dim", "int", 32, "hidden width"),
     Opt("label-cap", "int", 64, "one-hot label width (larger labels clamp)"),
-    Opt("activation", "str", "relu", "hidden activation: relu | tanh"),
+    Opt("activation", "str", "relu", "hidden activation: " + " | ".join(ACTIVATIONS)),
     Opt("embed-dim", "int", 32, "embedding width for mf/lightgcn/hybrids"),
     Opt("lightgcn-layers", "int", 3, "propagation depth for lightgcn/hybrids"),
     Opt("lambda", "float", 1.0, "ensemble fusion weight (lambda-mode fixed)"),
-    Opt("lambda-mode", "str", "learnable", "learnable | fixed"),
+    Opt("lambda-mode", "str", "learnable", " | ".join(LAMBDA_MODES)),
     Opt("val-negatives", "int", 99,
         "sampled negatives per validation pair (>= 10)"),
 ]
@@ -396,7 +403,7 @@ COMMANDS: dict[str, Command] = {
     "ingest": Command("re-index a raw interaction file into a graph directory",
                       _common() + [
         Opt("input", "path", None, "delimited interaction file", required=True),
-        Opt("delimiter", "str", "auto", "auto | comma | tab"),
+        Opt("delimiter", "str", "auto", " | ".join(_DELIMITERS)),
         Opt("user-col", "int", 0, "user key column"),
         Opt("item-col", "int", 1, "item key column"),
         Opt("rating-col", "opt_int", None, "rating column (none to disable)"),
@@ -418,32 +425,25 @@ COMMANDS: dict[str, Command] = {
         Opt("seed", "int", 0, "split seed"),
     ], cmd_split),
     "train": Command("train one model on a split", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
-        Opt("model", "str", "lgcf", "lgcf | mf | lightgcn | lgcf-ens"),
+        *_INPUTS,
+        Opt("model", "str", "lgcf", " | ".join(MODEL_KINDS)),
     ] + _TRAIN, cmd_train),
     "eval": Command("rank held-out pairs with a trained checkpoint", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
-        Opt("checkpoint", "path", None, "checkpoint.json from train", required=True),
+        *_INPUTS, _CHECKPOINT,
     ] + _PROTOCOL, cmd_eval),
     "sweep": Command("train and evaluate models across sparsity levels", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
+        *_INPUTS,
         Opt("models", "strs", ("lgcf", "mf", "lightgcn"), "model kinds"),
         Opt("fractions", "floats", (0.0, 0.2, 0.4, 0.6, 0.8),
             "additional-edge removal fractions"),
     ] + _TRAIN + _PROTOCOL, cmd_sweep),
     "probe-degree": Command("evaluate test pairs grouped by train degree", _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
-        Opt("checkpoint", "path", None, "checkpoint.json from train", required=True),
+        *_INPUTS, _CHECKPOINT,
         Opt("groups", "int", 5, "number of contiguous degree groups"),
     ] + _PROTOCOL, cmd_probe_degree),
     "dump-cases": Command("dump subgraphs where checkpoint A beats checkpoint B",
                           _common() + [
-        Opt("graph", "path", None, "graph directory", required=True),
-        Opt("split", "path", None, "split directory", required=True),
+        *_INPUTS,
         Opt("checkpoint-a", "path", None, "first checkpoint", required=True),
         Opt("checkpoint-b", "path", None, "second checkpoint", required=True),
         Opt("top-k", "int", 10, "rank cutoff defining success"),

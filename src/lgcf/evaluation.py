@@ -241,13 +241,8 @@ def degree_probe(scorer, graph: BipartiteGraph, split: SplitSpec,
     sorted_idx = np.argsort(keys, kind="stable")
     ranks = [r.rank for (r,) in _pair_results([scorer.score], graph, split,
                                                protocol, pairs)]
-    base, rem = divmod(len(pairs), n_groups)
-    sizes = [base + 1] * rem + [base] * (n_groups - rem)
     groups = []
-    start = 0
-    for g, size in enumerate(sizes):
-        member_idx = sorted_idx[start:start + size]
-        start += size
+    for g, member_idx in enumerate(np.array_split(sorted_idx, n_groups)):
         meta = {"group_index": g,
                 "mean_degree_min": float(keys[member_idx].min()),
                 "mean_degree_max": float(keys[member_idx].max())}

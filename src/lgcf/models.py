@@ -31,6 +31,7 @@ from .subgraph import WalkConfig, _node_id, extract
 CHECKPOINT_SECTIONS = {"lgcf": ("gnn",), "mf": ("tables",), "lightgcn": ("tables",),
                        "lgcf-ens": ("gnn", "tables", "lambda")}
 MODEL_KINDS = tuple(CHECKPOINT_SECTIONS)
+LAMBDA_MODES = ("learnable", "fixed")  # how an ensemble's weight is set
 CHECKPOINT_VERSION = 1
 # w_joint is written null and must be null: no kind has that section.
 CHECKPOINT_ENTRIES = ("kind", "master_seed", "walk", "label_cap", "lightgcn_layers",
@@ -275,7 +276,7 @@ class TrainConfig:
             raise DomainError(f"lambda_ens must be finite, got {self.lambda_ens}")
         if self.activation not in ACTIVATIONS:
             raise DomainError(f"unsupported activation {self.activation!r}")
-        if self.lambda_mode not in ("learnable", "fixed"):
+        if self.lambda_mode not in LAMBDA_MODES:
             raise DomainError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.val_negatives < 10:
             raise DomainError(

@@ -161,23 +161,22 @@ def gcn_forward(x0: np.ndarray, a_norm: np.ndarray,
     """Stacked graph convolutions; returns final node reps and the cache.
 
     x0 is (k, F) with a_norm (k, k) for one graph, or (n, k, F) with
-    a_norm (n, k, k) for a stack of n graphs of k nodes.  np.matmul makes
-    one BLAS product per slice of a stack, so each slice has the bytes of
-    its own np.dot call.
+    a_norm (n, k, k) for a stack of n graphs of k nodes.  @ makes one BLAS
+    product per slice of a stack, so each slice has the bytes of its own
+    one-graph call.
     """
     if x0.shape[-1] != params.feature_dim:
         raise DomainError(
             f"feature width {x0.shape[-1]} does not match W0 rows {params.feature_dim}")
     if a_norm.shape != (*x0.shape[:-1], x0.shape[-2]):
         raise DomainError("a_norm shape must match the node count")
-    product = np.dot if x0.ndim == 2 else np.matmul
     xs = [x0]
     axs = []
     zs = []
     last = params.num_layers - 1
     for l, w in enumerate(params.weights):
-        ax = product(a_norm, xs[l])
-        z = product(ax, w)
+        ax = a_norm @ xs[l]
+        z = ax @ w
         axs.append(ax)
         zs.append(z)
         xs.append(z if l == last else _activate(params.activation, z))
@@ -212,11 +211,11 @@ class AdamState:
     v: list[np.ndarray]
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # Elements per block of an in-place Adam update: two work buffers of this
 # size stay in cache, where a table-sized pair would add to peak memory.
 ADAM_BLOCK = 32768
@@ -242,26 +241,26 @@ def adam_step(arrays, grads, state: AdamState) -> None:
     if any(arr.shape != g.shape for arr, g in zip(arrays, grads)):
         raise DomainError("gradient shape does not match parameter shape")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     a_buf, b_buf = np.empty((2, ADAM_BLOCK))
     for arr, g, m, v in zip(arrays, grads, state.m, state.v):
         flat = [x.reshape(-1, copy=False) for x in (arr, m, v)] + [g.reshape(-1)]
         for lo in range(0, arr.size, ADAM_BLOCK):
             p, mb, vb, gb = (x[lo:lo + ADAM_BLOCK] for x in flat)
             a, b = a_buf[:p.size], b_buf[:p.size]
-            mb *= state.beta1
-            np.multiply(gb, 1.0 - state.beta1, out=a)
+            mb *= ADAM_BETA1
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
             mb += a
-            vb *= state.beta2
+            vb *= ADAM_BETA2
             np.multiply(gb, gb, out=a)
-            a *= 1.0 - state.beta2
+            a *= 1.0 - ADAM_BETA2
             vb += a
             np.divide(mb, bc1, out=a)
             a *= state.lr
             np.divide(vb, bc2, out=b)
             np.sqrt(b, out=b)
-            b += state.eps
+            b += ADAM_EPS
             a /= b
             p -= a
 
@@ -366,7 +365,7 @@ def adam_to_dict(state: AdamState) -> dict:
         "v": [a.tolist() for a in state.v],
         "t": state.t,
         "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
+        "beta1": ADAM_BETA1,
+        "beta2": ADAM_BETA2,
+        "eps": ADAM_EPS,
     }

@@ -240,9 +240,9 @@ def parse_localized_graph(text: str) -> LocalizedGraph:
     """Inverse of dump_localized_graph (side letters are format-checked only).
 
     ParseError names the first line that does not parse, counting blank
-    lines: a field that is not an integer, a negative node count, a
-    removed_flag other than 0 or 1, a node id outside [0, 2^63) and a
-    negative label among them.
+    lines: a field that is not an integer, a node count below 2, a
+    removed_flag other than 0 or 1, a node id outside [0, 2^63), a negative
+    label and a node 0 or 1 that is not the header's u or i among them.
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
@@ -259,8 +259,8 @@ def parse_localized_graph(text: str) -> LocalizedGraph:
     if len(head) != 4:
         raise ParseError(f"expected 'k u i removed_flag', got {ln!r}", no)
     k, u, i, removed = ints(head, no, ln)
-    if k < 0:
-        raise ParseError(f"negative node count in {ln!r}", no)
+    if k < 2:
+        raise ParseError(f"node count below 2 in {ln!r}", no)
     if removed not in (0, 1):
         raise ParseError(f"removed_flag must be 0 or 1 in {ln!r}", no)
     if len(lines) < 1 + k:
@@ -278,6 +278,8 @@ def parse_localized_graph(text: str) -> LocalizedGraph:
             raise ParseError(f"node id out of range in {ln!r}", no)
         if label < 0:
             raise ParseError(f"negative label in {ln!r}", no)
+        if p < 2 and gid != (u, i)[p]:
+            raise ParseError(f"node {p} is not the header's {'ui'[p]} in {ln!r}", no)
         nodes[p], labels[p] = gid, label
     adj = np.zeros((k, k), dtype=np.float64)
     for no, ln in lines[1 + k:]:

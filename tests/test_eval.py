@@ -347,7 +347,7 @@ class TestNonFiniteScores:
     def test_overflowing_lgcf_weights_are_rejected(self, sbm_split):
         """Finite weights near the float range make the GCN produce NaN."""
         g, split = sbm_split
-        train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+        train_graph = split.train_graph()
         gnn = init_gnn_params(8, 8, 2, seed_stream(0))
         gnn.weights[0][:, 0] = 1e308
         gnn.weights[0][:, 1] = -1e308
@@ -463,7 +463,7 @@ class TestSparsitySweep:
 
         from lgcf import train
         result = train("mf", g, split, tc)
-        train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+        train_graph = split.train_graph()
         plain = evaluate(result.model.make_scorer(train_graph), g, split,
                          PROTOCOL)
         for k in (5, 10):
@@ -556,7 +556,7 @@ class TestDumpCases:
         tc = TrainConfig(epochs=1, batch_size=16, master_seed=4, walk=self.WALK,
                          gcn_layers=2, hidden_dim=4, label_cap=8)
         model = train("lgcf", g, split, tc).model
-        train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+        train_graph = split.train_graph()
         rows = dump_cases(model.make_scorer(train_graph),
                           AntiOracleScorer(split.test_edges), g, split,
                           model.walk, tmp_path, PROTOCOL)

@@ -743,7 +743,7 @@ class TestEnsembleLambda:
         g, split = star_split()
         tc = tiny_tc(lambda_mode="learnable")
         model = train("lgcf-ens", g, split, tc).model
-        train_graph = build_graph(split.train_edges, 5, 6)
+        train_graph = split.train_graph()
         seeds = seed_stream(tc.master_seed, ENSEMBLE).integers(0, 2 ** 31 - 1, size=3)
         saved = model.make_scorer(train_graph)
         assert _fit_lambda(saved.lgcf, saved.dot, train_graph, split,

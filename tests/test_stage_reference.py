@@ -206,7 +206,7 @@ def assert_forward_matches(x0, a_norm, params):
 def criterion_9_graph():
     g = make_synthetic(100, 100, 0.05, 0.005, 42)
     split = normal_split(g, 0.9, 42)
-    return build_graph(split.train_edges, g.num_users, g.num_items)
+    return split.train_graph()
 
 
 def test_seeded_pairs_match_the_reference_stages(criterion_9_graph):

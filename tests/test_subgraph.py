@@ -407,12 +407,19 @@ class TestDumpFormat:
         ("2 0 2 1\n0 0 u 0\n1 2 i -3\n", 3, "negative label"),
         (f"2 0 2 1\n0 {2**63} u 0\n1 2 i 1\n", 2, "node id out of range"),
         ("2 0 2 1\n0 0 u 0\n1 -2 i 1\n", 3, "node id out of range"),
+        ("0 0 2 1\n", 1, "node count below 2"),
+        ("1 0 2 1\n0 0 u 0\n", 1, "node count below 2"),
+        ("2 5 9 1\n0 0 u 0\n1 2 i 1\n", 2, "node 0 is not the header's u"),
+        ("2 0 9 1\n\n0 0 u 0\n1 2 i 1\n", 4, "node 1 is not the header's i"),
     ], ids=["blank-line-counted", "blank-lines-everywhere", "missing-node-line",
             "flag-7", "flag-negative", "negative-label", "negative-label-2",
-            "id-past-int64", "negative-id"])
+            "id-past-int64", "negative-id", "no-nodes", "one-node",
+            "header-u-mismatch", "header-i-mismatch"])
     def test_parse_names_the_file_line(self, text, line_no, message):
-        """Blank lines count toward the named line; removed_flag is 0 or 1;
-        labels are non-negative and node ids fit a signed 64-bit int."""
+        """Blank lines count toward the named line; a dump has at least its
+        two target nodes, and node lines 0 and 1 hold the header's u and i;
+        removed_flag is 0 or 1; labels are non-negative and node ids fit a
+        signed 64-bit int."""
         with pytest.raises(ParseError, match=f"^line {line_no}: {message}"):
             parse_localized_graph(text)
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from lgcf import (EvalProtocol, TrainConfig, TrainedModel, WalkConfig,
-                  build_graph, evaluate, extract, label_graph, make_synthetic,
-                  normal_split, seed_stream, train)
+                  evaluate, extract, label_graph, make_synthetic, normal_split,
+                  seed_stream, train)
 from lgcf import models, nn
 from lgcf.models import (MODEL_KINDS, _gcn_scores, _init_model, _label_stacks,
                          _triplet_batches)
@@ -91,7 +91,7 @@ def test_lgcf_train_and_eval_pass_every_stage_boundary():
                      walk=WalkConfig(0.2, 8, 10, True), gcn_layers=2,
                      hidden_dim=4, label_cap=8, val_negatives=10,
                      eval_every=2)  # no validation pass inside training
-    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    train_graph = split.train_graph()
     tracer = tracing.Tracer()
     model = tracer.run(1, lambda: train("lgcf", g, split, tc)).model
     tracer.run(2, lambda: evaluate(model.make_scorer(train_graph), g, split,
@@ -115,7 +115,7 @@ def test_lgcf_epoch_counters_match_its_labeled_graphs():
                      walk=WalkConfig(0.2, 8, 10, True), gcn_layers=2,
                      hidden_dim=4, label_cap=4, val_negatives=10,
                      eval_every=2)  # no validation pass inside training
-    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    train_graph = split.train_graph()
     tracer = tracing.Tracer()
     tracer.run(1, lambda: train("lgcf", g, split, tc))
     labels = [label_graph(extract(train_graph, u, x, tc.walk, seed_stream(
@@ -140,7 +140,7 @@ def test_scoring_forwards_chunk_stacks(monkeypatch):
     pair."""
     g = make_synthetic(20, 20, 0.3, 0.02, 4)
     split = normal_split(g, 0.9, 4)
-    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    train_graph = split.train_graph()
     tc = TrainConfig(master_seed=5, walk=WalkConfig(0.15, 20, 20, True),
                      gcn_layers=2, hidden_dim=8, label_cap=16, embed_dim=4)
     shapes = []
@@ -205,7 +205,7 @@ def test_checked_scorer_records_every_ranked_candidate():
     workloads = load_workloads()
     g = make_synthetic(20, 20, 0.3, 0.02, 4)
     split = normal_split(g, 0.9, 4)
-    train_graph = build_graph(split.train_edges, g.num_users, g.num_items)
+    train_graph = split.train_graph()
     tc = TrainConfig(master_seed=5, walk=WalkConfig(0.15, 20, 20, True),
                      gcn_layers=2, hidden_dim=8, label_cap=16, embed_dim=4)
     models_by_kind = {kind: _init_model(kind, train_graph, tc)
